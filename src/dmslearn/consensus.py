@@ -1,10 +1,14 @@
-"""Round-based training engines and the contraction-bound monitor.
+"""Round-based training engine and the contraction-bound monitor.
 
-Strategies share one round shape: every agent takes a perturbed local
-gradient step, then new weights come from alpha-scaled neighbor averaging
-over the round's graph (or a server average). The mix-then-learn twin
-swaps the two stages. Secure mode routes every averaging sum through the
-threshold-sharing pipeline instead of plaintext arithmetic.
+Every strategy runs the same round: a learn stage, where each agent takes
+``epochs`` perturbed local gradient steps, and a mix stage, where the
+(hooked) outgoing weights are averaged and scaled by ``alpha``. ``dms``,
+``dfc``, ``dring`` and ``centralized`` learn then mix over the round's
+graph, ``ctl`` mixes then learns, and ``fedavg`` learns then takes the
+server mean over all agents. Secure mode routes every averaging sum
+through the threshold-sharing sessions of ``party_placement`` instead of
+plaintext arithmetic. ``dms_round``, ``ctl_round`` and ``fedavg_round``
+are the per-strategy entry points into that one round body.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .secagg import (
     party_placement,
     secure_aggregate,
 )
-from .topology import Graph, MarkovSchedule, mixing_matrix
+from .topology import Graph, MarkovSchedule
 
 __all__ = [
     "AgentState",
@@ -73,8 +77,8 @@ class AgentState:
 
     def __post_init__(self) -> None:
         self.theta = np.asarray(self.theta, dtype=float).copy()
-        if self.gamma < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not self.gamma > 0:
+            raise ValueError("learning rate must be positive")
 
 
 def make_agents(
@@ -154,8 +158,8 @@ class ConvergenceMonitor:
 def max_disagreement(thetas: np.ndarray) -> float:
     """Largest pairwise L2 distance between agent weight vectors."""
     t = np.asarray(thetas, dtype=float)
-    diff = t[:, None, :] - t[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+    worst = np.array([((t - row) ** 2).sum(axis=1).max() for row in t]).max()
+    return float(np.sqrt(worst))
 
 
 def lr_bound(p_upper):
@@ -287,18 +291,19 @@ def _as_noise_list(noise, n: int) -> list[NoiseModel | None]:
     return models
 
 
-def _local_phase(
+def _learn(
     agents: list[AgentState],
+    starts,
+    epochs: int,
     noise_models: list[NoiseModel | None],
     noise_rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Run every agent's local step in id order; returns stacked phi."""
-    phis = []
-    for agent, nm in zip(agents, noise_models):
-        phi = local_step(agent.task, agent.theta, agent.gamma, noise=nm, rng=noise_rng)
+) -> None:
+    """Run ``epochs`` local steps per agent from its start, in id order
+    (all of agent 0's steps first), and store the result as ``phi``."""
+    for agent, phi, nm in zip(agents, starts, noise_models):
+        for _ in range(epochs):
+            phi = local_step(agent.task, phi, agent.gamma, noise=nm, rng=noise_rng)
         agent.phi = phi
-        phis.append(phi)
-    return np.array(phis)
 
 
 def _apply_hook(phis: np.ndarray, hook: BroadcastHook | None) -> np.ndarray:
@@ -312,77 +317,73 @@ def _apply_hook(phis: np.ndarray, hook: BroadcastHook | None) -> np.ndarray:
 
 def _secure_mix(
     broadcast: np.ndarray,
-    graph: Graph,
-    strategy: str,
+    graph: Graph | None,
+    placement: str,
     secure: SecureSetup,
     round_index: int,
 ) -> np.ndarray:
-    """Neighbor averaging computed through secure summation.
+    """Group averaging computed through secure summation.
 
     Uniform closed-neighborhood weights turn each agent's mix into a plain
     sum over its aggregation group divided by the group size, which is
-    exactly what a secure-sum session provides.
+    exactly what a secure-sum session provides. The fedavg session reveals
+    the sum to the server, which hands the mean back to every contributor.
     """
-    n = graph.agent_count
+    n = broadcast.shape[0]
     mixed = broadcast.copy()  # isolated agents keep their own phi
-    sessions = party_placement(strategy, graph=graph, prime=secure.prime)
-    if strategy == "dring":
-        for session in sessions:
-            recipient = session.recipients[0]
-            total = secure_aggregate(
-                [broadcast[j] for j in session.contributors],
-                session,
-                secure.codec,
-                secure.rng,
-                transcript=secure.transcript,
-                round_index=round_index,
-            )
-            mixed[recipient] = total / len(session.contributors)
-    else:
-        session = sessions[0]
-        members = session.contributors
+    sessions = party_placement(placement, graph=graph, agent_count=n, prime=secure.prime)
+    for session in sessions:
         total = secure_aggregate(
-            [broadcast[j] for j in members],
+            [broadcast[j] for j in session.contributors],
             session,
             secure.codec,
             secure.rng,
             transcript=secure.transcript,
             round_index=round_index,
         )
-        for j in members:
-            mixed[j] = total / len(members)
+        targets = session.contributors if graph is None else session.recipients
+        for j in targets:
+            mixed[j] = total / len(session.contributors)
     return mixed
 
 
 def _round_metrics(
     round_index: int,
-    graph: Graph,
+    graph: Graph | None,
+    broadcast: np.ndarray,
     transcript: Transcript | None,
     counters_before: tuple[int, int, dict[int, int]] | None,
 ) -> RoundMetrics:
-    degrees = graph.degrees[: graph.agent_count].copy()
-    if transcript is None or counters_before is None:
+    n, d = broadcast.shape
+    if graph is None:
+        # Server round: one upload and one download per agent.
+        degrees = np.ones(n, dtype=np.int64)
+        edge_count, active, messages = n, n, 2 * n
+    else:
         # One logical message per directed edge: each agent sends its
         # broadcast to every neighbor.
-        per_agent = degrees.astype(np.int64)
+        degrees = graph.degrees[:n].copy()
+        edge_count, active, messages = graph.edge_count, len(graph.active()), int(degrees.sum())
+    if transcript is None or counters_before is None:
+        # Each plaintext message carries d float64 weights.
         return RoundMetrics(
             round_index=round_index,
-            edge_count=graph.edge_count,
-            active_agents=len(graph.active()),
-            messages=int(per_agent.sum()),
-            bytes=0,
+            edge_count=edge_count,
+            active_agents=active,
+            messages=messages,
+            bytes=messages * d * 8,
             degrees=degrees,
-            per_agent_messages=per_agent,
+            per_agent_messages=degrees.copy(),
         )
     msgs0, bytes0, sent0 = counters_before
-    per_agent = np.zeros(graph.agent_count, dtype=np.int64)
+    per_agent = np.zeros(n, dtype=np.int64)
     for sender, count in transcript.sent_counts.items():
-        if 0 <= sender < graph.agent_count:
+        if 0 <= sender < n:
             per_agent[sender] = count - sent0.get(sender, 0)
     return RoundMetrics(
         round_index=round_index,
-        edge_count=graph.edge_count,
-        active_agents=len(graph.active()),
+        edge_count=edge_count,
+        active_agents=active,
         messages=transcript.messages - msgs0,
         bytes=transcript.bytes - bytes0,
         degrees=degrees,
@@ -397,171 +398,86 @@ def _counters_snapshot(secure: SecureSetup | None):
     return (t.messages, t.bytes, dict(t.sent_counts))
 
 
-def dms_round(
+def _round(
     agents: list[AgentState],
-    schedule: MarkovSchedule,
+    graph: Graph | None,
     *,
+    learn_first: bool,
+    placement: str,
     alpha: float = 1.0,
-    noise=None,
-    noise_rng: np.random.Generator | None = None,
-    broadcast_hook: BroadcastHook | None = None,
-    secure: SecureSetup | None = None,
-    strategy: str = "dms",
-    round_index: int = 0,
-    mixing_cache: dict[int, np.ndarray] | None = None,
-) -> RoundMetrics:
-    """Learn-then-mix round: local steps, then neighbor averaging over the
-    graph the schedule draws for this round.
-
-    ``broadcast_hook`` transforms each agent's outgoing weights (the
-    poisoning seam); receivers, the sender itself included, mix the
-    transformed vectors. Secure aborts surface as :class:`RoundFailure`.
-    """
-    n = len(agents)
-    noise_models = _as_noise_list(noise, n)
-    graph = schedule.advance()
-    if graph.agent_count != n:
-        raise ValueError("schedule graph does not cover the agent set")
-    phis = _local_phase(agents, noise_models, noise_rng)
-    broadcast = _apply_hook(phis, broadcast_hook)
-
-    before = _counters_snapshot(secure)
-    if secure is not None:
-        try:
-            mixed = alpha * _secure_mix(broadcast, graph, strategy, secure, round_index)
-        except SecAggError as exc:
-            raise RoundFailure(round_index, exc) from exc
-    else:
-        if mixing_cache is not None and id(graph) in mixing_cache:
-            a = mixing_cache[id(graph)]
-        else:
-            a = mixing_matrix(graph)
-            if mixing_cache is not None:
-                mixing_cache[id(graph)] = a
-        mixed = alpha * (a @ broadcast)
-
-    for agent, row in zip(agents, mixed):
-        agent.theta = row
-    return _round_metrics(round_index, graph, getattr(secure, "transcript", None), before)
-
-
-def ctl_round(
-    agents: list[AgentState],
-    schedule: MarkovSchedule,
-    *,
-    alpha: float = 1.0,
-    noise=None,
-    noise_rng: np.random.Generator | None = None,
-    broadcast_hook: BroadcastHook | None = None,
-    secure: SecureSetup | None = None,
-    round_index: int = 0,
-    mixing_cache: dict[int, np.ndarray] | None = None,
-) -> RoundMetrics:
-    """Mix-then-learn twin: neighbor averaging of current weights first,
-    then every agent takes its local step from the mixed point."""
-    n = len(agents)
-    noise_models = _as_noise_list(noise, n)
-    graph = schedule.advance()
-    if graph.agent_count != n:
-        raise ValueError("schedule graph does not cover the agent set")
-    thetas = np.array([agent.theta for agent in agents])
-    broadcast = _apply_hook(thetas, broadcast_hook)
-
-    before = _counters_snapshot(secure)
-    if secure is not None:
-        try:
-            mixed = alpha * _secure_mix(broadcast, graph, "ctl", secure, round_index)
-        except SecAggError as exc:
-            raise RoundFailure(round_index, exc) from exc
-    else:
-        if mixing_cache is not None and id(graph) in mixing_cache:
-            a = mixing_cache[id(graph)]
-        else:
-            a = mixing_matrix(graph)
-            if mixing_cache is not None:
-                mixing_cache[id(graph)] = a
-        mixed = alpha * (a @ broadcast)
-
-    for agent, nm, row in zip(agents, noise_models, mixed):
-        agent.theta = local_step(agent.task, row, agent.gamma, noise=nm, rng=noise_rng)
-        agent.phi = agent.theta
-    return _round_metrics(round_index, graph, getattr(secure, "transcript", None), before)
-
-
-def fedavg_round(
-    agents: list[AgentState],
-    server_theta: np.ndarray,
-    *,
     epochs: int = 1,
     noise=None,
     noise_rng: np.random.Generator | None = None,
     broadcast_hook: BroadcastHook | None = None,
     secure: SecureSetup | None = None,
     round_index: int = 0,
-) -> tuple[np.ndarray, RoundMetrics]:
-    """Server round: broadcast global weights, run local epochs, average
-    the uploads (securely through three external parties when enabled)."""
+) -> RoundMetrics:
+    """The one round body: a learn stage and a mix stage, in either order.
+
+    Learn runs ``epochs`` local steps per agent. Mix hooks the outgoing
+    weights, then averages them with the round graph's mixing matrix, the
+    server mean when ``graph`` is None, or secure sessions laid out by
+    ``placement``, and scales the result by ``alpha``.
+    """
     n = len(agents)
+    if graph is not None and graph.agent_count != n:
+        raise ValueError("schedule graph does not cover the agent set")
     noise_models = _as_noise_list(noise, n)
-    uploads = []
-    for agent, nm in zip(agents, noise_models):
-        theta = np.asarray(server_theta, dtype=float).copy()
-        for _ in range(epochs):
-            theta = local_step(agent.task, theta, agent.gamma, noise=nm, rng=noise_rng)
-        agent.phi = theta
-        uploads.append(theta)
-    broadcast = _apply_hook(np.array(uploads), broadcast_hook)
+    if learn_first:
+        _learn(agents, [a.theta for a in agents], epochs, noise_models, noise_rng)
+        outgoing = np.array([a.phi for a in agents])
+    else:
+        outgoing = np.array([a.theta for a in agents])
+    broadcast = _apply_hook(outgoing, broadcast_hook)
 
     before = _counters_snapshot(secure)
     if secure is not None:
-        session = party_placement("fedavg", agent_count=n, prime=secure.prime)[0]
         try:
-            total = secure_aggregate(
-                [broadcast[i] for i in range(n)],
-                session,
-                secure.codec,
-                secure.rng,
-                transcript=secure.transcript,
-                round_index=round_index,
-            )
+            mixed = alpha * _secure_mix(broadcast, graph, placement, secure, round_index)
         except SecAggError as exc:
             raise RoundFailure(round_index, exc) from exc
-        new_server = total / n
+    elif graph is None:
+        # Every agent holds exactly the server's mean.
+        mixed = alpha * np.repeat(broadcast.mean(axis=0)[None, :], n, axis=0)
     else:
-        new_server = broadcast.mean(axis=0)
+        mixed = alpha * (graph.mixing @ broadcast)
 
-    for agent in agents:
-        agent.theta = new_server.copy()
-
-    transcript = getattr(secure, "transcript", None)
-    if transcript is None or before is None:
-        # Uplink: one message per agent. Downlink: one broadcast per agent.
-        per_agent = np.ones(n, dtype=np.int64)
-        metrics = RoundMetrics(
-            round_index=round_index,
-            edge_count=n,
-            active_agents=n,
-            messages=2 * n,
-            bytes=0,
-            degrees=np.ones(n, dtype=np.int64),
-            per_agent_messages=per_agent,
-        )
+    if learn_first:
+        for agent, row in zip(agents, mixed):
+            agent.theta = row
     else:
-        msgs0, bytes0, sent0 = before
-        per_agent = np.zeros(n, dtype=np.int64)
-        for sender, count in transcript.sent_counts.items():
-            if 0 <= sender < n:
-                per_agent[sender] = count - sent0.get(sender, 0)
-        metrics = RoundMetrics(
-            round_index=round_index,
-            edge_count=n,
-            active_agents=n,
-            messages=transcript.messages - msgs0,
-            bytes=transcript.bytes - bytes0,
-            degrees=np.ones(n, dtype=np.int64),
-            per_agent_messages=per_agent,
-        )
-    return new_server, metrics
+        _learn(agents, mixed, epochs, noise_models, noise_rng)
+        for agent in agents:
+            agent.theta = agent.phi
+    return _round_metrics(round_index, graph, broadcast, getattr(secure, "transcript", None), before)
+
+
+def dms_round(
+    agents: list[AgentState], schedule: MarkovSchedule, *, strategy: str = "dms", **options
+) -> RoundMetrics:
+    """Learn-then-mix round: local steps, then neighbor averaging over the
+    graph the schedule draws for this round.
+
+    ``strategy`` picks the secure session layout. ``broadcast_hook``
+    transforms each agent's outgoing weights (the poisoning seam);
+    receivers, the sender itself included, mix the transformed vectors.
+    Secure aborts surface as :class:`RoundFailure`. ``options`` are the
+    keyword arguments of :func:`_round`.
+    """
+    return _round(agents, schedule.advance(), learn_first=True, placement=strategy, **options)
+
+
+def ctl_round(agents: list[AgentState], schedule: MarkovSchedule, **options) -> RoundMetrics:
+    """Mix-then-learn twin: neighbor averaging of current weights first,
+    then every agent takes its local steps from the mixed point."""
+    return _round(agents, schedule.advance(), learn_first=False, placement="ctl", **options)
+
+
+def fedavg_round(agents: list[AgentState], **options) -> RoundMetrics:
+    """Server round: every agent runs its local epochs from the global
+    weights it holds, and the server averages the uploads (securely
+    through three external parties when enabled)."""
+    return _round(agents, None, learn_first=True, placement="fedavg", **options)
 
 
 @dataclass
@@ -574,7 +490,7 @@ class TrainingRun:
     rounds_completed: int
     terminated_early: bool
     diverged: bool
-    server_theta: np.ndarray | None = None
+    server_theta: np.ndarray | None = None  # fedavg: the weights every agent holds
 
     @property
     def rounds_to_tolerance(self) -> int | None:
@@ -617,15 +533,14 @@ def run_training(
     if strategy != "fedavg" and schedule is None:
         raise ValueError(f"{strategy} needs a topology schedule")
 
-    server_theta = None
+    if epochs < 1:
+        raise ValueError("epochs must be positive")
     if strategy == "fedavg":
         first = agents[0].theta
         for agent in agents[1:]:
             if not np.array_equal(agent.theta, first):
                 raise ValueError("fedavg agents must share the initial weights")
-        server_theta = first.copy()
 
-    mixing_cache: dict[int, np.ndarray] = {}
     metrics_list: list[RoundMetrics] = []
 
     def snapshot() -> np.ndarray:
@@ -655,42 +570,22 @@ def run_training(
         # complete one on full-participation graphs; the label only picks
         # the session layout.
         placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
+        options = dict(
+            alpha=alpha,
+            epochs=epochs,
+            noise=noise,
+            noise_rng=noise_rng,
+            broadcast_hook=broadcast_hook,
+            secure=secure,
+        )
         for k in range(rounds):
             if strategy == "fedavg":
-                server_theta, metrics = fedavg_round(
-                    agents,
-                    server_theta,
-                    epochs=epochs,
-                    noise=noise,
-                    noise_rng=noise_rng,
-                    broadcast_hook=broadcast_hook,
-                    secure=secure,
-                    round_index=k,
-                )
+                metrics = fedavg_round(agents, round_index=k, **options)
             elif strategy == "ctl":
-                metrics = ctl_round(
-                    agents,
-                    schedule,
-                    alpha=alpha,
-                    noise=noise,
-                    noise_rng=noise_rng,
-                    broadcast_hook=broadcast_hook,
-                    secure=secure,
-                    round_index=k,
-                    mixing_cache=mixing_cache,
-                )
+                metrics = ctl_round(agents, schedule, round_index=k, **options)
             else:
                 metrics = dms_round(
-                    agents,
-                    schedule,
-                    alpha=alpha,
-                    noise=noise,
-                    noise_rng=noise_rng,
-                    broadcast_hook=broadcast_hook,
-                    secure=secure,
-                    strategy=placement[strategy],
-                    round_index=k,
-                    mixing_cache=mixing_cache,
+                    agents, schedule, strategy=placement[strategy], round_index=k, **options
                 )
             metrics_list.append(metrics)
             completed = k + 1
@@ -712,7 +607,7 @@ def run_training(
         rounds_completed=completed,
         terminated_early=terminated,
         diverged=diverged,
-        server_theta=server_theta,
+        server_theta=agents[0].theta.copy() if strategy == "fedavg" else None,
     )
 
 

@@ -80,6 +80,13 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
 
+    @cached_property
+    def mixing(self) -> np.ndarray:
+        """Read-only :func:`mixing_matrix` of this graph, built once."""
+        mix = mixing_matrix(self)
+        mix.flags.writeable = False
+        return mix
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)

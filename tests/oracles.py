@@ -4,11 +4,22 @@ Everything here is deliberately written the slow, obvious way and avoids
 the package's own code paths: gradients come from finite differences on
 forward passes, field arithmetic uses naive power sums and extended
 Euclid, mixing weights come from explicit neighbor loops.
+
+The exceptions are pins of code that a faster or simpler version
+replaced: ``pairwise_max_distance`` and the three round functions of the
+previous engine (``old_dms_round``, ``old_ctl_round``,
+``old_fedavg_round``), with their arithmetic and draw order unchanged,
+so tests can assert that the replacement gives exactly the same numbers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from dmslearn.consensus import RoundFailure, RoundMetrics
+from dmslearn.numerics import NoiseModel, local_step
+from dmslearn.secagg import SecAggError, party_placement, secure_aggregate
+from dmslearn.topology import mixing_matrix
 
 
 def fd_gradient(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -86,3 +97,207 @@ def scalar_error_recursion(gamma: float, p: float, start: float, rounds: int) ->
     for _ in range(rounds):
         errs.append(abs(1 - gamma * p) * errs[-1])
     return errs
+
+
+def pairwise_max_distance(thetas) -> float:
+    """Largest pairwise L2 distance, from the full (n, n, d) difference tensor."""
+    t = np.asarray(thetas, dtype=float)
+    diff = t[:, None, :] - t[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=2).max()))
+
+
+# --- the previous round engine: three separate round functions ---------
+
+
+def _noise_list(noise, n):
+    if noise is None:
+        return [None] * n
+    if isinstance(noise, NoiseModel):
+        return [noise] * n
+    return list(noise)
+
+
+def _hooked(phis, hook):
+    if hook is None:
+        return phis
+    out = phis.copy()
+    for i in range(out.shape[0]):
+        out[i] = hook(i, out[i])
+    return out
+
+
+def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
+    mixed = broadcast.copy()
+    sessions = party_placement(strategy, graph=graph, prime=secure.prime)
+    if strategy == "dring":
+        for session in sessions:
+            recipient = session.recipients[0]
+            total = secure_aggregate(
+                [broadcast[j] for j in session.contributors],
+                session,
+                secure.codec,
+                secure.rng,
+                transcript=secure.transcript,
+                round_index=round_index,
+            )
+            mixed[recipient] = total / len(session.contributors)
+    else:
+        session = sessions[0]
+        members = session.contributors
+        total = secure_aggregate(
+            [broadcast[j] for j in members],
+            session,
+            secure.codec,
+            secure.rng,
+            transcript=secure.transcript,
+            round_index=round_index,
+        )
+        for j in members:
+            mixed[j] = total / len(members)
+    return mixed
+
+
+def _old_metrics(round_index, n, edge_count, active, degrees, plain_messages, transcript, before):
+    """Plaintext rounds counted no bytes; secure rounds count the transcript."""
+    if transcript is None or before is None:
+        return RoundMetrics(
+            round_index, edge_count, active, plain_messages, 0, degrees, degrees.astype(np.int64)
+        )
+    msgs0, bytes0, sent0 = before
+    per_agent = np.zeros(n, dtype=np.int64)
+    for sender, count in transcript.sent_counts.items():
+        if 0 <= sender < n:
+            per_agent[sender] = count - sent0.get(sender, 0)
+    return RoundMetrics(
+        round_index,
+        edge_count,
+        active,
+        transcript.messages - msgs0,
+        transcript.bytes - bytes0,
+        degrees,
+        per_agent,
+    )
+
+
+def _snapshot(secure):
+    if secure is None or secure.transcript is None:
+        return None
+    t = secure.transcript
+    return (t.messages, t.bytes, dict(t.sent_counts))
+
+
+def _graph_metrics(round_index, graph, secure, before):
+    degrees = graph.degrees[: graph.agent_count].copy()
+    return _old_metrics(
+        round_index,
+        graph.agent_count,
+        graph.edge_count,
+        len(graph.active()),
+        degrees,
+        int(degrees.sum()),
+        getattr(secure, "transcript", None),
+        before,
+    )
+
+
+def old_dms_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
+                  broadcast_hook=None, secure=None, strategy="dms", round_index=0):
+    noise_models = _noise_list(noise, len(agents))
+    graph = schedule.advance()
+    phis = []
+    for agent, nm in zip(agents, noise_models):
+        phi = local_step(agent.task, agent.theta, agent.gamma, noise=nm, rng=noise_rng)
+        agent.phi = phi
+        phis.append(phi)
+    broadcast = _hooked(np.array(phis), broadcast_hook)
+    before = _snapshot(secure)
+    if secure is not None:
+        try:
+            mixed = alpha * _old_secure_mix(broadcast, graph, strategy, secure, round_index)
+        except SecAggError as exc:
+            raise RoundFailure(round_index, exc) from exc
+    else:
+        mixed = alpha * (mixing_matrix(graph) @ broadcast)
+    for agent, row in zip(agents, mixed):
+        agent.theta = row
+    return _graph_metrics(round_index, graph, secure, before)
+
+
+def old_ctl_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
+                  broadcast_hook=None, secure=None, round_index=0):
+    noise_models = _noise_list(noise, len(agents))
+    graph = schedule.advance()
+    broadcast = _hooked(np.array([agent.theta for agent in agents]), broadcast_hook)
+    before = _snapshot(secure)
+    if secure is not None:
+        try:
+            mixed = alpha * _old_secure_mix(broadcast, graph, "ctl", secure, round_index)
+        except SecAggError as exc:
+            raise RoundFailure(round_index, exc) from exc
+    else:
+        mixed = alpha * (mixing_matrix(graph) @ broadcast)
+    for agent, nm, row in zip(agents, noise_models, mixed):
+        agent.theta = local_step(agent.task, row, agent.gamma, noise=nm, rng=noise_rng)
+        agent.phi = agent.theta
+    return _graph_metrics(round_index, graph, secure, before)
+
+
+def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=None,
+                     broadcast_hook=None, secure=None, round_index=0):
+    """Returns the new server weights and the round's metrics."""
+    n = len(agents)
+    noise_models = _noise_list(noise, n)
+    uploads = []
+    for agent, nm in zip(agents, noise_models):
+        theta = np.asarray(server_theta, dtype=float).copy()
+        for _ in range(epochs):
+            theta = local_step(agent.task, theta, agent.gamma, noise=nm, rng=noise_rng)
+        agent.phi = theta
+        uploads.append(theta)
+    broadcast = _hooked(np.array(uploads), broadcast_hook)
+    before = _snapshot(secure)
+    if secure is not None:
+        session = party_placement("fedavg", agent_count=n, prime=secure.prime)[0]
+        try:
+            total = secure_aggregate(
+                [broadcast[i] for i in range(n)],
+                session,
+                secure.codec,
+                secure.rng,
+                transcript=secure.transcript,
+                round_index=round_index,
+            )
+        except SecAggError as exc:
+            raise RoundFailure(round_index, exc) from exc
+        new_server = total / n
+    else:
+        new_server = broadcast.mean(axis=0)
+    for agent in agents:
+        agent.theta = new_server.copy()
+    ones = np.ones(n, dtype=np.int64)
+    metrics = _old_metrics(
+        round_index, n, n, n, ones, 2 * n, getattr(secure, "transcript", None), before
+    )
+    return new_server, metrics
+
+
+def old_engine_rounds(agents, schedule, strategy, rounds, *, alpha=1.0, epochs=1, **options):
+    """Drive the previous engine the way its training loop did; returns
+    the per-round metrics. ``alpha`` never reached fedavg, ``epochs`` only
+    reached fedavg."""
+    placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
+    server_theta = agents[0].theta.copy()
+    metrics = []
+    for k in range(rounds):
+        if strategy == "fedavg":
+            server_theta, m = old_fedavg_round(
+                agents, server_theta, epochs=epochs, round_index=k, **options
+            )
+        elif strategy == "ctl":
+            m = old_ctl_round(agents, schedule, alpha=alpha, round_index=k, **options)
+        else:
+            m = old_dms_round(
+                agents, schedule, alpha=alpha, strategy=placement[strategy], round_index=k, **options
+            )
+        metrics.append(m)
+    return metrics

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmslearn.consensus import (
+    AgentState,
     ContractionParams,
     ConvergenceMonitor,
     RoundFailure,
@@ -13,17 +15,19 @@ from dmslearn.consensus import (
     max_disagreement,
     run_training,
 )
-from dmslearn.numerics import QuadraticTask, local_step
+from dmslearn.numerics import NoiseModel, QuadraticTask, local_step
 from dmslearn.secagg import ContributorError, Transcript
+from dmslearn.threats import PoisonPolicy
 from dmslearn.topology import (
     Graph,
+    make_dms_schedule,
     make_static_schedule,
     make_subset_graph,
     make_topology,
     mixing_matrix,
 )
 
-from oracles import summed_quadratic_optimum
+from oracles import old_engine_rounds, pairwise_max_distance, summed_quadratic_optimum
 
 
 def quad(p, u=0.0, dim=1):
@@ -105,6 +109,18 @@ def test_fedavg_identical_to_solo_descent():
     assert np.allclose(run.server_theta, theta)
     for agent in agents:
         assert np.allclose(agent.theta, theta)
+
+
+def test_fedavg_agents_hold_exactly_the_server_mean():
+    n, d = 7, 5
+    rng = np.random.default_rng(4)
+    tasks = [QuadraticTask.from_optimum(np.eye(d), rng.uniform(-1, 1, d)) for _ in range(n)]
+    agents = make_agents(tasks, [np.full(d, 0.3)] * n, 0.4)
+    run = run_training(agents, None, strategy="fedavg", rounds=1)
+    uploads = np.array([a.phi for a in agents])
+    for agent in agents:
+        assert np.array_equal(agent.theta, uploads.mean(axis=0))
+    assert np.array_equal(run.server_theta, uploads.mean(axis=0))
 
 
 def test_fedavg_epochs_multiply_local_steps():
@@ -406,3 +422,125 @@ def test_secure_needs_three_active_agents():
         run_training(agents, schedule, strategy="dms", rounds=1, secure=setup)
     assert err.value.round_index == 0
     assert isinstance(err.value.cause, ContributorError)
+
+
+def test_agent_rejects_zero_learning_rate():
+    with pytest.raises(ValueError):
+        AgentState(id=0, task=quad(1.0), gamma=0.0, theta=np.zeros(1))
+    with pytest.raises(ValueError):
+        make_agents([quad(1.0)], [np.zeros(1)], 0.0)
+
+
+def test_plaintext_dms_round_bytes():
+    n, d = 7, 3
+    tasks = [quad(1.0, dim=d)] * n
+    agents = make_agents(tasks, [np.zeros(d)] * n, 0.1)
+    schedule = make_dms_schedule(n, subset_size=4, rng=np.random.default_rng(0))
+    run = run_training(agents, schedule, strategy="dms", rounds=5)
+    for m in run.metrics:
+        assert m.bytes == 2 * m.edge_count * d * 8
+
+
+def test_plaintext_fedavg_round_bytes():
+    n, d = 5, 4
+    agents = make_agents([quad(1.0, dim=d)] * n, [np.zeros(d)] * n, 0.1)
+    run = run_training(agents, None, strategy="fedavg", rounds=3)
+    assert [m.bytes for m in run.metrics] == [2 * n * d * 8] * 3
+    assert complexity_counters(run.metrics)["total_bytes"] == 3 * 2 * n * d * 8
+
+
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_max_disagreement_equals_full_tensor(n, d, seed):
+    thetas = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** (seed % 7 - 3)
+    assert max_disagreement(thetas) == pairwise_max_distance(thetas)
+
+
+def test_graph_mixing_is_cached_read_only():
+    g = make_topology("ring", 5)
+    assert g.mixing is g.mixing
+    assert np.array_equal(g.mixing, mixing_matrix(g))
+    assert not g.mixing.flags.writeable
+
+
+STRATEGIES = ["dms", "ctl", "dring", "dfc", "fedavg", "centralized"]
+
+
+def _engine_case(strategy, n, d, seed, shared):
+    rng = np.random.default_rng(seed)
+    tasks = [
+        QuadraticTask.from_optimum(np.diag(rng.uniform(0.5, 2.0, d)), rng.uniform(-1, 1, d))
+        for _ in range(n)
+    ]
+    inits = [rng.uniform(-1, 1, d)] * n if shared else [rng.uniform(-1, 1, d) for _ in range(n)]
+    if strategy == "fedavg":
+        schedule = None
+    elif strategy == "centralized":
+        schedule = make_static_schedule(Graph(1, frozenset()))
+    elif strategy == "dring":
+        schedule = make_static_schedule(make_topology("ring", n))
+    elif strategy == "dfc":
+        schedule = complete_schedule(n)
+    else:
+        schedule = make_dms_schedule(n, subset_size=3, substructure_count=3, rng=np.random.default_rng(seed))
+    return make_agents(tasks, inits, 0.2), schedule
+
+
+@given(
+    st.sampled_from(STRATEGIES),
+    st.integers(3, 6),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1.0, 0.9]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_previous_round_functions(
+    strategy, n, d, rounds, noisy, poisoned, secure, alpha, epochs, seed
+):
+    # The old engine ignored alpha for fedavg and epochs for every other
+    # strategy, so only the settings where both engines agree are drawn.
+    if strategy == "centralized":
+        n, secure = 1, False
+    if strategy == "fedavg":
+        alpha = 1.0
+    else:
+        epochs = 1
+    runs = []
+    for engine in ("new", "old"):
+        agents, schedule = _engine_case(strategy, n, d, seed, shared=strategy == "fedavg")
+        options = dict(
+            alpha=alpha,
+            epochs=epochs,
+            noise=NoiseModel(0.05) if noisy else None,
+            noise_rng=np.random.default_rng(seed + 1),
+            broadcast_hook=PoisonPolicy(frozenset({0}), epsilon=0.3).hook() if poisoned else None,
+            secure=SecureSetup(rng=np.random.default_rng(seed + 2), transcript=Transcript())
+            if secure
+            else None,
+        )
+        if engine == "new":
+            metrics = run_training(agents, schedule, strategy=strategy, rounds=rounds, **options).metrics
+        else:
+            metrics = old_engine_rounds(agents, schedule, strategy, rounds, **options)
+        runs.append((agents, metrics))
+    (new_agents, new_metrics), (old_agents, old_metrics) = runs
+    for a, b in zip(new_agents, old_agents):
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.phi, b.phi)
+    assert len(new_metrics) == len(old_metrics) == rounds
+    for m, o in zip(new_metrics, old_metrics):
+        assert (m.round_index, m.edge_count, m.active_agents, m.messages) == (
+            o.round_index,
+            o.edge_count,
+            o.active_agents,
+            o.messages,
+        )
+        assert np.array_equal(m.degrees, o.degrees)
+        assert np.array_equal(m.per_agent_messages, o.per_agent_messages)
+        if secure:
+            assert m.bytes == o.bytes

@@ -265,3 +265,17 @@ def test_cli_cluster(tmp_path):
     assert code == 0
     lines = (out / "assignments.csv").read_text().strip().splitlines()
     assert len(lines) == 31
+
+
+def test_epochs_take_effect_for_dms():
+    config = small_quadratic(rounds=20, seed=3, gamma=0.1)
+    one = run_experiment(config).summary["final_worst_mse"]
+    three = run_experiment(config.replace(epochs=3)).summary["final_worst_mse"]
+    assert one != three
+
+
+def test_alpha_takes_effect_for_fedavg():
+    config = small_quadratic(strategy="fedavg", rounds=20, seed=3, gamma=0.1)
+    full = run_experiment(config).summary["final_worst_mse"]
+    half = run_experiment(config.replace(alpha=0.5)).summary["final_worst_mse"]
+    assert full != half
