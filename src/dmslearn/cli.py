@@ -8,19 +8,22 @@ the ``DMSLEARN_OUT`` environment variable, then ``./out/<command>``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .consensus import RoundFailure
 from .data import ARCHETYPES, gen_synthetic_load, household_features, kmeans
 from .experiment import (
+    SweepSettings,
+    emit_tables,
+    forecast_comparison,
     run_experiment,
     run_scaling_sweep,
-    scaling_sweep_config,
 )
 from .reports import write_report, write_summary_csv
 from .secagg import (
@@ -48,16 +51,17 @@ def _out_dir(args, command: str) -> Path:
     return Path("out") / command
 
 
+def _load_config(args):
+    """The ``--config`` file, with the seed ``--seed`` gives, if any."""
+    config = load_config(args.config)
+    return config if args.seed is None else config.replace(seed=args.seed)
+
+
 def _cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
+        config = _load_config(args)
         if args.allow_unstable:
-            overrides["allow_unstable"] = True
-        if overrides:
-            config = config.replace(**overrides)
+            config = config.replace(allow_unstable=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -83,12 +87,39 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    settings = scaling_sweep_config()
-    if args.seed is not None:
-        from dataclasses import replace
+def _cmd_compare(args) -> int:
+    out = _out_dir(args, "compare")
+    try:
+        base = _load_config(args)
+        results = forecast_comparison(base, out_dir=out)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (RoundFailure, SecAggError) as exc:
+        print(f"secure aggregation abort: {exc}", file=sys.stderr)
+        return EXIT_SECAGG
+    paths = emit_tables(results, out)
 
-        settings = replace(settings, seed=args.seed)
+    print(f"{'strategy':<12} {'train':>10} {'val':>10} {'test':>10} {'messages':>12}")
+    for name, res in results.items():
+        s = res.summary
+        print(
+            f"{name:<12} {s['train_mse']:>10.5f} {s['val_mse']:>10.5f} "
+            f"{s['test_mse']:>10.5f} {s['total_messages']:>12}"
+        )
+    for label, path in paths.items():
+        print(f"{label}: {path}")
+    diverged = [name for name, res in results.items() if res.run.diverged]
+    if diverged:
+        print(f"divergence detected: {', '.join(diverged)}", file=sys.stderr)
+        return EXIT_DIVERGED
+    return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    settings = SweepSettings()
+    if args.seed is not None:
+        settings = dataclasses.replace(settings, seed=args.seed)
     result = run_scaling_sweep(settings)
     out = _out_dir(args, "sweep")
     out.mkdir(parents=True, exist_ok=True)
@@ -98,7 +129,11 @@ def _cmd_sweep(args) -> int:
         for n, r in sorted(table.items())
     ]
     write_summary_csv(out / "sweep.csv", rows, ["strategy", "agents", "rounds"])
-    for strategy in result.settings.strategies:
+    print("agents " + " ".join(f"{s:>8}" for s in settings.strategies))
+    for n in sorted(settings.sizes):
+        row = " ".join(f"{result.rounds[s][n]:>8}" for s in settings.strategies)
+        print(f"{n:>6} {row}")
+    for strategy in settings.strategies:
         slope, intercept, r2 = result.fit(strategy)
         print(f"{strategy}: slope={slope:.3f} intercept={intercept:.1f} r2={r2:.4f}")
     print(f"wrote {out / 'sweep.csv'}")
@@ -130,6 +165,13 @@ def _cmd_attack(args) -> int:
             }
         )
         write_report(out / "poison.jsonl", rows)
+        print("poisoning inflation (poisoned tail error / clean tail error)")
+        print(f"{'seed':>4} {'dms':>10} {'fedavg':>10}")
+        for i, s in enumerate(outcome.seeds):
+            print(
+                f"{s:>4} {outcome.dms_inflation[i]:>10.2f} "
+                f"{outcome.fedavg_inflation[i]:>10.2f}"
+            )
         print(
             f"poison: median inflation dms={outcome.dms_median:.2f} "
             f"fedavg={outcome.fedavg_median:.2f} ({len(seeds)} seeds)"
@@ -138,8 +180,14 @@ def _cmd_attack(args) -> int:
 
     rows = []
     fed_hits = dms_worse = 0
+    print("gradient reconstruction input MSE")
+    print(f"{'seed':>4} {'fedavg':>12} {'dms':>12} {'clean':>6}")
     for s in seeds:
         rep = dlg_compare_topologies(s)
+        print(
+            f"{s:>4} {rep.fedavg_input_mse:>12.2e} "
+            f"{rep.dms_input_mse:>12.2e} {str(rep.transcript_clean):>6}"
+        )
         rows.append(
             {
                 "type": "dlg",
@@ -260,6 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(run_p)
     run_p.set_defaults(func=_cmd_run)
+
+    compare_p = sub.add_parser(
+        "compare", help="forecast task under every strategy, error and traffic tables"
+    )
+    compare_p.add_argument("--config", required=True, help="YAML config path")
+    common(compare_p)
+    compare_p.set_defaults(func=_cmd_compare)
 
     sweep_p = sub.add_parser("sweep", help="agent-count scaling sweep")
     common(sweep_p)

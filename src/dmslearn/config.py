@@ -95,16 +95,14 @@ class SecureConfig:
 class AttackConfig:
     """Optional adversary settings."""
 
-    kind: str = "poison"  # poison | dlg
+    kind: str = "poison"
     epsilon: float = 0.2
     malicious: int = 3
     mode: str = "constant"
-    iters: int = 500
-    restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.kind not in ("poison", "dlg"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+        if self.kind != "poison":
+            raise ValueError(f"unknown attack kind {self.kind!r}; only poison runs in an experiment")
         if self.epsilon < 0 or self.malicious < 0:
             raise ValueError("attack parameters must be nonnegative")
 
@@ -202,7 +200,10 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def replace(self, **changes) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
+        try:
+            return dataclasses.replace(self, **changes)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config: {exc}") from exc
 
 
 _SECTION_TYPES = {

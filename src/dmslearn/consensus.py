@@ -118,7 +118,7 @@ class SecureSetup:
 
     rng: np.random.Generator
     codec: FixedPointCodec = field(default_factory=FixedPointCodec)
-    transcript: Transcript | None = None
+    transcript: Transcript = field(default_factory=Transcript)
     prime: int = PRIME_128
 
     def __post_init__(self) -> None:
@@ -351,7 +351,7 @@ def _round_metrics(
     round_index: int,
     graph: Graph | None,
     broadcast: np.ndarray,
-    transcript: Transcript | None,
+    secure: SecureSetup | None,
     counters_before: tuple[int, int, dict[int, int]] | None,
 ) -> RoundMetrics:
     n, d = broadcast.shape
@@ -364,7 +364,7 @@ def _round_metrics(
         # broadcast to every neighbor.
         degrees = graph.degrees[:n].copy()
         edge_count, active, messages = graph.edge_count, len(graph.active()), int(degrees.sum())
-    if transcript is None or counters_before is None:
+    if secure is None:
         # Each plaintext message carries d float64 weights.
         return RoundMetrics(
             round_index=round_index,
@@ -375,6 +375,7 @@ def _round_metrics(
             degrees=degrees,
             per_agent_messages=degrees.copy(),
         )
+    transcript = secure.transcript
     msgs0, bytes0, sent0 = counters_before
     per_agent = np.zeros(n, dtype=np.int64)
     for sender, count in transcript.sent_counts.items():
@@ -392,7 +393,7 @@ def _round_metrics(
 
 
 def _counters_snapshot(secure: SecureSetup | None):
-    if secure is None or secure.transcript is None:
+    if secure is None:
         return None
     t = secure.transcript
     return (t.messages, t.bytes, dict(t.sent_counts))
@@ -449,7 +450,7 @@ def _round(
         _learn(agents, mixed, epochs, noise_models, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
-    return _round_metrics(round_index, graph, broadcast, getattr(secure, "transcript", None), before)
+    return _round_metrics(round_index, graph, broadcast, secure, before)
 
 
 def dms_round(

@@ -3,7 +3,7 @@
 The generator substitutes real smart-meter data: three behavior
 archetypes, each a weekly-periodic base pattern plus seeded noise and
 occasional consumption events, so cluster structure and forecastability
-are controlled and the per-archetype mean curve has a closed form.
+are controlled.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "LoadProfile",
     "SLOTS_PER_DAY",
     "WindowedSplits",
-    "analytic_mean_curve",
     "gen_synthetic_load",
     "household_features",
     "kmeans",
@@ -70,20 +69,6 @@ ARCHETYPES = (
     Archetype("evening", base=1.1, amp1=0.50, phase1=38, amp2=0.15, phase2=20, weekend_factor=1.10, event_rate=0.08, event_scale=1.2),
     Archetype("business", base=0.6, amp1=0.15, phase1=26, amp2=0.35, phase2=24, weekend_factor=0.55, event_rate=0.04, event_scale=0.6),
 )
-
-
-def analytic_mean_curve(archetype: Archetype) -> np.ndarray:
-    """Expected per-slot consumption, averaged over days and randomness.
-
-    Weekday/weekend mix contributes ``(5 + 2 kappa) / 7`` of the daily
-    curve; events add ``rate * scale * E[U[0.5,1.5]] * slots/48`` uniformly
-    (the circular window makes every slot equally likely). Household size
-    jitter has mean one and drops out. Ignores clipping at zero, which is
-    a < 1% effect for the shipped archetypes.
-    """
-    day_mix = (5.0 + 2.0 * archetype.weekend_factor) / 7.0
-    event_mean = archetype.event_rate * archetype.event_scale * 1.0 * (archetype.event_slots / SLOTS_PER_DAY)
-    return day_mix * archetype.daily_curve() + event_mean
 
 
 @dataclass(frozen=True)

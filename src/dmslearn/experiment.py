@@ -1,7 +1,7 @@
 """Experiment orchestration: builders, the run driver, sweeps, and tables.
 
 Randomness discipline: one seed spawns named independent streams (init,
-data, schedule, noise, secagg, attack), so enabling one stochastic
+data, schedule, noise, secagg), so enabling one stochastic
 feature never shifts another's draws, and strategies compared under the
 same seed see identical data and initializations where they share them.
 """
@@ -42,7 +42,6 @@ from .threats import PoisonPolicy
 from .topology import (
     Graph,
     MarkovSchedule,
-    default_subset_size,
     make_dms_schedule,
     make_static_schedule,
     make_topology,
@@ -59,11 +58,10 @@ __all__ = [
     "linear_fit",
     "run_experiment",
     "run_scaling_sweep",
-    "scaling_sweep_config",
     "seed_streams",
 ]
 
-STREAM_NAMES = ("init", "data", "schedule", "noise", "secagg", "attack", "spare")
+STREAM_NAMES = ("init", "data", "schedule", "noise", "secagg")
 
 
 def seed_streams(seed: int | np.random.SeedSequence) -> dict[str, np.random.Generator]:
@@ -247,12 +245,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         )
 
     broadcast_hook = None
-    if config.attack is not None and config.attack.kind == "poison":
-        policy = PoisonPolicy(
-            frozenset(range(config.attack.malicious)),
-            epsilon=config.attack.epsilon,
-            mode=config.attack.mode,
-        )
+    if config.attack is not None:
+        try:
+            policy = PoisonPolicy(
+                frozenset(range(config.attack.malicious)),
+                epsilon=config.attack.epsilon,
+                mode=config.attack.mode,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config.attack: {exc}") from exc
         broadcast_hook = policy.hook()
 
     noise = NoiseModel(config.noise.xi) if config.noise.xi > 0 else None
@@ -358,7 +359,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         paths["config_echo"] = echo
         grid_cols = sorted(summary.keys() - {"households"})
         paths["summary"] = write_summary_csv(out / "summary.csv", [summary], grid_cols)
-        if secure is not None and secure.transcript is not None and secure.transcript.record_payloads:
+        if secure is not None and secure.transcript.record_payloads:
             paths["transcript"] = write_transcript(out / "transcript.jsonl", secure.transcript)
 
     return ExperimentResult(config=config, run=run, records=records, summary=summary, paths=paths)
@@ -402,10 +403,6 @@ class SweepSettings:
     seed: int = 1
 
 
-def scaling_sweep_config() -> SweepSettings:
-    return SweepSettings()
-
-
 @dataclass
 class SweepResult:
     settings: SweepSettings
@@ -419,7 +416,7 @@ class SweepResult:
 
 def run_scaling_sweep(settings: SweepSettings | None = None) -> SweepResult:
     """Rounds-to-tolerance for each strategy and agent count."""
-    s = settings or scaling_sweep_config()
+    s = settings or SweepSettings()
     rounds: dict[str, dict[int, int]] = {name: {} for name in s.strategies}
     for strat_idx, strategy in enumerate(s.strategies):
         for n in s.sizes:
@@ -466,11 +463,13 @@ def forecast_comparison(
     """Run the forecast task under several strategies with one seed.
 
     All runs share the data stream, so every strategy trains and
-    evaluates on identical households and splits.
+    evaluates on identical households and splits. Every strategy's config
+    is built before the first run, so a base that one of them rejects
+    raises :class:`ConfigError` before any training.
     """
+    configs = {s: base.replace(strategy=s, task="forecast") for s in strategies}
     results = {}
-    for strategy in strategies:
-        cfg = base.replace(strategy=strategy, task="forecast")
+    for strategy, cfg in configs.items():
         sub = None if out_dir is None else Path(out_dir) / strategy
         results[strategy] = run_experiment(cfg, sub)
     return results

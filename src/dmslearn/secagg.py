@@ -42,7 +42,6 @@ __all__ = [
     "reconstruct",
     "secure_aggregate",
     "share",
-    "share_linear",
 ]
 
 
@@ -216,23 +215,6 @@ def detect_tampering(shares: Sequence[SecretShare], params: SharingParams) -> bo
     except TamperError:
         return True
     return False
-
-
-def share_linear(
-    shares_x: Sequence[SecretShare],
-    shares_y: Sequence[SecretShare],
-    scalar: int,
-    params: SharingParams,
-) -> list[SecretShare]:
-    """Per-party shares of ``x + scalar * y`` without any communication."""
-    sx = _validated(shares_x, params)
-    sy = _validated(shares_y, params)
-    if [s.index for s in sx] != [s.index for s in sy]:
-        raise ValueError("share sets must cover the same party indices")
-    return [
-        SecretShare(index=a.index, value=(a.value + scalar * b.value) % params.prime)
-        for a, b in zip(sx, sy)
-    ]
 
 
 @dataclass(frozen=True)

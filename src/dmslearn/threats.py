@@ -13,13 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import (
-    AgentState,
-    ConvergenceMonitor,
-    SecureSetup,
-    make_agents,
-    run_training,
-)
+from .consensus import ConvergenceMonitor, make_agents, run_training
 from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask
 from .secagg import FixedPointCodec, Transcript, party_placement, secure_aggregate
 from .topology import make_dms_schedule

@@ -1,10 +1,10 @@
 """Communication graphs, consensus weights, and switching-topology schedules.
 
-Graphs are undirected with positive edge weights (weight 1.0 unless stated).
-The consensus weight matrix used by the round engines gives every agent a
-uniform weight over its closed neighborhood (itself plus its neighbors),
-which keeps rows stochastic on any graph, including graphs with isolated
-agents: an isolated agent simply keeps its own value.
+Graphs are undirected and unweighted. The consensus weight matrix used
+by the round engines gives every agent a uniform weight over its closed
+neighborhood (itself plus its neighbors), which keeps rows stochastic on
+any graph, including graphs with isolated agents: an isolated agent
+simply keeps its own value.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "MarkovSchedule",
     "default_subset_size",
     "expected_edges",
-    "laplacian",
     "make_dms_schedule",
     "make_static_schedule",
     "make_subset_graph",
@@ -37,13 +36,11 @@ __all__ = [
 class Graph:
     """Undirected graph on agents ``0 .. agent_count - 1``.
 
-    Edges are stored canonically as ``(i, j)`` with ``i < j``. ``weights``
-    maps edges to positive coupling strengths; ``None`` means 1.0 everywhere.
+    Edges are stored canonically as ``(i, j)`` with ``i < j``.
     """
 
     agent_count: int
     edges: frozenset
-    weights: Mapping[tuple[int, int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.agent_count < 1:
@@ -57,12 +54,6 @@ class Graph:
                 raise ValueError(f"edge ({i}, {j}) outside agent range")
             canon.add((a, b))
         object.__setattr__(self, "edges", frozenset(canon))
-        if self.weights is not None:
-            for edge, w in self.weights.items():
-                if edge not in self.edges:
-                    raise ValueError(f"weight for missing edge {edge}")
-                if not w > 0:
-                    raise ValueError(f"edge weight must be positive, got {w}")
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -91,14 +82,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def weight(self, i: int, j: int) -> float:
-        edge = (i, j) if i < j else (j, i)
-        if edge not in self.edges:
-            raise KeyError(f"no edge {edge}")
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get(edge, 1.0))
-
     def isolated(self) -> tuple[int, ...]:
         """Agents with no incident edge."""
         return tuple(int(i) for i in np.flatnonzero(self.degrees == 0))
@@ -106,21 +89,6 @@ class Graph:
     def active(self) -> tuple[int, ...]:
         """Agents with at least one incident edge."""
         return tuple(int(i) for i in np.flatnonzero(self.degrees > 0))
-
-
-def laplacian(graph: Graph) -> np.ndarray:
-    """Weighted graph Laplacian: minus the weight off-diagonal, weighted
-    degree on the diagonal. Symmetric, rows sum to zero, positive
-    semidefinite for positive weights."""
-    n = graph.agent_count
-    lap = np.zeros((n, n))
-    for i, j in graph.sorted_edges:
-        w = graph.weight(i, j)
-        lap[i, j] -= w
-        lap[j, i] -= w
-        lap[i, i] += w
-        lap[j, j] += w
-    return lap
 
 
 def mixing_matrix(graph: Graph) -> np.ndarray:
@@ -158,11 +126,9 @@ def make_topology(
 ) -> Graph:
     """Build a named topology.
 
-    ``ring`` and ``complete`` live on the agents themselves. ``star`` adds a
-    hub as one extra node with index ``agent_count`` and one edge per agent,
-    so the returned graph has ``agent_count + 1`` nodes. ``subset`` draws a
-    uniform random subset of ``subset_size`` agents and connects it
-    completely; it needs ``rng``.
+    ``ring`` and ``complete`` connect the agents in a cycle or all pairs.
+    ``subset`` draws a uniform random subset of ``subset_size`` agents and
+    connects it completely; it needs ``rng``.
     """
     if kind == "ring":
         if agent_count < 3:
@@ -174,10 +140,6 @@ def make_topology(
         return Graph(agent_count, edges)
     if kind == "complete":
         return make_subset_graph(agent_count, range(agent_count))
-    if kind == "star":
-        hub = agent_count
-        edges = frozenset((i, hub) for i in range(agent_count))
-        return Graph(agent_count + 1, edges)
     if kind == "subset":
         if subset_size is None or rng is None:
             raise ValueError("subset topology needs subset_size and rng")

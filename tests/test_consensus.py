@@ -411,6 +411,18 @@ def test_secure_fedavg_matches_plaintext():
     assert np.max(np.abs(run_a.server_theta - run_b.server_theta)) <= n * 2.0**-15
 
 
+def test_secure_round_counts_protocol_traffic_by_default():
+    # Without an explicit transcript the setup keeps its own, so the round
+    # reports the protocol's traffic, not the 20 plaintext edge messages:
+    # 5 contributors share to 5 parties and 5 parties send to 5 recipients,
+    # 50 messages of two 16-byte field elements each.
+    task = quad(1.0, u=1.0, dim=2)
+    agents = make_agents([task] * 5, [np.zeros(2)] * 5, 0.1)
+    setup = SecureSetup(rng=np.random.default_rng(0))
+    run = run_training(agents, complete_schedule(5), strategy="dfc", rounds=1, secure=setup)
+    assert (run.metrics[0].messages, run.metrics[0].bytes) == (50, 1600)
+
+
 def test_secure_needs_three_active_agents():
     # A two-member group cannot hide anyone's input behind the sum, so the
     # secure path refuses the round and reports which round died.

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -74,9 +75,14 @@ def test_load_config_yaml(tmp_path):
 def test_seed_streams_are_independent_and_stable():
     a = seed_streams(7)
     b = seed_streams(7)
-    assert set(a) == {"init", "data", "schedule", "noise", "secagg", "attack", "spare"}
-    for name in a:
-        assert a[name].integers(2**31) == b[name].integers(2**31)
+    assert list(a) == ["init", "data", "schedule", "noise", "secagg"]
+    # Stream i is child i of the seed's spawn, which does not depend on
+    # how many children are spawned.
+    seven = np.random.SeedSequence(7).spawn(7)
+    for i, name in enumerate(a):
+        first = a[name].integers(2**31)
+        assert first == b[name].integers(2**31)
+        assert first == np.random.default_rng(seven[i]).integers(2**31)
     c = seed_streams(8)
     draws_a = [seed_streams(7)[n].integers(2**31) for n in sorted(a)]
     draws_c = [c[n].integers(2**31) for n in sorted(a)]
@@ -265,6 +271,113 @@ def test_cli_cluster(tmp_path):
     assert code == 0
     lines = (out / "assignments.csv").read_text().strip().splitlines()
     assert len(lines) == 31
+
+
+@pytest.mark.parametrize(
+    "attack",
+    ["{kind: dlg}", "{kind: poison, iters: 5}", "{kind: poison, restarts: 1}", "{mode: bogus}"],
+)
+def test_cli_run_rejects_bad_attack_keys(tmp_path, attack):
+    # A run trains only against poisoning; the reconstruction attack and
+    # its settings belong to `dmslearn attack --kind dlg`.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"strategy: dms\nagent_count: 6\nrounds: 2\nattack: {attack}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == "strategy,agents,rounds"
+    assert len(lines) == 1 + 3 * 4
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == ["agents", "dring", "dfc", "dms"]
+    assert [row.split()[0] for row in printed[1:5]] == ["5", "10", "20", "40"]
+
+
+def test_cli_attack_poison(tmp_path, capsys):
+    out = tmp_path / "attack"
+    assert main(["attack", "--kind", "poison", "--seeds", "1", "--out", str(out)]) == 0
+    rows = read_report(out / "poison.jsonl")
+    assert [r["type"] for r in rows] == ["poison", "summary"]
+    printed = capsys.readouterr().out.splitlines()
+    seed_row = printed[printed.index(f"{'seed':>4} {'dms':>10} {'fedavg':>10}") + 1].split()
+    assert seed_row[0] == "0"
+    assert float(seed_row[1]) == pytest.approx(rows[0]["dms_inflation"], abs=0.005)
+
+
+def test_cli_attack_dlg(tmp_path, capsys):
+    out = tmp_path / "attack"
+    assert main(["attack", "--kind", "dlg", "--seeds", "1", "--out", str(out)]) == 0
+    rows = read_report(out / "dlg.jsonl")
+    assert [r["seed"] for r in rows] == [0]
+    printed = capsys.readouterr().out.splitlines()
+    seed_row = printed[printed.index(f"{'seed':>4} {'fedavg':>12} {'dms':>12} {'clean':>6}") + 1]
+    assert seed_row.split()[0] == "0"
+    assert seed_row.split()[3] == str(rows[0]["transcript_clean"])
+
+
+COMPARE_YAML = (
+    "gamma: 0.05\nrounds: 5\ndata:\n  households: 30\n  days: 3\n  pick: 6\n"
+)
+
+
+def test_cli_compare(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML)
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+    strategies = ["dms", "fedavg", "dring", "dfc", "centralized"]
+    errors = (out / "errors.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in errors[1:]] == strategies
+    assert (out / "communication.csv").exists()
+    for name in strategies:
+        assert json.loads((out / name / "config.echo").read_text())["seed"] == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == ["strategy", "train", "val", "test", "messages"]
+    assert [row.split()[0] for row in printed[1:6]] == strategies
+
+
+def test_cli_compare_rejected_strategy_exits_2(tmp_path):
+    # Secure aggregation is valid for dms but not for centralized, so the
+    # comparison must stop before training any strategy.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "secure:\n  enabled: true\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_compare_divergence_exits_4(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML.replace("gamma: 0.05", "gamma: 1.0e+8"))
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 4
+    assert (out / "errors.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "dmslearn",
+        "dmslearn.config",
+        "dmslearn.consensus",
+        "dmslearn.data",
+        "dmslearn.experiment",
+        "dmslearn.numerics",
+        "dmslearn.reports",
+        "dmslearn.secagg",
+        "dmslearn.threats",
+        "dmslearn.topology",
+    ],
+)
+def test_all_exports_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_epochs_take_effect_for_dms():

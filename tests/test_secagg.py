@@ -22,7 +22,6 @@ from dmslearn.secagg import (
     reconstruct,
     secure_aggregate,
     share,
-    share_linear,
 )
 from dmslearn.topology import make_subset_graph, make_topology
 
@@ -134,16 +133,6 @@ def test_single_share_reveals_nothing():
         for counts in tables:
             assert counts == tables[0]
             assert all(v == 1 for v in counts)
-
-
-def test_share_linear_homomorphism():
-    rng = np.random.default_rng(5)
-    params = SharingParams(5, 2, PRIME_TEST_97)
-    x, y, scalar = 20, 33, 4
-    sx = share(x, params, rng)
-    sy = share(y, params, rng)
-    combined = share_linear(sx, sy, scalar, params)
-    assert reconstruct(combined[:3], params) == (x + scalar * y) % PRIME_TEST_97
 
 
 def test_params_validation():

@@ -7,7 +7,6 @@ from dmslearn.topology import (
     MarkovSchedule,
     default_subset_size,
     expected_edges,
-    laplacian,
     make_dms_schedule,
     make_static_schedule,
     make_subset_graph,
@@ -38,13 +37,6 @@ def test_complete_shape():
     assert all(d == 5 for d in g.degrees)
 
 
-def test_star_hub_is_extra_node():
-    g = make_topology("star", 4)
-    # 4 leaves plus the hub
-    assert g.agent_count == 5
-    assert sorted(g.degrees) == [1, 1, 1, 1, 4]
-
-
 def test_edges_canonicalized():
     g = Graph(4, frozenset({(2, 0), (3, 1)}))
     assert g.sorted_edges == ((0, 2), (1, 3))
@@ -60,13 +52,6 @@ def test_isolated_and_active():
     assert g.active() == (1, 2, 4)
     assert g.isolated() == (0, 3, 5)
     assert len(g.sorted_edges) == 3
-
-
-def test_laplacian_row_sums_zero():
-    g = make_topology("ring", 7)
-    lap = laplacian(g)
-    assert np.allclose(lap.sum(axis=1), 0)
-    assert np.allclose(np.diag(lap), g.degrees)
 
 
 def test_mixing_matches_loop_oracle():
