@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,6 +41,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SECAGG = 3
 EXIT_DIVERGED = 4
+
+POISON_AGENTS = 30  # agents in the poisoning study; caps --malicious
+
+
+def _bounded(convert, low, high=math.inf):
+    """An argparse type: ``convert`` the flag and reject values outside
+    [low, high] or not finite, so a bad flag exits 2 before any work."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (low <= value <= high and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and in [{low}, {high}], got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _out_dir(args, command: str) -> Path:
@@ -146,7 +163,7 @@ def _cmd_attack(args) -> int:
     seeds = list(range(args.seed or 0, (args.seed or 0) + args.seeds))
     if args.kind == "poison":
         outcome = run_poisoning_experiment(
-            seeds, malicious_count=args.malicious, epsilon=args.epsilon
+            seeds, agent_count=POISON_AGENTS, malicious_count=args.malicious, epsilon=args.epsilon
         )
         rows = [
             {
@@ -266,6 +283,9 @@ def _cmd_mpc_bench(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    if args.clusters > args.households:
+        print("config error: --clusters must not exceed --households", file=sys.stderr)
+        return EXIT_CONFIG
     out = _out_dir(args, "cluster")
     out.mkdir(parents=True, exist_ok=True)
     profiles = gen_synthetic_load(args.households, args.days, args.seed or 0)
@@ -296,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+        p.add_argument("--seed", type=_bounded(int, 0), default=None, help="override the seed")
         p.add_argument("--out", default=None, help="output directory")
 
     run_p = sub.add_parser("run", help="run one experiment from a config file")
@@ -322,21 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack_p = sub.add_parser("attack", help="poisoning or reconstruction attacks")
     attack_p.add_argument("--kind", choices=("poison", "dlg"), default="poison")
-    attack_p.add_argument("--seeds", type=int, default=10, help="number of seeds")
-    attack_p.add_argument("--epsilon", type=float, default=0.2)
-    attack_p.add_argument("--malicious", type=int, default=3)
+    attack_p.add_argument("--seeds", type=_bounded(int, 1), default=10, help="number of seeds")
+    attack_p.add_argument("--epsilon", type=_bounded(float, 0.0), default=0.2)
+    attack_p.add_argument("--malicious", type=_bounded(int, 0, POISON_AGENTS), default=3)
     common(attack_p)
     attack_p.set_defaults(func=_cmd_attack)
 
     bench_p = sub.add_parser("mpc-bench", help="secure aggregation cost grid")
-    bench_p.add_argument("--dim", type=int, default=8)
+    bench_p.add_argument("--dim", type=_bounded(int, 1), default=8)
     common(bench_p)
     bench_p.set_defaults(func=_cmd_mpc_bench)
 
     cluster_p = sub.add_parser("cluster", help="cluster synthetic households")
-    cluster_p.add_argument("--households", type=int, default=100)
-    cluster_p.add_argument("--days", type=int, default=10)
-    cluster_p.add_argument("--clusters", type=int, default=3)
+    cluster_p.add_argument("--households", type=_bounded(int, 1), default=100)
+    cluster_p.add_argument("--days", type=_bounded(int, 1), default=10)
+    cluster_p.add_argument("--clusters", type=_bounded(int, 1), default=3)
     common(cluster_p)
     cluster_p.set_defaults(func=_cmd_cluster)
 

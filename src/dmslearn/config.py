@@ -177,6 +177,8 @@ class ExperimentConfig:
             raise ValueError("agent_count must be positive")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if not (0 < self.alpha <= 1):

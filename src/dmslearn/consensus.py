@@ -30,6 +30,7 @@ from .secagg import (
 from .topology import Graph, MarkovSchedule
 
 __all__ = [
+    "DIVERGENCE_CAP",
     "AgentState",
     "ContractionParams",
     "ContractionReport",
@@ -50,6 +51,15 @@ __all__ = [
 ]
 
 BroadcastHook = Callable[[int, np.ndarray], np.ndarray]
+
+# A run whose weights or worst squared error pass this magnitude has diverged.
+DIVERGENCE_CAP = 1e12
+
+
+def _diverged(values) -> bool:
+    """True when any value is non-finite or its magnitude exceeds the cap."""
+    v = np.asarray(values, dtype=float)
+    return bool(not np.all(np.isfinite(v)) or np.max(np.abs(v)) > DIVERGENCE_CAP)
 
 
 class RoundFailure(RuntimeError):
@@ -136,14 +146,13 @@ class ConvergenceMonitor:
     def __init__(self, optimum: np.ndarray) -> None:
         self.optimum = np.asarray(optimum, dtype=float)
         self.theta_sq: list[np.ndarray] = []
-        self.phi_sq: list[np.ndarray] = []
 
-    def record(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> None:
+    def record(self, thetas: np.ndarray) -> float:
+        """Store one row of per-agent squared errors; return its maximum."""
         diff = np.asarray(thetas, dtype=float) - self.optimum
-        self.theta_sq.append(np.sum(diff * diff, axis=1))
-        if phis is not None:
-            pdiff = np.asarray(phis, dtype=float) - self.optimum
-            self.phi_sq.append(np.sum(pdiff * pdiff, axis=1))
+        row = np.sum(diff * diff, axis=1)
+        self.theta_sq.append(row)
+        return float(row.max())
 
     @property
     def theta_errors(self) -> np.ndarray:
@@ -209,7 +218,6 @@ class ContractionParams:
 class ContractionReport:
     lambda_bar: np.ndarray
     contraction: float
-    noise_gain: float
     limit_bound: float
     step_size_ok: bool
     stable: bool
@@ -243,7 +251,6 @@ def contraction_check(
     a = np.asarray(mixing, dtype=float)
     lam = params.lambda_bar
     contraction = params.alpha * float((a @ lam).max())
-    noise_gain = params.alpha * float((a @ (params.xi**2)).max())
     limit_bound = params.alpha * float((params.xi**2).max())
 
     series = monitor.worst_mse
@@ -251,7 +258,7 @@ def contraction_check(
         raise ValueError("monitor holds no rounds")
     tail_len = max(1, int(round(tail_fraction * series.size)))
     tail_mean = float(series[-tail_len:].mean())
-    diverged = bool(not np.all(np.isfinite(series)) or series[-1] > max(1e6 * series[0], 1e6))
+    diverged = _diverged(series)
 
     empirical_slope = None
     slope_within = None
@@ -268,7 +275,6 @@ def contraction_check(
     return ContractionReport(
         lambda_bar=lam,
         contraction=contraction,
-        noise_gain=noise_gain,
         limit_bound=limit_bound,
         step_size_ok=params.step_size_ok,
         stable=bool(contraction <= 1.0),
@@ -280,29 +286,18 @@ def contraction_check(
     )
 
 
-def _as_noise_list(noise, n: int) -> list[NoiseModel | None]:
-    if noise is None:
-        return [None] * n
-    if isinstance(noise, NoiseModel):
-        return [noise] * n
-    models = list(noise)
-    if len(models) != n:
-        raise ValueError("one noise model per agent required")
-    return models
-
-
 def _learn(
     agents: list[AgentState],
     starts,
     epochs: int,
-    noise_models: list[NoiseModel | None],
+    noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
 ) -> None:
     """Run ``epochs`` local steps per agent from its start, in id order
     (all of agent 0's steps first), and store the result as ``phi``."""
-    for agent, phi, nm in zip(agents, starts, noise_models):
+    for agent, phi in zip(agents, starts):
         for _ in range(epochs):
-            phi = local_step(agent.task, phi, agent.gamma, noise=nm, rng=noise_rng)
+            phi = local_step(agent.task, phi, agent.gamma, noise=noise, rng=noise_rng)
         agent.phi = phi
 
 
@@ -407,7 +402,7 @@ def _round(
     placement: str,
     alpha: float = 1.0,
     epochs: int = 1,
-    noise=None,
+    noise: NoiseModel | None = None,
     noise_rng: np.random.Generator | None = None,
     broadcast_hook: BroadcastHook | None = None,
     secure: SecureSetup | None = None,
@@ -423,9 +418,8 @@ def _round(
     n = len(agents)
     if graph is not None and graph.agent_count != n:
         raise ValueError("schedule graph does not cover the agent set")
-    noise_models = _as_noise_list(noise, n)
     if learn_first:
-        _learn(agents, [a.theta for a in agents], epochs, noise_models, noise_rng)
+        _learn(agents, [a.theta for a in agents], epochs, noise, noise_rng)
         outgoing = np.array([a.phi for a in agents])
     else:
         outgoing = np.array([a.theta for a in agents])
@@ -447,7 +441,7 @@ def _round(
         for agent, row in zip(agents, mixed):
             agent.theta = row
     else:
-        _learn(agents, mixed, epochs, noise_models, noise_rng)
+        _learn(agents, mixed, epochs, noise, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
     return _round_metrics(round_index, graph, broadcast, secure, before)
@@ -508,14 +502,13 @@ def run_training(
     strategy: str = "dms",
     rounds: int,
     alpha: float = 1.0,
-    noise=None,
+    noise: NoiseModel | None = None,
     noise_rng: np.random.Generator | None = None,
     broadcast_hook: BroadcastHook | None = None,
     secure: SecureSetup | None = None,
     monitor: ConvergenceMonitor | None = None,
     tolerance: float | None = None,
     epochs: int = 1,
-    divergence_cap: float = 1e12,
     on_round: Callable[[int, list[AgentState], RoundMetrics], None] | None = None,
 ) -> TrainingRun:
     """Drive a strategy for ``rounds`` rounds or until the worst-agent
@@ -523,8 +516,8 @@ def run_training(
 
     The tolerance check needs a monitor (it supplies the reference
     optimum) and fires before the first round too, so a run that starts
-    converged reports zero rounds. Divergence (non-finite weights or
-    worst error beyond ``divergence_cap``) stops the run and flags it.
+    converged reports zero rounds. A divergent weight or worst error (see
+    ``_diverged``) stops the run and flags it.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -543,27 +536,11 @@ def run_training(
                 raise ValueError("fedavg agents must share the initial weights")
 
     metrics_list: list[RoundMetrics] = []
-
-    def snapshot() -> np.ndarray:
-        return np.array([agent.theta for agent in agents])
-
-    if monitor is not None:
-        monitor.record(snapshot())
-
-    def tolerance_met() -> bool:
-        if tolerance is None or monitor is None:
-            return False
-        return bool(monitor.worst_mse[-1] < tolerance)
-
-    def diverged_now() -> bool:
-        thetas = snapshot()
-        if not np.all(np.isfinite(thetas)):
-            return True
-        if monitor is not None and monitor.worst_mse[-1] > divergence_cap:
-            return True
-        return bool(np.max(np.abs(thetas)) > divergence_cap)
-
-    terminated = tolerance_met()
+    if monitor is None:  # the tolerance is measured against the monitor's optimum
+        tolerance = worst = None
+    else:
+        worst = monitor.record(np.array([agent.theta for agent in agents]))
+    terminated = tolerance is not None and worst < tolerance
     diverged = False
     completed = 0
     if not terminated:
@@ -590,14 +567,15 @@ def run_training(
                 )
             metrics_list.append(metrics)
             completed = k + 1
+            thetas = np.array([agent.theta for agent in agents])
             if monitor is not None:
-                monitor.record(snapshot(), np.array([a.phi for a in agents]))
+                worst = monitor.record(thetas)
             if on_round is not None:
                 on_round(k, agents, metrics)
-            if diverged_now():
+            if _diverged(thetas) or (worst is not None and _diverged(worst)):
                 diverged = True
                 break
-            if tolerance_met():
+            if tolerance is not None and worst < tolerance:
                 terminated = True
                 break
 

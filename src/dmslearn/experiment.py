@@ -174,7 +174,7 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
         d.households, d.days, int(rngs["data"].integers(2**31)), noise_scale=d.noise_scale
     )
     feats = household_features(profiles)
-    clustering = kmeans(feats, d.clusters, config.seed)
+    clustering = kmeans(feats, d.clusters, int(rngs["data"].integers(2**31)))
     counts = np.bincount(clustering.labels, minlength=d.clusters)
     biggest = int(np.argmax(counts))
     members = [p.household for p in profiles if clustering.labels[p.household] == biggest]
@@ -241,7 +241,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         secure = SecureSetup(
             rng=rngs["secagg"],
             codec=codec,
-            transcript=Transcript(record_payloads=config.secure.record_transcript),
+            transcript=Transcript(record_payloads=False),
         )
 
     broadcast_hook = None
@@ -306,7 +306,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             "disagreement": max_disagreement(thetas),
         }
         if monitor is not None:
-            rec["worst_mse"] = float(monitor.worst_mse[-1])
+            rec["worst_mse"] = float(monitor.theta_sq[-1].max())
         if setup is not None:
             rec["train_mse"] = _forecast_mse(setup, "train")
             rec["val_mse"] = _forecast_mse(setup, "val")
@@ -359,7 +359,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         paths["config_echo"] = echo
         grid_cols = sorted(summary.keys() - {"households"})
         paths["summary"] = write_summary_csv(out / "summary.csv", [summary], grid_cols)
-        if secure is not None and secure.transcript.record_payloads:
+        if secure is not None and config.secure.record_transcript:
             paths["transcript"] = write_transcript(out / "transcript.jsonl", secure.transcript)
 
     return ExperimentResult(config=config, run=run, records=records, summary=summary, paths=paths)

@@ -315,7 +315,7 @@ class Transcript:
     """Network-visible record of a secure run: every logical message with
     its field-element payload, plus running traffic counters.
 
-    Set ``record_payloads=False`` to keep only the counters on long runs.
+    Set ``record_payloads=False`` to store every payload as ``()`` on long runs.
     """
 
     def __init__(self, record_payloads: bool = True) -> None:
@@ -338,17 +338,16 @@ class Transcript:
         self.messages += 1
         self.bytes += len(payload) * elem_bytes
         self.sent_counts[sender] += 1
-        if self.record_payloads:
-            self.entries.append(
-                TranscriptEntry(
-                    round_index,
-                    phase,
-                    sender,
-                    receiver,
-                    tuple(int(v) for v in payload),
-                    len(payload) * elem_bytes,
-                )
+        self.entries.append(
+            TranscriptEntry(
+                round_index,
+                phase,
+                sender,
+                receiver,
+                tuple(int(v) for v in payload) if self.record_payloads else (),
+                len(payload) * elem_bytes,
             )
+        )
 
     def payload_values(self):
         """All transmitted field elements, across every recorded message."""

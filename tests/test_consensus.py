@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmslearn.consensus import (
+    DIVERGENCE_CAP,
     AgentState,
     ContractionParams,
     ConvergenceMonitor,
@@ -197,11 +198,59 @@ def test_divergence_is_flagged_and_stops_the_run():
         strategy="dms",
         rounds=10_000,
         monitor=monitor,
-        divergence_cap=1e12,
     )
     assert run.diverged
     assert run.rounds_completed < 10_000
     assert not run.terminated_early
+
+
+def test_monitor_history_is_not_rebuilt_inside_the_loop(monkeypatch):
+    reads = []
+    rebuild = ConvergenceMonitor.theta_errors.fget
+    monkeypatch.setattr(
+        ConvergenceMonitor, "theta_errors", property(lambda m: reads.append(1) or rebuild(m))
+    )
+    agents = make_agents([quad(1.0, u) for u in (-1.0, 0.0, 1.0)], [np.full(1, 5.0)] * 3, 0.01)
+    run = run_training(
+        agents,
+        complete_schedule(3),
+        rounds=50,
+        monitor=ConvergenceMonitor(np.zeros(1)),
+        tolerance=1e-30,
+    )
+    assert run.rounds_completed == 50 and not run.terminated_early
+    assert reads == []
+
+
+@pytest.mark.parametrize("rounds, diverged", [(14, False), (20, True)])
+def test_run_and_contraction_check_share_one_divergence_rule(rounds, diverged):
+    # gamma = 1.5 on curvature 2 multiplies the error by -2 each step, so
+    # the squared error grows 4x per round from 1: 4**14 ~ 2.7e8 stays
+    # under the cap, 4**20 ~ 1.1e12 passes it in the last round.
+    agents = make_agents([quad(2.0)], [np.array([1.0])], 1.5)
+    monitor = ConvergenceMonitor(np.zeros(1))
+    run = run_training(
+        agents, make_static_schedule(Graph(1, frozenset())), rounds=rounds, monitor=monitor
+    )
+    assert run.rounds_completed == rounds
+    assert (monitor.worst_mse[-1] > DIVERGENCE_CAP) == diverged
+    params = ContractionParams(
+        p_lower=np.array([2.0]),
+        p_upper=np.array([2.0]),
+        xi=np.zeros(1),
+        step_sizes=np.array([1.5]),
+    )
+    report = contraction_check(monitor, params, np.eye(1), noise_free=True)
+    assert run.diverged == report.diverged == diverged
+    assert not report.stable
+
+
+def test_monitor_record_returns_the_stored_rows_maximum():
+    monitor = ConvergenceMonitor(np.array([1.0, 0.0]))
+    worst = monitor.record(np.array([[1.0, 2.0], [4.0, 0.0], [0.0, 0.0]]))
+    assert worst == 9.0 == monitor.theta_errors[-1].max()
+    assert monitor.record(np.array([[1.0, 0.0]] * 3)) == 0.0
+    assert monitor.worst_mse.tolist() == [9.0, 0.0]
 
 
 def test_lr_bound_values():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dmslearn import experiment
 from dmslearn.cli import main
 from dmslearn.config import ConfigError, load_config, parse_config
 from dmslearn.experiment import (
@@ -15,6 +16,7 @@ from dmslearn.experiment import (
 )
 from dmslearn.consensus import ConvergenceMonitor
 from dmslearn.reports import read_report, write_report
+from dmslearn.secagg import Transcript
 
 
 def small_quadratic(**overrides):
@@ -54,6 +56,8 @@ def test_config_bad_values_rejected():
         parse_config({"strategy": "gossip"})
     with pytest.raises(ConfigError):
         parse_config({"gamma": -0.1})
+    with pytest.raises(ConfigError):
+        parse_config({"seed": -1})
     with pytest.raises(ConfigError):
         parse_config({"strategy": "centralized", "secure": {"enabled": True}})
 
@@ -137,6 +141,45 @@ def test_run_experiment_secure_writes_transcript(tmp_path):
     result = run_experiment(config, tmp_path)
     assert (tmp_path / "transcript.jsonl").exists()
     assert result.summary["total_bytes"] > 0
+
+
+def test_run_experiment_keeps_no_secure_payloads(tmp_path, monkeypatch):
+    made = []
+
+    class Captured(Transcript):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(experiment, "Transcript", Captured)
+    config = small_quadratic(strategy="dfc", rounds=2, secure={"enabled": True})
+    result = run_experiment(config, tmp_path)
+    [transcript] = made
+    assert transcript.messages == len(transcript.entries) == result.summary["total_messages"]
+    assert list(transcript.payload_values()) == []
+    lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
+    assert len(lines) == transcript.messages
+
+
+def test_forecast_kmeans_is_seeded_from_the_data_stream(monkeypatch):
+    seeds = []
+    real = experiment.kmeans
+    monkeypatch.setattr(
+        experiment, "kmeans", lambda feats, k, seed: seeds.append(seed) or real(feats, k, seed)
+    )
+    config = parse_config(
+        {
+            "task": "forecast",
+            "rounds": 0,
+            "seed": 7,
+            "model": {"lookback": 12, "hidden": 4, "horizon": 1},
+            "data": {"households": 8, "days": 2, "clusters": 2, "pick": 3},
+        }
+    )
+    run_experiment(config)
+    data = seed_streams(7)["data"]
+    data.integers(2**31)  # the first draw seeds the load generator
+    assert seeds == [int(data.integers(2**31))]
 
 
 def test_run_experiment_unstable_gamma_rejected():
@@ -284,6 +327,31 @@ def test_cli_run_rejects_bad_attack_keys(tmp_path, attack):
     cfg.write_text(f"strategy: dms\nagent_count: 6\nrounds: 2\nattack: {attack}\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--households", "2", "--clusters", "3"],
+        ["cluster", "--days", "0"],
+        ["attack", "--seeds", "0"],
+        ["attack", "--kind", "dlg", "--seeds", "-1"],
+        ["attack", "--malicious", "31"],
+        ["attack", "--epsilon", "-1"],
+        ["attack", "--epsilon", "nan"],
+        ["mpc-bench", "--dim", "0"],
+        ["sweep", "--seed", "-1"],
+        ["cluster", "--seed", "-1"],
+    ],
+)
+def test_cli_rejects_bad_flags(tmp_path, argv):
+    out = tmp_path / "out"
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a flag with exit 2
+        code = exc.code
+    assert code == 2
     assert not out.exists()
 
 
