@@ -193,6 +193,10 @@ class ExperimentConfig:
             raise ValueError("secure aggregation needs at least 3 contributors; centralized has one")
         if self.secure.enabled and self.strategy == "fedavg" and self.agent_count < 3:
             raise ValueError("secure fedavg needs at least 3 agents")
+        agents = self.agent_count if self.task == "quadratic" else self.data.pick
+        agents = 1 if self.strategy == "centralized" else agents
+        if self.attack is not None and self.attack.malicious > agents:
+            raise ValueError(f"attack.malicious exceeds the run's {agents} agents")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -1,14 +1,15 @@
 """Round-based training engine and the contraction-bound monitor.
 
-Every strategy runs the same round: a learn stage, where each agent takes
-``epochs`` perturbed local gradient steps, and a mix stage, where the
-(hooked) outgoing weights are averaged and scaled by ``alpha``. ``dms``,
-``dfc``, ``dring`` and ``centralized`` learn then mix over the round's
-graph, ``ctl`` mixes then learns, and ``fedavg`` learns then takes the
-server mean over all agents. Secure mode routes every averaging sum
-through the threshold-sharing sessions of ``party_placement`` instead of
-plaintext arithmetic. ``dms_round``, ``ctl_round`` and ``fedavg_round``
-are the per-strategy entry points into that one round body.
+Every strategy runs the same round on the stacked (n, d) weights: a learn
+stage, where each agent takes ``epochs`` perturbed local gradient steps,
+and a mix stage, where the (hooked) outgoing weights are averaged and
+scaled by ``alpha``. ``dms``, ``dfc``, ``dring`` and ``centralized``
+learn then mix over the round's graph, ``ctl`` mixes then learns, and
+``fedavg`` learns then takes the server mean over all agents. Secure
+mode routes every averaging sum through the threshold-sharing sessions of
+``party_placement`` instead of plaintext arithmetic. ``dms_round``,
+``ctl_round`` and ``fedavg_round`` are the per-strategy entry points into
+that one round body.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import LocalTask, NoiseModel, local_step
+from .numerics import LocalTask, NoiseModel, stacked_gradient
 from .secagg import (
     PRIME_128,
     FixedPointCodec,
@@ -50,7 +51,8 @@ __all__ = [
     "run_training",
 ]
 
-BroadcastHook = Callable[[int, np.ndarray], np.ndarray]
+# Maps the whole (n, d) broadcast to a new array; called once per round.
+BroadcastHook = Callable[[np.ndarray], np.ndarray]
 
 # A run whose weights or worst squared error pass this magnitude has diverged.
 DIVERGENCE_CAP = 1e12
@@ -58,8 +60,8 @@ DIVERGENCE_CAP = 1e12
 
 def _diverged(values) -> bool:
     """True when any value is non-finite or its magnitude exceeds the cap."""
-    v = np.asarray(values, dtype=float)
-    return bool(not np.all(np.isfinite(v)) or np.max(np.abs(v)) > DIVERGENCE_CAP)
+    # NaN propagates through the maximum and fails the comparison.
+    return not np.abs(np.asarray(values, dtype=float)).max() <= DIVERGENCE_CAP
 
 
 class RoundFailure(RuntimeError):
@@ -100,6 +102,8 @@ def make_agents(
         raise ValueError("one init per task required")
     if np.isscalar(gammas):
         gammas = [float(gammas)] * len(tasks)
+    elif len(gammas) != len(tasks):
+        raise ValueError("one learning rate per task required")
     dims = {t.dim for t in tasks}
     if len(dims) != 1:
         raise ValueError("all agents must share one weight dimension")
@@ -286,28 +290,30 @@ def contraction_check(
     )
 
 
-def _learn(
+def _learner(
     agents: list[AgentState],
-    starts,
     epochs: int,
     noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
-) -> None:
-    """Run ``epochs`` local steps per agent from its start, in id order
-    (all of agent 0's steps first), and store the result as ``phi``."""
-    for agent, phi in zip(agents, starts):
-        for _ in range(epochs):
-            phi = local_step(agent.task, phi, agent.gamma, noise=noise, rng=noise_rng)
-        agent.phi = phi
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The learn stage: ``epochs`` perturbed gradient steps on every row of
+    the stacked weights. Each call draws one agent-major (n, epochs, d)
+    noise block, the stream of drawing agent 0's steps first."""
+    gradient = stacked_gradient([a.task for a in agents])
+    gammas = np.array([[a.gamma] for a in agents])
+    noisy = noise is not None and noise.bound > 0.0
+    if noisy and noise_rng is None:
+        raise ValueError("noise sampling needs an rng")
 
+    def learn(thetas: np.ndarray) -> np.ndarray:
+        draws = noise.sample((len(thetas), epochs, thetas.shape[1]), noise_rng) if noisy else None
+        for e in range(epochs):
+            thetas = thetas - gammas * gradient(thetas)
+            if noisy:
+                thetas = thetas + draws[:, e]
+        return thetas
 
-def _apply_hook(phis: np.ndarray, hook: BroadcastHook | None) -> np.ndarray:
-    if hook is None:
-        return phis
-    out = phis.copy()
-    for i in range(out.shape[0]):
-        out[i] = hook(i, out[i])
-    return out
+    return learn
 
 
 def _secure_mix(
@@ -358,75 +364,50 @@ def _round_metrics(
         # One logical message per directed edge: each agent sends its
         # broadcast to every neighbor.
         degrees = graph.degrees[:n].copy()
-        edge_count, active, messages = graph.edge_count, len(graph.active()), int(degrees.sum())
+        edge_count, messages = graph.edge_count, int(degrees.sum())
+        active = int(np.count_nonzero(degrees))
     if secure is None:
         # Each plaintext message carries d float64 weights.
-        return RoundMetrics(
-            round_index=round_index,
-            edge_count=edge_count,
-            active_agents=active,
-            messages=messages,
-            bytes=messages * d * 8,
-            degrees=degrees,
-            per_agent_messages=degrees.copy(),
-        )
-    transcript = secure.transcript
-    msgs0, bytes0, sent0 = counters_before
-    per_agent = np.zeros(n, dtype=np.int64)
-    for sender, count in transcript.sent_counts.items():
-        if 0 <= sender < n:
-            per_agent[sender] = count - sent0.get(sender, 0)
-    return RoundMetrics(
-        round_index=round_index,
-        edge_count=edge_count,
-        active_agents=active,
-        messages=transcript.messages - msgs0,
-        bytes=transcript.bytes - bytes0,
-        degrees=degrees,
-        per_agent_messages=per_agent,
-    )
-
-
-def _counters_snapshot(secure: SecureSetup | None):
-    if secure is None:
-        return None
-    t = secure.transcript
-    return (t.messages, t.bytes, dict(t.sent_counts))
+        nbytes, per_agent = messages * d * 8, degrees.copy()
+    else:
+        transcript = secure.transcript
+        msgs0, bytes0, sent0 = counters_before
+        messages, nbytes = transcript.messages - msgs0, transcript.bytes - bytes0
+        per_agent = np.zeros(n, dtype=np.int64)
+        for sender, count in transcript.sent_counts.items():
+            if 0 <= sender < n:
+                per_agent[sender] = count - sent0.get(sender, 0)
+    return RoundMetrics(round_index, edge_count, active, messages, nbytes, degrees, per_agent)
 
 
 def _round(
-    agents: list[AgentState],
+    thetas: np.ndarray,
     graph: Graph | None,
+    learn: Callable[[np.ndarray], np.ndarray],
     *,
     learn_first: bool,
     placement: str,
     alpha: float = 1.0,
-    epochs: int = 1,
-    noise: NoiseModel | None = None,
-    noise_rng: np.random.Generator | None = None,
     broadcast_hook: BroadcastHook | None = None,
     secure: SecureSetup | None = None,
     round_index: int = 0,
-) -> RoundMetrics:
-    """The one round body: a learn stage and a mix stage, in either order.
-
-    Learn runs ``epochs`` local steps per agent. Mix hooks the outgoing
-    weights, then averages them with the round graph's mixing matrix, the
-    server mean when ``graph`` is None, or secure sessions laid out by
-    ``placement``, and scales the result by ``alpha``.
+) -> tuple[np.ndarray, np.ndarray, RoundMetrics]:
+    """The one round body on stacked (n, d) weights: ``learn`` and a mix
+    stage, in either order; returns the new weights, the learn output and
+    the metrics. Mix hooks the outgoing weights, averages them with the
+    round graph's mixing matrix, the server mean when ``graph`` is None,
+    or secure sessions laid out by ``placement``, and scales by ``alpha``.
     """
-    n = len(agents)
+    n = len(thetas)
     if graph is not None and graph.agent_count != n:
         raise ValueError("schedule graph does not cover the agent set")
-    if learn_first:
-        _learn(agents, [a.theta for a in agents], epochs, noise, noise_rng)
-        outgoing = np.array([a.phi for a in agents])
-    else:
-        outgoing = np.array([a.theta for a in agents])
-    broadcast = _apply_hook(outgoing, broadcast_hook)
+    outgoing = learn(thetas) if learn_first else thetas
+    broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing)
 
-    before = _counters_snapshot(secure)
+    before = None
     if secure is not None:
+        t = secure.transcript
+        before = (t.messages, t.bytes, dict(t.sent_counts))
         try:
             mixed = alpha * _secure_mix(broadcast, graph, placement, secure, round_index)
         except SecAggError as exc:
@@ -437,42 +418,41 @@ def _round(
     else:
         mixed = alpha * (graph.mixing @ broadcast)
 
+    metrics = _round_metrics(round_index, graph, broadcast, secure, before)
     if learn_first:
-        for agent, row in zip(agents, mixed):
-            agent.theta = row
-    else:
-        _learn(agents, mixed, epochs, noise, noise_rng)
-        for agent in agents:
-            agent.theta = agent.phi
-    return _round_metrics(round_index, graph, broadcast, secure, before)
+        return mixed, outgoing, metrics
+    phis = learn(mixed)
+    return phis, phis, metrics
 
 
-def dms_round(
-    agents: list[AgentState], schedule: MarkovSchedule, *, strategy: str = "dms", **options
-) -> RoundMetrics:
+def dms_round(thetas, learn, schedule: MarkovSchedule, *, strategy: str = "dms", **options):
     """Learn-then-mix round: local steps, then neighbor averaging over the
-    graph the schedule draws for this round.
-
-    ``strategy`` picks the secure session layout. ``broadcast_hook``
-    transforms each agent's outgoing weights (the poisoning seam);
-    receivers, the sender itself included, mix the transformed vectors.
-    Secure aborts surface as :class:`RoundFailure`. ``options`` are the
-    keyword arguments of :func:`_round`.
-    """
-    return _round(agents, schedule.advance(), learn_first=True, placement=strategy, **options)
+    graph the schedule draws for this round. ``strategy`` picks the secure
+    session layout; everything else is as in :func:`_round`, and secure
+    aborts surface as :class:`RoundFailure`."""
+    graph = schedule.advance()
+    return _round(thetas, graph, learn, learn_first=True, placement=strategy, **options)
 
 
-def ctl_round(agents: list[AgentState], schedule: MarkovSchedule, **options) -> RoundMetrics:
+def ctl_round(thetas, learn, schedule: MarkovSchedule, **options):
     """Mix-then-learn twin: neighbor averaging of current weights first,
     then every agent takes its local steps from the mixed point."""
-    return _round(agents, schedule.advance(), learn_first=False, placement="ctl", **options)
+    graph = schedule.advance()
+    return _round(thetas, graph, learn, learn_first=False, placement="ctl", **options)
 
 
-def fedavg_round(agents: list[AgentState], **options) -> RoundMetrics:
+def fedavg_round(thetas, learn, **options):
     """Server round: every agent runs its local epochs from the global
     weights it holds, and the server averages the uploads (securely
     through three external parties when enabled)."""
-    return _round(agents, None, learn_first=True, placement="fedavg", **options)
+    return _round(thetas, None, learn, learn_first=True, placement="fedavg", **options)
+
+
+def _write_back(agents: list[AgentState], thetas: np.ndarray, phis: np.ndarray | None) -> None:
+    for i, agent in enumerate(agents):
+        agent.theta = thetas[i]
+        if phis is not None:
+            agent.phi = phis[i]
 
 
 @dataclass
@@ -485,7 +465,6 @@ class TrainingRun:
     rounds_completed: int
     terminated_early: bool
     diverged: bool
-    server_theta: np.ndarray | None = None  # fedavg: the weights every agent holds
 
     @property
     def rounds_to_tolerance(self) -> int | None:
@@ -518,6 +497,10 @@ def run_training(
     optimum) and fires before the first round too, so a run that starts
     converged reports zero rounds. A divergent weight or worst error (see
     ``_diverged``) stops the run and flags it.
+
+    The rounds run on one stacked (n, d) weight array; its rows are
+    written back to each agent's ``theta`` and ``phi`` before every
+    ``on_round`` call and at the end.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -529,17 +512,16 @@ def run_training(
 
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    if strategy == "fedavg":
-        first = agents[0].theta
-        for agent in agents[1:]:
-            if not np.array_equal(agent.theta, first):
-                raise ValueError("fedavg agents must share the initial weights")
+    thetas = np.array([agent.theta for agent in agents])
+    if strategy == "fedavg" and not np.all(thetas == thetas[0]):
+        raise ValueError("fedavg agents must share the initial weights")
 
+    phis = None
     metrics_list: list[RoundMetrics] = []
     if monitor is None:  # the tolerance is measured against the monitor's optimum
         tolerance = worst = None
     else:
-        worst = monitor.record(np.array([agent.theta for agent in agents]))
+        worst = monitor.record(thetas)
     terminated = tolerance is not None and worst < tolerance
     diverged = False
     completed = 0
@@ -548,29 +530,23 @@ def run_training(
         # complete one on full-participation graphs; the label only picks
         # the session layout.
         placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
-        options = dict(
-            alpha=alpha,
-            epochs=epochs,
-            noise=noise,
-            noise_rng=noise_rng,
-            broadcast_hook=broadcast_hook,
-            secure=secure,
-        )
+        learn = _learner(agents, epochs, noise, noise_rng)
+        options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
         for k in range(rounds):
             if strategy == "fedavg":
-                metrics = fedavg_round(agents, round_index=k, **options)
+                thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
             elif strategy == "ctl":
-                metrics = ctl_round(agents, schedule, round_index=k, **options)
+                thetas, phis, metrics = ctl_round(thetas, learn, schedule, round_index=k, **options)
             else:
-                metrics = dms_round(
-                    agents, schedule, strategy=placement[strategy], round_index=k, **options
+                thetas, phis, metrics = dms_round(
+                    thetas, learn, schedule, strategy=placement[strategy], round_index=k, **options
                 )
             metrics_list.append(metrics)
             completed = k + 1
-            thetas = np.array([agent.theta for agent in agents])
             if monitor is not None:
                 worst = monitor.record(thetas)
             if on_round is not None:
+                _write_back(agents, thetas, phis)
                 on_round(k, agents, metrics)
             if _diverged(thetas) or (worst is not None and _diverged(worst)):
                 diverged = True
@@ -579,6 +555,7 @@ def run_training(
                 terminated = True
                 break
 
+    _write_back(agents, thetas, phis)
     return TrainingRun(
         agents=agents,
         metrics=metrics_list,
@@ -586,7 +563,6 @@ def run_training(
         rounds_completed=completed,
         terminated_early=terminated,
         diverged=diverged,
-        server_theta=agents[0].theta.copy() if strategy == "fedavg" else None,
     )
 
 
@@ -598,34 +574,18 @@ def complexity_counters(metrics: Sequence[RoundMetrics]) -> dict:
     plaintext mode the two must agree exactly (one message per directed
     edge), which the test suite asserts as the closed form.
     """
-    if not metrics:
-        return {
-            "rounds": 0,
-            "total_messages": 0,
-            "total_bytes": 0,
-            "mean_edges": 0.0,
-            "per_round_edges": [],
-            "per_agent_messages": np.zeros(0, dtype=np.int64),
-            "per_agent_degree_sum": np.zeros(0, dtype=np.int64),
-        }
-    n = metrics[0].per_agent_messages.shape[0]
-    per_agent = np.zeros(n, dtype=np.int64)
-    degree_sum = np.zeros(n, dtype=np.int64)
-    edges = []
-    total_messages = 0
-    total_bytes = 0
-    for m in metrics:
-        per_agent += m.per_agent_messages
-        degree_sum += m.degrees[:n]
-        edges.append(m.edge_count)
-        total_messages += m.messages
-        total_bytes += m.bytes
+    n = len(metrics[0].per_agent_messages) if metrics else 0
+    edges = [m.edge_count for m in metrics]
+
+    def stacked(rows) -> np.ndarray:
+        return np.array(list(rows), dtype=np.int64).reshape(len(metrics), n)
+
     return {
         "rounds": len(metrics),
-        "total_messages": total_messages,
-        "total_bytes": total_bytes,
-        "mean_edges": float(np.mean(edges)),
+        "total_messages": sum(m.messages for m in metrics),
+        "total_bytes": sum(m.bytes for m in metrics),
+        "mean_edges": float(np.mean(edges)) if edges else 0.0,
         "per_round_edges": edges,
-        "per_agent_messages": per_agent,
-        "per_agent_degree_sum": degree_sum,
+        "per_agent_messages": stacked(m.per_agent_messages for m in metrics).sum(axis=0),
+        "per_agent_degree_sum": stacked(m.degrees[:n] for m in metrics).sum(axis=0),
     }

@@ -9,7 +9,7 @@ never need to know which one they are driving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "QuadraticTask",
     "local_step",
     "mse_loss",
+    "stacked_gradient",
 ]
 
 
@@ -225,15 +226,43 @@ class NoiseModel:
         if self.bound < 0:
             raise ValueError("noise bound must be nonnegative")
 
-    def sample(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Noise of ``shape``; each vector along the last axis is one draw.
+
+        A block is the same stream as one 1-d draw per vector in C order.
+        The cap screens vectors by batched squared norm, which can differ
+        from ``np.linalg.norm`` in the last bits, and rescales each
+        candidate by its own norm, so every vector equals its 1-d draw.
+        """
+        shape = (shape,) if np.isscalar(shape) else tuple(shape)
         if self.bound == 0.0:
-            return np.zeros(dim)
-        w = rng.standard_normal(dim) * (self.bound / np.sqrt(dim))
+            return np.zeros(shape)
+        w = rng.standard_normal(shape) * (self.bound / np.sqrt(shape[-1]))
         cap = self.cap_factor * self.bound
-        norm = float(np.linalg.norm(w))
-        if norm > cap:
-            w *= cap / norm
+        rows = w.reshape(-1, shape[-1])
+        over = np.einsum("ij,ij->i", rows, rows) > cap * cap * (1 - 1e-9)
+        for i in np.flatnonzero(over) if over.any() else ():
+            norm = float(np.linalg.norm(rows[i]))
+            if norm > cap:
+                rows[i] *= cap / norm
         return w
+
+
+def stacked_gradient(tasks: Sequence[LocalTask]) -> Callable[[np.ndarray], np.ndarray]:
+    """Map stacked (n, d) weights to the (n, d) gradients of ``tasks``,
+    row i equal to ``tasks[i].gradient(row i)`` bit for bit.
+
+    Quadratic task sets take one batched ``H @ theta + b`` product, with
+    ``H`` shared when every Hessian is bitwise the same (``thetas @ H.T``
+    is not bit-identical for dense ``H``); any other set loops over rows.
+    """
+    if all(isinstance(t, QuadraticTask) for t in tasks):
+        first = tasks[0].hessian
+        shared = all(t.hessian.tobytes() == first.tobytes() for t in tasks)
+        hessian = first if shared else np.stack([t.hessian for t in tasks])
+        lin = np.stack([t.lin_term for t in tasks])
+        return lambda thetas: np.matmul(hessian, thetas[..., None])[..., 0] + lin
+    return lambda thetas: np.array([t.gradient(row) for t, row in zip(tasks, thetas)])
 
 
 def local_step(

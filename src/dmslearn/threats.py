@@ -54,10 +54,17 @@ class PoisonPolicy:
             raise ValueError(f"unknown poison mode {self.mode!r}")
 
     def hook(self):
-        """Broadcast hook for the training engines."""
+        """Broadcast hook for the training engines: maps the whole (n, d)
+        broadcast to a copy whose malicious rows below n are replaced by
+        their :func:`poison_broadcast`."""
+        ids = sorted(self.malicious_ids)
 
-        def apply(agent_id: int, weights: np.ndarray) -> np.ndarray:
-            return poison_broadcast(weights, self, agent_id)
+        def apply(broadcast: np.ndarray) -> np.ndarray:
+            out = broadcast.copy()
+            for i in ids:
+                if 0 <= i < len(out):
+                    out[i] = poison_broadcast(out[i], self, i)
+            return out
 
         return apply
 

@@ -6,17 +6,24 @@ forward passes, field arithmetic uses naive power sums and extended
 Euclid, mixing weights come from explicit neighbor loops.
 
 The exceptions are pins of code that a faster or simpler version
-replaced: ``pairwise_max_distance`` and the three round functions of the
-previous engine (``old_dms_round``, ``old_ctl_round``,
-``old_fedavg_round``), with their arithmetic and draw order unchanged,
-so tests can assert that the replacement gives exactly the same numbers.
+replaced: ``pairwise_max_distance``, the three round functions of an
+earlier engine (``old_dms_round``, ``old_ctl_round``,
+``old_fedavg_round``) and the per-agent round body that the stacked
+engine replaced (``per_agent_round``), with their arithmetic and draw
+order unchanged, so tests can assert that the replacement gives exactly
+the same numbers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dmslearn.consensus import RoundFailure, RoundMetrics
+from dmslearn.consensus import (
+    RoundFailure,
+    RoundMetrics,
+    _round_metrics,
+    _secure_mix,
+)
 from dmslearn.numerics import NoiseModel, local_step
 from dmslearn.secagg import SecAggError, party_placement, secure_aggregate
 from dmslearn.topology import mixing_matrix
@@ -301,3 +308,81 @@ def old_engine_rounds(agents, schedule, strategy, rounds, *, alpha=1.0, epochs=1
             )
         metrics.append(m)
     return metrics
+
+
+# --- the per-agent round body the stacked engine replaced ---------------
+
+
+def per_vector_noise(noise, dim, rng):
+    """One capped noise vector, drawn and scaled on its own."""
+    w = rng.standard_normal(dim) * (noise.bound / np.sqrt(dim))
+    cap = noise.cap_factor * noise.bound
+    norm = float(np.linalg.norm(w))
+    if norm > cap:
+        w *= cap / norm
+    return w
+
+
+def _per_agent_step(task, theta, gamma, noise, rng):
+    phi = np.asarray(theta, dtype=float) - gamma * task.gradient(theta)
+    if noise is not None and noise.bound > 0.0:
+        phi = phi + per_vector_noise(noise, task.dim, rng)
+    return phi
+
+
+def _learn(agents, starts, epochs, noise, noise_rng):
+    for agent, phi in zip(agents, starts):
+        for _ in range(epochs):
+            phi = _per_agent_step(agent.task, phi, agent.gamma, noise, noise_rng)
+        agent.phi = phi
+
+
+def per_agent_round(agents, graph, *, learn_first, placement, alpha=1.0, epochs=1, noise=None,
+                    noise_rng=None, broadcast_hook=None, secure=None, round_index=0):
+    """One round on a list of agents; ``broadcast_hook(i, row)`` is called per row.
+
+    The secure mix and the metrics are the engine's own ``_secure_mix`` and
+    ``_round_metrics``; ``old_engine_rounds`` pins those against copies.
+    """
+    n = len(agents)
+    if learn_first:
+        _learn(agents, [a.theta for a in agents], epochs, noise, noise_rng)
+        outgoing = np.array([a.phi for a in agents])
+    else:
+        outgoing = np.array([a.theta for a in agents])
+    broadcast = _hooked(outgoing, broadcast_hook)
+    before = _snapshot(secure)
+    if secure is not None:
+        try:
+            mixed = alpha * _secure_mix(broadcast, graph, placement, secure, round_index)
+        except SecAggError as exc:
+            raise RoundFailure(round_index, exc) from exc
+    elif graph is None:
+        mixed = alpha * np.repeat(broadcast.mean(axis=0)[None, :], n, axis=0)
+    else:
+        mixed = alpha * (graph.mixing @ broadcast)
+    if learn_first:
+        for agent, row in zip(agents, mixed):
+            agent.theta = row
+    else:
+        _learn(agents, mixed, epochs, noise, noise_rng)
+        for agent in agents:
+            agent.theta = agent.phi
+    return _round_metrics(round_index, graph, broadcast, secure, before)
+
+
+def per_agent_rounds(agents, schedule, strategy, rounds, **options):
+    """Drive ``per_agent_round`` the way the training loop did; returns the
+    per-round metrics."""
+    placement = "dms" if strategy == "centralized" else strategy
+    return [
+        per_agent_round(
+            agents,
+            None if strategy == "fedavg" else schedule.advance(),
+            learn_first=strategy != "ctl",
+            placement=placement,
+            round_index=k,
+            **options,
+        )
+        for k in range(rounds)
+    ]

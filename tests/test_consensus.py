@@ -8,6 +8,7 @@ from dmslearn.consensus import (
     ContractionParams,
     ConvergenceMonitor,
     RoundFailure,
+    RoundMetrics,
     SecureSetup,
     complexity_counters,
     contraction_check,
@@ -18,7 +19,7 @@ from dmslearn.consensus import (
 )
 from dmslearn.numerics import NoiseModel, QuadraticTask, local_step
 from dmslearn.secagg import ContributorError, Transcript
-from dmslearn.threats import PoisonPolicy
+from dmslearn.threats import PoisonPolicy, poison_broadcast
 from dmslearn.topology import (
     Graph,
     make_dms_schedule,
@@ -28,7 +29,12 @@ from dmslearn.topology import (
     mixing_matrix,
 )
 
-from oracles import old_engine_rounds, pairwise_max_distance, summed_quadratic_optimum
+from oracles import (
+    old_engine_rounds,
+    pairwise_max_distance,
+    per_agent_rounds,
+    summed_quadratic_optimum,
+)
 
 
 def quad(p, u=0.0, dim=1):
@@ -107,7 +113,7 @@ def test_fedavg_identical_to_solo_descent():
     theta = np.zeros(1)
     for _ in range(12):
         theta = local_step(task, theta, 0.25)
-    assert np.allclose(run.server_theta, theta)
+    assert np.allclose(run.agents[0].theta, theta)
     for agent in agents:
         assert np.allclose(agent.theta, theta)
 
@@ -121,7 +127,7 @@ def test_fedavg_agents_hold_exactly_the_server_mean():
     uploads = np.array([a.phi for a in agents])
     for agent in agents:
         assert np.array_equal(agent.theta, uploads.mean(axis=0))
-    assert np.array_equal(run.server_theta, uploads.mean(axis=0))
+    assert np.array_equal(run.agents[0].theta, uploads.mean(axis=0))
 
 
 def test_fedavg_epochs_multiply_local_steps():
@@ -131,7 +137,7 @@ def test_fedavg_epochs_multiply_local_steps():
     theta = np.zeros(1)
     for _ in range(6):
         theta = local_step(task, theta, 0.1)
-    assert np.allclose(run.server_theta, theta)
+    assert np.allclose(run.agents[0].theta, theta)
 
 
 def test_fedavg_rejects_mismatched_inits():
@@ -407,8 +413,10 @@ def test_broadcast_hook_shifts_the_average():
     agents = make_agents([task] * 3, [np.ones(1)] * 3, 0.1)
     clean = make_agents([task] * 3, [np.ones(1)] * 3, 0.1)
 
-    def hook(agent_id, weights):
-        return weights + 3.0 if agent_id == 0 else weights
+    def hook(broadcast):
+        out = broadcast.copy()
+        out[0] += 3.0
+        return out
 
     run_training(agents, complete_schedule(3), strategy="dfc", rounds=1, broadcast_hook=hook)
     run_training(clean, complete_schedule(3), strategy="dfc", rounds=1)
@@ -457,7 +465,7 @@ def test_secure_fedavg_matches_plaintext():
     run_a = run_training(plain, None, strategy="fedavg", rounds=5)
     setup = SecureSetup(rng=np.random.default_rng(2))
     run_b = run_training(secure, None, strategy="fedavg", rounds=5, secure=setup)
-    assert np.max(np.abs(run_a.server_theta - run_b.server_theta)) <= n * 2.0**-15
+    assert np.max(np.abs(run_a.agents[0].theta - run_b.agents[0].theta)) <= n * 2.0**-15
 
 
 def test_secure_round_counts_protocol_traffic_by_default():
@@ -483,6 +491,13 @@ def test_secure_needs_three_active_agents():
         run_training(agents, schedule, strategy="dms", rounds=1, secure=setup)
     assert err.value.round_index == 0
     assert isinstance(err.value.cause, ContributorError)
+
+
+def test_make_agents_rejects_a_learning_rate_count_mismatch():
+    with pytest.raises(ValueError, match="one learning rate per task"):
+        make_agents([quad(1.0)] * 4, [np.zeros(1)] * 4, [0.1, 0.2])
+    agents = make_agents([quad(1.0)] * 2, [np.zeros(1)] * 2, [0.1, 0.2])
+    assert [a.gamma for a in agents] == [0.1, 0.2]
 
 
 def test_agent_rejects_zero_learning_rate():
@@ -527,10 +542,20 @@ def test_graph_mixing_is_cached_read_only():
 STRATEGIES = ["dms", "ctl", "dring", "dfc", "fedavg", "centralized"]
 
 
-def _engine_case(strategy, n, d, seed, shared):
+def _dense_hessian(rng, d):
+    """Symmetric positive definite, non-diagonal for d > 1, spectrum in [0.5, 2]."""
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    q = (basis * rng.uniform(0.5, 2.0, d)) @ basis.T
+    return (q + q.T) / 2
+
+
+def _engine_case(strategy, n, d, seed, shared, shared_hessian=False):
     rng = np.random.default_rng(seed)
+    common = _dense_hessian(rng, d)
     tasks = [
-        QuadraticTask.from_optimum(np.diag(rng.uniform(0.5, 2.0, d)), rng.uniform(-1, 1, d))
+        QuadraticTask.from_optimum(
+            common.copy() if shared_hessian else _dense_hessian(rng, d), rng.uniform(-1, 1, d)
+        )
         for _ in range(n)
     ]
     inits = [rng.uniform(-1, 1, d)] * n if shared else [rng.uniform(-1, 1, d) for _ in range(n)]
@@ -571,15 +596,17 @@ def test_engine_matches_previous_round_functions(
         alpha = 1.0
     else:
         epochs = 1
+    policy = PoisonPolicy(frozenset({0}), epsilon=0.3)
     runs = []
     for engine in ("new", "old"):
         agents, schedule = _engine_case(strategy, n, d, seed, shared=strategy == "fedavg")
+        hooks = {"new": policy.hook(), "old": lambda i, w: poison_broadcast(w, policy, i)}
         options = dict(
             alpha=alpha,
             epochs=epochs,
             noise=NoiseModel(0.05) if noisy else None,
             noise_rng=np.random.default_rng(seed + 1),
-            broadcast_hook=PoisonPolicy(frozenset({0}), epsilon=0.3).hook() if poisoned else None,
+            broadcast_hook=hooks[engine] if poisoned else None,
             secure=SecureSetup(rng=np.random.default_rng(seed + 2), transcript=Transcript())
             if secure
             else None,
@@ -605,3 +632,59 @@ def test_engine_matches_previous_round_functions(
         assert np.array_equal(m.per_agent_messages, o.per_agent_messages)
         if secure:
             assert m.bytes == o.bytes
+
+
+@given(
+    st.sampled_from(STRATEGIES),
+    st.integers(3, 6),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["none", "bounded", "capped"]),
+    st.sampled_from(["none", "constant", "scaled"]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1.0, 0.9]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_engine_matches_the_per_agent_round(
+    strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs, seed
+):
+    # "capped" puts the noise cap below the typical draw's norm, so most
+    # draws take the rescaling path.
+    if strategy == "centralized":
+        n, secure = 1, False
+    noise = {"none": None, "bounded": NoiseModel(0.05), "capped": NoiseModel(0.05, cap_factor=0.8)}
+    # Id n + 1 names no agent, so the hook must skip it.
+    mode = "constant" if poison_mode == "none" else poison_mode
+    policy = PoisonPolicy(frozenset({0, 2, n + 1}), epsilon=0.3, mode=mode)
+    runs = []
+    for engine in ("stacked", "per_agent"):
+        agents, schedule = _engine_case(
+            strategy, n, d, seed, shared=strategy == "fedavg", shared_hessian=shared_hessian
+        )
+        hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: poison_broadcast(w, policy, i)}
+        rngs = (np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
+        options = dict(
+            alpha=alpha,
+            epochs=epochs,
+            noise=noise[noise_kind],
+            noise_rng=rngs[0],
+            broadcast_hook=None if poison_mode == "none" else hooks[engine],
+            secure=SecureSetup(rng=rngs[1], transcript=Transcript()) if secure else None,
+        )
+        if engine == "stacked":
+            metrics = run_training(agents, schedule, strategy=strategy, rounds=rounds, **options).metrics
+        else:
+            metrics = per_agent_rounds(agents, schedule, strategy, rounds, **options)
+        runs.append((agents, metrics, [r.bit_generator.state for r in rngs]))
+    (agents, metrics, states), (ref_agents, ref_metrics, ref_states) = runs
+    for a, b in zip(agents, ref_agents):
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.phi, b.phi)
+    assert len(metrics) == len(ref_metrics) == rounds
+    for m, o in zip(metrics, ref_metrics):
+        for name in RoundMetrics.__dataclass_fields__:
+            assert np.array_equal(getattr(m, name), getattr(o, name)), name
+    assert states == ref_states

@@ -331,6 +331,22 @@ def test_cli_run_rejects_bad_attack_keys(tmp_path, attack):
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        "agent_count: 5\nattack: {kind: poison, malicious: 9}\n",
+        "task: forecast\ndata: {pick: 4}\nattack: {malicious: 5}\n",
+        "strategy: centralized\nattack: {malicious: 2}\n",
+    ],
+)
+def test_cli_run_rejects_more_malicious_agents_than_the_run_has(tmp_path, config):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("rounds: 2\n" + config)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cluster", "--households", "2", "--clusters", "3"],

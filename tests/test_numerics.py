@@ -12,7 +12,7 @@ from dmslearn.numerics import (
     mse_loss,
 )
 
-from oracles import fd_gradient, scalar_error_recursion
+from oracles import fd_gradient, per_vector_noise, scalar_error_recursion
 
 
 def test_mse_worked_value():
@@ -182,6 +182,24 @@ def test_noise_norm_capped():
     assert max(norms) <= 0.3 + 1e-12
     # the cap leaves typical draws untouched
     assert np.mean(norms) == pytest.approx(0.1, rel=0.2)
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 40),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_noise_block_equals_per_vector_draws(n, epochs, d, cap_factor, seed):
+    noise = NoiseModel(0.1, cap_factor=cap_factor)
+    block_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = noise.sample((n, epochs, d), block_rng)
+    vectors = [per_vector_noise(noise, d, vector_rng) for _ in range(n * epochs)]
+    assert np.array_equal(block, np.reshape(vectors, (n, epochs, d)))
+    assert np.array_equal(noise.sample(d, block_rng), per_vector_noise(noise, d, vector_rng))
+    assert block_rng.bit_generator.state == vector_rng.bit_generator.state
 
 
 def test_noise_rejects_negative_bound():

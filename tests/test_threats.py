@@ -43,11 +43,16 @@ def test_poison_validation():
 
 
 def test_policy_hook_matches_direct_call():
-    policy = PoisonPolicy(frozenset({2}), epsilon=0.3)
-    hook = policy.hook()
-    w = np.array([0.5, 0.5])
-    for agent in range(4):
-        assert np.array_equal(hook(agent, w), poison_broadcast(w, policy, agent))
+    broadcast = np.random.default_rng(0).standard_normal((4, 3))
+    before = broadcast.copy()
+    for mode in ("constant", "scaled"):
+        # Id 7 names no agent of the 4-row broadcast and must be skipped.
+        policy = PoisonPolicy(frozenset({2, 0, 7}), epsilon=0.3, mode=mode)
+        out = policy.hook()(broadcast)
+        assert np.array_equal(broadcast, before)
+        assert out.shape == broadcast.shape
+        for agent in range(4):
+            assert np.array_equal(out[agent], poison_broadcast(broadcast[agent], policy, agent))
 
 
 def test_trace_requires_increasing_steps():
