@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import LocalTask, NoiseModel, stacked_gradient
+from .numerics import LocalTask, NoiseModel, QuadraticTask
 from .secagg import (
     PRIME_128,
     FixedPointCodec,
@@ -51,7 +51,7 @@ __all__ = [
     "run_training",
 ]
 
-# Maps the whole (n, d) broadcast to a new array; called once per round.
+# Gets a copy of the whole (n, d) broadcast once per round; returns what is sent.
 BroadcastHook = Callable[[np.ndarray], np.ndarray]
 
 # A run whose weights or worst squared error pass this magnitude has diverged.
@@ -298,8 +298,17 @@ def _learner(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The learn stage: ``epochs`` perturbed gradient steps on every row of
     the stacked weights. Each call draws one agent-major (n, epochs, d)
-    noise block, the stream of drawing agent 0's steps first."""
-    gradient = stacked_gradient([a.task for a in agents])
+    noise block, the stream of drawing agent 0's steps first. Quadratic
+    task sets take one batched ``H @ theta + b`` product per step, bit for
+    bit each task's own gradient (``thetas @ H.T`` is not, for dense H);
+    any other set calls each task's ``gradient`` on its row."""
+    tasks = [a.task for a in agents]
+    if all(isinstance(t, QuadraticTask) for t in tasks):
+        hessians = np.stack([t.hessian for t in tasks])
+        lin = np.stack([t.lin_term for t in tasks])
+        gradient = lambda thetas: np.matmul(hessians, thetas[..., None])[..., 0] + lin
+    else:
+        gradient = lambda thetas: np.array([t.gradient(r) for t, r in zip(tasks, thetas)])
     gammas = np.array([[a.gamma] for a in agents])
     noisy = noise is not None and noise.bound > 0.0
     if noisy and noise_rng is None:
@@ -402,7 +411,8 @@ def _round(
     if graph is not None and graph.agent_count != n:
         raise ValueError("schedule graph does not cover the agent set")
     outgoing = learn(thetas) if learn_first else thetas
-    broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing)
+    # The hook gets a copy: an in-place edit must not reach theta or phi.
+    broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
 
     before = None
     if secure is not None:
@@ -525,14 +535,14 @@ def run_training(
     terminated = tolerance is not None and worst < tolerance
     diverged = False
     completed = 0
-    if not terminated:
-        # Secure placement of the switching strategy degenerates to the
-        # complete one on full-participation graphs; the label only picks
-        # the session layout.
-        placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
-        learn = _learner(agents, epochs, noise, noise_rng)
-        options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
-        for k in range(rounds):
+    # Secure placement of the switching strategy degenerates to the
+    # complete one on full-participation graphs; the label only picks
+    # the session layout.
+    placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
+    learn = _learner(agents, epochs, noise, noise_rng)
+    options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
+    try:
+        for k in range(0 if terminated else rounds):
             if strategy == "fedavg":
                 thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
             elif strategy == "ctl":
@@ -554,8 +564,9 @@ def run_training(
             if tolerance is not None and worst < tolerance:
                 terminated = True
                 break
-
-    _write_back(agents, thetas, phis)
+    finally:
+        # After a RoundFailure too, agents hold the last completed round.
+        _write_back(agents, thetas, phis)
     return TrainingRun(
         agents=agents,
         metrics=metrics_list,

@@ -8,7 +8,7 @@ same seed see identical data and initializations where they share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -465,9 +465,15 @@ def forecast_comparison(
     All runs share the data stream, so every strategy trains and
     evaluates on identical households and splits. Every strategy's config
     is built before the first run, so a base that one of them rejects
-    raises :class:`ConfigError` before any training.
+    raises :class:`ConfigError` before any training. The centralized run
+    trains one agent, so at most one of the base's attackers lies there.
     """
-    configs = {s: base.replace(strategy=s, task="forecast") for s in strategies}
+    attack = base.attack
+    solo = None if attack is None else replace(attack, malicious=min(attack.malicious, 1))
+    configs = {
+        s: base.replace(strategy=s, task="forecast", attack=solo if s == "centralized" else attack)
+        for s in strategies
+    }
     results = {}
     for strategy, cfg in configs.items():
         sub = None if out_dir is None else Path(out_dir) / strategy

@@ -9,7 +9,7 @@ never need to know which one they are driving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "QuadraticTask",
     "local_step",
     "mse_loss",
-    "stacked_gradient",
 ]
 
 
@@ -241,28 +240,11 @@ class NoiseModel:
         cap = self.cap_factor * self.bound
         rows = w.reshape(-1, shape[-1])
         over = np.einsum("ij,ij->i", rows, rows) > cap * cap * (1 - 1e-9)
-        for i in np.flatnonzero(over) if over.any() else ():
+        for i in np.flatnonzero(over):
             norm = float(np.linalg.norm(rows[i]))
             if norm > cap:
                 rows[i] *= cap / norm
         return w
-
-
-def stacked_gradient(tasks: Sequence[LocalTask]) -> Callable[[np.ndarray], np.ndarray]:
-    """Map stacked (n, d) weights to the (n, d) gradients of ``tasks``,
-    row i equal to ``tasks[i].gradient(row i)`` bit for bit.
-
-    Quadratic task sets take one batched ``H @ theta + b`` product, with
-    ``H`` shared when every Hessian is bitwise the same (``thetas @ H.T``
-    is not bit-identical for dense ``H``); any other set loops over rows.
-    """
-    if all(isinstance(t, QuadraticTask) for t in tasks):
-        first = tasks[0].hessian
-        shared = all(t.hessian.tobytes() == first.tobytes() for t in tasks)
-        hessian = first if shared else np.stack([t.hessian for t in tasks])
-        lin = np.stack([t.lin_term for t in tasks])
-        return lambda thetas: np.matmul(hessian, thetas[..., None])[..., 0] + lin
-    return lambda thetas: np.array([t.gradient(row) for t, row in zip(tasks, thetas)])
 
 
 def local_step(

@@ -22,6 +22,7 @@ from dmslearn.secagg import ContributorError, Transcript
 from dmslearn.threats import PoisonPolicy, poison_broadcast
 from dmslearn.topology import (
     Graph,
+    MarkovSchedule,
     make_dms_schedule,
     make_static_schedule,
     make_subset_graph,
@@ -424,6 +425,28 @@ def test_broadcast_hook_shifts_the_average():
         assert np.allclose(a.theta - c.theta, 1.0)
 
 
+@pytest.mark.parametrize("strategy", ["dms", "ctl", "fedavg"])
+def test_broadcast_hook_edits_of_its_argument_do_not_reach_the_agents(strategy):
+    # The hook's input is the weights (ctl) or the learn output kept as
+    # phi; the engine hands it a copy, so scribbling on it changes nothing.
+    def clean(broadcast):
+        return broadcast + 1.0
+
+    def scribble(broadcast):
+        out = broadcast + 1.0
+        broadcast[:] = 99.0
+        return out
+
+    runs = []
+    for hook in (clean, scribble):
+        agents = make_agents([quad(1.0, u=float(i)) for i in range(3)], [np.ones(1)] * 3, 0.1)
+        schedule = None if strategy == "fedavg" else complete_schedule(3)
+        run_training(agents, schedule, strategy=strategy, rounds=3, broadcast_hook=hook)
+        runs.append(agents)
+    for a, b in zip(*runs):
+        assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
+
+
 def test_secure_complete_matches_plaintext():
     hessians = [np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.diag([1.5, 1.5])]
     u = np.array([0.4, -0.2])
@@ -491,6 +514,30 @@ def test_secure_needs_three_active_agents():
         run_training(agents, schedule, strategy="dms", rounds=1, secure=setup)
     assert err.value.round_index == 0
     assert isinstance(err.value.cause, ContributorError)
+
+
+def test_agents_hold_the_last_completed_round_after_a_failure():
+    # Round 0 runs on the complete graph and round 1 on a two-member group,
+    # which the secure path refuses; the agents keep round 0's weights.
+    tasks = [quad(1.0, u=float(i)) for i in range(6)]
+    complete, pair = make_topology("complete", 6), make_subset_graph(6, (1, 4))
+    runs = []
+    for rounds in (1, 2):
+        agents = make_agents(tasks, [np.zeros(1)] * 6, 0.1)
+        schedule = MarkovSchedule([pair, complete], np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  np.random.default_rng(0))
+        setup = SecureSetup(rng=np.random.default_rng(0))
+        if rounds == 2:
+            with pytest.raises(RoundFailure) as err:
+                run_training(agents, schedule, strategy="dms", rounds=rounds, secure=setup)
+            assert err.value.round_index == 1
+        else:
+            run_training(agents, schedule, strategy="dms", rounds=rounds, secure=setup)
+        runs.append(agents)
+    for done, failed in zip(*runs):
+        assert np.array_equal(done.theta, failed.theta)
+        assert np.array_equal(done.phi, failed.phi)
+        assert not np.array_equal(failed.theta, np.zeros(1))
 
 
 def test_make_agents_rejects_a_learning_rate_count_mismatch():

@@ -425,6 +425,18 @@ def test_cli_compare(tmp_path, capsys):
     assert [row.split()[0] for row in printed[1:6]] == strategies
 
 
+def test_cli_compare_with_an_attack_caps_the_centralized_attackers(tmp_path):
+    # The centralized run has one agent, so it keeps one of the three
+    # attackers instead of rejecting the whole comparison.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "attack:\n  kind: poison\n  malicious: 3\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, count in [("dms", 3), ("fedavg", 3), ("dring", 3), ("dfc", 3), ("centralized", 1)]:
+        echo = json.loads((out / name / "config.echo").read_text())
+        assert echo["attack"]["malicious"] == count
+
+
 def test_cli_compare_rejected_strategy_exits_2(tmp_path):
     # Secure aggregation is valid for dms but not for centralized, so the
     # comparison must stop before training any strategy.
