@@ -27,14 +27,7 @@ from .experiment import (
     run_scaling_sweep,
 )
 from .reports import write_report, write_summary_csv
-from .secagg import (
-    FixedPointCodec,
-    SecAggError,
-    SecAggSession,
-    SharingParams,
-    Transcript,
-    secure_aggregate,
-)
+from .secagg import SecAggError
 from .threats import dlg_compare_topologies, run_poisoning_experiment
 
 EXIT_OK = 0
@@ -225,63 +218,6 @@ def _cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mpc_bench(args) -> int:
-    out = _out_dir(args, "mpc-bench")
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed or 0)
-    codec = FixedPointCodec()
-    rows = []
-    for parties, degree in [(3, 1), (4, 1), (5, 2), (7, 3)]:
-        params = SharingParams(parties, degree)
-        contributors = tuple(range(4))
-        session = SecAggSession(
-            params=params,
-            contributors=contributors,
-            parties=tuple(range(100, 100 + parties)),
-            recipients=contributors,
-            label=f"bench:{parties}:{degree}",
-        )
-        transcript = Transcript(record_payloads=False)
-        vectors = [rng.uniform(-1, 1, args.dim) for _ in contributors]
-        total = secure_aggregate(vectors, session, codec, rng, transcript=transcript)
-        expect_msgs = len(contributors) * parties + parties * len(session.recipients)
-        rows.append(
-            {
-                "parties": parties,
-                "degree": degree,
-                "contributors": len(contributors),
-                "dim": args.dim,
-                "messages": transcript.messages,
-                "expected_messages": expect_msgs,
-                "bytes": transcript.bytes,
-                "sum_ok": bool(
-                    np.allclose(total, np.sum(vectors, axis=0), atol=2 ** -10)
-                ),
-            }
-        )
-    write_summary_csv(
-        out / "bench.csv",
-        rows,
-        [
-            "parties",
-            "degree",
-            "contributors",
-            "dim",
-            "messages",
-            "expected_messages",
-            "bytes",
-            "sum_ok",
-        ],
-    )
-    for row in rows:
-        print(
-            f"parties={row['parties']} degree={row['degree']}: "
-            f"messages={row['messages']} (expected {row['expected_messages']}) "
-            f"bytes={row['bytes']} sum_ok={row['sum_ok']}"
-        )
-    return EXIT_OK
-
-
 def _cmd_cluster(args) -> int:
     if args.clusters > args.households:
         print("config error: --clusters must not exceed --households", file=sys.stderr)
@@ -347,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--malicious", type=_bounded(int, 0, POISON_AGENTS), default=3)
     common(attack_p)
     attack_p.set_defaults(func=_cmd_attack)
-
-    bench_p = sub.add_parser("mpc-bench", help="secure aggregation cost grid")
-    bench_p.add_argument("--dim", type=_bounded(int, 1), default=8)
-    common(bench_p)
-    bench_p.set_defaults(func=_cmd_mpc_bench)
 
     cluster_p = sub.add_parser("cluster", help="cluster synthetic households")
     cluster_p.add_argument("--households", type=_bounded(int, 1), default=100)

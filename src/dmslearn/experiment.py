@@ -178,6 +178,11 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
     counts = np.bincount(clustering.labels, minlength=d.clusters)
     biggest = int(np.argmax(counts))
     members = [p.household for p in profiles if clustering.labels[p.household] == biggest]
+    if d.pick > len(members):
+        raise ConfigError(
+            f"config.data.pick: {d.pick} agents asked for, "
+            f"the largest cluster has {len(members)} households"
+        )
     picked = members[: d.pick]
 
     model = MlpModel(config.model.lookback, config.model.hidden, config.model.horizon)

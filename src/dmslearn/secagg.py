@@ -9,8 +9,10 @@ party's position in the session determines its evaluation point.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,36 +102,79 @@ class SharingParams:
 
 @dataclass(frozen=True)
 class SecretShare:
-    """One party's share: the polynomial value at evaluation point ``index``."""
+    """One party's share: the polynomial value at evaluation point ``index``,
+    or the tuple of values of a vector secret's polynomials there."""
 
     index: int
-    value: int
+    value: int | tuple[int, ...]
 
 
-def _rand_field_element(rng: np.random.Generator, prime: int) -> int:
-    """Uniform element of ``[0, prime)`` by rejection sampling."""
+def _rand_field_elements(rng: np.random.Generator, prime: int, count: int) -> list[int]:
+    """``count`` uniform elements of ``[0, prime)`` by rejection sampling.
+
+    Each candidate is ``nbytes`` big-endian bytes with the bits above the
+    prime's masked off. ``Generator.bytes(n)`` hands out whole 32-bit words
+    and drops the tail of the last one, so one bulk draw of ``count`` slots
+    of ``nbytes`` rounded up to a multiple of 4, cut to ``nbytes`` each,
+    yields the same candidates and leaves the generator in the same state
+    as ``count`` separate ``rng.bytes(nbytes)`` calls. Rejected candidates
+    are topped up by further bulk draws.
+    """
     bits = (prime - 1).bit_length()
     nbytes = (bits + 7) // 8
+    slot = -(-nbytes // 4) * 4
     mask = (1 << bits) - 1
-    while True:
-        v = int.from_bytes(rng.bytes(nbytes), "big") & mask
-        if v < prime:
-            return v
+    out: list[int] = []
+    while len(out) < count:
+        buf = rng.bytes(slot * (count - len(out)))
+        drawn = [int.from_bytes(b, "big") & mask for b in _slots(buf, slot, nbytes)]
+        out += [v for v in drawn if v < prime]
+    return out
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, prime: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % prime
-    return acc
+def _slots(buf: bytes, width: int, keep: int) -> list[bytes]:
+    """``buf`` cut into ``width``-byte slots, each cut to its first ``keep`` bytes."""
+    cells = np.frombuffer(buf, np.uint8).reshape(-1, width)[:, :keep]
+    return np.ascontiguousarray(cells).view(f"V{keep}").ravel().tolist()
+
+
+def _weighted_sums(
+    rows: Sequence[Sequence[int]], weights: Sequence[Sequence[int]], prime: int
+) -> list[tuple[int, ...]]:
+    """``sum_i w[i] * rows[i] mod prime``, coordinate by coordinate, for each
+    ``w`` in ``weights``. Every row entry and weight lies in ``[0, prime)``.
+
+    Kronecker substitution: each row is packed into one integer with one
+    slot per coordinate, each slot wide enough to hold a whole weighted sum,
+    so no slot carries into the next. A weighted sum of rows then takes
+    ``len(rows)`` big-integer products, and each slot is reduced once.
+    """
+    dim = len(rows[0])
+    top = max(max(w) for w in weights)
+    width = (len(rows) * (prime - 1) * top).bit_length() // 8 + 1
+    packed = [
+        int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]), "little")
+        for row in rows
+    ]
+    out = []
+    for w in weights:
+        raw = sum(c * r for c, r in zip(w, packed)).to_bytes(width * dim, "little")
+        out.append(tuple([int.from_bytes(b, "little") % prime for b in _slots(raw, width, width)]))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _powers(parties: int, degree: int, prime: int) -> tuple[tuple[int, ...], ...]:
+    """``x**k mod prime`` for the evaluation points ``x = 1 .. parties``."""
+    return tuple(tuple(pow(x, k, prime) for k in range(degree + 1)) for x in range(1, parties + 1))
 
 
 def share(
-    secret: int,
+    secret: int | Sequence[int],
     params: SharingParams,
     rng: np.random.Generator | None = None,
     *,
-    coefficients: Sequence[int] | None = None,
+    coefficients: Sequence[int] | Sequence[Sequence[int]] | None = None,
 ) -> list[SecretShare]:
     """Split ``secret`` into ``params.parties`` shares.
 
@@ -137,70 +182,99 @@ def share(
     coefficients are drawn uniformly from the field, or taken from
     ``coefficients`` when given (enumeration and privacy tests need to pin
     them).
+
+    A vector secret gets one polynomial per coordinate, drawn in coordinate
+    order, and each share's ``value`` is the tuple of its points on them;
+    ``coefficients`` then holds one row of ``degree`` values per coordinate.
+    Sharing a vector draws and returns exactly what sharing its coordinates
+    one by one would. A scalar secret is the length-1 case.
     """
-    if not (0 <= secret < params.prime):
+    scalar = isinstance(secret, numbers.Integral)
+    secrets = [int(secret)] if scalar else [int(v) for v in secret]
+    if secrets and not (0 <= min(secrets) and max(secrets) < params.prime):
         raise ValueError("secret outside the field")
     if coefficients is not None:
-        if len(coefficients) != params.degree:
+        rows = [coefficients] if scalar else coefficients
+        if len(rows) != len(secrets) or any(len(row) != params.degree for row in rows):
             raise ValueError("need exactly one coefficient per degree")
-        if any(not (0 <= c < params.prime) for c in coefficients):
+        drawn = [int(c) for row in rows for c in row]
+        if any(not (0 <= c < params.prime) for c in drawn):
             raise ValueError("coefficient outside the field")
-        coeffs = [secret, *coefficients]
     else:
         if rng is None:
             raise ValueError("random sharing needs an rng")
-        coeffs = [secret] + [_rand_field_element(rng, params.prime) for _ in range(params.degree)]
-    return [
-        SecretShare(index=x, value=_poly_eval(coeffs, x, params.prime))
-        for x in range(1, params.parties + 1)
-    ]
+        drawn = _rand_field_elements(rng, params.prime, len(secrets) * params.degree)
+    columns = [secrets] + [drawn[k :: params.degree] for k in range(params.degree)]
+    powers = _powers(params.parties, params.degree, params.prime)
+    points = _weighted_sums(columns, powers, params.prime)
+    return [SecretShare(x, p[0] if scalar else p) for x, p in enumerate(points, start=1)]
 
 
-def _lagrange_at(points: Sequence[SecretShare], x: int, prime: int) -> int:
-    """Evaluate the unique polynomial through ``points`` at ``x``."""
-    total = 0
-    for a in points:
-        num = 1
-        den = 1
-        for b in points:
-            if b.index == a.index:
-                continue
-            num = (num * (x - b.index)) % prime
-            den = (den * (a.index - b.index)) % prime
-        total = (total + a.value * num * pow(den, prime - 2, prime)) % prime
-    return total
+@lru_cache(maxsize=256)
+def _reconstruction_weights(
+    indices: tuple[int, ...], threshold: int, prime: int
+) -> tuple[tuple[int, ...], ...]:
+    """Lagrange weights on the first ``threshold`` of the sorted ``indices``:
+    the row that interpolates at zero, then one row per surplus index that
+    predicts its share."""
+    base = indices[:threshold]
+
+    def weight(a: int, x: int) -> int:
+        others = [b for b in base if b != a]
+        den = math.prod(a - b for b in others)
+        return math.prod(x - b for b in others) * pow(den, -1, prime) % prime
+
+    return tuple(tuple(weight(a, x) for a in base) for x in (0, *indices[threshold:]))
 
 
-def _validated(shares: Sequence[SecretShare], params: SharingParams) -> list[SecretShare]:
+def _validated(
+    shares: Sequence[SecretShare], params: SharingParams
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, values) per share, sorted by index; a scalar value is a
+    length-1 tuple."""
     seen = set()
+    rows = []
     for s in shares:
         if not (1 <= s.index <= params.parties):
             raise ValueError(f"share index {s.index} out of range")
-        if not (0 <= s.value < params.prime):
+        values = (s.value,) if isinstance(s.value, numbers.Integral) else tuple(s.value)
+        if values and not (0 <= min(values) and max(values) < params.prime):
             raise ValueError("share value outside the field")
         if s.index in seen:
             raise ValueError(f"duplicate share index {s.index}")
         seen.add(s.index)
-    return sorted(shares, key=lambda s: s.index)
+        rows.append((s.index, values))
+    if len({len(values) for _, values in rows}) > 1:
+        raise ValueError("shares disagree on the secret's length")
+    return sorted(rows, key=lambda row: row[0])
 
 
-def reconstruct(shares: Sequence[SecretShare], params: SharingParams) -> int:
+def reconstruct(shares: Sequence[SecretShare], params: SharingParams) -> int | tuple[int, ...]:
     """Interpolate the secret at zero from at least ``threshold`` shares.
 
     With more than ``threshold`` shares the surplus ones are checked
     against the interpolated polynomial; any mismatch aborts with
     :class:`TamperError` rather than returning a silently wrong value.
+
+    Shares of a vector secret give back the tuple of its coordinates, and
+    a mismatch names the share that reconstructing the coordinates one by
+    one would: the first surplus share off its polynomial at the lowest
+    such coordinate.
     """
-    ordered = _validated(shares, params)
-    if len(ordered) < params.threshold:
-        raise ShareCountError(
-            f"got {len(ordered)} shares, reconstruction needs {params.threshold}"
-        )
-    base = ordered[: params.threshold]
-    for extra in ordered[params.threshold :]:
-        if _lagrange_at(base, extra.index, params.prime) != extra.value:
-            raise TamperError(f"share at index {extra.index} is off the sharing polynomial")
-    return _lagrange_at(base, 0, params.prime)
+    rows = _validated(shares, params)
+    t = params.threshold
+    if len(rows) < t:
+        raise ShareCountError(f"got {len(rows)} shares, reconstruction needs {t}")
+    weights = _reconstruction_weights(tuple(index for index, _ in rows), t, params.prime)
+    secret, *predicted = _weighted_sums([values for _, values in rows[:t]], weights, params.prime)
+    mismatches = [
+        (next(j for j, (a, b) in enumerate(zip(guess, values)) if a != b), index)
+        for (index, values), guess in zip(rows[t:], predicted)
+        if guess != values
+    ]
+    if mismatches:
+        raise TamperError(f"share at index {min(mismatches)[1]} is off the sharing polynomial")
+    return secret[0] if isinstance(shares[0].value, numbers.Integral) else secret
 
 
 def detect_tampering(shares: Sequence[SecretShare], params: SharingParams) -> bool:
@@ -368,13 +442,13 @@ def secure_aggregate(
 ) -> np.ndarray:
     """Sum the contributors' vectors without revealing any one of them.
 
-    Each contributor fixed-point encodes its vector and shares every
-    coordinate among the parties; parties add shares locally; recipients
-    reconstruct the per-coordinate sums and decode. Only the sum is ever
-    reconstructed. ``corrupt_party`` is a fault-injection hook for tests:
-    it perturbs that party's first summed share before reconstruction,
-    which the consistency check must catch whenever there are more parties
-    than the threshold.
+    Each contributor fixed-point encodes its vector and shares it among the
+    parties, one polynomial per coordinate; parties add shares locally;
+    recipients reconstruct the per-coordinate sums and decode. Only the
+    sum is ever reconstructed. ``corrupt_party`` is a fault-injection hook
+    for tests: it perturbs that party's first summed share before
+    reconstruction, which the consistency check must catch whenever there
+    are more parties than the threshold.
 
     Raises :class:`ContributorError` below three contributors: with one or
     two inputs the aggregate itself gives a recipient enough to solve for
@@ -393,24 +467,21 @@ def secure_aggregate(
         raise ValueError("contributor vectors disagree on dimension")
 
     params = session.params
-    elem_bytes = (params.prime.bit_length() + 7) // 8
-    nu = params.parties
-    # sums[party_position][coordinate]
-    sums = [[0] * dim for _ in range(nu)]
+    prime = params.prime
+    elem_bytes = (prime.bit_length() + 7) // 8
+    # sums[party_position][coordinate], reduced once all contributors are in
+    sums = [[0] * dim for _ in session.parties]
     for contributor, vec in zip(session.contributors, vectors):
-        encoded = codec.encode_vector(vec)
-        per_party: list[list[int]] = [[] for _ in range(nu)]
-        for value in encoded:
-            for pos, s in enumerate(share(value, params, rng)):
-                per_party[pos].append(s.value)
-        for pos, party in enumerate(session.parties):
-            for coord in range(dim):
-                sums[pos][coord] = (sums[pos][coord] + per_party[pos][coord]) % params.prime
+        shares = share(codec.encode_vector(vec), params, rng)
+        for pos, (party, s) in enumerate(zip(session.parties, shares)):
+            sums[pos] = [a + b for a, b in zip(sums[pos], s.value)]
             if transcript is not None:
-                transcript.log(round_index, "share", contributor, party, per_party[pos], elem_bytes)
+                transcript.log(round_index, "share", contributor, party, s.value, elem_bytes)
+        del shares  # one contributor's shares alive at a time
+    sums = [[v % prime for v in row] for row in sums]
 
     if corrupt_party is not None:
-        sums[corrupt_party][0] = (sums[corrupt_party][0] + corrupt_delta) % params.prime
+        sums[corrupt_party][0] = (sums[corrupt_party][0] + corrupt_delta) % prime
 
     for recipient in session.recipients:
         for pos, party in enumerate(session.parties):
@@ -419,10 +490,7 @@ def secure_aggregate(
         if transcript is not None:
             transcript.reconstructions += 1
 
-    totals = []
-    for coord in range(dim):
-        coord_shares = [SecretShare(pos + 1, sums[pos][coord]) for pos in range(nu)]
-        totals.append(reconstruct(coord_shares, params))
+    totals = reconstruct([SecretShare(pos + 1, tuple(row)) for pos, row in enumerate(sums)], params)
     return codec.decode_vector(totals)
 
 

@@ -9,12 +9,16 @@ The exceptions are pins of code that a faster or simpler version
 replaced: ``pairwise_max_distance``, the three round functions of an
 earlier engine (``old_dms_round``, ``old_ctl_round``,
 ``old_fedavg_round``) and the per-agent round body that the stacked
-engine replaced (``per_agent_round``), with their arithmetic and draw
-order unchanged, so tests can assert that the replacement gives exactly
-the same numbers.
+engine replaced (``per_agent_round``), and the secure-sum path before
+cached reconstruction weights and vector shares (``old_share``,
+``old_reconstruct``, ``old_secure_aggregate`` and their helpers), with
+their arithmetic and draw order unchanged, so tests can assert that the
+replacement gives exactly the same numbers.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +29,20 @@ from dmslearn.consensus import (
     _secure_mix,
 )
 from dmslearn.numerics import NoiseModel, local_step
-from dmslearn.secagg import SecAggError, party_placement, secure_aggregate
+from dmslearn.secagg import (
+    ContributorError,
+    EncodingRangeError,
+    FixedPointCodec,
+    SecAggError,
+    SecAggSession,
+    SecretShare,
+    ShareCountError,
+    SharingParams,
+    TamperError,
+    Transcript,
+    party_placement,
+    secure_aggregate,
+)
 from dmslearn.topology import mixing_matrix
 
 
@@ -386,3 +403,177 @@ def per_agent_rounds(agents, schedule, strategy, rounds, **options):
         )
         for k in range(rounds)
     ]
+
+
+# --- the secure-sum path the cached-weight, vector-share one replaced ---
+# Copied unchanged apart from the names: one scalar share per coordinate,
+# one rng.bytes call per field element, Horner evaluation and a modular
+# inverse per Lagrange term.
+
+
+def old_rand_field_element(rng: np.random.Generator, prime: int) -> int:
+    """Uniform element of ``[0, prime)`` by rejection sampling."""
+    bits = (prime - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    while True:
+        v = int.from_bytes(rng.bytes(nbytes), "big") & mask
+        if v < prime:
+            return v
+
+
+def old_poly_eval(coeffs: Sequence[int], x: int, prime: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % prime
+    return acc
+
+
+def old_share(
+    secret: int,
+    params: SharingParams,
+    rng: np.random.Generator | None = None,
+    *,
+    coefficients: Sequence[int] | None = None,
+) -> list[SecretShare]:
+    """Split ``secret`` into ``params.parties`` shares.
+
+    The constant coefficient is the secret; the remaining ``degree``
+    coefficients are drawn uniformly from the field, or taken from
+    ``coefficients`` when given (enumeration and privacy tests need to pin
+    them).
+    """
+    if not (0 <= secret < params.prime):
+        raise ValueError("secret outside the field")
+    if coefficients is not None:
+        if len(coefficients) != params.degree:
+            raise ValueError("need exactly one coefficient per degree")
+        if any(not (0 <= c < params.prime) for c in coefficients):
+            raise ValueError("coefficient outside the field")
+        coeffs = [secret, *coefficients]
+    else:
+        if rng is None:
+            raise ValueError("random sharing needs an rng")
+        coeffs = [secret] + [old_rand_field_element(rng, params.prime) for _ in range(params.degree)]
+    return [
+        SecretShare(index=x, value=old_poly_eval(coeffs, x, params.prime))
+        for x in range(1, params.parties + 1)
+    ]
+
+
+def old_lagrange_at(points: Sequence[SecretShare], x: int, prime: int) -> int:
+    """Evaluate the unique polynomial through ``points`` at ``x``."""
+    total = 0
+    for a in points:
+        num = 1
+        den = 1
+        for b in points:
+            if b.index == a.index:
+                continue
+            num = (num * (x - b.index)) % prime
+            den = (den * (a.index - b.index)) % prime
+        total = (total + a.value * num * pow(den, prime - 2, prime)) % prime
+    return total
+
+
+def _old_validated(shares: Sequence[SecretShare], params: SharingParams) -> list[SecretShare]:
+    seen = set()
+    for s in shares:
+        if not (1 <= s.index <= params.parties):
+            raise ValueError(f"share index {s.index} out of range")
+        if not (0 <= s.value < params.prime):
+            raise ValueError("share value outside the field")
+        if s.index in seen:
+            raise ValueError(f"duplicate share index {s.index}")
+        seen.add(s.index)
+    return sorted(shares, key=lambda s: s.index)
+
+
+def old_reconstruct(shares: Sequence[SecretShare], params: SharingParams) -> int:
+    """Interpolate the secret at zero from at least ``threshold`` shares.
+
+    With more than ``threshold`` shares the surplus ones are checked
+    against the interpolated polynomial; any mismatch aborts with
+    :class:`TamperError` rather than returning a silently wrong value.
+    """
+    ordered = _old_validated(shares, params)
+    if len(ordered) < params.threshold:
+        raise ShareCountError(
+            f"got {len(ordered)} shares, reconstruction needs {params.threshold}"
+        )
+    base = ordered[: params.threshold]
+    for extra in ordered[params.threshold :]:
+        if old_lagrange_at(base, extra.index, params.prime) != extra.value:
+            raise TamperError(f"share at index {extra.index} is off the sharing polynomial")
+    return old_lagrange_at(base, 0, params.prime)
+
+
+def old_secure_aggregate(
+    vectors: Sequence[np.ndarray],
+    session: SecAggSession,
+    codec: FixedPointCodec,
+    rng: np.random.Generator,
+    *,
+    transcript: Transcript | None = None,
+    round_index: int = 0,
+    corrupt_party: int | None = None,
+    corrupt_delta: int = 1,
+) -> np.ndarray:
+    """Sum the contributors' vectors without revealing any one of them.
+
+    Each contributor fixed-point encodes its vector and shares every
+    coordinate among the parties; parties add shares locally; recipients
+    reconstruct the per-coordinate sums and decode. Only the sum is ever
+    reconstructed. ``corrupt_party`` is a fault-injection hook for tests:
+    it perturbs that party's first summed share before reconstruction,
+    which the consistency check must catch whenever there are more parties
+    than the threshold.
+
+    Raises :class:`ContributorError` below three contributors: with one or
+    two inputs the aggregate itself gives a recipient enough to solve for
+    an individual contribution.
+    """
+    if len(vectors) < 3:
+        raise ContributorError("secure aggregation needs at least 3 contributors")
+    if len(vectors) != len(session.contributors):
+        raise ValueError("one vector per contributor required")
+    if codec.prime != session.params.prime:
+        raise ValueError("codec and sharing params disagree on the field")
+    if not codec.sum_headroom(len(vectors)):
+        raise EncodingRangeError("field headroom too small for this many contributors")
+    dim = int(np.asarray(vectors[0]).size)
+    if any(np.asarray(v).size != dim for v in vectors):
+        raise ValueError("contributor vectors disagree on dimension")
+
+    params = session.params
+    elem_bytes = (params.prime.bit_length() + 7) // 8
+    nu = params.parties
+    # sums[party_position][coordinate]
+    sums = [[0] * dim for _ in range(nu)]
+    for contributor, vec in zip(session.contributors, vectors):
+        encoded = codec.encode_vector(vec)
+        per_party: list[list[int]] = [[] for _ in range(nu)]
+        for value in encoded:
+            for pos, s in enumerate(old_share(value, params, rng)):
+                per_party[pos].append(s.value)
+        for pos, party in enumerate(session.parties):
+            for coord in range(dim):
+                sums[pos][coord] = (sums[pos][coord] + per_party[pos][coord]) % params.prime
+            if transcript is not None:
+                transcript.log(round_index, "share", contributor, party, per_party[pos], elem_bytes)
+
+    if corrupt_party is not None:
+        sums[corrupt_party][0] = (sums[corrupt_party][0] + corrupt_delta) % params.prime
+
+    for recipient in session.recipients:
+        for pos, party in enumerate(session.parties):
+            if transcript is not None:
+                transcript.log(round_index, "reconstruct", party, recipient, sums[pos], elem_bytes)
+        if transcript is not None:
+            transcript.reconstructions += 1
+
+    totals = []
+    for coord in range(dim):
+        coord_shares = [SecretShare(pos + 1, sums[pos][coord]) for pos in range(nu)]
+        totals.append(old_reconstruct(coord_shares, params))
+    return codec.decode_vector(totals)

@@ -1,10 +1,11 @@
 import importlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dmslearn import experiment
+from dmslearn import experiment, secagg
 from dmslearn.cli import main
 from dmslearn.config import ConfigError, load_config, parse_config
 from dmslearn.experiment import (
@@ -161,6 +162,29 @@ def test_run_experiment_keeps_no_secure_payloads(tmp_path, monkeypatch):
     assert len(lines) == transcript.messages
 
 
+def test_secure_run_shares_and_reconstructs_through_the_public_names(tmp_path, monkeypatch):
+    # The benchmark's layer trace times secure rounds by wrapping these two
+    # names, so a secure sum has to call them: one vector share per
+    # contributor and one reconstruction per session.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(secagg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(secagg, name, wrapper)
+
+    counted("share")
+    counted("reconstruct")
+    config = small_quadratic(rounds=3, secure={"enabled": True})
+    result = run_experiment(config, tmp_path)
+    assert calls["share"] == sum(m.active_agents for m in result.run.metrics) > 0
+    assert calls["reconstruct"] == config.rounds
+
+
 def test_forecast_kmeans_is_seeded_from_the_data_stream(monkeypatch):
     seeds = []
     real = experiment.kmeans
@@ -298,12 +322,13 @@ def test_cli_seed_override(tmp_path):
     assert echoed["seed"] == 5
 
 
-def test_cli_mpc_bench(tmp_path):
+def test_cli_mpc_bench_is_removed(tmp_path, capsys):
     out = tmp_path / "bench"
-    assert main(["mpc-bench", "--dim", "4", "--out", str(out)]) == 0
-    lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert len(lines) == 5  # header + four party grids
-    assert "messages" in lines[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["mpc-bench", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mpc-bench'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_cluster(tmp_path):
@@ -343,6 +368,19 @@ def test_cli_run_rejects_more_malicious_agents_than_the_run_has(tmp_path, config
     cfg.write_text("rounds: 2\n" + config)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_run_rejects_a_pick_beyond_the_largest_cluster(tmp_path, capsys):
+    # At seed 0 the largest of the 3 clusters of 12 households holds 5.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(
+        "task: forecast\nrounds: 1\ndata: {households: 12, days: 3, pick: 10}\n"
+        "model: {lookback: 8, hidden: 3}\nattack: {malicious: 9}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.data.pick: 10 agents asked for" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,6 +17,9 @@ from dmslearn.secagg import (
     SecretShare,
     TamperError,
     Transcript,
+    _rand_field_elements,
+    _reconstruction_weights,
+    _slots,
     detect_tampering,
     party_placement,
     reconstruct,
@@ -25,7 +28,14 @@ from dmslearn.secagg import (
 )
 from dmslearn.topology import make_subset_graph, make_topology
 
-from oracles import naive_poly_eval, naive_reconstruct
+from oracles import (
+    naive_poly_eval,
+    naive_reconstruct,
+    old_rand_field_element,
+    old_reconstruct,
+    old_secure_aggregate,
+    old_share,
+)
 
 
 def trio(prime=PRIME_TEST_97):
@@ -35,6 +45,9 @@ def trio(prime=PRIME_TEST_97):
 def test_worked_shares():
     shares = share(5, trio(), coefficients=(3,))
     assert [(s.index, s.value) for s in shares] == [(1, 8), (2, 11), (3, 14)]
+    shares = share([5, 6], trio(), coefficients=[(3,), (1,)])
+    assert [(s.index, s.value) for s in shares] == [(1, (8, 7)), (2, (11, 8)), (3, (14, 9))]
+    assert reconstruct(shares, trio()) == (5, 6)
 
 
 def test_worked_shares_match_poly_oracle():
@@ -318,3 +331,173 @@ def test_placement_subset_too_small():
     g = make_subset_graph(8, (1, 4))
     with pytest.raises(ContributorError):
         party_placement("dms", graph=g)
+
+
+# --- the bulk-draw, cached-weight, vector-share path against the old one ---
+
+
+class CountingRng:
+    """Passes ``bytes`` through to a generator and records each request."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.requests = []
+
+    def bytes(self, length):
+        self.requests.append(length)
+        return self.rng.bytes(length)
+
+
+def test_padded_slots_of_one_draw_are_the_single_draws():
+    # Generator.bytes hands out whole 32-bit words, which the bulk draw relies on.
+    for nbytes in range(1, 21):
+        bulk, single = np.random.default_rng(nbytes), np.random.default_rng(nbytes)
+        slot = -(-nbytes // 4) * 4
+        assert _slots(bulk.bytes(slot * 9), slot, nbytes) == [single.bytes(nbytes) for _ in range(9)]
+        assert bulk.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "prime, count, requests",
+    [
+        (PRIME_128, 40, 1),  # 16-byte draws, rejection all but impossible
+        (PRIME_TEST_97, 60, None),  # 1-byte draws of 7 bits: about 24% rejected, so it tops up
+    ],
+)
+def test_bulk_draw_equals_single_draws(prime, count, requests):
+    bulk, single = CountingRng(np.random.default_rng(5)), np.random.default_rng(5)
+    drawn = _rand_field_elements(bulk, prime, count)
+    assert drawn == [old_rand_field_element(single, prime) for _ in range(count)]
+    assert bulk.rng.bit_generator.state == single.bit_generator.state
+    if requests is None:
+        assert len(bulk.requests) > 1
+    else:
+        assert len(bulk.requests) == requests
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def sharing_params(draw, prime):
+    parties = draw(st.sampled_from([1, *range(3, 12)]))  # two parties admit no degree
+    degree = draw(st.integers(min_value=0 if parties == 1 else 1, max_value=(parties - 1) // 2))
+    return SharingParams(parties, degree, prime)
+
+
+PRIMES = st.sampled_from([PRIME_TEST_31, PRIME_TEST_97, PRIME_128])
+
+
+@given(data=st.data(), prime=PRIMES, seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_vector_share_and_reconstruct_match_the_old_scalar_path(data, prime, seed):
+    params = sharing_params(data.draw, prime)
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    secret = data.draw(st.lists(st.integers(0, prime - 1), min_size=dim, max_size=dim))
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    shares = share(secret, params, new_rng)
+    per_coord = [old_share(v, params, old_rng) for v in secret]
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert shares == [
+        SecretShare(x, tuple(col[x - 1].value for col in per_coord))
+        for x in range(1, params.parties + 1)
+    ]
+    assert share(secret[0], params, np.random.default_rng(seed)) == per_coord[0]
+
+    # A random subset in random order, with up to two values moved off.
+    picked = data.draw(st.permutations(shares))[: data.draw(st.integers(0, params.parties))]
+    for _ in range(data.draw(st.integers(0, 2)) if picked else 0):
+        pos, coord = data.draw(st.integers(0, len(picked) - 1)), data.draw(st.integers(0, dim - 1))
+        value = list(picked[pos].value)
+        value[coord] = (value[coord] + data.draw(st.integers(1, prime - 1))) % prime
+        picked[pos] = SecretShare(picked[pos].index, tuple(value))
+
+    def old_per_coord():
+        return tuple(
+            old_reconstruct([SecretShare(s.index, s.value[j]) for s in picked], params)
+            for j in range(dim)
+        )
+
+    assert outcome(reconstruct, picked, params) == outcome(old_per_coord)
+    scalar = [SecretShare(s.index, s.value[0]) for s in picked]
+    assert outcome(reconstruct, scalar, params) == outcome(old_reconstruct, scalar, params)
+
+
+def test_tamper_names_the_surplus_share_off_at_the_lowest_coordinate():
+    params = SharingParams(7, 2, PRIME_TEST_97)
+    shares = share([1, 2, 3], params, np.random.default_rng(0))
+    for pos, coord in ((4, 2), (5, 0)):  # index 5 off at coordinate 2, index 6 at 0
+        value = list(shares[pos].value)
+        value[coord] = (value[coord] + 1) % PRIME_TEST_97
+        shares[pos] = SecretShare(shares[pos].index, tuple(value))
+    with pytest.raises(TamperError, match="share at index 6 is off"):
+        reconstruct(shares, params)
+
+
+@given(data=st.data(), prime=PRIMES, seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_secure_aggregate_matches_the_old_per_coordinate_path(data, prime, seed):
+    params = sharing_params(data.draw, prime)
+    codec = FixedPointCodec(1, 1, prime) if prime < PRIME_128 else FixedPointCodec()
+    count = data.draw(st.integers(min_value=3, max_value=5))
+    dim = data.draw(st.integers(min_value=0, max_value=4))
+    # Values on the codec's grid, inside its range.
+    top = (1 << (codec.integer_bits + codec.fraction_bits)) - 1
+    grid = st.lists(st.integers(-top, top), min_size=dim, max_size=dim)
+    vectors = [np.array(data.draw(grid), dtype=float) / codec.scale for _ in range(count)]
+    session = SecAggSession(
+        params,
+        contributors=tuple(range(count)),
+        parties=tuple(range(100, 100 + params.parties)),
+        recipients=tuple(range(data.draw(st.integers(1, count)))),
+    )
+    corrupt = data.draw(st.one_of(st.none(), st.integers(0, params.parties - 1)))
+    runs = []
+    for aggregate in (secure_aggregate, old_secure_aggregate):
+        rng, transcript = np.random.default_rng(seed), Transcript()
+        total = outcome(
+            aggregate, vectors, session, codec, rng,
+            transcript=transcript, round_index=2, corrupt_party=corrupt,
+        )
+        runs.append((total, rng.bit_generator.state, transcript))
+    (new, new_state, new_log), (old, old_state, old_log) = runs
+    assert type(new) is type(old)
+    if isinstance(old, np.ndarray):
+        assert np.array_equal(new, old)
+    else:
+        assert new == old
+    assert new_state == old_state
+    assert new_log.entries == old_log.entries
+    assert (new_log.messages, new_log.bytes, new_log.reconstructions, new_log.sent_counts) == (
+        old_log.messages, old_log.bytes, old_log.reconstructions, old_log.sent_counts
+    )
+
+
+def test_corrupt_party_is_caught_at_every_position():
+    codec = FixedPointCodec()
+    params = SharingParams(7, 3)
+    session = SecAggSession(params, tuple(range(4)), tuple(range(10, 17)), (0,))
+    vectors = [np.full(3, float(i)) for i in range(4)]
+    for pos in range(params.parties):
+        new, old = (
+            outcome(aggregate, vectors, session, codec, np.random.default_rng(7), corrupt_party=pos)
+            for aggregate in (secure_aggregate, old_secure_aggregate)
+        )
+        assert new == old
+        assert new[0] is TamperError
+
+
+def test_reconstruction_weights_are_cached_per_index_set():
+    _reconstruction_weights.cache_clear()
+    rng = np.random.default_rng(0)
+    params = SharingParams(5, 2, PRIME_TEST_97)
+    for _ in range(3):
+        reconstruct(share([1, 2, 3], params, rng), params)
+        reconstruct(share(4, params, rng)[1:], params)
+    info = _reconstruction_weights.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    assert info.maxsize is not None
