@@ -189,6 +189,8 @@ class ExperimentConfig:
             raise ValueError("subset_size must be at least 3")
         if self.substructure_count < 1:
             raise ValueError("substructure_count must be positive")
+        if self.tolerance is not None and self.task != "quadratic":
+            raise ValueError("tolerance needs the quadratic task's known optimum")
         if self.strategy == "centralized" and self.secure.enabled:
             raise ValueError("secure aggregation needs at least 3 contributors; centralized has one")
         if self.secure.enabled and self.strategy == "fedavg" and self.agent_count < 3:

@@ -6,10 +6,10 @@ and a mix stage, where the (hooked) outgoing weights are averaged and
 scaled by ``alpha``. ``dms``, ``dfc``, ``dring`` and ``centralized``
 learn then mix over the round's graph, ``ctl`` mixes then learns, and
 ``fedavg`` learns then takes the server mean over all agents. Secure
-mode routes every averaging sum through the threshold-sharing sessions of
-``party_placement`` instead of plaintext arithmetic. ``dms_round``,
-``ctl_round`` and ``fedavg_round`` are the per-strategy entry points into
-that one round body.
+mode routes every averaging sum through the threshold-sharing sessions
+that ``party_placement`` derives from the round graph instead of
+plaintext arithmetic. ``dms_round``, ``ctl_round`` and ``fedavg_round``
+are the per-strategy entry points into that one round body.
 """
 
 from __future__ import annotations
@@ -326,22 +326,18 @@ def _learner(
 
 
 def _secure_mix(
-    broadcast: np.ndarray,
-    graph: Graph | None,
-    placement: str,
-    secure: SecureSetup,
-    round_index: int,
+    broadcast: np.ndarray, graph: Graph | None, secure: SecureSetup, round_index: int
 ) -> np.ndarray:
     """Group averaging computed through secure summation.
 
     Uniform closed-neighborhood weights turn each agent's mix into a plain
     sum over its aggregation group divided by the group size, which is
-    exactly what a secure-sum session provides. The fedavg session reveals
+    exactly what a secure-sum session provides. The server session reveals
     the sum to the server, which hands the mean back to every contributor.
     """
     n = broadcast.shape[0]
     mixed = broadcast.copy()  # isolated agents keep their own phi
-    sessions = party_placement(placement, graph=graph, agent_count=n, prime=secure.prime)
+    sessions = party_placement(graph, agent_count=n, prime=secure.prime)
     for session in sessions:
         total = secure_aggregate(
             [broadcast[j] for j in session.contributors],
@@ -362,7 +358,7 @@ def _round_metrics(
     graph: Graph | None,
     broadcast: np.ndarray,
     secure: SecureSetup | None,
-    counters_before: tuple[int, int, dict[int, int]] | None,
+    first_entry: int,
 ) -> RoundMetrics:
     n, d = broadcast.shape
     if graph is None:
@@ -379,13 +375,11 @@ def _round_metrics(
         # Each plaintext message carries d float64 weights.
         nbytes, per_agent = messages * d * 8, degrees.copy()
     else:
-        transcript = secure.transcript
-        msgs0, bytes0, sent0 = counters_before
-        messages, nbytes = transcript.messages - msgs0, transcript.bytes - bytes0
-        per_agent = np.zeros(n, dtype=np.int64)
-        for sender, count in transcript.sent_counts.items():
-            if 0 <= sender < n:
-                per_agent[sender] = count - sent0.get(sender, 0)
+        # The round's own transcript entries, from ``first_entry`` on.
+        entries = secure.transcript.entries[first_entry:]
+        messages, nbytes = len(entries), sum(e.payload_bytes for e in entries)
+        senders = [e.sender for e in entries if 0 <= e.sender < n]
+        per_agent = np.bincount(senders, minlength=n)
     return RoundMetrics(round_index, edge_count, active, messages, nbytes, degrees, per_agent)
 
 
@@ -395,7 +389,6 @@ def _round(
     learn: Callable[[np.ndarray], np.ndarray],
     *,
     learn_first: bool,
-    placement: str,
     alpha: float = 1.0,
     broadcast_hook: BroadcastHook | None = None,
     secure: SecureSetup | None = None,
@@ -405,7 +398,7 @@ def _round(
     stage, in either order; returns the new weights, the learn output and
     the metrics. Mix hooks the outgoing weights, averages them with the
     round graph's mixing matrix, the server mean when ``graph`` is None,
-    or secure sessions laid out by ``placement``, and scales by ``alpha``.
+    or the secure sessions of ``party_placement``, and scales by ``alpha``.
     """
     n = len(thetas)
     if graph is not None and graph.agent_count != n:
@@ -414,12 +407,11 @@ def _round(
     # The hook gets a copy: an in-place edit must not reach theta or phi.
     broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
 
-    before = None
+    first_entry = 0
     if secure is not None:
-        t = secure.transcript
-        before = (t.messages, t.bytes, dict(t.sent_counts))
+        first_entry = len(secure.transcript.entries)
         try:
-            mixed = alpha * _secure_mix(broadcast, graph, placement, secure, round_index)
+            mixed = alpha * _secure_mix(broadcast, graph, secure, round_index)
         except SecAggError as exc:
             raise RoundFailure(round_index, exc) from exc
     elif graph is None:
@@ -428,34 +420,33 @@ def _round(
     else:
         mixed = alpha * (graph.mixing @ broadcast)
 
-    metrics = _round_metrics(round_index, graph, broadcast, secure, before)
+    metrics = _round_metrics(round_index, graph, broadcast, secure, first_entry)
     if learn_first:
         return mixed, outgoing, metrics
     phis = learn(mixed)
     return phis, phis, metrics
 
 
-def dms_round(thetas, learn, schedule: MarkovSchedule, *, strategy: str = "dms", **options):
+def dms_round(thetas, learn, schedule: MarkovSchedule, **options):
     """Learn-then-mix round: local steps, then neighbor averaging over the
-    graph the schedule draws for this round. ``strategy`` picks the secure
-    session layout; everything else is as in :func:`_round`, and secure
-    aborts surface as :class:`RoundFailure`."""
+    graph the schedule draws for this round. Options are as in
+    :func:`_round`, and secure aborts surface as :class:`RoundFailure`."""
     graph = schedule.advance()
-    return _round(thetas, graph, learn, learn_first=True, placement=strategy, **options)
+    return _round(thetas, graph, learn, learn_first=True, **options)
 
 
 def ctl_round(thetas, learn, schedule: MarkovSchedule, **options):
     """Mix-then-learn twin: neighbor averaging of current weights first,
     then every agent takes its local steps from the mixed point."""
     graph = schedule.advance()
-    return _round(thetas, graph, learn, learn_first=False, placement="ctl", **options)
+    return _round(thetas, graph, learn, learn_first=False, **options)
 
 
 def fedavg_round(thetas, learn, **options):
     """Server round: every agent runs its local epochs from the global
     weights it holds, and the server averages the uploads (securely
     through three external parties when enabled)."""
-    return _round(thetas, None, learn, learn_first=True, placement="fedavg", **options)
+    return _round(thetas, None, learn, learn_first=True, **options)
 
 
 def _write_back(agents: list[AgentState], thetas: np.ndarray, phis: np.ndarray | None) -> None:
@@ -503,9 +494,10 @@ def run_training(
     """Drive a strategy for ``rounds`` rounds or until the worst-agent
     squared error drops below ``tolerance``.
 
-    The tolerance check needs a monitor (it supplies the reference
-    optimum) and fires before the first round too, so a run that starts
-    converged reports zero rounds. A divergent weight or worst error (see
+    A tolerance needs a monitor, which supplies the reference optimum
+    (without one the call raises ``ValueError``). The check fires before
+    the first round too, so a run that starts converged reports zero
+    rounds. A divergent weight or worst error (see
     ``_diverged``) stops the run and flags it.
 
     The rounds run on one stacked (n, d) weight array; its rows are
@@ -528,17 +520,12 @@ def run_training(
 
     phis = None
     metrics_list: list[RoundMetrics] = []
-    if monitor is None:  # the tolerance is measured against the monitor's optimum
-        tolerance = worst = None
-    else:
-        worst = monitor.record(thetas)
+    if tolerance is not None and monitor is None:
+        raise ValueError("a tolerance needs a monitor, whose optimum it is measured against")
+    worst = None if monitor is None else monitor.record(thetas)
     terminated = tolerance is not None and worst < tolerance
     diverged = False
     completed = 0
-    # Secure placement of the switching strategy degenerates to the
-    # complete one on full-participation graphs; the label only picks
-    # the session layout.
-    placement = {"dfc": "dfc", "dms": "dms", "dring": "dring", "centralized": "dms"}
     learn = _learner(agents, epochs, noise, noise_rng)
     options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
     try:
@@ -548,9 +535,7 @@ def run_training(
             elif strategy == "ctl":
                 thetas, phis, metrics = ctl_round(thetas, learn, schedule, round_index=k, **options)
             else:
-                thetas, phis, metrics = dms_round(
-                    thetas, learn, schedule, strategy=placement[strategy], round_index=k, **options
-                )
+                thetas, phis, metrics = dms_round(thetas, learn, schedule, round_index=k, **options)
             metrics_list.append(metrics)
             completed = k + 1
             if monitor is not None:

@@ -202,11 +202,6 @@ class WindowedSplits:
     lo: float
     hi: float
 
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        if self.hi - self.lo <= 0:
-            return np.zeros_like(x)
-        return (x - self.lo) / (self.hi - self.lo)
-
 
 def window_dataset(profile, lookback: int, horizon: int) -> WindowedSplits:
     """Sliding supervised windows from one series, stride one.

@@ -236,7 +236,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """Build everything from the config, train, and emit the report set.
 
     Writes ``report.jsonl``, ``config.echo``, ``summary.csv``, and (in
-    secure mode) ``transcript.jsonl`` under ``out_dir`` when given.
+    secure mode) ``transcript.jsonl`` under ``out_dir`` when given. The
+    transcript is written round by round, so a secure run that aborts
+    leaves only ``transcript.jsonl``, holding its completed rounds.
     """
     rngs = seed_streams(config.seed)
 
@@ -300,8 +302,24 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     )
 
     rows: list[dict] = []
+    # Secure runs stream the transcript: each completed round's entries are
+    # appended to transcript.jsonl and then dropped, so memory stays flat.
+    # A previous run's report set goes first, so that an aborted run does
+    # not leave its transcript beside another run's reports.
+    transcript_path = None
+    if secure is not None and out_dir is not None and config.secure.record_transcript:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for stale in ("report.jsonl", "summary.csv", "config.echo"):
+            (out / stale).unlink(missing_ok=True)
+        transcript_path = out / "transcript.jsonl"
+        transcript_path.write_text("")
 
     def on_round(k, ags, metrics):
+        if secure is not None:
+            if transcript_path is not None:
+                write_transcript(transcript_path, secure.transcript)
+            secure.transcript.entries.clear()
         thetas = np.array([a.theta for a in ags])
         rec = {
             "edges": metrics.edge_count,
@@ -364,8 +382,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         paths["config_echo"] = echo
         grid_cols = sorted(summary.keys() - {"households"})
         paths["summary"] = write_summary_csv(out / "summary.csv", [summary], grid_cols)
-        if secure is not None and config.secure.record_transcript:
-            paths["transcript"] = write_transcript(out / "transcript.jsonl", secure.transcript)
+        if transcript_path is not None:
+            paths["transcript"] = transcript_path
 
     return ExperimentResult(config=config, run=run, records=records, summary=summary, paths=paths)
 

@@ -85,10 +85,10 @@ def write_summary_csv(path: str | Path, rows: Sequence[dict], columns: Sequence[
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> Path:
-    """One JSON line per recorded protocol message."""
+    """Append one JSON line per recorded protocol message to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with path.open("a") as fh:
         for e in transcript.entries:
             rec = {
                 "round": e.round_index,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -295,9 +294,9 @@ def detect_tampering(shares: Sequence[SecretShare], params: SharingParams) -> bo
 class FixedPointCodec:
     """Map reals to the field with ``fraction_bits`` of fractional precision.
 
-    ``encode`` rounds to the nearest multiple of ``2**-fraction_bits`` and
-    embeds negatives in the upper half of the field, so decode uses the
-    half-field sign convention. Values representable with ``fraction_bits``
+    ``encode_vector`` rounds to the nearest multiple of
+    ``2**-fraction_bits`` and embeds negatives in the upper half of the
+    field, so decode uses the half-field sign convention. Values representable with ``fraction_bits``
     fractional bits round-trip exactly: 48 significand bits are well inside
     float64's 53.
     """
@@ -325,11 +324,6 @@ class FixedPointCodec:
     def half(self) -> int:
         return (self.prime - 1) // 2
 
-    def encode(self, x: float) -> int:
-        if not math.isfinite(x) or abs(x) >= self.magnitude_bound:
-            raise EncodingRangeError(f"value {x!r} outside the fixed-point range")
-        return int(math.floor(x * self.scale + 0.5)) % self.prime
-
     def decode(self, v: int) -> float:
         if not (0 <= v < self.prime):
             raise ValueError("field element out of range")
@@ -337,7 +331,13 @@ class FixedPointCodec:
         return signed / self.scale
 
     def encode_vector(self, values: np.ndarray | Sequence[float]) -> list[int]:
-        return [self.encode(float(x)) for x in np.asarray(values, dtype=float).ravel()]
+        x = np.asarray(values, dtype=float).ravel()
+        # NaN fails the comparison too.
+        bad = ~(np.abs(x) < self.magnitude_bound)
+        if bad.any():
+            first = float(x[np.argmax(bad)])
+            raise EncodingRangeError(f"value {first!r} outside the fixed-point range")
+        return [int(v) % self.prime for v in np.floor(x * float(self.scale) + 0.5)]
 
     def decode_vector(self, values: Sequence[int]) -> np.ndarray:
         return np.array([self.decode(int(v)) for v in values], dtype=float)
@@ -362,7 +362,6 @@ class SecAggSession:
     contributors: tuple[int, ...]
     parties: tuple[int, ...]
     recipients: tuple[int, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         if len(self.parties) != self.params.parties:
@@ -398,7 +397,6 @@ class Transcript:
         self.messages = 0
         self.bytes = 0
         self.reconstructions = 0
-        self.sent_counts: Counter[int] = Counter()
 
     def log(
         self,
@@ -411,7 +409,6 @@ class Transcript:
     ) -> None:
         self.messages += 1
         self.bytes += len(payload) * elem_bytes
-        self.sent_counts[sender] += 1
         self.entries.append(
             TranscriptEntry(
                 round_index,
@@ -494,70 +491,38 @@ def secure_aggregate(
     return codec.decode_vector(totals)
 
 
-def _ring_neighbors(graph, agent: int) -> tuple[int, int]:
-    nb = graph.neighbors[agent]
-    if len(nb) != 2:
-        raise ValueError("ring placement expects degree-2 agents")
-    return nb[0], nb[1]
-
-
 def party_placement(
-    strategy: str,
-    *,
-    graph=None,
-    agent_count: int | None = None,
-    prime: int = PRIME_128,
+    graph=None, *, agent_count: int | None = None, prime: int = PRIME_128
 ) -> list[SecAggSession]:
-    """Sessions for one round of a strategy.
+    """Secure-sum sessions for one round on ``graph``.
 
-    Server-style training uses three external parties that collect shares
-    from every agent and reveal only to the server. The static ring gives
-    each agent a three-party session with its two neighbors. The static
-    complete graph and the switching subsets make the (active) agents
-    themselves the parties, with the largest honest-majority degree.
+    With no graph (a server round), three external parties collect shares
+    from all ``agent_count`` agents and reveal the sum only to the server,
+    id ``agent_count``. On a graph, each agent mixes the uniform mean over
+    its closed neighborhood, so the agents that share one closed
+    neighborhood form one session: its members contribute and hold the
+    shares at the largest honest-majority degree, and those agents receive
+    the sum. Sessions come in the order of their lowest recipient; isolated
+    agents keep their own weights and get none.
     """
-    if strategy == "fedavg":
-        if agent_count is None:
-            raise ValueError("fedavg placement needs agent_count")
-        n = agent_count
-        return [
-            SecAggSession(
-                params=SharingParams(3, 1, prime),
-                contributors=tuple(range(n)),
-                parties=(n + 1, n + 2, n + 3),
-                recipients=(n,),
-                label="fedavg",
-            )
-        ]
     if graph is None:
-        raise ValueError(f"{strategy} placement needs the round graph")
-    if strategy == "dring":
-        sessions = []
-        for i in range(graph.agent_count):
-            left, right = _ring_neighbors(graph, i)
-            group = tuple(sorted((left, i, right)))
-            sessions.append(
-                SecAggSession(
-                    params=SharingParams(3, 1, prime),
-                    contributors=group,
-                    parties=group,
-                    recipients=(i,),
-                    label=f"dring:{i}",
-                )
-            )
-        return sessions
-    if strategy in ("dfc", "dms", "ctl"):
-        active = graph.active()
-        if len(active) < 3:
-            raise ContributorError("active subset smaller than 3 cannot aggregate securely")
-        nu = len(active)
-        return [
-            SecAggSession(
-                params=SharingParams(nu, (nu - 1) // 2, prime),
-                contributors=active,
-                parties=active,
-                recipients=active,
-                label=strategy,
-            )
-        ]
-    raise ValueError(f"unknown strategy {strategy!r}")
+        if agent_count is None:
+            raise ValueError("server placement needs agent_count")
+        n = agent_count
+        parties = (n + 1, n + 2, n + 3)
+        return [SecAggSession(SharingParams(3, 1, prime), tuple(range(n)), parties, (n,))]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, nb in enumerate(graph.neighbors):
+        if nb:
+            groups.setdefault(tuple(sorted((i, *nb))), []).append(i)
+    if any(len(members) < 3 for members in groups):
+        raise ContributorError("closed neighborhood smaller than 3 cannot aggregate securely")
+    return [
+        SecAggSession(
+            SharingParams(len(members), (len(members) - 1) // 2, prime),
+            contributors=members,
+            parties=members,
+            recipients=tuple(recipients),
+        )
+        for members, recipients in groups.items()
+    ]

@@ -146,7 +146,6 @@ def dlg_reconstruct(
     x_init: np.ndarray | None = None,
     y_init: np.ndarray | None = None,
     true_x: np.ndarray | None = None,
-    true_y: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Reconstruct a single training sample from its observed gradient.
 
@@ -344,7 +343,7 @@ def dlg_compare_topologies(
             for i in range(agent_count)
         ]
         codec = FixedPointCodec()
-        session = party_placement("fedavg", agent_count=agent_count, prime=codec.prime)[0]
+        session = party_placement(agent_count=agent_count, prime=codec.prime)[0]
         transcript = Transcript()
         total = secure_aggregate(
             grads, session, codec, secagg_rng, transcript=transcript, round_index=0

@@ -117,19 +117,9 @@ def make_subset_graph(agent_count: int, members: Iterable[int]) -> Graph:
     return Graph(agent_count, edges)
 
 
-def make_topology(
-    kind: str,
-    agent_count: int,
-    *,
-    subset_size: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Graph:
-    """Build a named topology.
-
-    ``ring`` and ``complete`` connect the agents in a cycle or all pairs.
-    ``subset`` draws a uniform random subset of ``subset_size`` agents and
-    connects it completely; it needs ``rng``.
-    """
+def make_topology(kind: str, agent_count: int) -> Graph:
+    """Build a named topology: ``ring`` or ``complete`` connect the agents
+    in a cycle or all pairs."""
     if kind == "ring":
         if agent_count < 3:
             raise ValueError("ring needs at least 3 agents")
@@ -140,15 +130,6 @@ def make_topology(
         return Graph(agent_count, edges)
     if kind == "complete":
         return make_subset_graph(agent_count, range(agent_count))
-    if kind == "subset":
-        if subset_size is None or rng is None:
-            raise ValueError("subset topology needs subset_size and rng")
-        if subset_size < 3:
-            raise ValueError("subset smaller than 3 cannot co-train")
-        if subset_size > agent_count:
-            raise ValueError("subset larger than the agent population")
-        members = rng.choice(agent_count, size=subset_size, replace=False)
-        return make_subset_graph(agent_count, members)
     raise ValueError(f"unknown topology kind {kind!r}")
 
 

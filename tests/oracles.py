@@ -9,15 +9,18 @@ The exceptions are pins of code that a faster or simpler version
 replaced: ``pairwise_max_distance``, the three round functions of an
 earlier engine (``old_dms_round``, ``old_ctl_round``,
 ``old_fedavg_round``) and the per-agent round body that the stacked
-engine replaced (``per_agent_round``), and the secure-sum path before
+engine replaced (``per_agent_round``), the secure-sum path before
 cached reconstruction weights and vector shares (``old_share``,
-``old_reconstruct``, ``old_secure_aggregate`` and their helpers), with
-their arithmetic and draw order unchanged, so tests can assert that the
+``old_reconstruct``, ``old_secure_aggregate`` and their helpers), the
+per-value fixed-point encoder (``old_encode``, ``old_encode_vector``) and
+the per-strategy session layout (``old_party_placement``), with their
+arithmetic and draw order unchanged, so tests can assert that the
 replacement gives exactly the same numbers.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +33,7 @@ from dmslearn.consensus import (
 )
 from dmslearn.numerics import NoiseModel, local_step
 from dmslearn.secagg import (
+    PRIME_128,
     ContributorError,
     EncodingRangeError,
     FixedPointCodec,
@@ -40,7 +44,6 @@ from dmslearn.secagg import (
     SharingParams,
     TamperError,
     Transcript,
-    party_placement,
     secure_aggregate,
 )
 from dmslearn.topology import mixing_matrix
@@ -152,7 +155,7 @@ def _hooked(phis, hook):
 
 def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
     mixed = broadcast.copy()
-    sessions = party_placement(strategy, graph=graph, prime=secure.prime)
+    sessions = old_party_placement(strategy, graph=graph, prime=secure.prime)
     if strategy == "dring":
         for session in sessions:
             recipient = session.recipients[0]
@@ -187,11 +190,11 @@ def _old_metrics(round_index, n, edge_count, active, degrees, plain_messages, tr
         return RoundMetrics(
             round_index, edge_count, active, plain_messages, 0, degrees, degrees.astype(np.int64)
         )
-    msgs0, bytes0, sent0 = before
+    msgs0, bytes0, first_entry = before
     per_agent = np.zeros(n, dtype=np.int64)
-    for sender, count in transcript.sent_counts.items():
-        if 0 <= sender < n:
-            per_agent[sender] = count - sent0.get(sender, 0)
+    for entry in transcript.entries[first_entry:]:
+        if 0 <= entry.sender < n:
+            per_agent[entry.sender] += 1
     return RoundMetrics(
         round_index,
         edge_count,
@@ -207,7 +210,7 @@ def _snapshot(secure):
     if secure is None or secure.transcript is None:
         return None
     t = secure.transcript
-    return (t.messages, t.bytes, dict(t.sent_counts))
+    return (t.messages, t.bytes, len(t.entries))
 
 
 def _graph_metrics(round_index, graph, secure, before):
@@ -281,7 +284,7 @@ def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=No
     broadcast = _hooked(np.array(uploads), broadcast_hook)
     before = _snapshot(secure)
     if secure is not None:
-        session = party_placement("fedavg", agent_count=n, prime=secure.prime)[0]
+        session = old_party_placement("fedavg", agent_count=n, prime=secure.prime)[0]
         try:
             total = secure_aggregate(
                 [broadcast[i] for i in range(n)],
@@ -354,7 +357,7 @@ def _learn(agents, starts, epochs, noise, noise_rng):
         agent.phi = phi
 
 
-def per_agent_round(agents, graph, *, learn_first, placement, alpha=1.0, epochs=1, noise=None,
+def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=None,
                     noise_rng=None, broadcast_hook=None, secure=None, round_index=0):
     """One round on a list of agents; ``broadcast_hook(i, row)`` is called per row.
 
@@ -368,10 +371,10 @@ def per_agent_round(agents, graph, *, learn_first, placement, alpha=1.0, epochs=
     else:
         outgoing = np.array([a.theta for a in agents])
     broadcast = _hooked(outgoing, broadcast_hook)
-    before = _snapshot(secure)
+    first_entry = 0 if secure is None else len(secure.transcript.entries)
     if secure is not None:
         try:
-            mixed = alpha * _secure_mix(broadcast, graph, placement, secure, round_index)
+            mixed = alpha * _secure_mix(broadcast, graph, secure, round_index)
         except SecAggError as exc:
             raise RoundFailure(round_index, exc) from exc
     elif graph is None:
@@ -385,19 +388,17 @@ def per_agent_round(agents, graph, *, learn_first, placement, alpha=1.0, epochs=
         _learn(agents, mixed, epochs, noise, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
-    return _round_metrics(round_index, graph, broadcast, secure, before)
+    return _round_metrics(round_index, graph, broadcast, secure, first_entry)
 
 
 def per_agent_rounds(agents, schedule, strategy, rounds, **options):
     """Drive ``per_agent_round`` the way the training loop did; returns the
     per-round metrics."""
-    placement = "dms" if strategy == "centralized" else strategy
     return [
         per_agent_round(
             agents,
             None if strategy == "fedavg" else schedule.advance(),
             learn_first=strategy != "ctl",
-            placement=placement,
             round_index=k,
             **options,
         )
@@ -551,7 +552,7 @@ def old_secure_aggregate(
     # sums[party_position][coordinate]
     sums = [[0] * dim for _ in range(nu)]
     for contributor, vec in zip(session.contributors, vectors):
-        encoded = codec.encode_vector(vec)
+        encoded = old_encode_vector(codec, vec)
         per_party: list[list[int]] = [[] for _ in range(nu)]
         for value in encoded:
             for pos, s in enumerate(old_share(value, params, rng)):
@@ -577,3 +578,86 @@ def old_secure_aggregate(
         coord_shares = [SecretShare(pos + 1, sums[pos][coord]) for pos in range(nu)]
         totals.append(old_reconstruct(coord_shares, params))
     return codec.decode_vector(totals)
+
+
+# --- the per-value encoder the vectorised one replaced -------------------
+
+
+def old_encode(codec: FixedPointCodec, x: float) -> int:
+    if not math.isfinite(x) or abs(x) >= codec.magnitude_bound:
+        raise EncodingRangeError(f"value {x!r} outside the fixed-point range")
+    return int(math.floor(x * codec.scale + 0.5)) % codec.prime
+
+
+def old_encode_vector(codec: FixedPointCodec, values) -> list[int]:
+    return [old_encode(codec, float(x)) for x in np.asarray(values, dtype=float).ravel()]
+
+
+# --- the per-strategy session layout the graph rule replaced -------------
+# Copied unchanged apart from the name and the dropped session ``label``.
+
+
+def _ring_neighbors(graph, agent: int) -> tuple[int, int]:
+    nb = graph.neighbors[agent]
+    if len(nb) != 2:
+        raise ValueError("ring placement expects degree-2 agents")
+    return nb[0], nb[1]
+
+
+def old_party_placement(
+    strategy: str,
+    *,
+    graph=None,
+    agent_count: int | None = None,
+    prime: int = PRIME_128,
+) -> list[SecAggSession]:
+    """Sessions for one round of a strategy.
+
+    Server-style training uses three external parties that collect shares
+    from every agent and reveal only to the server. The static ring gives
+    each agent a three-party session with its two neighbors. The static
+    complete graph and the switching subsets make the (active) agents
+    themselves the parties, with the largest honest-majority degree.
+    """
+    if strategy == "fedavg":
+        if agent_count is None:
+            raise ValueError("fedavg placement needs agent_count")
+        n = agent_count
+        return [
+            SecAggSession(
+                params=SharingParams(3, 1, prime),
+                contributors=tuple(range(n)),
+                parties=(n + 1, n + 2, n + 3),
+                recipients=(n,),
+            )
+        ]
+    if graph is None:
+        raise ValueError(f"{strategy} placement needs the round graph")
+    if strategy == "dring":
+        sessions = []
+        for i in range(graph.agent_count):
+            left, right = _ring_neighbors(graph, i)
+            group = tuple(sorted((left, i, right)))
+            sessions.append(
+                SecAggSession(
+                    params=SharingParams(3, 1, prime),
+                    contributors=group,
+                    parties=group,
+                    recipients=(i,),
+                )
+            )
+        return sessions
+    if strategy in ("dfc", "dms", "ctl"):
+        active = graph.active()
+        if len(active) < 3:
+            raise ContributorError("active subset smaller than 3 cannot aggregate securely")
+        nu = len(active)
+        return [
+            SecAggSession(
+                params=SharingParams(nu, (nu - 1) // 2, prime),
+                contributors=active,
+                parties=active,
+                recipients=active,
+            )
+        ]
+    raise ValueError(f"unknown strategy {strategy!r}")

@@ -195,6 +195,20 @@ def test_tolerance_terminates_at_first_crossing():
     assert monitor.worst_mse[k - 1] >= 1e-8
 
 
+def test_tolerance_without_a_monitor_is_rejected():
+    # The tolerance is measured against the monitor's optimum, so without
+    # one it would have nothing to stop on.
+    agents = make_agents([quad(2.0)], [np.array([1.0])], 0.1)
+    with pytest.raises(ValueError, match="monitor"):
+        run_training(
+            agents,
+            make_static_schedule(Graph(1, frozenset())),
+            strategy="dms",
+            rounds=5,
+            tolerance=1e-8,
+        )
+
+
 def test_divergence_is_flagged_and_stops_the_run():
     task = quad(2.0)
     agents = make_agents([task], [np.array([1.0])], 3.0)  # far past 2/p
@@ -480,6 +494,25 @@ def test_secure_ring_matches_plaintext():
     assert worst <= n * 2.0**-15
 
 
+def test_secure_three_agent_ring_runs_one_triangle_session():
+    # Every closed neighborhood of the 3-agent ring is the whole ring, so
+    # dring runs dfc's single session: the same weights and transcript,
+    # and half the traffic of one session per agent.
+    tasks = [quad(1.0 + i, u=float(i), dim=2) for i in range(3)]
+    runs = []
+    for strategy, kind in (("dring", "ring"), ("dfc", "complete")):
+        agents = make_agents(tasks, [np.zeros(2)] * 3, 0.2)
+        setup = SecureSetup(rng=np.random.default_rng(3), transcript=Transcript())
+        schedule = make_static_schedule(make_topology(kind, 3))
+        run = run_training(agents, schedule, strategy=strategy, rounds=3, secure=setup)
+        runs.append((run, setup.transcript))
+    (ring, ring_log), (full, full_log) = runs
+    assert np.array_equal(ring.thetas(), full.thetas())
+    assert ring_log.entries == full_log.entries
+    for m in ring.metrics:
+        assert_triangle_traffic(m, 2)
+
+
 def test_secure_fedavg_matches_plaintext():
     task = quad(1.0, u=2.0)
     n = 4
@@ -668,17 +701,30 @@ def test_engine_matches_previous_round_functions(
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.phi, b.phi)
     assert len(new_metrics) == len(old_metrics) == rounds
+    # The 3-agent ring is the triangle: one session in place of the old
+    # engine's three identical ones, with the same exact sums.
+    triangle = secure and strategy == "dring" and n == 3
     for m, o in zip(new_metrics, old_metrics):
-        assert (m.round_index, m.edge_count, m.active_agents, m.messages) == (
+        assert (m.round_index, m.edge_count, m.active_agents) == (
             o.round_index,
             o.edge_count,
             o.active_agents,
-            o.messages,
         )
         assert np.array_equal(m.degrees, o.degrees)
+        if triangle:
+            assert_triangle_traffic(m, d)
+            continue
+        assert m.messages == o.messages
         assert np.array_equal(m.per_agent_messages, o.per_agent_messages)
         if secure:
             assert m.bytes == o.bytes
+
+
+def assert_triangle_traffic(metrics, d):
+    """One 3-party session: 9 share and 9 reconstruct messages of d elements."""
+    assert metrics.messages == 18
+    assert metrics.bytes == 18 * d * 16
+    assert metrics.per_agent_messages.tolist() == [6, 6, 6]
 
 
 @given(
@@ -734,4 +780,6 @@ def test_stacked_engine_matches_the_per_agent_round(
     for m, o in zip(metrics, ref_metrics):
         for name in RoundMetrics.__dataclass_fields__:
             assert np.array_equal(getattr(m, name), getattr(o, name)), name
+        if secure and strategy == "dring" and n == 3:
+            assert_triangle_traffic(m, d)
     assert states == ref_states

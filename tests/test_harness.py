@@ -150,16 +150,49 @@ def test_run_experiment_keeps_no_secure_payloads(tmp_path, monkeypatch):
     class Captured(Transcript):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.logged = []
             made.append(self)
+
+        def log(self, *args, **kwargs):
+            super().log(*args, **kwargs)
+            self.logged.append(self.entries[-1])
 
     monkeypatch.setattr(experiment, "Transcript", Captured)
     config = small_quadratic(strategy="dfc", rounds=2, secure={"enabled": True})
     result = run_experiment(config, tmp_path)
     [transcript] = made
-    assert transcript.messages == len(transcript.entries) == result.summary["total_messages"]
-    assert list(transcript.payload_values()) == []
+    assert transcript.messages == len(transcript.logged) == result.summary["total_messages"]
+    assert [e.payload for e in transcript.logged] == [()] * transcript.messages
+    assert transcript.entries == []
     lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
     assert len(lines) == transcript.messages
+
+
+@pytest.mark.parametrize("write", [True, False])
+def test_run_experiment_keeps_one_round_of_transcript(tmp_path, monkeypatch, write):
+    # Each round's entries go to transcript.jsonl (when written) and are
+    # then dropped, so a secure run's memory does not grow with its rounds.
+    held = []
+    real = experiment.run_training
+
+    def spy(agents, schedule, *, secure, on_round, **options):
+        def counted(k, ags, metrics):
+            held.append((len(secure.transcript.entries), metrics.messages))
+            on_round(k, ags, metrics)
+            held.append((len(secure.transcript.entries), 0))
+
+        return real(agents, schedule, secure=secure, on_round=counted, **options)
+
+    monkeypatch.setattr(experiment, "run_training", spy)
+    config = small_quadratic(rounds=4, secure={"enabled": True})
+    result = run_experiment(config, tmp_path if write else None)
+    assert len(held) == 2 * config.rounds
+    assert all(entries == expected for entries, expected in held)
+    if write:
+        lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        per_round = Counter(json.loads(line)["round"] for line in lines)
+        rows = [r for r in result.records if r["type"] == "round"]
+        assert per_round == {r["round"]: r["messages"] for r in rows}
 
 
 def test_secure_run_shares_and_reconstructs_through_the_public_names(tmp_path, monkeypatch):
@@ -302,6 +335,34 @@ def test_cli_run_secagg_failure_exit(tmp_path):
     )
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
+    # The transcript is written round by round, so an aborted run leaves it
+    # holding the completed rounds, here none, and writes no other file.
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["transcript.jsonl"]
+    assert (tmp_path / "out" / "transcript.jsonl").read_text() == ""
+    # Aborting into a directory that holds a finished run's report set
+    # removes that set, so the directory never mixes two runs.
+    done = tmp_path / "done"
+    good = "strategy: dfc\ntask: quadratic\nagent_count: 5\nrounds: 2\ngamma: 0.05\nsecure:\n  enabled: true\n"
+    (tmp_path / "good.yaml").write_text(good)
+    assert main(["run", "--config", str(tmp_path / "good.yaml"), "--out", str(done)]) == 0
+    assert {p.name for p in done.iterdir()} == {
+        "config.echo", "report.jsonl", "summary.csv", "transcript.jsonl"
+    }
+    assert main(["run", "--config", str(cfg), "--out", str(done)]) == 3
+    assert [p.name for p in done.iterdir()] == ["transcript.jsonl"]
+    assert (done / "transcript.jsonl").read_text() == ""
+    # Doubling weights leave the codec's range in round 2: rounds 0 and 1,
+    # 50 messages each, stay in the transcript.
+    cfg.write_text(
+        "strategy: dfc\ntask: quadratic\nagent_count: 5\nrounds: 6\ngamma: 1.5\n"
+        "allow_unstable: true\nsecure:\n  enabled: true\n  integer_bits: 4\n"
+        "quadratic:\n  far_start: 2.0\n"
+    )
+    out = tmp_path / "later"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert [p.name for p in out.iterdir()] == ["transcript.jsonl"]
+    rounds = [json.loads(line)["round"] for line in (out / "transcript.jsonl").read_text().splitlines()]
+    assert Counter(rounds) == {0: 50, 1: 50}
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):
@@ -480,6 +541,21 @@ def test_cli_compare_rejected_strategy_exits_2(tmp_path):
     # comparison must stop before training any strategy.
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COMPARE_YAML + "secure:\n  enabled: true\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_tolerance_is_rejected_on_the_forecast_task(tmp_path):
+    # Only the quadratic task has the optimum a tolerance is measured
+    # against, so a forecast config must not silently drop it.
+    with pytest.raises(ConfigError, match="tolerance"):
+        parse_config({"task": "forecast", "rounds": 3, "tolerance": 1e9})
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("task: forecast\nrounds: 3\ntolerance: 1.0e+9\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+    cfg.write_text(COMPARE_YAML + "tolerance: 1.0e+9\n")
     out = tmp_path / "compare"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()

@@ -26,12 +26,14 @@ from dmslearn.secagg import (
     secure_aggregate,
     share,
 )
-from dmslearn.topology import make_subset_graph, make_topology
+from dmslearn.topology import Graph, make_dms_schedule, make_subset_graph, make_topology
 
 from oracles import (
     naive_poly_eval,
     naive_reconstruct,
     old_rand_field_element,
+    old_encode,
+    old_party_placement,
     old_reconstruct,
     old_secure_aggregate,
     old_share,
@@ -163,24 +165,24 @@ def test_params_validation():
 
 def test_codec_worked_value():
     codec = FixedPointCodec()
-    assert codec.encode(1.5) == 98304
+    assert codec.encode_vector([1.5]) == [98304]
     assert codec.decode(98304) == 1.5
 
 
 def test_codec_negative_round_trip():
     codec = FixedPointCodec()
-    v = codec.encode(-2.25)
-    assert v == (PRIME_128 - codec.encode(2.25)) % PRIME_128
+    [v, w] = codec.encode_vector([-2.25, 2.25])
+    assert v == (PRIME_128 - w) % PRIME_128
     assert codec.decode(v) == -2.25
 
 
 def test_codec_range_error():
     codec = FixedPointCodec(fraction_bits=16, integer_bits=8)
-    codec.encode(255.9)
+    codec.encode_vector([255.9])
     with pytest.raises(EncodingRangeError):
-        codec.encode(256.0)
+        codec.encode_vector([256.0])
     with pytest.raises(EncodingRangeError):
-        codec.encode(-256.0)
+        codec.encode_vector([-256.0])
 
 
 def test_codec_dyadic_vector_exact():
@@ -195,7 +197,8 @@ def test_codec_dyadic_vector_exact():
 @settings(max_examples=200, deadline=None)
 def test_codec_quantization_error_bounded(x):
     codec = FixedPointCodec()
-    assert abs(codec.decode(codec.encode(x)) - x) <= 0.5 / codec.scale
+    [v] = codec.encode_vector([x])
+    assert abs(codec.decode(v) - x) <= 0.5 / codec.scale
 
 
 def test_sum_headroom():
@@ -297,7 +300,7 @@ def test_transcript_payload_hiding():
 
 
 def test_placement_fedavg():
-    sessions = party_placement("fedavg", agent_count=10)
+    sessions = party_placement(agent_count=10)
     assert len(sessions) == 1
     s = sessions[0]
     assert s.contributors == tuple(range(10))
@@ -308,10 +311,9 @@ def test_placement_fedavg():
 
 def test_placement_ring():
     g = make_topology("ring", 6)
-    sessions = party_placement("dring", graph=g)
+    sessions = party_placement(g)
     assert len(sessions) == 6
     for i, s in enumerate(sessions):
-        assert s.label == f"dring:{i}"
         assert len(s.parties) == 3
         assert i in s.parties
         assert s.recipients == (i,)
@@ -319,7 +321,7 @@ def test_placement_ring():
 
 def test_placement_subset():
     g = make_subset_graph(10, (0, 2, 3, 5, 7, 8, 9))
-    sessions = party_placement("dms", graph=g)
+    sessions = party_placement(g)
     assert len(sessions) == 1
     s = sessions[0]
     assert s.parties == (0, 2, 3, 5, 7, 8, 9)
@@ -330,7 +332,95 @@ def test_placement_subset():
 def test_placement_subset_too_small():
     g = make_subset_graph(8, (1, 4))
     with pytest.raises(ContributorError):
-        party_placement("dms", graph=g)
+        party_placement(g)
+
+
+def test_placement_three_agent_ring_is_the_triangle():
+    # One session that reveals to all three agents, not three per-agent
+    # sessions that compute the same sum.
+    sessions = party_placement(make_topology("ring", 3))
+    assert sessions == party_placement(make_topology("complete", 3))
+    [s] = sessions
+    assert s.contributors == s.parties == s.recipients == (0, 1, 2)
+    assert s.params == SharingParams(3, 1)
+
+
+def test_placement_follows_closed_neighborhoods():
+    # Two disjoint triangles plus an isolated agent: one session per
+    # triangle, none for agent 6; an edgeless graph has no sessions.
+    g = Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+    assert [s.recipients for s in party_placement(g)] == [(0, 1, 2), (3, 4, 5)]
+    assert party_placement(Graph(5, frozenset())) == []
+    with pytest.raises(ContributorError):
+        party_placement(Graph(4, frozenset({(0, 1), (1, 2), (2, 3)})))
+
+
+@st.composite
+def round_graphs(draw):
+    """(old strategy name, graph): rings with n >= 4, complete graphs, and
+    the substructures of a dms schedule."""
+    kind = draw(st.sampled_from(["dring", "dfc", "dms"]))
+    if kind == "dring":
+        return kind, [make_topology("ring", draw(st.integers(4, 39)))]
+    n = draw(st.integers(3, 39))
+    if kind == "dfc":
+        return kind, [make_topology("complete", n)]
+    m = draw(st.integers(3, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    schedule = make_dms_schedule(
+        n, subset_size=m, substructure_count=4, rng=np.random.default_rng(seed)
+    )
+    return kind, schedule.substructures
+
+
+@given(round_graphs(), st.sampled_from([PRIME_128, PRIME_TEST_97]))
+@settings(max_examples=150, deadline=None)
+def test_placement_matches_the_old_strategy_layout(case, prime):
+    strategy, graphs = case
+    for g in graphs:
+        assert party_placement(g, prime=prime) == old_party_placement(
+            strategy, graph=g, prime=prime
+        )
+    n = graphs[0].agent_count
+    assert party_placement(agent_count=n, prime=prime) == old_party_placement(
+        "fedavg", agent_count=n, prime=prime
+    )
+
+
+def _encoded(encode, values):
+    """The encoding, or the text of the range error it raises."""
+    try:
+        return encode(values)
+    except EncodingRangeError as exc:
+        return str(exc)
+
+
+CODEC_EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-17, -(2.0**-17), 1.5, -2.25]
+
+
+@given(
+    st.sampled_from([FixedPointCodec(), FixedPointCodec(8, 4), FixedPointCodec(1, 1, PRIME_TEST_97)]),
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(CODEC_EDGE_VALUES),
+            st.integers(-(2**12), 2**12).map(lambda k: (k + 0.5) / 2**8),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_vector_encode_matches_the_per_value_encoder(codec, values):
+    # Edges of the range included: the bound itself, and the last grid
+    # values and half-steps inside it.
+    bound = codec.magnitude_bound
+    step = 1.0 / codec.scale
+    values = values + [bound, -bound, bound - step, -bound + step / 2]
+    for start in range(len(values)):
+        chunk = values[start:]
+        new = _encoded(codec.encode_vector, np.array(chunk))
+        old = _encoded(lambda v: [old_encode(codec, float(x)) for x in v], chunk)
+        assert new == old
 
 
 # --- the bulk-draw, cached-weight, vector-share path against the old one ---
@@ -472,8 +562,8 @@ def test_secure_aggregate_matches_the_old_per_coordinate_path(data, prime, seed)
         assert new == old
     assert new_state == old_state
     assert new_log.entries == old_log.entries
-    assert (new_log.messages, new_log.bytes, new_log.reconstructions, new_log.sent_counts) == (
-        old_log.messages, old_log.bytes, old_log.reconstructions, old_log.sent_counts
+    assert (new_log.messages, new_log.bytes, new_log.reconstructions) == (
+        old_log.messages, old_log.bytes, old_log.reconstructions
     )
 
 

@@ -106,7 +106,6 @@ def test_dlg_recovers_known_sample():
         x_init=true_x + 0.05,
         y_init=true_y - 0.05,
         true_x=true_x,
-        true_y=true_y,
     )
     assert result.residual < 1e-4
     assert result.input_mse < 1e-3
