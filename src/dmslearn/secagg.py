@@ -108,33 +108,45 @@ class SecretShare:
     value: int | tuple[int, ...]
 
 
-def _rand_field_elements(rng: np.random.Generator, prime: int, count: int) -> list[int]:
-    """``count`` uniform elements of ``[0, prime)`` by rejection sampling.
+def _rand_field_cells(rng: np.random.Generator, prime: int, count: int) -> np.ndarray:
+    """``count`` uniform elements of ``[0, prime)`` by rejection sampling, as
+    the rows of a ``(count, nbytes)`` array of big-endian bytes.
 
-    Each candidate is ``nbytes`` big-endian bytes with the bits above the
-    prime's masked off. ``Generator.bytes(n)`` hands out whole 32-bit words
-    and drops the tail of the last one, so one bulk draw of ``count`` slots
-    of ``nbytes`` rounded up to a multiple of 4, cut to ``nbytes`` each,
-    yields the same candidates and leaves the generator in the same state
-    as ``count`` separate ``rng.bytes(nbytes)`` calls. Rejected candidates
-    are topped up by further bulk draws.
+    Each candidate is ``nbytes`` bytes with the bits above the prime's
+    masked off, kept when it compares below the prime's bytes.
+    ``Generator.bytes(n)`` hands out whole 32-bit words and drops the tail
+    of the last one, so one bulk draw of slots of ``nbytes`` rounded up to a
+    multiple of 4, topped up when rejections run it short, yields the same
+    candidates and generator state as one ``rng.bytes(nbytes)`` per candidate.
     """
     bits = (prime - 1).bit_length()
     nbytes = (bits + 7) // 8
     slot = -(-nbytes // 4) * 4
-    mask = (1 << bits) - 1
-    out: list[int] = []
-    while len(out) < count:
-        buf = rng.bytes(slot * (count - len(out)))
-        drawn = [int.from_bytes(b, "big") & mask for b in _slots(buf, slot, nbytes)]
-        out += [v for v in drawn if v < prime]
-    return out
+    kept = np.empty((0, nbytes), np.uint8)
+    while len(kept) < count:
+        buf = rng.bytes(slot * (count - len(kept)))
+        cells = np.frombuffer(buf, np.uint8).reshape(-1, slot)[:, :nbytes].copy()
+        cells[:, 0] &= (1 << (bits - 8 * (nbytes - 1))) - 1
+        # Equal-width byte strings compare lexicographically, byte by unsigned byte.
+        below = cells.view(f"S{nbytes}")[:, 0] < prime.to_bytes(nbytes, "big")
+        kept = np.concatenate([kept, cells[below]])
+    return kept
 
 
-def _slots(buf: bytes, width: int, keep: int) -> list[bytes]:
-    """``buf`` cut into ``width``-byte slots, each cut to its first ``keep`` bytes."""
-    cells = np.frombuffer(buf, np.uint8).reshape(-1, width)[:, :keep]
-    return np.ascontiguousarray(cells).view(f"V{keep}").ravel().tolist()
+def _pack(values: Sequence[int], width: int) -> int:
+    """``values`` in one integer, one little-endian ``width``-byte slot each."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def _unpacked(packed: int, dim: int, width: int, prime: int) -> tuple[int, ...]:
+    """The ``dim`` slots of ``packed``, each reduced mod ``prime``."""
+    raw = np.frombuffer(packed.to_bytes(width * dim, "little"), f"V{width}").tolist()
+    return tuple([int.from_bytes(b, "little") % prime for b in raw])
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per packed slot that holds any integer up to ``bound``, so no slot carries."""
+    return bound.bit_length() // 8 + 1
 
 
 def _weighted_sums(
@@ -148,18 +160,11 @@ def _weighted_sums(
     so no slot carries into the next. A weighted sum of rows then takes
     ``len(rows)`` big-integer products, and each slot is reduced once.
     """
-    dim = len(rows[0])
     top = max(max(w) for w in weights)
-    width = (len(rows) * (prime - 1) * top).bit_length() // 8 + 1
-    packed = [
-        int.from_bytes(b"".join([v.to_bytes(width, "little") for v in row]), "little")
-        for row in rows
-    ]
-    out = []
-    for w in weights:
-        raw = sum(c * r for c, r in zip(w, packed)).to_bytes(width * dim, "little")
-        out.append(tuple([int.from_bytes(b, "little") % prime for b in _slots(raw, width, width)]))
-    return out
+    width = _slot_width(len(rows) * (prime - 1) * top)
+    packed = [_pack(row, width) for row in rows]
+    sums = [sum(c * r for c, r in zip(w, packed)) for w in weights]
+    return [_unpacked(v, len(rows[0]), width, prime) for v in sums]
 
 
 @lru_cache(maxsize=64)
@@ -168,13 +173,20 @@ def _powers(parties: int, degree: int, prime: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(pow(x, k, prime) for k in range(degree + 1)) for x in range(1, parties + 1))
 
 
+def _point_width(params: SharingParams, summands: int) -> int:
+    """Packed share-point slot width that a sum of ``summands`` points cannot carry out of."""
+    top = max(map(max, _powers(params.parties, params.degree, params.prime)))
+    return _slot_width(summands * (params.degree + 1) * (params.prime - 1) * top)
+
+
 def share(
     secret: int | Sequence[int],
     params: SharingParams,
     rng: np.random.Generator | None = None,
     *,
     coefficients: Sequence[int] | Sequence[Sequence[int]] | None = None,
-) -> list[SecretShare]:
+    width: int | None = None,
+) -> list[SecretShare] | list[int]:
     """Split ``secret`` into ``params.parties`` shares.
 
     The constant coefficient is the secret; the remaining ``degree``
@@ -187,6 +199,12 @@ def share(
     ``coefficients`` then holds one row of ``degree`` values per coordinate.
     Sharing a vector draws and returns exactly what sharing its coordinates
     one by one would. A scalar secret is the length-1 case.
+
+    With ``width``, party ``x`` gets the unreduced integer ``sum_k x**k *
+    column_k`` instead, where column ``k`` packs the degree-``k``
+    coefficients (the secrets at ``k = 0``) in little-endian ``width``-byte
+    slots; ``width`` must hold, without a carry, the whole sum of the points
+    a party adds before it reduces once.
     """
     scalar = isinstance(secret, numbers.Integral)
     secrets = [int(secret)] if scalar else [int(v) for v in secret]
@@ -199,13 +217,23 @@ def share(
         drawn = [int(c) for row in rows for c in row]
         if any(not (0 <= c < params.prime) for c in drawn):
             raise ValueError("coefficient outside the field")
+        nbytes = ((params.prime - 1).bit_length() + 7) // 8
+        cells = np.array([[*c.to_bytes(nbytes, "big")] for c in drawn], np.uint8)
+        cells = cells.reshape(len(drawn), nbytes)
     else:
         if rng is None:
             raise ValueError("random sharing needs an rng")
-        drawn = _rand_field_elements(rng, params.prime, len(secrets) * params.degree)
-    columns = [secrets] + [drawn[k :: params.degree] for k in range(params.degree)]
-    powers = _powers(params.parties, params.degree, params.prime)
-    points = _weighted_sums(columns, powers, params.prime)
+        cells = _rand_field_cells(rng, params.prime, len(secrets) * params.degree)
+    dim, degree, nbytes = len(secrets), params.degree, cells.shape[1]
+    slot = width or _point_width(params, 1)
+    slots = np.zeros((degree, dim, slot), np.uint8)
+    slots[..., :nbytes] = cells.reshape(dim, degree, nbytes).transpose(1, 0, 2)[..., ::-1]
+    columns = [_pack(secrets, slot)] + [int.from_bytes(col.tobytes(), "little") for col in slots]
+    powers = _powers(params.parties, degree, params.prime)
+    points = [sum(c * r for c, r in zip(row, columns)) for row in powers]
+    if width is not None:
+        return points
+    points = [_unpacked(point, dim, slot, params.prime) for point in points]
     return [SecretShare(x, p[0] if scalar else p) for x, p in enumerate(points, start=1)]
 
 
@@ -396,7 +424,6 @@ class Transcript:
         self.entries: list[TranscriptEntry] = []
         self.messages = 0
         self.bytes = 0
-        self.reconstructions = 0
 
     def log(
         self,
@@ -440,9 +467,10 @@ def secure_aggregate(
     """Sum the contributors' vectors without revealing any one of them.
 
     Each contributor fixed-point encodes its vector and shares it among the
-    parties, one polynomial per coordinate; parties add shares locally;
-    recipients reconstruct the per-coordinate sums and decode. Only the
-    sum is ever reconstructed. ``corrupt_party`` is a fault-injection hook
+    parties, one polynomial per coordinate; each party adds the packed
+    share points it receives and reduces its total once; recipients
+    reconstruct the per-coordinate sums and decode. Only the sum is ever
+    reconstructed. ``corrupt_party`` is a fault-injection hook
     for tests: it perturbs that party's first summed share before
     reconstruction, which the consistency check must catch whenever there
     are more parties than the threshold.
@@ -466,26 +494,25 @@ def secure_aggregate(
     params = session.params
     prime = params.prime
     elem_bytes = (prime.bit_length() + 7) // 8
-    # sums[party_position][coordinate], reduced once all contributors are in
-    sums = [[0] * dim for _ in session.parties]
+    width = _point_width(params, len(vectors))
+    record = transcript is not None and transcript.record_payloads
+    packed = [0] * params.parties  # each party's sum of the packed points it receives
     for contributor, vec in zip(session.contributors, vectors):
-        shares = share(codec.encode_vector(vec), params, rng)
-        for pos, (party, s) in enumerate(zip(session.parties, shares)):
-            sums[pos] = [a + b for a, b in zip(sums[pos], s.value)]
-            if transcript is not None:
-                transcript.log(round_index, "share", contributor, party, s.value, elem_bytes)
-        del shares  # one contributor's shares alive at a time
-    sums = [[v % prime for v in row] for row in sums]
+        points = share(codec.encode_vector(vec), params, rng, width=width)
+        for pos, (party, point) in enumerate(zip(session.parties, points)):
+            packed[pos] += point
+            if transcript is not None:  # an unrecorded payload is logged by its length alone
+                sent = _unpacked(point, dim, width, prime) if record else range(dim)
+                transcript.log(round_index, "share", contributor, party, sent, elem_bytes)
+    sums = [list(_unpacked(total, dim, width, prime)) for total in packed]
 
     if corrupt_party is not None:
         sums[corrupt_party][0] = (sums[corrupt_party][0] + corrupt_delta) % prime
 
-    for recipient in session.recipients:
-        for pos, party in enumerate(session.parties):
-            if transcript is not None:
-                transcript.log(round_index, "reconstruct", party, recipient, sums[pos], elem_bytes)
-        if transcript is not None:
-            transcript.reconstructions += 1
+    if transcript is not None:
+        for recipient in session.recipients:
+            for party, row in zip(session.parties, sums):
+                transcript.log(round_index, "reconstruct", party, recipient, row, elem_bytes)
 
     totals = reconstruct([SecretShare(pos + 1, tuple(row)) for pos, row in enumerate(sums)], params)
     return codec.decode_vector(totals)

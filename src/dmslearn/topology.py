@@ -82,14 +82,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def isolated(self) -> tuple[int, ...]:
-        """Agents with no incident edge."""
-        return tuple(int(i) for i in np.flatnonzero(self.degrees == 0))
-
-    def active(self) -> tuple[int, ...]:
-        """Agents with at least one incident edge."""
-        return tuple(int(i) for i in np.flatnonzero(self.degrees > 0))
-
 
 def mixing_matrix(graph: Graph) -> np.ndarray:
     """Row-stochastic consensus weights, uniform over closed neighborhoods.

@@ -219,7 +219,7 @@ def _graph_metrics(round_index, graph, secure, before):
         round_index,
         graph.agent_count,
         graph.edge_count,
-        len(graph.active()),
+        len(np.flatnonzero(graph.degrees > 0)),
         degrees,
         int(degrees.sum()),
         getattr(secure, "transcript", None),
@@ -570,14 +570,40 @@ def old_secure_aggregate(
         for pos, party in enumerate(session.parties):
             if transcript is not None:
                 transcript.log(round_index, "reconstruct", party, recipient, sums[pos], elem_bytes)
-        if transcript is not None:
-            transcript.reconstructions += 1
 
     totals = []
     for coord in range(dim):
         coord_shares = [SecretShare(pos + 1, sums[pos][coord]) for pos in range(nu)]
         totals.append(old_reconstruct(coord_shares, params))
     return codec.decode_vector(totals)
+
+
+# --- the int-list field draw the packed byte draw replaced ---------------
+# Copied unchanged apart from the name and the inlined slot cutting.
+
+
+def old_rand_field_elements(rng: np.random.Generator, prime: int, count: int) -> list[int]:
+    """``count`` uniform elements of ``[0, prime)`` by rejection sampling.
+
+    Each candidate is ``nbytes`` big-endian bytes with the bits above the
+    prime's masked off. ``Generator.bytes(n)`` hands out whole 32-bit words
+    and drops the tail of the last one, so one bulk draw of ``count`` slots
+    of ``nbytes`` rounded up to a multiple of 4, cut to ``nbytes`` each,
+    yields the same candidates and leaves the generator in the same state
+    as ``count`` separate ``rng.bytes(nbytes)`` calls. Rejected candidates
+    are topped up by further bulk draws.
+    """
+    bits = (prime - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    slot = -(-nbytes // 4) * 4
+    mask = (1 << bits) - 1
+    out: list[int] = []
+    while len(out) < count:
+        buf = rng.bytes(slot * (count - len(out)))
+        cells = [buf[i : i + nbytes] for i in range(0, len(buf), slot)]
+        drawn = [int.from_bytes(b, "big") & mask for b in cells]
+        out += [v for v in drawn if v < prime]
+    return out
 
 
 # --- the per-value encoder the vectorised one replaced -------------------
@@ -648,7 +674,7 @@ def old_party_placement(
             )
         return sessions
     if strategy in ("dfc", "dms", "ctl"):
-        active = graph.active()
+        active = tuple(int(i) for i in np.flatnonzero(graph.degrees > 0))
         if len(active) < 3:
             raise ContributorError("active subset smaller than 3 cannot aggregate securely")
         nu = len(active)

@@ -17,6 +17,7 @@ from dmslearn.consensus import (
     max_disagreement,
     run_training,
 )
+from dmslearn.experiment import build_quadratic_setup, seed_streams
 from dmslearn.numerics import NoiseModel, QuadraticTask, local_step
 from dmslearn.secagg import ContributorError, Transcript
 from dmslearn.threats import PoisonPolicy, poison_broadcast
@@ -28,6 +29,7 @@ from dmslearn.topology import (
     make_subset_graph,
     make_topology,
     mixing_matrix,
+    stationary_distribution,
 )
 
 from oracles import (
@@ -385,6 +387,48 @@ def test_noise_floor_within_bound():
     report = contraction_check(monitor, params, mixing, noise_free=False)
     assert report.limit_bound == pytest.approx(0.01)
     assert report.tail_within_bound
+
+
+def sticky_transition(states, stay):
+    """Stay with probability ``stay``, else move to one of the other states."""
+    leave = (1.0 - stay) / (states - 1)
+    return np.full((states, states), leave) + (stay - leave) * np.eye(states)
+
+
+def test_sticky_markov_switching_still_converges():
+    # The criterion-01 quadratic on a dms schedule, once with the default
+    # i.i.d. uniform switching and once with a chain that keeps its
+    # substructure with probability 0.9; both draw the same substructures.
+    # The two slopes are not compared: with a common optimum the local
+    # contraction sets the slope, and either chain's fit can come out steeper.
+    drawn = []
+    for stay in (None, 0.9):
+        streams = seed_streams(0)
+        agents, monitor, params = build_quadratic_setup(
+            agent_count=10, dim=2, curv_low=1.0, curv_high=2.0, bias_amp=0.0, bias_amp2=0.0,
+            far_start=1.0, gamma=0.5, xi=0.0, shared_init=False, init_rng=streams["init"],
+        )
+        transition = None if stay is None else sticky_transition(8, stay)
+        schedule = make_dms_schedule(10, transition=transition, rng=streams["schedule"])
+        drawn.append(schedule.substructures)
+        run = run_training(
+            agents, schedule, strategy="dms", rounds=2000, monitor=monitor, tolerance=1e-10
+        )
+        assert run.terminated_early and not run.diverged
+        pi = stationary_distribution(schedule.transition)
+        mixing = sum(w * mixing_matrix(g) for w, g in zip(pi, schedule.substructures))
+        assert contraction_check(monitor, params, mixing, noise_free=True).slope_within_rate
+    assert drawn[0] == drawn[1]
+    # The chain really is sticky: over a long walk it keeps its state about
+    # 90% of the time, against 1/8 for the uniform chain.
+    for stay, expected in ((None, 1 / 8), (0.9, 0.9)):
+        transition = None if stay is None else sticky_transition(8, stay)
+        schedule = make_dms_schedule(10, transition=transition, rng=np.random.default_rng(1))
+        states = []
+        for _ in range(4000):
+            schedule.advance()
+            states.append(schedule.state)
+        assert np.mean(np.diff(states) == 0) == pytest.approx(expected, abs=0.03)
 
 
 def test_ring_message_totals():

@@ -47,13 +47,6 @@ def test_self_loop_rejected():
         Graph(3, frozenset({(1, 1)}))
 
 
-def test_isolated_and_active():
-    g = make_subset_graph(6, (1, 2, 4))
-    assert g.active() == (1, 2, 4)
-    assert g.isolated() == (0, 3, 5)
-    assert len(g.sorted_edges) == 3
-
-
 def test_mixing_matches_loop_oracle():
     g = make_subset_graph(8, (0, 2, 3, 7))
     expected = mixing_by_loops(8, g.sorted_edges)
@@ -98,7 +91,7 @@ def test_dms_schedule_substructures():
     sched = make_dms_schedule(30, rng=np.random.default_rng(3))
     assert len(sched.substructures) == 8
     for g in sched.substructures:
-        assert len(g.active()) == 21
+        assert np.count_nonzero(g.degrees == 20) == 21 and np.count_nonzero(g.degrees) == 21
         # complete on the active subset
         assert len(g.sorted_edges) == 21 * 20 // 2
         assert g.agent_count == 30
