@@ -5,99 +5,6 @@ current round's graph connects them to; the graph is redrawn each round
 from a small pool of subset substructures. Includes a Shamir-based
 secure aggregation layer, threat experiments (poisoning, gradient
 inversion), and a synthetic smart-meter forecasting task.
+
+Import names from their modules; the package root binds none.
 """
-
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .consensus import (
-    AgentState,
-    ContractionParams,
-    ConvergenceMonitor,
-    RoundFailure,
-    SecureSetup,
-    TrainingRun,
-    complexity_counters,
-    contraction_check,
-    lr_bound,
-    make_agents,
-    run_training,
-)
-from .numerics import (
-    Dataset,
-    MlpModel,
-    MlpTask,
-    NoiseModel,
-    QuadraticTask,
-    local_step,
-    mse_loss,
-)
-from .secagg import (
-    FixedPointCodec,
-    SecAggError,
-    SecAggSession,
-    SecretShare,
-    SharingParams,
-    ShareCountError,
-    TamperError,
-    Transcript,
-    detect_tampering,
-    party_placement,
-    reconstruct,
-    secure_aggregate,
-    share,
-)
-from .topology import (
-    Graph,
-    MarkovSchedule,
-    default_subset_size,
-    make_dms_schedule,
-    make_static_schedule,
-    make_topology,
-    mixing_matrix,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgentState",
-    "ConfigError",
-    "ContractionParams",
-    "ConvergenceMonitor",
-    "Dataset",
-    "ExperimentConfig",
-    "FixedPointCodec",
-    "Graph",
-    "MarkovSchedule",
-    "MlpModel",
-    "MlpTask",
-    "NoiseModel",
-    "QuadraticTask",
-    "RoundFailure",
-    "SecAggError",
-    "SecAggSession",
-    "SecretShare",
-    "SecureSetup",
-    "SharingParams",
-    "ShareCountError",
-    "TamperError",
-    "TrainingRun",
-    "Transcript",
-    "complexity_counters",
-    "contraction_check",
-    "default_subset_size",
-    "detect_tampering",
-    "load_config",
-    "local_step",
-    "lr_bound",
-    "make_agents",
-    "make_dms_schedule",
-    "make_static_schedule",
-    "make_topology",
-    "mixing_matrix",
-    "mse_loss",
-    "parse_config",
-    "party_placement",
-    "reconstruct",
-    "run_training",
-    "secure_aggregate",
-    "share",
-]

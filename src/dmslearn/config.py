@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -37,6 +38,18 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _fits(annotation: str, value) -> bool:
+    """Whether ``value`` fits a field annotated ``annotation`` (a string here):
+    an int field takes an int but not a bool, a float field takes a finite
+    int or float, kept as written, and an ``X | None`` field also takes null."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return bool(optional)
+    if kind == "float":
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is {"int": int, "bool": bool, "str": str}[kind]
+
+
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
@@ -50,6 +63,8 @@ def _build(cls, data: dict, where: str):
         sub = _SECTION_TYPES.get((cls, name))
         if sub is not None and value is not None:
             value = _build(sub, value, f"{where}.{name}")
+        elif not _fits(f.type, value):
+            raise ConfigError(f"{where}.{name}: expected {f.type}, got {value!r}")
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -191,12 +206,10 @@ class ExperimentConfig:
             raise ValueError("substructure_count must be positive")
         if self.tolerance is not None and self.task != "quadratic":
             raise ValueError("tolerance needs the quadratic task's known optimum")
-        if self.strategy == "centralized" and self.secure.enabled:
-            raise ValueError("secure aggregation needs at least 3 contributors; centralized has one")
-        if self.secure.enabled and self.strategy == "fedavg" and self.agent_count < 3:
-            raise ValueError("secure fedavg needs at least 3 agents")
         agents = self.agent_count if self.task == "quadratic" else self.data.pick
         agents = 1 if self.strategy == "centralized" else agents
+        if self.secure.enabled and agents < 3:
+            raise ValueError(f"secure aggregation needs at least 3 agents; the run has {agents}")
         if self.attack is not None and self.attack.malicious > agents:
             raise ValueError(f"attack.malicious exceeds the run's {agents} agents")
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .numerics import LocalTask, NoiseModel, QuadraticTask
 from .secagg import (
-    PRIME_128,
     FixedPointCodec,
     SecAggError,
     Transcript,
@@ -133,11 +132,6 @@ class SecureSetup:
     rng: np.random.Generator
     codec: FixedPointCodec = field(default_factory=FixedPointCodec)
     transcript: Transcript = field(default_factory=Transcript)
-    prime: int = PRIME_128
-
-    def __post_init__(self) -> None:
-        if self.codec.prime != self.prime:
-            raise ValueError("codec field does not match the secure prime")
 
 
 class ConvergenceMonitor:
@@ -238,19 +232,15 @@ def contraction_check(
     mixing: np.ndarray,
     *,
     noise_free: bool,
-    tail_fraction: float = 0.2,
-    slack: float = 1.5,
-    slope_tol: float = 0.01,
-    floor: float = 1e-25,
 ) -> ContractionReport:
     """Compare a recorded trajectory against the contraction bound.
 
     Checks, in order: the per-agent contraction factors stay at or below
-    one for the configured step sizes; with noise, the tail mean of the
-    worst-agent error stays within ``slack`` of the predicted noise floor;
-    without noise, the fitted log-error slope is no worse than the
-    contraction rate plus ``slope_tol``. ``floor`` cuts the slope fit off
-    before the trajectory reaches arithmetic round-off.
+    one for the configured step sizes; with noise, the mean worst-agent
+    error over the last fifth of the rounds stays within 1.5 times the
+    predicted noise floor; without noise, the fitted log-error slope is no
+    worse than the log contraction rate plus 0.01. The slope fit stops
+    where the errors reach 1e-25, before arithmetic round-off.
     """
     a = np.asarray(mixing, dtype=float)
     lam = params.lambda_bar
@@ -260,7 +250,7 @@ def contraction_check(
     series = monitor.worst_mse
     if series.size == 0:
         raise ValueError("monitor holds no rounds")
-    tail_len = max(1, int(round(tail_fraction * series.size)))
+    tail_len = max(1, int(round(0.2 * series.size)))
     tail_mean = float(series[-tail_len:].mean())
     diverged = _diverged(series)
 
@@ -268,13 +258,13 @@ def contraction_check(
     slope_within = None
     if noise_free and not diverged:
         log_series = np.log(np.maximum(series, 1e-300))
-        above = np.nonzero(series > floor)[0]
+        above = np.nonzero(series > 1e-25)[0]
         if above.size >= 5:
             ks = above[1:]  # drop round 0: the first step can be atypical
             if ks.size >= 4:
                 empirical_slope = float(np.polyfit(ks, log_series[ks], 1)[0])
-                slope_within = empirical_slope <= np.log(max(contraction, 1e-300)) + slope_tol
-    tail_ok = bool(tail_mean <= slack * limit_bound) if not noise_free else True
+                slope_within = empirical_slope <= np.log(max(contraction, 1e-300)) + 0.01
+    tail_ok = bool(tail_mean <= 1.5 * limit_bound) if not noise_free else True
 
     return ContractionReport(
         lambda_bar=lam,
@@ -337,7 +327,7 @@ def _secure_mix(
     """
     n = broadcast.shape[0]
     mixed = broadcast.copy()  # isolated agents keep their own phi
-    sessions = party_placement(graph, agent_count=n, prime=secure.prime)
+    sessions = party_placement(graph, agent_count=n, prime=secure.codec.prime)
     for session in sessions:
         total = secure_aggregate(
             [broadcast[j] for j in session.contributors],

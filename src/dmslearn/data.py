@@ -37,9 +37,8 @@ class Archetype:
 
     The deterministic daily curve is ``base`` times a two-harmonic shape;
     weekends scale the whole day by ``weekend_factor``. Events add a
-    flat bump of ``event_scale`` times U[0.5, 1.5] over ``event_slots``
-    consecutive slots (circular placement) with per-day probability
-    ``event_rate``.
+    flat bump of ``event_scale`` times U[0.5, 1.5] over four consecutive
+    slots (circular placement) with per-day probability ``event_rate``.
     """
 
     name: str
@@ -51,7 +50,6 @@ class Archetype:
     weekend_factor: float
     event_rate: float
     event_scale: float
-    event_slots: int = 4
 
     def daily_curve(self) -> np.ndarray:
         t = np.arange(SLOTS_PER_DAY)
@@ -89,12 +87,11 @@ def gen_synthetic_load(
     days: int,
     seed: int,
     *,
-    archetypes: tuple[Archetype, ...] = ARCHETYPES,
     noise_scale: float = 0.05,
-    scale_jitter: float = 0.15,
 ) -> list[LoadProfile]:
     """Seeded synthetic profiles drawn from the archetype mix.
 
+    Each household draws an archetype and a size factor in [0.85, 1.15].
     ``noise_scale`` is the per-slot Gaussian sigma; setting it to zero
     turns off every stochastic per-slot component (noise and events both),
     leaving each household an exactly weekly-periodic pattern. Values are
@@ -105,8 +102,8 @@ def gen_synthetic_load(
     rng = np.random.default_rng(seed)
     profiles = []
     for hh in range(households):
-        arch = archetypes[int(rng.integers(len(archetypes)))]
-        size = 1.0 + scale_jitter * float(rng.uniform(-1.0, 1.0))
+        arch = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
+        size = 1.0 + 0.15 * float(rng.uniform(-1.0, 1.0))
         base_day = arch.daily_curve()
         series = np.empty(days * SLOTS_PER_DAY)
         for day in range(days):
@@ -118,7 +115,7 @@ def gen_synthetic_load(
                 if rng.uniform() < arch.event_rate:
                     start = int(rng.integers(SLOTS_PER_DAY))
                     amp = arch.event_scale * size * float(rng.uniform(0.5, 1.5))
-                    idx = (start + np.arange(arch.event_slots)) % SLOTS_PER_DAY
+                    idx = (start + np.arange(4)) % SLOTS_PER_DAY
                     slots[idx] += amp
                 slots = slots + noise_scale * rng.standard_normal(SLOTS_PER_DAY)
             series[day * SLOTS_PER_DAY : (day + 1) * SLOTS_PER_DAY] = np.maximum(slots, 0.0)
@@ -140,12 +137,12 @@ class KMeansResult:
     iterations: int
 
 
-def kmeans(features: np.ndarray, k: int, seed: int, *, max_iter: int = 100) -> KMeansResult:
+def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd iterations with seeded farthest-point initialization.
 
     Ties in assignment go to the lowest cluster index, making the whole
     procedure deterministic for a given seed. Iterates until the
-    assignment reaches a fixpoint or ``max_iter``.
+    assignment reaches a fixpoint or 100 iterations.
     """
     x = np.asarray(features, dtype=float)
     n = x.shape[0]
@@ -165,7 +162,7 @@ def kmeans(features: np.ndarray, k: int, seed: int, *, max_iter: int = 100) -> K
     labels = np.full(n, -1)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(100):
         d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_labels].sum()))

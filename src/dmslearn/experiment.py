@@ -242,64 +242,65 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """
     rngs = seed_streams(config.seed)
 
-    secure = None
-    if config.secure.enabled:
-        codec = FixedPointCodec(config.secure.fraction_bits, config.secure.integer_bits)
-        secure = SecureSetup(
-            rng=rngs["secagg"],
-            codec=codec,
-            transcript=Transcript(record_payloads=False),
-        )
+    # Every ValueError before training starts comes from the config's values.
+    try:
+        secure = None
+        if config.secure.enabled:
+            codec = FixedPointCodec(config.secure.fraction_bits, config.secure.integer_bits)
+            secure = SecureSetup(
+                rng=rngs["secagg"],
+                codec=codec,
+                transcript=Transcript(record_payloads=False),
+            )
 
-    broadcast_hook = None
-    if config.attack is not None:
-        try:
+        broadcast_hook = None
+        if config.attack is not None:
             policy = PoisonPolicy(
                 frozenset(range(config.attack.malicious)),
                 epsilon=config.attack.epsilon,
                 mode=config.attack.mode,
             )
-        except ValueError as exc:
-            raise ConfigError(f"config.attack: {exc}") from exc
-        broadcast_hook = policy.hook()
+            broadcast_hook = policy.hook()
 
-    noise = NoiseModel(config.noise.xi) if config.noise.xi > 0 else None
+        noise = NoiseModel(config.noise.xi) if config.noise.xi > 0 else None
 
-    monitor = None
-    setup = None
-    if config.task == "quadratic":
-        if config.gamma > lr_bound(config.quadratic.curv_high) and not config.allow_unstable:
-            raise ConfigError(
-                f"gamma {config.gamma} exceeds the stability bound "
-                f"{lr_bound(config.quadratic.curv_high)}; pass --allow-unstable to run anyway"
+        monitor = None
+        setup = None
+        if config.task == "quadratic":
+            if config.gamma > lr_bound(config.quadratic.curv_high) and not config.allow_unstable:
+                raise ConfigError(
+                    f"gamma {config.gamma} exceeds the stability bound "
+                    f"{lr_bound(config.quadratic.curv_high)}; pass --allow-unstable to run anyway"
+                )
+            n = 1 if config.strategy == "centralized" else config.agent_count
+            agents, monitor, _params = build_quadratic_setup(
+                agent_count=n,
+                dim=config.quadratic.dim,
+                curv_low=config.quadratic.curv_low,
+                curv_high=config.quadratic.curv_high,
+                bias_amp=config.quadratic.bias_amp,
+                bias_amp2=config.quadratic.bias_amp2,
+                far_start=config.quadratic.far_start,
+                gamma=config.gamma,
+                xi=config.noise.xi,
+                shared_init=config.strategy == "fedavg",
+                init_rng=rngs["init"],
+                alpha=config.alpha,
             )
-        n = 1 if config.strategy == "centralized" else config.agent_count
-        agents, monitor, _params = build_quadratic_setup(
-            agent_count=n,
-            dim=config.quadratic.dim,
-            curv_low=config.quadratic.curv_low,
-            curv_high=config.quadratic.curv_high,
-            bias_amp=config.quadratic.bias_amp,
-            bias_amp2=config.quadratic.bias_amp2,
-            far_start=config.quadratic.far_start,
-            gamma=config.gamma,
-            xi=config.noise.xi,
-            shared_init=config.strategy == "fedavg",
-            init_rng=rngs["init"],
-            alpha=config.alpha,
-        )
-    else:
-        setup = _build_forecast_setup(config, rngs)
-        agents = setup.agents
+        else:
+            setup = _build_forecast_setup(config, rngs)
+            agents = setup.agents
 
-    n_agents = len(agents)
-    schedule = build_schedule(
-        config.strategy,
-        n_agents,
-        subset_size=config.subset_size,
-        substructure_count=config.substructure_count,
-        rng=rngs["schedule"],
-    )
+        n_agents = len(agents)
+        schedule = build_schedule(
+            config.strategy,
+            n_agents,
+            subset_size=config.subset_size,
+            substructure_count=config.substructure_count,
+            rng=rngs["schedule"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
     rows: list[dict] = []
     # Secure runs stream the transcript: each completed round's entries are
@@ -479,11 +480,10 @@ def run_scaling_sweep(settings: SweepSettings | None = None) -> SweepResult:
 
 
 def forecast_comparison(
-    base: ExperimentConfig,
-    strategies: Sequence[str] = ("dms", "fedavg", "dring", "dfc", "centralized"),
-    out_dir: str | Path | None = None,
+    base: ExperimentConfig, out_dir: str | Path | None = None
 ) -> dict[str, ExperimentResult]:
-    """Run the forecast task under several strategies with one seed.
+    """Run the forecast task under dms, fedavg, dring, dfc and centralized
+    with one seed.
 
     All runs share the data stream, so every strategy trains and
     evaluates on identical households and splits. Every strategy's config
@@ -495,7 +495,7 @@ def forecast_comparison(
     solo = None if attack is None else replace(attack, malicious=min(attack.malicious, 1))
     configs = {
         s: base.replace(strategy=s, task="forecast", attack=solo if s == "centralized" else attack)
-        for s in strategies
+        for s in ("dms", "fedavg", "dring", "dfc", "centralized")
     }
     results = {}
     for strategy, cfg in configs.items():

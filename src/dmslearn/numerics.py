@@ -37,7 +37,7 @@ class LocalTask(Protocol):
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """``L(theta) = 0.5 theta' Q theta + b' theta + c`` with symmetric
+    """``L(theta) = 0.5 theta' Q theta + b' theta`` with symmetric
     positive definite ``Q``.
 
     The unique minimizer is ``-Q^{-1} b``; eigenvalues of ``Q`` bound the
@@ -47,7 +47,6 @@ class QuadraticTask:
 
     hessian: np.ndarray
     lin_term: np.ndarray
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         q = np.asarray(self.hessian, dtype=float)
@@ -83,7 +82,7 @@ class QuadraticTask:
 
     def loss(self, theta: np.ndarray) -> float:
         t = np.asarray(theta, dtype=float)
-        return float(0.5 * t @ self.hessian @ t + self.lin_term @ t + self.offset)
+        return float(0.5 * t @ self.hessian @ t + self.lin_term @ t)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.hessian @ np.asarray(theta, dtype=float) + self.lin_term

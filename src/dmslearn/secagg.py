@@ -462,7 +462,6 @@ def secure_aggregate(
     transcript: Transcript | None = None,
     round_index: int = 0,
     corrupt_party: int | None = None,
-    corrupt_delta: int = 1,
 ) -> np.ndarray:
     """Sum the contributors' vectors without revealing any one of them.
 
@@ -471,7 +470,7 @@ def secure_aggregate(
     share points it receives and reduces its total once; recipients
     reconstruct the per-coordinate sums and decode. Only the sum is ever
     reconstructed. ``corrupt_party`` is a fault-injection hook
-    for tests: it perturbs that party's first summed share before
+    for tests: it adds one to that party's first summed share before
     reconstruction, which the consistency check must catch whenever there
     are more parties than the threshold.
 
@@ -507,7 +506,7 @@ def secure_aggregate(
     sums = [list(_unpacked(total, dim, width, prime)) for total in packed]
 
     if corrupt_party is not None:
-        sums[corrupt_party][0] = (sums[corrupt_party][0] + corrupt_delta) % prime
+        sums[corrupt_party][0] = (sums[corrupt_party][0] + 1) % prime
 
     if transcript is not None:
         for recipient in session.recipients:

@@ -139,10 +139,8 @@ def dlg_reconstruct(
     observed_grad: np.ndarray,
     *,
     iters: int = 500,
-    step: float = 0.1,
     rng: np.random.Generator,
     restarts: int = 1,
-    fd_step: float = 1e-4,
     x_init: np.ndarray | None = None,
     y_init: np.ndarray | None = None,
     true_x: np.ndarray | None = None,
@@ -151,7 +149,8 @@ def dlg_reconstruct(
 
     Minimizes the squared mismatch between the model gradient at a dummy
     sample and ``observed_grad`` by finite-difference descent on the dummy
-    input and target, with a backtracking line search so the residual
+    input and target (central differences of relative width 1e-4), with a
+    backtracking line search from a first step of 0.1, so the residual
     series never increases. ``model`` needs only a
     ``loss_and_gradient(theta, x, y)`` method. With ``restarts > 1`` the
     attack reruns from fresh random inits and keeps the best residual.
@@ -175,7 +174,7 @@ def dlg_reconstruct(
         if not np.isfinite(residual):
             raise ValueError("attack residual non-finite at initialization")
         series = [residual]
-        trial_step = step
+        trial_step = 0.1
         accepted = 0
 
         for _ in range(iters):
@@ -183,7 +182,7 @@ def dlg_reconstruct(
                 break
             grad = np.zeros_like(z)
             for j in range(z.size):
-                h = fd_step * max(1.0, abs(z[j]))
+                h = 1e-4 * max(1.0, abs(z[j]))
                 zp = z.copy()
                 zp[j] += h
                 zm = z.copy()
@@ -250,22 +249,14 @@ class LeakageReport:
     dms_input_mse: float
     fedavg_residual: float
     dms_residual: float
-    aggregate_input_mse: float | None
-    transcript_clean: bool | None
+    aggregate_input_mse: float
+    transcript_clean: bool
     inferred_mismatch: float
 
 
-def dlg_compare_topologies(
-    seed: int,
-    *,
-    agent_count: int = 6,
-    hidden_dim: int = 4,
-    gamma: float = 0.1,
-    iters: int = 500,
-    restarts: int = 3,
-    with_secure_probe: bool = True,
-) -> LeakageReport:
-    """Run the interception pipeline against both threat models.
+def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) -> LeakageReport:
+    """Run the interception pipeline against both threat models, with six
+    agents, a 2-4-1 network and learning rate 0.1.
 
     Server arm: the attacker knows the shared initial weights and sees one
     clean local update, so the inferred gradient is exact. Switching arm:
@@ -278,7 +269,8 @@ def dlg_compare_topologies(
         np.random.default_rng(s) for s in ss.spawn(5)
     )
 
-    model = MlpModel(2, hidden_dim, 1)
+    agent_count, gamma = 6, 0.1
+    model = MlpModel(2, 4, 1)
     samples_x = data_rng.uniform(0.0, 1.0, (agent_count, 2))
     samples_y = data_rng.uniform(0.0, 1.0, (agent_count, 1))
     victim = 0
@@ -335,37 +327,34 @@ def dlg_compare_topologies(
         true_x=true_x,
     )
 
-    aggregate_mse = None
-    clean = None
-    if with_secure_probe:
-        grads = [
-            model.loss_and_gradient(theta0, samples_x[i : i + 1], samples_y[i : i + 1])[1]
-            for i in range(agent_count)
-        ]
-        codec = FixedPointCodec()
-        session = party_placement(agent_count=agent_count, prime=codec.prime)[0]
-        transcript = Transcript()
-        total = secure_aggregate(
-            grads, session, codec, secagg_rng, transcript=transcript, round_index=0
-        )
-        clean = secure_leakage_probe(transcript, [codec.encode_vector(g) for g in grads])
-        agg_rec = dlg_reconstruct(
-            model,
-            theta0,
-            total / agent_count,
-            iters=iters,
-            rng=attack_rng,
-            restarts=restarts,
-            true_x=true_x,
-        )
-        aggregate_mse = agg_rec.input_mse
+    # Aggregate arm: the attacker sees only the securely summed gradients.
+    grads = [
+        model.loss_and_gradient(theta0, samples_x[i : i + 1], samples_y[i : i + 1])[1]
+        for i in range(agent_count)
+    ]
+    codec = FixedPointCodec()
+    session = party_placement(agent_count=agent_count, prime=codec.prime)[0]
+    transcript = Transcript()
+    total = secure_aggregate(
+        grads, session, codec, secagg_rng, transcript=transcript, round_index=0
+    )
+    clean = secure_leakage_probe(transcript, [codec.encode_vector(g) for g in grads])
+    agg_rec = dlg_reconstruct(
+        model,
+        theta0,
+        total / agent_count,
+        iters=iters,
+        rng=attack_rng,
+        restarts=restarts,
+        true_x=true_x,
+    )
 
     return LeakageReport(
         fedavg_input_mse=fedavg_rec.input_mse,
         dms_input_mse=dms_rec.input_mse,
         fedavg_residual=fedavg_rec.residual,
         dms_residual=dms_rec.residual,
-        aggregate_input_mse=aggregate_mse,
+        aggregate_input_mse=agg_rec.input_mse,
         transcript_clean=clean,
         inferred_mismatch=mismatch,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -115,11 +115,7 @@ def make_topology(kind: str, agent_count: int) -> Graph:
     if kind == "ring":
         if agent_count < 3:
             raise ValueError("ring needs at least 3 agents")
-        edges = frozenset(
-            (i, (i + 1) % agent_count) if i < (i + 1) % agent_count else ((i + 1) % agent_count, i)
-            for i in range(agent_count)
-        )
-        return Graph(agent_count, edges)
+        return Graph(agent_count, frozenset((i, (i + 1) % agent_count) for i in range(agent_count)))
     if kind == "complete":
         return make_subset_graph(agent_count, range(agent_count))
     raise ValueError(f"unknown topology kind {kind!r}")
@@ -138,8 +134,9 @@ def default_subset_size(agent_count: int) -> int:
 class MarkovSchedule:
     """Markov chain over a finite set of communication substructures.
 
-    ``advance`` samples the next state from the transition row of the
-    current state using the schedule's own generator, then returns that
+    The chain starts in ``state`` 0. ``advance`` samples the next state from
+    the transition row of the current state using the schedule's own
+    generator, then returns that
     state's graph. All draws come from ``rng`` only, so two schedules built
     with equal seeds produce identical graph sequences.
     """
@@ -147,7 +144,7 @@ class MarkovSchedule:
     substructures: list[Graph]
     transition: np.ndarray
     rng: np.random.Generator
-    state: int = 0
+    state: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.substructures:
@@ -163,8 +160,6 @@ class MarkovSchedule:
             raise ValueError("transition probabilities must be nonnegative")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition rows must sum to one")
-        if not (0 <= self.state < q):
-            raise ValueError("initial state out of range")
 
     @property
     def agent_count(self) -> int:
@@ -215,15 +210,15 @@ def make_dms_schedule(
     return MarkovSchedule(substructures=subs, transition=transition, rng=rng)
 
 
-def stationary_distribution(transition: np.ndarray, iterations: int = 500) -> np.ndarray:
-    """Stationary row vector by power iteration from the uniform start.
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Stationary row vector by 500 power iterations from the uniform start.
 
     For reducible chains (e.g. the identity) this settles on the uniform
     mixture over states, a deliberate convention.
     """
     transition = np.asarray(transition, dtype=float)
     pi = np.full(transition.shape[0], 1.0 / transition.shape[0])
-    for _ in range(iterations):
+    for _ in range(500):
         pi = pi @ transition
     return pi / pi.sum()
 

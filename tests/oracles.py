@@ -155,7 +155,7 @@ def _hooked(phis, hook):
 
 def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
     mixed = broadcast.copy()
-    sessions = old_party_placement(strategy, graph=graph, prime=secure.prime)
+    sessions = old_party_placement(strategy, graph=graph, prime=secure.codec.prime)
     if strategy == "dring":
         for session in sessions:
             recipient = session.recipients[0]
@@ -284,7 +284,7 @@ def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=No
     broadcast = _hooked(np.array(uploads), broadcast_hook)
     before = _snapshot(secure)
     if secure is not None:
-        session = old_party_placement("fedavg", agent_count=n, prime=secure.prime)[0]
+        session = old_party_placement("fedavg", agent_count=n, prime=secure.codec.prime)[0]
         try:
             total = secure_aggregate(
                 [broadcast[i] for i in range(n)],

@@ -1,9 +1,12 @@
 import importlib
+import inspect
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
 
 from dmslearn import experiment, secagg
 from dmslearn.cli import main
@@ -445,6 +448,53 @@ def test_cli_run_rejects_a_pick_beyond_the_largest_cluster(tmp_path, capsys):
     assert not out.exists()
 
 
+def run_exit_code(tmp_path, config: dict) -> int:
+    """Exit code of `dmslearn run` on ``config``, asserting it wrote nothing."""
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"rounds": 2.5},
+        {"agent_count": 4.5},
+        {"seed": 1.5},
+        {"substructure_count": 2.0},
+        {"gamma": math.nan},
+        {"noise": {"xi": math.nan}},
+        {"tolerance": math.nan},
+        {"attack": {"epsilon": math.nan}},
+        {"secure": {"enabled": "no"}},
+    ],
+)
+def test_cli_run_rejects_wrong_typed_and_non_finite_values(tmp_path, config):
+    assert run_exit_code(tmp_path, {"agent_count": 6, "rounds": 2, **config}) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"secure": {"enabled": True, "fraction_bits": 0}},
+        {"secure": {"enabled": True, "fraction_bits": 60, "integer_bits": 70}},
+        {"agent_count": 2},
+        {"subset_size": 31},
+        {"strategy": "dring", "agent_count": 2},
+        {"task": "forecast", "data": {"days": 1}, "model": {"lookback": 60}},
+        {"task": "forecast", "data": {"households": 2, "clusters": 3}},
+        # A secure run needs 3 agents, counted as the run counts them.
+        {"strategy": "dfc", "agent_count": 2, "secure": {"enabled": True}},
+        {"task": "forecast", "strategy": "fedavg", "data": {"pick": 2}, "secure": {"enabled": True}},
+    ],
+)
+def test_cli_run_rejects_configs_it_cannot_build(tmp_path, config):
+    assert run_exit_code(tmp_path, {"rounds": 2, **config}) == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -572,7 +622,6 @@ def test_cli_compare_divergence_exits_4(tmp_path):
 @pytest.mark.parametrize(
     "module",
     [
-        "dmslearn",
         "dmslearn.config",
         "dmslearn.consensus",
         "dmslearn.data",
@@ -588,6 +637,14 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+    # Each name has one home: a module exports only what it defines.
+    objects = [getattr(mod, name) for name in mod.__all__]
+    borrowed = [
+        obj.__qualname__
+        for obj in objects
+        if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ != module
+    ]
+    assert borrowed == []
 
 
 def test_epochs_take_effect_for_dms():
