@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 bad configuration, 3 secure-aggregation abort,
-4 divergence detected. Output directory resolution: ``--out`` flag, then
+Exit codes: 0 success, 2 bad configuration or an output directory that
+cannot be created, 3 secure-aggregation abort, 4 divergence detected,
+for every subcommand. Output directory resolution: ``--out`` flag, then
 the ``DMSLEARN_OUT`` environment variable, then ``./out/<command>``.
 """
 
@@ -68,24 +69,10 @@ def _load_config(args):
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args)
-        if args.allow_unstable:
-            config = config.replace(allow_unstable=True)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = _out_dir(args, "run")
-    try:
-        result = run_experiment(config, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RoundFailure, SecAggError) as exc:
-        print(f"secure aggregation abort: {exc}", file=sys.stderr)
-        return EXIT_SECAGG
-
+    config = _load_config(args)
+    if args.allow_unstable:
+        config = config.replace(allow_unstable=True)
+    result = run_experiment(config, _out_dir(args, "run"))
     s = result.summary
     print(
         f"{config.strategy}/{config.task}: rounds={s['rounds_completed']} "
@@ -99,15 +86,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     out = _out_dir(args, "compare")
-    try:
-        base = _load_config(args)
-        results = forecast_comparison(base, out_dir=out)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RoundFailure, SecAggError) as exc:
-        print(f"secure aggregation abort: {exc}", file=sys.stderr)
-        return EXIT_SECAGG
+    results = forecast_comparison(_load_config(args), out_dir=out)
     paths = emit_tables(results, out)
 
     print(f"{'strategy':<12} {'train':>10} {'val':>10} {'test':>10} {'messages':>12}")
@@ -296,7 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (RoundFailure, SecAggError) as exc:
+        print(f"secure aggregation abort: {exc}", file=sys.stderr)
+        return EXIT_SECAGG
 
 
 if __name__ == "__main__":

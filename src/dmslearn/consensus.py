@@ -93,22 +93,16 @@ class AgentState:
 
 
 def make_agents(
-    tasks: Sequence[LocalTask],
-    inits: Sequence[np.ndarray],
-    gammas: float | Sequence[float],
+    tasks: Sequence[LocalTask], inits: Sequence[np.ndarray], gamma: float
 ) -> list[AgentState]:
     if len(tasks) != len(inits):
         raise ValueError("one init per task required")
-    if np.isscalar(gammas):
-        gammas = [float(gammas)] * len(tasks)
-    elif len(gammas) != len(tasks):
-        raise ValueError("one learning rate per task required")
     dims = {t.dim for t in tasks}
     if len(dims) != 1:
         raise ValueError("all agents must share one weight dimension")
     return [
-        AgentState(id=i, task=t, gamma=float(g), theta=np.asarray(x, dtype=float))
-        for i, (t, x, g) in enumerate(zip(tasks, inits, gammas))
+        AgentState(id=i, task=t, gamma=float(gamma), theta=np.asarray(x, dtype=float))
+        for i, (t, x) in enumerate(zip(tasks, inits))
     ]
 
 
@@ -460,9 +454,6 @@ class TrainingRun:
     @property
     def rounds_to_tolerance(self) -> int | None:
         return self.rounds_completed if self.terminated_early else None
-
-    def thetas(self) -> np.ndarray:
-        return np.array([agent.theta for agent in self.agents])
 
 
 def run_training(

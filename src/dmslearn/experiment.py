@@ -29,14 +29,7 @@ from .consensus import (
 )
 from .data import gen_synthetic_load, household_features, kmeans, window_dataset
 from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask, mse_loss
-from .reports import (
-    config_record,
-    round_record,
-    summary_record,
-    write_report,
-    write_summary_csv,
-    write_transcript,
-)
+from .reports import write_report, write_summary_csv, write_transcript
 from .secagg import FixedPointCodec, Transcript
 from .threats import PoisonPolicy
 from .topology import (
@@ -323,6 +316,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
             secure.transcript.entries.clear()
         thetas = np.array([a.theta for a in ags])
         rec = {
+            "type": "round",
+            "round": k,
             "edges": metrics.edge_count,
             "active": metrics.active_agents,
             "messages": metrics.messages,
@@ -334,7 +329,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         if setup is not None:
             rec["train_mse"] = _forecast_mse(setup, "train")
             rec["val_mse"] = _forecast_mse(setup, "val")
-        rows.append(round_record(k, **rec))
+        rows.append(rec)
 
     run = run_training(
         agents,
@@ -371,7 +366,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         summary["test_mse"] = _forecast_mse(setup, "test")
         summary["households"] = setup.households
 
-    records = [config_record(config.to_dict())] + rows + [summary_record(**summary)]
+    records = [{"type": "config", "config": config.to_dict()}, *rows]
+    records.append({"type": "summary", **summary})
 
     paths: dict[str, Path] = {}
     if out_dir is not None:
@@ -489,12 +485,16 @@ def forecast_comparison(
     evaluates on identical households and splits. Every strategy's config
     is built before the first run, so a base that one of them rejects
     raises :class:`ConfigError` before any training. The centralized run
-    trains one agent, so at most one of the base's attackers lies there.
+    trains one agent, so at most one of the base's attackers lies there,
+    and it runs plaintext: one agent has no peer to hide its weights from.
     """
     attack = base.attack
-    solo = None if attack is None else replace(attack, malicious=min(attack.malicious, 1))
+    solo = {
+        "attack": None if attack is None else replace(attack, malicious=min(attack.malicious, 1)),
+        "secure": replace(base.secure, enabled=False),
+    }
     configs = {
-        s: base.replace(strategy=s, task="forecast", attack=solo if s == "centralized" else attack)
+        s: base.replace(strategy=s, task="forecast", **(solo if s == "centralized" else {}))
         for s in ("dms", "fedavg", "dring", "dfc", "centralized")
     }
     results = {}

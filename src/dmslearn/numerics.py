@@ -71,15 +71,6 @@ class QuadraticTask:
     def dim(self) -> int:
         return self.hessian.shape[0]
 
-    @property
-    def optimum(self) -> np.ndarray:
-        return np.linalg.solve(self.hessian, -self.lin_term)
-
-    def curvature_bounds(self) -> tuple[float, float]:
-        """(smallest, largest) eigenvalue of the Hessian."""
-        eig = np.linalg.eigvalsh(self.hessian)
-        return float(eig[0]), float(eig[-1])
-
     def loss(self, theta: np.ndarray) -> float:
         t = np.asarray(theta, dtype=float)
         return float(0.5 * t @ self.hessian @ t + self.lin_term @ t)

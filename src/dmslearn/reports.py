@@ -16,10 +16,6 @@ import numpy as np
 from .secagg import Transcript
 
 __all__ = [
-    "config_record",
-    "read_report",
-    "round_record",
-    "summary_record",
     "write_report",
     "write_summary_csv",
     "write_transcript",
@@ -41,22 +37,6 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def config_record(config_dict: dict) -> dict:
-    return {"type": "config", "config": _plain(config_dict)}
-
-
-def round_record(round_index: int, **metrics: Any) -> dict:
-    rec = {"type": "round", "round": round_index}
-    rec.update({k: _plain(v) for k, v in metrics.items()})
-    return rec
-
-
-def summary_record(**fields: Any) -> dict:
-    rec = {"type": "summary"}
-    rec.update({k: _plain(v) for k, v in fields.items()})
-    return rec
-
-
 def write_report(path: str | Path, records: Iterable[dict]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -65,11 +45,6 @@ def write_report(path: str | Path, records: Iterable[dict]) -> Path:
             fh.write(json.dumps(_plain(rec), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
     return path
-
-
-def read_report(path: str | Path) -> list[dict]:
-    with Path(path).open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_summary_csv(path: str | Path, rows: Sequence[dict], columns: Sequence[str]) -> Path:

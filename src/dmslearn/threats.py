@@ -8,7 +8,7 @@ in through the broadcast seam or read intercepted weight snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,14 +19,12 @@ from .secagg import FixedPointCodec, Transcript, party_placement, secure_aggrega
 from .topology import make_dms_schedule
 
 __all__ = [
-    "InterceptedTrace",
     "LeakageReport",
     "PoisonOutcome",
     "PoisonPolicy",
     "ReconstructionResult",
     "dlg_compare_topologies",
     "dlg_reconstruct",
-    "infer_gradient",
     "poison_broadcast",
     "run_poisoning_experiment",
     "secure_leakage_probe",
@@ -78,41 +76,6 @@ def poison_broadcast(weights: np.ndarray, policy: PoisonPolicy, agent_id: int) -
         return w + policy.epsilon
     shift = policy.epsilon * float(np.linalg.norm(w)) / np.sqrt(w.size)
     return w + shift
-
-
-@dataclass
-class InterceptedTrace:
-    """Weight snapshots of one victim, in interception order.
-
-    ``step`` is the attacker's own monotone counter; two snapshots are
-    consecutive when their steps differ by one, meaning the attacker saw
-    both ends of a single local update with nothing in between.
-    """
-
-    victim: int
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
-
-    def add(self, step: int, weights: np.ndarray) -> None:
-        if self.snapshots and step <= self.snapshots[-1][0]:
-            raise ValueError("snapshots must arrive in increasing step order")
-        self.snapshots.append((step, np.asarray(weights, dtype=float).copy()))
-
-
-def infer_gradient(trace: InterceptedTrace, gamma: float) -> np.ndarray:
-    """Recover the gradient implied by two consecutive snapshots.
-
-    Exact whenever the victim took one plain gradient step between the
-    snapshots; anything mixed in between (consensus averaging) corrupts
-    the estimate, which is the point of comparing topologies.
-    """
-    if gamma == 0:
-        raise ValueError("cannot divide out a zero learning rate")
-    if len(trace.snapshots) < 2:
-        raise ValueError("need two snapshots to difference")
-    (s0, w0), (s1, w1) = trace.snapshots[0], trace.snapshots[1]
-    if s1 != s0 + 1:
-        raise ValueError(f"snapshots {s0} and {s1} are not consecutive")
-    return (w0 - w1) / gamma
 
 
 @dataclass
@@ -277,14 +240,12 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     true_x = samples_x[victim]
     true_y = samples_y[victim]
 
-    # Server arm: shared init, gradient inferred from one local step.
+    # Server arm: shared init; the gradient is inferred as the difference
+    # of the two intercepted weights across one local step, over gamma.
     theta0 = model.init_params(init_rng)
     _, true_grad = model.loss_and_gradient(theta0, true_x[None, :], true_y[None, :])
     phi = theta0 - gamma * true_grad
-    trace = InterceptedTrace(victim)
-    trace.add(0, theta0)
-    trace.add(1, phi)
-    inferred = infer_gradient(trace, gamma)
+    inferred = (theta0 - phi) / gamma
     fedavg_rec = dlg_reconstruct(
         model,
         theta0,
@@ -312,10 +273,7 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
         observed.append(ags[victim].phi.copy())
 
     run_training(agents, schedule, strategy="dms", rounds=2, on_round=on_round)
-    dms_trace = InterceptedTrace(victim)
-    dms_trace.add(0, observed[0])
-    dms_trace.add(1, observed[1])
-    dms_inferred = infer_gradient(dms_trace, gamma)
+    dms_inferred = (observed[0] - observed[1]) / gamma
     mismatch = float(np.linalg.norm(dms_inferred - true_grad))
     dms_rec = dlg_reconstruct(
         model,

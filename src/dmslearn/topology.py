@@ -21,7 +21,6 @@ __all__ = [
     "Graph",
     "MarkovSchedule",
     "default_subset_size",
-    "expected_edges",
     "make_dms_schedule",
     "make_static_schedule",
     "make_subset_graph",
@@ -221,13 +220,6 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     for _ in range(500):
         pi = pi @ transition
     return pi / pi.sum()
-
-
-def expected_edges(schedule: MarkovSchedule) -> float:
-    """Stationary-weighted mean edge count across the substructures."""
-    pi = stationary_distribution(schedule.transition)
-    counts = np.array([g.edge_count for g in schedule.substructures], dtype=float)
-    return float(pi @ counts)
 
 
 def union_connectivity(substructures: Sequence[Graph]) -> bool:

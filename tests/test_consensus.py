@@ -69,7 +69,7 @@ def test_centralized_label_is_single_node_descent():
     theta = np.array([0.0])
     for _ in range(25):
         theta = local_step(task, theta, 0.1)
-    assert np.allclose(run.thetas()[0], theta)
+    assert np.allclose(run.agents[0].theta, theta)
 
 
 def test_identical_agents_agree_after_one_mix():
@@ -551,7 +551,8 @@ def test_secure_three_agent_ring_runs_one_triangle_session():
         run = run_training(agents, schedule, strategy=strategy, rounds=3, secure=setup)
         runs.append((run, setup.transcript))
     (ring, ring_log), (full, full_log) = runs
-    assert np.array_equal(ring.thetas(), full.thetas())
+    for a, b in zip(ring.agents, full.agents):
+        assert np.array_equal(a.theta, b.theta)
     assert ring_log.entries == full_log.entries
     for m in ring.metrics:
         assert_triangle_traffic(m, 2)
@@ -615,13 +616,6 @@ def test_agents_hold_the_last_completed_round_after_a_failure():
         assert np.array_equal(done.theta, failed.theta)
         assert np.array_equal(done.phi, failed.phi)
         assert not np.array_equal(failed.theta, np.zeros(1))
-
-
-def test_make_agents_rejects_a_learning_rate_count_mismatch():
-    with pytest.raises(ValueError, match="one learning rate per task"):
-        make_agents([quad(1.0)] * 4, [np.zeros(1)] * 4, [0.1, 0.2])
-    agents = make_agents([quad(1.0)] * 2, [np.zeros(1)] * 2, [0.1, 0.2])
-    assert [a.gamma for a in agents] == [0.1, 0.2]
 
 
 def test_agent_rejects_zero_learning_rate():

@@ -19,8 +19,12 @@ from dmslearn.experiment import (
     seed_streams,
 )
 from dmslearn.consensus import ConvergenceMonitor
-from dmslearn.reports import read_report, write_report
+from dmslearn.reports import write_report
 from dmslearn.secagg import Transcript
+
+
+def read_report(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def small_quadratic(**overrides):
@@ -405,6 +409,13 @@ def test_cli_cluster(tmp_path):
     assert len(lines) == 31
 
 
+def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["cluster", "--households", "5", "--days", "1", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "attack",
     ["{kind: dlg}", "{kind: poison, iters: 5}", "{kind: poison, restarts: 1}", "{mode: bogus}"],
@@ -586,14 +597,18 @@ def test_cli_compare_with_an_attack_caps_the_centralized_attackers(tmp_path):
         assert echo["attack"]["malicious"] == count
 
 
-def test_cli_compare_rejected_strategy_exits_2(tmp_path):
-    # Secure aggregation is valid for dms but not for centralized, so the
-    # comparison must stop before training any strategy.
+def test_cli_compare_runs_secure_with_a_plaintext_centralized_arm(tmp_path):
+    # One agent has no peer to hide its weights from, so the centralized
+    # arm runs plaintext and only the four multi-agent runs keep transcripts.
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COMPARE_YAML + "secure:\n  enabled: true\n")
     out = tmp_path / "compare"
-    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ["dms", "fedavg", "dring", "dfc", "centralized"]:
+        secure = name != "centralized"
+        assert (out / name / "report.jsonl").exists()
+        assert (out / name / "transcript.jsonl").exists() == secure
+        assert json.loads((out / name / "config.echo").read_text())["secure"]["enabled"] == secure
 
 
 def test_tolerance_is_rejected_on_the_forecast_task(tmp_path):

@@ -49,16 +49,8 @@ def test_quadratic_from_optimum():
     q = np.diag([1.0, 4.0])
     u = np.array([2.0, -3.0])
     task = QuadraticTask.from_optimum(q, u)
-    assert np.allclose(task.optimum, u)
     assert np.allclose(task.gradient(u), 0.0)
     assert task.loss(u) <= task.loss(u + 0.1)
-
-
-def test_curvature_bounds():
-    task = QuadraticTask(np.diag([0.5, 2.0, 7.0]), np.zeros(3))
-    low, high = task.curvature_bounds()
-    assert low == pytest.approx(0.5)
-    assert high == pytest.approx(7.0)
 
 
 def test_quadratic_rejects_asymmetric():

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from dmslearn.numerics import MlpModel, QuadraticTask, local_step
+from dmslearn.numerics import MlpModel
 from dmslearn.secagg import FixedPointCodec, SecAggSession, SharingParams, Transcript, secure_aggregate
 from dmslearn.threats import (
-    InterceptedTrace,
     PoisonPolicy,
     dlg_compare_topologies,
     dlg_reconstruct,
-    infer_gradient,
     poison_broadcast,
     run_poisoning_experiment,
     secure_leakage_probe,
@@ -53,41 +51,6 @@ def test_policy_hook_matches_direct_call():
         assert out.shape == broadcast.shape
         for agent in range(4):
             assert np.array_equal(out[agent], poison_broadcast(broadcast[agent], policy, agent))
-
-
-def test_trace_requires_increasing_steps():
-    trace = InterceptedTrace(victim=0)
-    trace.add(0, np.zeros(2))
-    trace.add(1, np.ones(2))
-    with pytest.raises(ValueError):
-        trace.add(1, np.ones(2))
-
-
-def test_infer_gradient_exact_on_plain_step():
-    task = QuadraticTask(np.diag([2.0, 3.0]), np.array([0.5, -0.5]))
-    theta0 = np.array([1.0, 2.0])
-    gamma = 0.1
-    theta1 = local_step(task, theta0, gamma)
-    trace = InterceptedTrace(victim=0)
-    trace.add(0, theta0)
-    trace.add(1, theta1)
-    recovered = infer_gradient(trace, gamma)
-    assert np.allclose(recovered, task.gradient(theta0))
-
-
-def test_infer_gradient_guards():
-    trace = InterceptedTrace(victim=0)
-    trace.add(0, np.zeros(1))
-    with pytest.raises(ValueError):
-        infer_gradient(trace, 0.1)  # one snapshot
-    trace.add(2, np.ones(1))
-    with pytest.raises(ValueError):
-        infer_gradient(trace, 0.1)  # steps 0 and 2 straddle a mixing round
-    consec = InterceptedTrace(victim=0)
-    consec.add(0, np.zeros(1))
-    consec.add(1, np.ones(1))
-    with pytest.raises(ValueError):
-        infer_gradient(consec, 0.0)
 
 
 def test_dlg_recovers_known_sample():
@@ -157,7 +120,9 @@ def test_compare_topologies_smoke():
     assert report.fedavg_residual >= 0
     assert report.dms_residual >= 0
     assert report.transcript_clean is True
-    assert report.inferred_mismatch >= 0
+    # The mixing step between the two observed broadcasts contaminates
+    # the switching arm's differenced gradient.
+    assert report.inferred_mismatch > 0
 
 
 def test_poisoning_experiment_smoke():

@@ -6,7 +6,6 @@ from dmslearn.topology import (
     Graph,
     MarkovSchedule,
     default_subset_size,
-    expected_edges,
     make_dms_schedule,
     make_static_schedule,
     make_subset_graph,
@@ -139,13 +138,6 @@ def test_stationary_biased_chain():
     pi = stationary_distribution(t)
     assert np.allclose(pi @ t, pi, atol=1e-12)
     assert pi[0] > pi[1]
-
-
-def test_expected_edges_weights_substructures():
-    g1 = make_subset_graph(6, (0, 1, 2))       # 3 edges
-    g2 = make_subset_graph(6, (0, 1, 2, 3))    # 6 edges
-    sched = MarkovSchedule([g1, g2], np.full((2, 2), 0.5), np.random.default_rng(0))
-    assert expected_edges(sched) == pytest.approx(4.5)
 
 
 def test_union_connectivity():
