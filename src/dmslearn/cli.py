@@ -37,6 +37,8 @@ EXIT_SECAGG = 3
 EXIT_DIVERGED = 4
 
 POISON_AGENTS = 30  # agents in the poisoning study; caps --malicious
+# Poisoning-study flag -> run_poisoning_experiment keyword, which holds the default.
+POISON_FLAGS = {"epsilon": "epsilon", "malicious": "malicious_count"}
 
 
 def _bounded(convert, low, high=math.inf):
@@ -130,13 +132,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    given = {flag: getattr(args, flag) for flag in POISON_FLAGS if getattr(args, flag) is not None}
+    if args.kind == "dlg" and given:
+        raise ConfigError(f"--kind dlg takes no {' or '.join('--' + flag for flag in given)}")
     out = _out_dir(args, "attack")
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(args.seed or 0, (args.seed or 0) + args.seeds))
     if args.kind == "poison":
-        outcome = run_poisoning_experiment(
-            seeds, agent_count=POISON_AGENTS, malicious_count=args.malicious, epsilon=args.epsilon
-        )
+        options = {POISON_FLAGS[flag]: value for flag, value in given.items()}
+        outcome = run_poisoning_experiment(seeds, agent_count=POISON_AGENTS, **options)
         rows = [
             {
                 "type": "poison",
@@ -258,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p = sub.add_parser("attack", help="poisoning or reconstruction attacks")
     attack_p.add_argument("--kind", choices=("poison", "dlg"), default="poison")
     attack_p.add_argument("--seeds", type=_bounded(int, 1), default=10, help="number of seeds")
-    attack_p.add_argument("--epsilon", type=_bounded(float, 0.0), default=0.2)
-    attack_p.add_argument("--malicious", type=_bounded(int, 0, POISON_AGENTS), default=3)
+    attack_p.add_argument("--epsilon", type=_bounded(float, 0.0), default=None, help="poison only")
+    attack_p.add_argument(
+        "--malicious", type=_bounded(int, 0, POISON_AGENTS), default=None, help="poison only"
+    )
     common(attack_p)
     attack_p.set_defaults(func=_cmd_attack)
 

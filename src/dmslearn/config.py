@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -38,33 +38,35 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _fits(annotation: str, value) -> bool:
-    """Whether ``value`` fits a field annotated ``annotation`` (a string here):
+def _fits(kinds: tuple, value) -> bool:
+    """Whether ``value`` fits a field whose annotation allows ``kinds``:
     an int field takes an int but not a bool, a float field takes a finite
     int or float, kept as written, and an ``X | None`` field also takes null."""
-    kind, _, optional = annotation.partition(" | ")
     if value is None:
-        return bool(optional)
-    if kind == "float":
+        return type(None) in kinds
+    if float in kinds:
         return type(value) in (int, float) and math.isfinite(value)
-    return type(value) is {"int": int, "bool": bool, "str": str}[kind]
+    return type(value) in kinds
 
 
 def _build(cls, data: dict, where: str):
+    """``cls`` from a mapping; a field whose annotation names a dataclass
+    is a section, built from its own mapping."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(annotations)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    hints = get_type_hints(cls)
     kwargs = {}
     for name, value in data.items():
-        f = known[name]
-        sub = _SECTION_TYPES.get((cls, name))
-        if sub is not None and value is not None:
-            value = _build(sub, value, f"{where}.{name}")
-        elif not _fits(f.type, value):
-            raise ConfigError(f"{where}.{name}: expected {f.type}, got {value!r}")
+        kinds = get_args(hints[name]) or (hints[name],)
+        section = next((k for k in kinds if dataclasses.is_dataclass(k)), None)
+        if section is not None and value is not None:
+            value = _build(section, value, f"{where}.{name}")
+        elif not _fits(kinds, value):
+            raise ConfigError(f"{where}.{name}: expected {annotations[name]}, got {value!r}")
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -225,16 +227,6 @@ class ExperimentConfig:
             return dataclasses.replace(self, **changes)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config: {exc}") from exc
-
-
-_SECTION_TYPES = {
-    (ExperimentConfig, "model"): ModelConfig,
-    (ExperimentConfig, "noise"): NoiseConfig,
-    (ExperimentConfig, "secure"): SecureConfig,
-    (ExperimentConfig, "quadratic"): QuadraticConfig,
-    (ExperimentConfig, "data"): DataConfig,
-    (ExperimentConfig, "attack"): AttackConfig,
-}
 
 
 def parse_config(data: dict | None) -> ExperimentConfig:

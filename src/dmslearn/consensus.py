@@ -80,7 +80,6 @@ class AgentState:
     local-step result (the value the agent broadcast this round).
     """
 
-    id: int
     task: LocalTask
     gamma: float
     theta: np.ndarray
@@ -101,8 +100,8 @@ def make_agents(
     if len(dims) != 1:
         raise ValueError("all agents must share one weight dimension")
     return [
-        AgentState(id=i, task=t, gamma=float(gamma), theta=np.asarray(x, dtype=float))
-        for i, (t, x) in enumerate(zip(tasks, inits))
+        AgentState(task=t, gamma=float(gamma), theta=np.asarray(x, dtype=float))
+        for t, x in zip(tasks, inits)
     ]
 
 
@@ -213,7 +212,6 @@ class ContractionReport:
     limit_bound: float
     step_size_ok: bool
     stable: bool
-    tail_mean: float
     tail_within_bound: bool
     empirical_slope: float | None
     slope_within_rate: bool | None
@@ -266,7 +264,6 @@ def contraction_check(
         limit_bound=limit_bound,
         step_size_ok=params.step_size_ok,
         stable=bool(contraction <= 1.0),
-        tail_mean=tail_mean,
         tail_within_bound=tail_ok,
         empirical_slope=empirical_slope,
         slope_within_rate=slope_within,
@@ -446,7 +443,6 @@ class TrainingRun:
 
     agents: list[AgentState]
     metrics: list[RoundMetrics]
-    monitor: ConvergenceMonitor | None
     rounds_completed: int
     terminated_early: bool
     diverged: bool
@@ -536,7 +532,6 @@ def run_training(
     return TrainingRun(
         agents=agents,
         metrics=metrics_list,
-        monitor=monitor,
         rounds_completed=completed,
         terminated_early=terminated,
         diverged=diverged,

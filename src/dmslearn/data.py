@@ -214,7 +214,7 @@ def window_dataset(profile, lookback: int, horizon: int) -> WindowedSplits:
     if n_windows < 1:
         raise ValueError("series too short for one window")
     x = np.lib.stride_tricks.sliding_window_view(series, lookback)[:n_windows].copy()
-    y = np.array([series[i + lookback : i + lookback + horizon] for i in range(n_windows)])
+    y = np.lib.stride_tricks.sliding_window_view(series[lookback:], horizon).copy()
 
     n_train = math.ceil(0.7 * n_windows)
     n_val = math.floor(0.15 * n_windows)

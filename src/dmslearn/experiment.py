@@ -372,7 +372,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     paths: dict[str, Path] = {}
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         paths["report"] = write_report(out / "report.jsonl", records)
         echo = out / "config.echo"
         echo.write_text(config.echo_json() + "\n")
@@ -507,40 +506,13 @@ def forecast_comparison(
 def emit_tables(results: dict[str, ExperimentResult], out_dir: str | Path) -> dict[str, Path]:
     """Comparison grids across finished runs: error and traffic."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    error_rows = []
-    comm_rows = []
-    for strategy, res in results.items():
-        s = res.summary
-        error_rows.append(
-            {
-                "strategy": strategy,
-                "task": s["task"],
-                "train_mse": s.get("train_mse"),
-                "val_mse": s.get("val_mse"),
-                "test_mse": s.get("test_mse"),
-                "final_worst_mse": s.get("final_worst_mse"),
-                "rounds": s["rounds_completed"],
-            }
-        )
-        comm_rows.append(
-            {
-                "strategy": strategy,
-                "total_messages": s["total_messages"],
-                "total_bytes": s["total_bytes"],
-                "mean_edges": s["mean_edges"],
-            }
-        )
-    paths = {
-        "errors": write_summary_csv(
-            out / "errors.csv",
-            error_rows,
-            ["strategy", "task", "train_mse", "val_mse", "test_mse", "final_worst_mse", "rounds"],
-        ),
-        "communication": write_summary_csv(
-            out / "communication.csv",
-            comm_rows,
-            ["strategy", "total_messages", "total_bytes", "mean_edges"],
-        ),
+    rows = [
+        {**res.summary, "strategy": name, "rounds": res.summary["rounds_completed"]}
+        for name, res in results.items()
+    ]
+    error_cols = ["strategy", "task", "train_mse", "val_mse", "test_mse", "final_worst_mse", "rounds"]
+    comm_cols = ["strategy", "total_messages", "total_bytes", "mean_edges"]
+    return {
+        "errors": write_summary_csv(out / "errors.csv", rows, error_cols),
+        "communication": write_summary_csv(out / "communication.csv", rows, comm_cols),
     }
-    return paths

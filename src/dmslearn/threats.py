@@ -83,17 +83,10 @@ class ReconstructionResult:
     """Best iterate of a gradient-matching attack."""
 
     x: np.ndarray
-    y: np.ndarray
     residual: float
     residual_series: np.ndarray
     iterations: int
     input_mse: float | None = None
-
-
-def _gradient_residual(model, theta: np.ndarray, x: np.ndarray, y: np.ndarray, observed: np.ndarray) -> float:
-    _, g = model.loss_and_gradient(theta, x[None, :], y[None, :])
-    d = g - observed
-    return float(d @ d)
 
 
 def dlg_reconstruct(
@@ -123,6 +116,12 @@ def dlg_reconstruct(
     in_dim = model.in_dim
     out_dim = model.out_dim
 
+    def residual_at(z: np.ndarray) -> float:
+        """Squared mismatch of the gradient at the dummy sample ``z`` (input, then target)."""
+        _, g = model.loss_and_gradient(theta, z[None, :in_dim], z[None, in_dim:])
+        d = g - observed
+        return float(d @ d)
+
     best: ReconstructionResult | None = None
     for attempt in range(max(1, restarts)):
         if x_init is not None and attempt == 0:
@@ -133,7 +132,7 @@ def dlg_reconstruct(
             y = rng.uniform(-1.0, 1.0, out_dim)
 
         z = np.concatenate([x, y])
-        residual = _gradient_residual(model, theta, z[:in_dim], z[in_dim:], observed)
+        residual = residual_at(z)
         if not np.isfinite(residual):
             raise ValueError("attack residual non-finite at initialization")
         series = [residual]
@@ -150,9 +149,7 @@ def dlg_reconstruct(
                 zp[j] += h
                 zm = z.copy()
                 zm[j] -= h
-                rp = _gradient_residual(model, theta, zp[:in_dim], zp[in_dim:], observed)
-                rm = _gradient_residual(model, theta, zm[:in_dim], zm[in_dim:], observed)
-                grad[j] = (rp - rm) / (2 * h)
+                grad[j] = (residual_at(zp) - residual_at(zm)) / (2 * h)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-14:
                 break
@@ -160,7 +157,7 @@ def dlg_reconstruct(
             t = trial_step
             for _ in range(40):
                 cand = z - t * grad
-                r = _gradient_residual(model, theta, cand[:in_dim], cand[in_dim:], observed)
+                r = residual_at(cand)
                 if np.isfinite(r) and r < residual:
                     z = cand
                     residual = r
@@ -175,7 +172,6 @@ def dlg_reconstruct(
 
         result = ReconstructionResult(
             x=z[:in_dim].copy(),
-            y=z[in_dim:].copy(),
             residual=residual,
             residual_series=np.array(series),
             iterations=accepted,
@@ -240,21 +236,18 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     true_x = samples_x[victim]
     true_y = samples_y[victim]
 
+    def attack(theta: np.ndarray, grad: np.ndarray) -> ReconstructionResult:
+        """Every arm's attack: one victim sample, one budget, one generator."""
+        return dlg_reconstruct(
+            model, theta, grad, iters=iters, rng=attack_rng, restarts=restarts, true_x=true_x
+        )
+
     # Server arm: shared init; the gradient is inferred as the difference
     # of the two intercepted weights across one local step, over gamma.
     theta0 = model.init_params(init_rng)
     _, true_grad = model.loss_and_gradient(theta0, true_x[None, :], true_y[None, :])
     phi = theta0 - gamma * true_grad
-    inferred = (theta0 - phi) / gamma
-    fedavg_rec = dlg_reconstruct(
-        model,
-        theta0,
-        inferred,
-        iters=iters,
-        rng=attack_rng,
-        restarts=restarts,
-        true_x=true_x,
-    )
+    fedavg_rec = attack(theta0, (theta0 - phi) / gamma)
 
     # Switching arm: per-agent inits the attacker never sees; broadcasts
     # observed across a mixing step.
@@ -275,15 +268,7 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     run_training(agents, schedule, strategy="dms", rounds=2, on_round=on_round)
     dms_inferred = (observed[0] - observed[1]) / gamma
     mismatch = float(np.linalg.norm(dms_inferred - true_grad))
-    dms_rec = dlg_reconstruct(
-        model,
-        observed[0],  # best weight guess the attacker has
-        dms_inferred,
-        iters=iters,
-        rng=attack_rng,
-        restarts=restarts,
-        true_x=true_x,
-    )
+    dms_rec = attack(observed[0], dms_inferred)  # observed[0]: the attacker's best weight guess
 
     # Aggregate arm: the attacker sees only the securely summed gradients.
     grads = [
@@ -297,15 +282,7 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
         grads, session, codec, secagg_rng, transcript=transcript, round_index=0
     )
     clean = secure_leakage_probe(transcript, [codec.encode_vector(g) for g in grads])
-    agg_rec = dlg_reconstruct(
-        model,
-        theta0,
-        total / agent_count,
-        iters=iters,
-        rng=attack_rng,
-        restarts=restarts,
-        true_x=true_x,
-    )
+    agg_rec = attack(theta0, total / agent_count)
 
     return LeakageReport(
         fedavg_input_mse=fedavg_rec.input_mse,

@@ -160,10 +160,6 @@ class MarkovSchedule:
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition rows must sum to one")
 
-    @property
-    def agent_count(self) -> int:
-        return self.substructures[0].agent_count
-
     def advance(self) -> Graph:
         row = self.transition[self.state]
         self.state = int(self.rng.choice(len(row), p=row))

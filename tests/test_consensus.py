@@ -620,7 +620,7 @@ def test_agents_hold_the_last_completed_round_after_a_failure():
 
 def test_agent_rejects_zero_learning_rate():
     with pytest.raises(ValueError):
-        AgentState(id=0, task=quad(1.0), gamma=0.0, theta=np.zeros(1))
+        AgentState(task=quad(1.0), gamma=0.0, theta=np.zeros(1))
     with pytest.raises(ValueError):
         make_agents([quad(1.0)], [np.zeros(1)], 0.0)
 
