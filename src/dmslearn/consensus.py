@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import LocalTask, NoiseModel, QuadraticTask
+from .numerics import LocalTask, MlpTask, NoiseModel, QuadraticTask
 from .secagg import (
     FixedPointCodec,
     SecAggError,
@@ -107,7 +107,10 @@ def make_agents(
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Structural record of one round: graph size and traffic."""
+    """Structural record of one round: graph size and traffic, and the
+    per-agent training losses at the weights the learn stage started
+    from, taken from its first local step (None for tasks whose learn
+    stage computes no loss)."""
 
     round_index: int
     edge_count: int
@@ -116,6 +119,7 @@ class RoundMetrics:
     bytes: int
     degrees: np.ndarray
     per_agent_messages: np.ndarray
+    train_losses: np.ndarray | None = None
 
 
 @dataclass
@@ -156,10 +160,18 @@ class ConvergenceMonitor:
 
 
 def max_disagreement(thetas: np.ndarray) -> float:
-    """Largest pairwise L2 distance between agent weight vectors."""
+    """Largest pairwise L2 distance between agent weight vectors.
+
+    Each row is compared with itself and the rows after it, so every pair
+    is measured once; the self term makes a non-finite row give NaN.
+    """
     t = np.asarray(thetas, dtype=float)
-    worst = np.array([((t - row) ** 2).sum(axis=1).max() for row in t]).max()
-    return float(np.sqrt(worst))
+    worst = []
+    for i in range(len(t)):
+        diff = t[i:] - t[i]
+        diff *= diff
+        worst.append(diff.sum(axis=1).max())
+    return float(np.sqrt(np.max(worst)))
 
 
 def lr_bound(p_upper):
@@ -271,37 +283,54 @@ def contraction_check(
     )
 
 
+# The learn stage: stacked weights in, stepped weights and the first
+# step's per-agent losses (or None) out.
+Learn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+
+
 def _learner(
     agents: list[AgentState],
     epochs: int,
     noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Learn:
     """The learn stage: ``epochs`` perturbed gradient steps on every row of
     the stacked weights. Each call draws one agent-major (n, epochs, d)
     noise block, the stream of drawing agent 0's steps first. Quadratic
     task sets take one batched ``H @ theta + b`` product per step, bit for
     bit each task's own gradient (``thetas @ H.T`` is not, for dense H);
-    any other set calls each task's ``gradient`` on its row."""
+    network task sets call each task's ``loss_and_gradient`` and keep the
+    first step's losses, which are the losses at the weights the call
+    started from; any other set calls each task's ``gradient``."""
     tasks = [a.task for a in agents]
     if all(isinstance(t, QuadraticTask) for t in tasks):
         hessians = np.stack([t.hessian for t in tasks])
         lin = np.stack([t.lin_term for t in tasks])
-        gradient = lambda thetas: np.matmul(hessians, thetas[..., None])[..., 0] + lin
+        step = lambda thetas: (None, np.matmul(hessians, thetas[..., None])[..., 0] + lin)
+    elif all(isinstance(t, MlpTask) for t in tasks):
+
+        def step(thetas):
+            pairs = [t.loss_and_gradient(r) for t, r in zip(tasks, thetas)]
+            return np.array([loss for loss, _ in pairs]), np.array([grad for _, grad in pairs])
+
     else:
-        gradient = lambda thetas: np.array([t.gradient(r) for t, r in zip(tasks, thetas)])
+        step = lambda thetas: (None, np.array([t.gradient(r) for t, r in zip(tasks, thetas)]))
     gammas = np.array([[a.gamma] for a in agents])
     noisy = noise is not None and noise.bound > 0.0
     if noisy and noise_rng is None:
         raise ValueError("noise sampling needs an rng")
 
-    def learn(thetas: np.ndarray) -> np.ndarray:
+    def learn(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         draws = noise.sample((len(thetas), epochs, thetas.shape[1]), noise_rng) if noisy else None
+        first_losses = None
         for e in range(epochs):
-            thetas = thetas - gammas * gradient(thetas)
+            losses, grad = step(thetas)
+            if e == 0:
+                first_losses = losses
+            thetas = thetas - gammas * grad
             if noisy:
                 thetas = thetas + draws[:, e]
-        return thetas
+        return thetas, first_losses
 
     return learn
 
@@ -340,6 +369,7 @@ def _round_metrics(
     broadcast: np.ndarray,
     secure: SecureSetup | None,
     first_entry: int,
+    train_losses: np.ndarray | None = None,
 ) -> RoundMetrics:
     n, d = broadcast.shape
     if graph is None:
@@ -361,13 +391,15 @@ def _round_metrics(
         messages, nbytes = len(entries), sum(e.payload_bytes for e in entries)
         senders = [e.sender for e in entries if 0 <= e.sender < n]
         per_agent = np.bincount(senders, minlength=n)
-    return RoundMetrics(round_index, edge_count, active, messages, nbytes, degrees, per_agent)
+    return RoundMetrics(
+        round_index, edge_count, active, messages, nbytes, degrees, per_agent, train_losses
+    )
 
 
 def _round(
     thetas: np.ndarray,
     graph: Graph | None,
-    learn: Callable[[np.ndarray], np.ndarray],
+    learn: Learn,
     *,
     learn_first: bool,
     alpha: float = 1.0,
@@ -377,14 +409,15 @@ def _round(
 ) -> tuple[np.ndarray, np.ndarray, RoundMetrics]:
     """The one round body on stacked (n, d) weights: ``learn`` and a mix
     stage, in either order; returns the new weights, the learn output and
-    the metrics. Mix hooks the outgoing weights, averages them with the
-    round graph's mixing matrix, the server mean when ``graph`` is None,
-    or the secure sessions of ``party_placement``, and scales by ``alpha``.
+    the metrics, which carry the learn stage's losses. Mix hooks the
+    outgoing weights, averages them with the round graph's mixing matrix,
+    the server mean when ``graph`` is None, or the secure sessions of
+    ``party_placement``, and scales by ``alpha``.
     """
     n = len(thetas)
     if graph is not None and graph.agent_count != n:
         raise ValueError("schedule graph does not cover the agent set")
-    outgoing = learn(thetas) if learn_first else thetas
+    outgoing, losses = learn(thetas) if learn_first else (thetas, None)
     # The hook gets a copy: an in-place edit must not reach theta or phi.
     broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
 
@@ -401,11 +434,12 @@ def _round(
     else:
         mixed = alpha * (graph.mixing @ broadcast)
 
-    metrics = _round_metrics(round_index, graph, broadcast, secure, first_entry)
     if learn_first:
-        return mixed, outgoing, metrics
-    phis = learn(mixed)
-    return phis, phis, metrics
+        thetas, phis = mixed, outgoing
+    else:
+        phis, losses = learn(mixed)
+        thetas = phis
+    return thetas, phis, _round_metrics(round_index, graph, broadcast, secure, first_entry, losses)
 
 
 def dms_round(thetas, learn, schedule: MarkovSchedule, **options):

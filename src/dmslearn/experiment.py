@@ -28,7 +28,7 @@ from .consensus import (
     run_training,
 )
 from .data import gen_synthetic_load, household_features, kmeans, window_dataset
-from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask, mse_loss
+from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask
 from .reports import write_report, write_summary_csv, write_transcript
 from .secagg import FixedPointCodec, Transcript
 from .threats import PoisonPolicy
@@ -153,11 +153,16 @@ def average_monitor(monitors: Sequence[ConvergenceMonitor]) -> ConvergenceMonito
     return out
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass
 class _ForecastSetup:
     agents: list[AgentState]
     model: MlpModel
-    splits: list  # WindowedSplits per agent
+    # Split name -> inputs (households, windows, lookback) and targets
+    # (households, windows, horizon), stacked in household order.
+    splits: dict[str, tuple[np.ndarray, np.ndarray]]
     households: list[int]
 
 
@@ -178,18 +183,36 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
         )
     picked = members[: d.pick]
 
-    model = MlpModel(config.model.lookback, config.model.hidden, config.model.horizon)
-    splits = [
-        window_dataset(profiles[h], config.model.lookback, config.model.horizon) for h in picked
-    ]
+    lookback, horizon = config.model.lookback, config.model.horizon
+    model = MlpModel(lookback, config.model.hidden, horizon)
+    # Every series has the same length, so every household has the same
+    # split sizes; each household's windows are copied into the stacked
+    # arrays and dropped, so no second copy is held.
+    splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for i, h in enumerate(picked):
+        windows = window_dataset(profiles[h], lookback, horizon)
+        for name in SPLITS:
+            part = getattr(windows, name)
+            if name not in splits:
+                if len(part) == 0:
+                    raise ConfigError(
+                        f"config.model.lookback: {lookback} leaves no {name} windows over "
+                        f"data.days {d.days}; lower model.lookback or raise data.days"
+                    )
+                splits[name] = (
+                    np.empty((len(picked), *part.features.shape)),
+                    np.empty((len(picked), *part.targets.shape)),
+                )
+            x, y = splits[name]
+            x[i], y[i] = part.features, part.targets
 
+    train_x, train_y = splits["train"]
     if config.strategy == "centralized":
-        pooled_x = np.concatenate([s.train.features for s in splits])
-        pooled_y = np.concatenate([s.train.targets for s in splits])
-        tasks = [MlpTask(model, Dataset(pooled_x, pooled_y))]
+        pooled = Dataset(train_x.reshape(-1, lookback), train_y.reshape(-1, horizon))
+        tasks = [MlpTask(model, pooled)]
         inits = [model.init_params(rngs["init"])]
     else:
-        tasks = [MlpTask(model, s.train) for s in splits]
+        tasks = [MlpTask(model, Dataset(x, y)) for x, y in zip(train_x, train_y)]
         if config.strategy == "fedavg":
             shared = model.init_params(rngs["init"])
             inits = [shared.copy() for _ in tasks]
@@ -199,21 +222,16 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
     return _ForecastSetup(agents=agents, model=model, splits=splits, households=picked)
 
 
-def _forecast_mse(setup: _ForecastSetup, which: str) -> float:
-    """Mean over households of each agent's loss on its own split.
+def _forecast_mse(setup: _ForecastSetup, which: str, thetas: np.ndarray) -> float:
+    """Mean over households of each agent's loss on its own split, from
+    one stacked forward pass of the (agents, d) weights ``thetas``.
 
-    The centralized baseline evaluates its single model on every
+    The centralized baseline's single row is broadcast over every
     household's split, so the number is comparable across strategies.
     """
-    losses = []
-    for idx, s in enumerate(setup.splits):
-        ds = getattr(s, which)
-        if len(ds) == 0:
-            continue
-        agent = setup.agents[0] if len(setup.agents) == 1 else setup.agents[idx]
-        pred = setup.model.forward(agent.theta, ds.features)
-        losses.append(mse_loss(pred, ds.targets))
-    return float(np.mean(losses))
+    x, y = setup.splits[which]
+    diff = setup.model.forward(thetas, x) - y
+    return float(np.mean(np.mean(np.sum(diff * diff, axis=-1), axis=-1)))
 
 
 @dataclass
@@ -309,6 +327,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         transcript_path = out / "transcript.jsonl"
         transcript_path.write_text("")
 
+    # Learn-first strategies whose agents train on their own household
+    # start each round's learn stage from the weights the last round ended
+    # with, so round k + 1's first-step losses are row k's train_mse; the
+    # last row takes the summary's.
+    train_from_learn = setup is not None and config.strategy not in ("ctl", "centralized")
+
     def on_round(k, ags, metrics):
         if secure is not None:
             if transcript_path is not None:
@@ -327,8 +351,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         if monitor is not None:
             rec["worst_mse"] = float(monitor.theta_sq[-1].max())
         if setup is not None:
-            rec["train_mse"] = _forecast_mse(setup, "train")
-            rec["val_mse"] = _forecast_mse(setup, "val")
+            if train_from_learn:
+                if rows:
+                    rows[-1]["train_mse"] = float(np.mean(metrics.train_losses))
+                rec["train_mse"] = None
+            else:
+                rec["train_mse"] = _forecast_mse(setup, "train", thetas)
+            rec["val_mse"] = _forecast_mse(setup, "val", thetas)
         rows.append(rec)
 
     run = run_training(
@@ -361,10 +390,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     if monitor is not None:
         summary["final_worst_mse"] = float(monitor.worst_mse[-1])
     if setup is not None:
-        summary["train_mse"] = _forecast_mse(setup, "train")
-        summary["val_mse"] = _forecast_mse(setup, "val")
-        summary["test_mse"] = _forecast_mse(setup, "test")
+        thetas = np.array([a.theta for a in agents])
+        for name in SPLITS:
+            summary[f"{name}_mse"] = _forecast_mse(setup, name, thetas)
         summary["households"] = setup.households
+        if train_from_learn and rows:
+            rows[-1]["train_mse"] = summary["train_mse"]
 
     records = [{"type": "config", "config": config.to_dict()}, *rows]
     records.append({"type": "summary", **summary})

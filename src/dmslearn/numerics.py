@@ -137,22 +137,35 @@ class MlpModel:
         return theta
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views (W1, b1, W2, b2) into the flat vector."""
+        """Views (W1, b1, W2, b2) into the flat vector, or into each row of
+        a stack of them: leading axes of ``theta`` lead every view."""
         h, d, o = self.hidden_dim, self.in_dim, self.out_dim
+        lead = theta.shape[:-1]
         k = 0
-        w1 = theta[k : k + h * d].reshape(h, d)
+        w1 = theta[..., k : k + h * d].reshape(*lead, h, d)
         k += h * d
-        b1 = theta[k : k + h]
+        b1 = theta[..., k : k + h]
         k += h
-        w2 = theta[k : k + o * h].reshape(o, h)
+        w2 = theta[..., k : k + o * h].reshape(*lead, o, h)
         k += o * h
-        b2 = theta[k : k + o]
+        b2 = theta[..., k : k + o]
         return w1, b1, w2, b2
 
     def forward(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Predictions (..., samples, out_dim) for inputs (..., samples, in_dim).
+
+        Leading axes of ``theta`` (..., dim) and ``x`` broadcast, so one
+        call evaluates each agent on its own batch, or one weight vector
+        on a stack of batches; each batch's rows equal the 2-d call's bit
+        for bit.
+        """
         w1, b1, w2, b2 = self.unpack(np.asarray(theta, dtype=float))
-        hidden = np.tanh(x @ w1.T + b1)
-        return hidden @ w2.T + b2
+        hidden = x @ np.swapaxes(w1, -1, -2)
+        hidden += b1[..., None, :]
+        np.tanh(hidden, out=hidden)
+        out = hidden @ np.swapaxes(w2, -1, -2)
+        out += b2[..., None, :]
+        return out
 
     def loss_and_gradient(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -193,9 +206,11 @@ class MlpTask:
         pred = self.model.forward(theta, self.data.features)
         return mse_loss(pred, self.data.targets)
 
+    def loss_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.model.loss_and_gradient(theta, self.data.features, self.data.targets)
+
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        _, grad = self.model.loss_and_gradient(theta, self.data.features, self.data.targets)
-        return grad
+        return self.loss_and_gradient(theta)[1]
 
 
 @dataclass(frozen=True)

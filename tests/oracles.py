@@ -12,10 +12,13 @@ earlier engine (``old_dms_round``, ``old_ctl_round``,
 engine replaced (``per_agent_round``), the secure-sum path before
 cached reconstruction weights and vector shares (``old_share``,
 ``old_reconstruct``, ``old_secure_aggregate`` and their helpers), the
-per-value fixed-point encoder (``old_encode``, ``old_encode_vector``) and
-the per-strategy session layout (``old_party_placement``), with their
-arithmetic and draw order unchanged, so tests can assert that the
-replacement gives exactly the same numbers.
+per-value fixed-point encoder (``old_encode``, ``old_encode_vector``),
+the per-strategy session layout (``old_party_placement``) and the
+per-round forecast evaluation from before it was stacked and took train
+losses from the learn stage (``old_forward``, ``old_forecast_mse``,
+``direct_round_record``), with their arithmetic and draw order
+unchanged, so tests can assert that the replacement gives exactly the
+same numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from dmslearn.consensus import (
     _round_metrics,
     _secure_mix,
 )
+from dmslearn.data import gen_synthetic_load, window_dataset
+from dmslearn.experiment import seed_streams
 from dmslearn.numerics import NoiseModel, local_step
 from dmslearn.secagg import (
     PRIME_128,
@@ -687,3 +692,61 @@ def old_party_placement(
             )
         ]
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+# --- per-round forecast evaluation before stacking ----------------------
+# One 2-d forward pass per household, and train_mse evaluated directly
+# after every round rather than taken from the next learn stage.
+
+
+def old_forward(model, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 2-d forward pass: one flat weight vector, inputs (samples, in_dim)."""
+    h, d, o = model.hidden_dim, model.in_dim, model.out_dim
+    theta = np.asarray(theta, dtype=float)
+    w1 = theta[: h * d].reshape(h, d)
+    b1 = theta[h * d : h * d + h]
+    w2 = theta[h * d + h : h * d + h + o * h].reshape(o, h)
+    b2 = theta[h * d + h + o * h :]
+    hidden = np.tanh(x @ w1.T + b1)
+    return hidden @ w2.T + b2
+
+
+def household_splits(config, households: Sequence[int]) -> list:
+    """Each household's WindowedSplits, regenerated from the run's data stream."""
+    d = config.data
+    data_seed = int(seed_streams(config.seed)["data"].integers(2**31))
+    profiles = gen_synthetic_load(d.households, d.days, data_seed, noise_scale=d.noise_scale)
+    return [
+        window_dataset(profiles[h], config.model.lookback, config.model.horizon)
+        for h in households
+    ]
+
+
+def old_forecast_mse(model, thetas: np.ndarray, splits: Sequence, which: str) -> float:
+    """Mean over households of each agent's loss on its own split, one
+    household at a time; a single row is evaluated on every household."""
+    losses = []
+    for idx, s in enumerate(splits):
+        ds = getattr(s, which)
+        if len(ds) == 0:
+            continue
+        theta = thetas[0] if len(thetas) == 1 else thetas[idx]
+        diff = old_forward(model, theta, ds.features) - ds.targets
+        losses.append(float(np.mean(np.sum(diff * diff, axis=1))))
+    return float(np.mean(losses))
+
+
+def direct_round_record(k: int, metrics: RoundMetrics, thetas: np.ndarray, model, splits) -> dict:
+    """A forecast run's round record, with both errors evaluated directly
+    at the weights the round ended with."""
+    return {
+        "type": "round",
+        "round": k,
+        "edges": metrics.edge_count,
+        "active": metrics.active_agents,
+        "messages": metrics.messages,
+        "bytes": metrics.bytes,
+        "disagreement": pairwise_max_distance(thetas),
+        "train_mse": old_forecast_mse(model, thetas, splits, "train"),
+        "val_mse": old_forecast_mse(model, thetas, splits, "val"),
+    }

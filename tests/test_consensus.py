@@ -643,11 +643,22 @@ def test_plaintext_fedavg_round_bytes():
     assert complexity_counters(run.metrics)["total_bytes"] == 3 * 2 * n * d * 8
 
 
-@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+# Forecast runs have 30 agents; n = 1 must give 0.0.
+@given(st.integers(1, 32), st.integers(1, 40), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_max_disagreement_equals_full_tensor(n, d, seed):
     thetas = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** (seed % 7 - 3)
     assert max_disagreement(thetas) == pairwise_max_distance(thetas)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("row", [0, 2])
+def test_max_disagreement_of_a_non_finite_row_is_nan(bad, row):
+    thetas = np.arange(12.0).reshape(3, 4)
+    thetas[row, 1] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.isnan(max_disagreement(thetas)) and np.isnan(pairwise_max_distance(thetas))
+        assert np.isnan(max_disagreement(thetas[row : row + 1]))
 
 
 def test_graph_mixing_is_cached_read_only():

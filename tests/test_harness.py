@@ -21,9 +21,12 @@ from dmslearn.experiment import (
     seed_streams,
 )
 from dmslearn.consensus import ConvergenceMonitor
+from dmslearn.numerics import MlpModel
 from dmslearn.reports import write_report
 from dmslearn.secagg import Transcript
 from dmslearn.threats import run_poisoning_experiment
+
+from oracles import direct_round_record, household_splits, old_forecast_mse
 
 
 def read_report(path):
@@ -292,6 +295,65 @@ def test_forecast_round_records(tmp_path):
     assert "test_mse" in result.summary
 
 
+SMALL_FORECAST = {
+    "task": "forecast",
+    "rounds": 4,
+    "gamma": 0.05,
+    "seed": 5,
+    "model": {"lookback": 12, "hidden": 4, "horizon": 2},
+    "data": {"households": 12, "days": 3, "clusters": 2, "pick": 5},
+}
+FORECAST_VARIANTS = {
+    "plain": {},
+    "secure": {"secure": {"enabled": True}},
+    "poisoned": {"attack": {"epsilon": 0.3, "malicious": 1}},
+    # The learn stage's first epoch, not its last, gives the train losses.
+    "epochs": {"epochs": 2},
+    "alpha": {"alpha": 0.9},
+    "noise": {"noise": {"xi": 0.05}},
+}
+
+
+@pytest.mark.parametrize(
+    "strategy, variant",
+    [
+        (strategy, variant)
+        for strategy in ("dms", "ctl", "dring", "dfc", "fedavg", "centralized")
+        for variant in FORECAST_VARIANTS
+        # A one-agent run has no secure aggregation.
+        if (strategy, variant) != ("centralized", "secure")
+    ],
+)
+def test_forecast_reports_equal_the_direct_evaluation(monkeypatch, strategy, variant):
+    # Train errors come from the next learn stage and val errors from one
+    # stacked forward; the oracle evaluates both directly, household by
+    # household, after every round.
+    config = parse_config({**SMALL_FORECAST, **FORECAST_VARIANTS[variant], "strategy": strategy})
+    seen = []
+    real = experiment.run_training
+
+    def spy(agents, schedule, *, on_round, **options):
+        def record(k, ags, metrics):
+            on_round(k, ags, metrics)
+            seen.append((k, metrics, np.array([a.theta for a in ags])))
+
+        return real(agents, schedule, on_round=record, **options)
+
+    monkeypatch.setattr(experiment, "run_training", spy)
+    result = run_experiment(config)
+    summary = result.summary
+    splits = household_splits(config, summary["households"])
+    model = MlpModel(config.model.lookback, config.model.hidden, config.model.horizon)
+    rows = [r for r in result.records if r["type"] == "round"]
+    assert len(rows) == len(seen) == config.rounds
+    for row, (k, metrics, thetas) in zip(rows, seen):
+        expected = direct_round_record(k, metrics, thetas, model, splits)
+        assert list(row.items()) == list(expected.items())
+    final = np.array([a.theta for a in result.run.agents])
+    for split in ("train", "val", "test"):
+        assert summary[f"{split}_mse"] == old_forecast_mse(model, final, splits, split)
+
+
 def test_fedavg_forecast_training_reduces_loss():
     config = parse_config(
         {
@@ -503,6 +565,19 @@ def run_exit_code(tmp_path, config: dict) -> int:
 )
 def test_cli_run_rejects_wrong_typed_and_non_finite_values(tmp_path, config):
     assert run_exit_code(tmp_path, {"agent_count": 6, "rounds": 2, **config}) == 2
+
+
+def test_cli_run_rejects_a_forecast_split_with_no_windows(tmp_path, capsys):
+    # 2 days of 48 slots leave 6 windows of lookback 90: 5 train, 0 val, 1 test.
+    config = {
+        "task": "forecast",
+        "rounds": 2,
+        "data": {"households": 8, "days": 2, "clusters": 2, "pick": 3},
+        "model": {"lookback": 90, "hidden": 3},
+    }
+    assert run_exit_code(tmp_path, config) == 2
+    err = capsys.readouterr().err
+    assert "model.lookback" in err and "data.days" in err and "no val windows" in err
 
 
 @pytest.mark.parametrize(

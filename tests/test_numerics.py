@@ -12,7 +12,7 @@ from dmslearn.numerics import (
     mse_loss,
 )
 
-from oracles import fd_gradient, per_vector_noise, scalar_error_recursion
+from oracles import fd_gradient, old_forward, per_vector_noise, scalar_error_recursion
 
 
 def test_mse_worked_value():
@@ -131,6 +131,34 @@ def test_mlp_gradient_matches_finite_differences():
     assert loss == pytest.approx(mse_loss(model.forward(theta, x), y))
     ref = fd_gradient(lambda t: model.loss_and_gradient(t, x, y)[0], theta)
     assert np.allclose(grad, ref, atol=1e-6)
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 20),
+    st.integers(1, 12),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_forward_rows_equal_the_2d_forward(
+    households, samples, in_dim, hidden, horizon, shared, seed
+):
+    # Either one weight row per household, or one vector broadcast over
+    # every household, both as a (1, d) stack and as a flat vector.
+    rng = np.random.default_rng(seed)
+    model = MlpModel(in_dim, hidden, horizon)
+    thetas = rng.standard_normal((1 if shared else households, model.dim))
+    x = rng.standard_normal((households, samples, in_dim))
+    outs = [model.forward(thetas, x)] + ([model.forward(thetas[0], x)] if shared else [])
+    for out in outs:
+        assert out.shape == (households, samples, horizon)
+        for i in range(households):
+            theta = thetas[0 if shared else i]
+            assert np.array_equal(out[i], old_forward(model, theta, x[i]))
+            assert np.array_equal(model.forward(theta, x[i]), out[i])
 
 
 def test_mlp_task_wraps_dataset():
