@@ -9,7 +9,6 @@ the ``DMSLEARN_OUT`` environment variable, then ``./out/<command>``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -20,13 +19,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .consensus import RoundFailure
 from .data import ARCHETYPES, gen_synthetic_load, household_features, kmeans
-from .experiment import (
-    SweepSettings,
-    emit_tables,
-    forecast_comparison,
-    run_experiment,
-    run_scaling_sweep,
-)
+from .experiment import emit_tables, forecast_comparison, run_experiment, run_scaling_sweep
 from .reports import write_report, write_summary_csv
 from .secagg import SecAggError
 from .threats import dlg_compare_topologies, run_poisoning_experiment
@@ -108,10 +101,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    settings = SweepSettings()
-    if args.seed is not None:
-        settings = dataclasses.replace(settings, seed=args.seed)
-    result = run_scaling_sweep(settings)
+    result = run_scaling_sweep() if args.seed is None else run_scaling_sweep(args.seed)
     out = _out_dir(args, "sweep")
     out.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -120,11 +110,11 @@ def _cmd_sweep(args) -> int:
         for n, r in sorted(table.items())
     ]
     write_summary_csv(out / "sweep.csv", rows, ["strategy", "agents", "rounds"])
-    print("agents " + " ".join(f"{s:>8}" for s in settings.strategies))
-    for n in sorted(settings.sizes):
-        row = " ".join(f"{result.rounds[s][n]:>8}" for s in settings.strategies)
+    print("agents " + " ".join(f"{s:>8}" for s in result.rounds))
+    for n in sorted(result.rounds["dms"]):
+        row = " ".join(f"{table[n]:>8}" for table in result.rounds.values())
         print(f"{n:>6} {row}")
-    for strategy in settings.strategies:
+    for strategy in result.rounds:
         slope, intercept, r2 = result.fit(strategy)
         print(f"{strategy}: slope={slope:.3f} intercept={intercept:.1f} r2={r2:.4f}")
     print(f"wrote {out / 'sweep.csv'}")

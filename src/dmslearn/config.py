@@ -162,6 +162,8 @@ class DataConfig:
     def __post_init__(self) -> None:
         if min(self.households, self.days, self.clusters, self.pick) < 1:
             raise ValueError("data sizes must be positive")
+        if self.noise_scale < 0:
+            raise ValueError("noise_scale must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,21 @@ class ExperimentConfig:
             raise ValueError("subset_size must be at least 3")
         if self.substructure_count < 1:
             raise ValueError("substructure_count must be positive")
+        if self.tolerance is not None and self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
         if self.tolerance is not None and self.task != "quadratic":
             raise ValueError("tolerance needs the quadratic task's known optimum")
-        agents = self.agent_count if self.task == "quadratic" else self.data.pick
-        agents = 1 if self.strategy == "centralized" else agents
-        if self.secure.enabled and agents < 3:
-            raise ValueError(f"secure aggregation needs at least 3 agents; the run has {agents}")
-        if self.attack is not None and self.attack.malicious > agents:
-            raise ValueError(f"attack.malicious exceeds the run's {agents} agents")
+        if self.secure.enabled and self.agents < 3:
+            raise ValueError(f"secure aggregation needs at least 3 agents; the run has {self.agents}")
+        if self.attack is not None and self.attack.malicious > self.agents:
+            raise ValueError(f"attack.malicious exceeds the run's {self.agents} agents")
+
+    @property
+    def agents(self) -> int:
+        """Agents the run trains: 1 for centralized, else agent_count or data.pick."""
+        if self.strategy == "centralized":
+            return 1
+        return self.agent_count if self.task == "quadratic" else self.data.pick
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, QuadraticConfig
 from .consensus import (
     AgentState,
     ContractionParams,
@@ -42,7 +42,6 @@ from .topology import (
 
 __all__ = [
     "ExperimentResult",
-    "SweepSettings",
     "average_monitor",
     "build_quadratic_setup",
     "build_schedule",
@@ -63,27 +62,23 @@ def seed_streams(seed: int | np.random.SeedSequence) -> dict[str, np.random.Gene
     return {name: np.random.default_rng(c) for name, c in zip(STREAM_NAMES, children)}
 
 
-def build_schedule(
-    strategy: str,
-    agent_count: int,
-    *,
-    subset_size: int | None,
-    substructure_count: int,
-    rng: np.random.Generator,
-) -> MarkovSchedule | None:
+def build_schedule(config: ExperimentConfig, rng: np.random.Generator) -> MarkovSchedule | None:
+    """The run's communication schedule; fedavg mixes by the server mean
+    and has none."""
+    strategy = config.strategy
     if strategy == "fedavg":
         return None
     if strategy == "centralized":
         return make_static_schedule(Graph(1, frozenset()))
     if strategy == "dring":
-        return make_static_schedule(make_topology("ring", agent_count))
+        return make_static_schedule(make_topology("ring", config.agents))
     if strategy == "dfc":
-        return make_static_schedule(make_topology("complete", agent_count))
+        return make_static_schedule(make_topology("complete", config.agents))
     # dms and its mix-first twin share the switching schedule
     return make_dms_schedule(
-        agent_count,
-        subset_size=subset_size,
-        substructure_count=substructure_count,
+        config.agents,
+        subset_size=config.subset_size,
+        substructure_count=config.substructure_count,
         rng=rng,
     )
 
@@ -95,50 +90,37 @@ def ring_bias_profile(agent_count: int, amp: float, amp2: float) -> np.ndarray:
 
 
 def build_quadratic_setup(
-    *,
-    agent_count: int,
-    dim: int,
-    curv_low: float,
-    curv_high: float,
-    bias_amp: float,
-    bias_amp2: float,
-    far_start: float,
-    gamma: float,
-    xi: float,
-    shared_init: bool,
-    init_rng: np.random.Generator,
-    alpha: float = 1.0,
+    config: ExperimentConfig, init_rng: np.random.Generator
 ) -> tuple[list[AgentState], ConvergenceMonitor, ContractionParams]:
-    """Agents on diagonal quadratics with optional heterogeneous optima.
+    """The run's agents on diagonal quadratics with optional heterogeneous optima.
 
     Every agent gets the same diagonal Hessian with entries spread over
     [curv_low, curv_high]; offsets move each agent's optimum along a
     zero-sum ring profile so the global optimum stays at the origin, which
-    is also what the monitor measures against.
+    is also what the monitor measures against. Fedavg agents start from one
+    shared init, the others from one each.
     """
-    hessian = np.diag(np.linspace(curv_low, curv_high, dim))
-    offsets = ring_bias_profile(agent_count, bias_amp, bias_amp2)
-    tasks = [
-        QuadraticTask.from_optimum(hessian, np.full(dim, offsets[i]))
-        for i in range(agent_count)
-    ]
+    q, n = config.quadratic, config.agents
+    hessian = np.diag(np.linspace(q.curv_low, q.curv_high, q.dim))
+    offsets = ring_bias_profile(n, q.bias_amp, q.bias_amp2)
+    tasks = [QuadraticTask.from_optimum(hessian, np.full(q.dim, offsets[i])) for i in range(n)]
     total_q = sum(t.hessian for t in tasks)
     total_b = sum(t.lin_term for t in tasks)
     global_opt = np.linalg.solve(total_q, -total_b)
 
-    if shared_init:
-        shared = far_start + init_rng.uniform(-0.5, 0.5, dim)
-        inits = [shared.copy() for _ in range(agent_count)]
+    if config.strategy == "fedavg":
+        shared = q.far_start + init_rng.uniform(-0.5, 0.5, q.dim)
+        inits = [shared.copy() for _ in range(n)]
     else:
-        inits = [far_start + init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)]
-    agents = make_agents(tasks, inits, gamma)
+        inits = [q.far_start + init_rng.uniform(-0.5, 0.5, q.dim) for _ in range(n)]
+    agents = make_agents(tasks, inits, config.gamma)
     monitor = ConvergenceMonitor(global_opt)
     params = ContractionParams(
-        p_lower=np.full(agent_count, curv_low),
-        p_upper=np.full(agent_count, curv_high),
-        xi=np.full(agent_count, xi),
-        step_sizes=np.full(agent_count, gamma),
-        alpha=alpha,
+        p_lower=np.full(n, q.curv_low),
+        p_upper=np.full(n, q.curv_high),
+        xi=np.full(n, config.noise.xi),
+        step_sizes=np.full(n, config.gamma),
+        alpha=config.alpha,
     )
     return agents, monitor, params
 
@@ -283,49 +265,29 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                     f"gamma {config.gamma} exceeds the stability bound "
                     f"{lr_bound(config.quadratic.curv_high)}; pass --allow-unstable to run anyway"
                 )
-            n = 1 if config.strategy == "centralized" else config.agent_count
-            agents, monitor, _params = build_quadratic_setup(
-                agent_count=n,
-                dim=config.quadratic.dim,
-                curv_low=config.quadratic.curv_low,
-                curv_high=config.quadratic.curv_high,
-                bias_amp=config.quadratic.bias_amp,
-                bias_amp2=config.quadratic.bias_amp2,
-                far_start=config.quadratic.far_start,
-                gamma=config.gamma,
-                xi=config.noise.xi,
-                shared_init=config.strategy == "fedavg",
-                init_rng=rngs["init"],
-                alpha=config.alpha,
-            )
+            agents, monitor, _params = build_quadratic_setup(config, rngs["init"])
         else:
             setup = _build_forecast_setup(config, rngs)
             agents = setup.agents
 
-        n_agents = len(agents)
-        schedule = build_schedule(
-            config.strategy,
-            n_agents,
-            subset_size=config.subset_size,
-            substructure_count=config.substructure_count,
-            rng=rngs["schedule"],
-        )
+        schedule = build_schedule(config, rngs["schedule"])
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
     rows: list[dict] = []
-    # Secure runs stream the transcript: each completed round's entries are
+    # A previous run's report set goes first, so that this run's outputs
+    # never sit beside another run's, also when this one aborts. Secure
+    # runs stream the transcript: each completed round's entries are
     # appended to transcript.jsonl and then dropped, so memory stays flat.
-    # A previous run's report set goes first, so that an aborted run does
-    # not leave its transcript beside another run's reports.
     transcript_path = None
-    if secure is not None and out_dir is not None and config.secure.record_transcript:
-        out = Path(out_dir)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for stale in ("report.jsonl", "summary.csv", "config.echo"):
+        for stale in ("report.jsonl", "summary.csv", "config.echo", "transcript.jsonl"):
             (out / stale).unlink(missing_ok=True)
-        transcript_path = out / "transcript.jsonl"
-        transcript_path.write_text("")
+        if secure is not None and config.secure.record_transcript:
+            transcript_path = out / "transcript.jsonl"
+            transcript_path.write_text("")
 
     # Learn-first strategies whose agents train on their own household
     # start each round's learn stage from the weights the last round ended
@@ -401,8 +363,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     records.append({"type": "summary", **summary})
 
     paths: dict[str, Path] = {}
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         paths["report"] = write_report(out / "report.jsonl", records)
         echo = out / "config.echo"
         echo.write_text(config.echo_json() + "\n")
@@ -427,35 +388,27 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, 
     return float(slope), float(intercept), r2
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Frozen constants for the agent-count scaling sweep.
-
-    The task family puts every agent's optimum on a small two-harmonic
-    ring profile and starts all weights far from the origin. On the
-    static ring the heterogeneity leaves per-agent steady-state offsets
-    that grow with n, so rounds-to-tolerance scales near-linearly; the
-    complete graph and the switching subsets average the offsets away.
-    Constants were fixed by running the sweep and checking margins.
-    """
-
-    sizes: tuple[int, ...] = (5, 10, 20, 40)
-    strategies: tuple[str, ...] = ("dring", "dfc", "dms")
-    dim: int = 2
-    curvature: float = 1.0
-    gamma: float = 0.08
-    bias_amp: float = -4.7e-4
-    bias_amp2: float = 2.35e-4
-    far_start: float = 1000.0
-    tolerance: float = 1e-6
-    budget: int = 600
-    substructure_count: int = 8
-    seed: int = 1
+# The agent-count scaling sweep. Its task family puts every agent's
+# optimum on a small two-harmonic ring profile and starts all weights far
+# from the origin. On the static ring the heterogeneity leaves per-agent
+# steady-state offsets that grow with n, so rounds-to-tolerance scales
+# near-linearly; the complete graph and the switching subsets average the
+# offsets away. The constants were fixed by running the sweep and checking
+# margins; a run that misses the tolerance counts as `rounds`.
+SWEEP_BASE = ExperimentConfig(
+    rounds=600,
+    gamma=0.08,
+    tolerance=1e-6,
+    quadratic=QuadraticConfig(
+        curv_low=1.0, curv_high=1.0, bias_amp=-4.7e-4, bias_amp2=2.35e-4, far_start=1000.0
+    ),
+)
+SWEEP_SIZES = (5, 10, 20, 40)
+SWEEP_STRATEGIES = ("dring", "dfc", "dms")
 
 
 @dataclass
 class SweepResult:
-    settings: SweepSettings
     rounds: dict[str, dict[int, int]]
 
     def fit(self, strategy: str) -> tuple[float, float, float]:
@@ -464,45 +417,25 @@ class SweepResult:
         return linear_fit(sizes, [table[n] for n in sizes])
 
 
-def run_scaling_sweep(settings: SweepSettings | None = None) -> SweepResult:
-    """Rounds-to-tolerance for each strategy and agent count."""
-    s = settings or SweepSettings()
-    rounds: dict[str, dict[int, int]] = {name: {} for name in s.strategies}
-    for strat_idx, strategy in enumerate(s.strategies):
-        for n in s.sizes:
-            streams = seed_streams(np.random.SeedSequence([s.seed, strat_idx, n]))
-            agents, monitor, _ = build_quadratic_setup(
-                agent_count=n,
-                dim=s.dim,
-                curv_low=s.curvature,
-                curv_high=s.curvature,
-                bias_amp=s.bias_amp,
-                bias_amp2=s.bias_amp2,
-                far_start=s.far_start,
-                gamma=s.gamma,
-                xi=0.0,
-                shared_init=False,
-                init_rng=streams["init"],
-            )
-            schedule = build_schedule(
-                strategy,
-                n,
-                subset_size=None,
-                substructure_count=s.substructure_count,
-                rng=streams["schedule"],
-            )
+def run_scaling_sweep(seed: int = 1) -> SweepResult:
+    """Rounds-to-tolerance for each strategy and agent count; each run
+    draws its streams from ``SeedSequence([seed, strategy index, n])``."""
+    rounds: dict[str, dict[int, int]] = {name: {} for name in SWEEP_STRATEGIES}
+    for strat_idx, strategy in enumerate(SWEEP_STRATEGIES):
+        for n in SWEEP_SIZES:
+            config = SWEEP_BASE.replace(strategy=strategy, agent_count=n)
+            streams = seed_streams(np.random.SeedSequence([seed, strat_idx, n]))
+            agents, monitor, _ = build_quadratic_setup(config, streams["init"])
             run = run_training(
                 agents,
-                schedule,
+                build_schedule(config, streams["schedule"]),
                 strategy=strategy,
-                rounds=s.budget,
+                rounds=config.rounds,
                 monitor=monitor,
-                tolerance=s.tolerance,
+                tolerance=config.tolerance,
             )
-            rounds[strategy][n] = (
-                run.rounds_completed if run.terminated_early else s.budget
-            )
-    return SweepResult(settings=s, rounds=rounds)
+            rounds[strategy][n] = run.rounds_completed if run.terminated_early else config.rounds
+    return SweepResult(rounds=rounds)
 
 
 def forecast_comparison(

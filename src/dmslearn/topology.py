@@ -175,6 +175,20 @@ def make_static_schedule(graph: Graph) -> MarkovSchedule:
     )
 
 
+# Substructure sets drawn before make_dms_schedule gives up on connecting
+# every agent; a subset size and count that cannot connect them fail here.
+MAX_DRAWS = 1000
+
+
+def _connects(agent_count: int, member_sets: list[list[int]]) -> bool:
+    """Whether complete graphs on ``member_sets`` together connect every agent."""
+    reached, pending = set(member_sets[0]), [set(s) for s in member_sets[1:]]
+    while joined := [s for s in pending if not reached.isdisjoint(s)]:
+        reached.update(*joined)
+        pending = [s for s in pending if reached.isdisjoint(s)]
+    return len(reached) == agent_count
+
+
 def make_dms_schedule(
     agent_count: int,
     *,
@@ -186,8 +200,10 @@ def make_dms_schedule(
     """Pre-sample complete-subset substructures and wrap them in a chain.
 
     Each substructure is a complete graph on an independently drawn
-    ``subset_size`` subset. The transition matrix defaults to uniform,
-    i.e. independent re-selection each round.
+    ``subset_size`` subset, and the set is drawn again until their union
+    connects every agent, as the convergence theorem assumes. The
+    transition matrix defaults to uniform, i.e. independent re-selection
+    each round.
     """
     m = default_subset_size(agent_count) if subset_size is None else int(subset_size)
     if m < 3:
@@ -196,10 +212,16 @@ def make_dms_schedule(
         raise ValueError("subset larger than the agent population")
     if substructure_count < 1:
         raise ValueError("need at least one substructure")
-    subs = [
-        make_subset_graph(agent_count, rng.choice(agent_count, size=m, replace=False))
-        for _ in range(substructure_count)
-    ]
+    for _ in range(MAX_DRAWS):
+        draws = [
+            rng.choice(agent_count, size=m, replace=False).tolist()
+            for _ in range(substructure_count)
+        ]
+        if _connects(agent_count, draws):
+            break
+    else:
+        raise ValueError(f"{substructure_count} subsets of {m} did not connect {agent_count} agents")
+    subs = [make_subset_graph(agent_count, members) for members in draws]
     if transition is None:
         transition = np.full((substructure_count, substructure_count), 1.0 / substructure_count)
     return MarkovSchedule(substructures=subs, transition=transition, rng=rng)

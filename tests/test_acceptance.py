@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dmslearn.config import parse_config
+from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig, parse_config
 from dmslearn.consensus import (
     ConvergenceMonitor,
     complexity_counters,
@@ -57,22 +57,15 @@ def contraction_setup(seed: int, xi: float):
     """10 agents on the complete graph, per-agent curvatures [1, 2],
     step size at half the stability bound."""
     streams = seed_streams(seed)
-    agents, monitor, params = build_quadratic_setup(
+    config = ExperimentConfig(
+        strategy="dfc",
         agent_count=10,
-        dim=2,
-        curv_low=1.0,
-        curv_high=2.0,
-        bias_amp=0.0,
-        bias_amp2=0.0,
-        far_start=1.0,
         gamma=0.5,
-        xi=xi,
-        shared_init=False,
-        init_rng=streams["init"],
+        noise=NoiseConfig(xi),
+        quadratic=QuadraticConfig(far_start=1.0),
     )
-    schedule = build_schedule(
-        "dfc", 10, subset_size=None, substructure_count=8, rng=streams["schedule"]
-    )
+    agents, monitor, params = build_quadratic_setup(config, streams["init"])
+    schedule = build_schedule(config, streams["schedule"])
     return streams, agents, monitor, params, schedule
 
 
@@ -213,9 +206,7 @@ def test_criterion_06_edge_reduction():
     complete_edges = n * (n - 1) // 2  # 435
     task = QuadraticTask.from_optimum(np.eye(1), np.zeros(1))
     agents = make_agents([task] * n, [np.ones(1)] * n, 0.1)
-    schedule = build_schedule(
-        "dms", n, subset_size=None, substructure_count=8, rng=np.random.default_rng(0)
-    )
+    schedule = build_schedule(ExperimentConfig(agent_count=n), np.random.default_rng(0))
     run = run_training(agents, schedule, strategy="dms", rounds=rounds)
     counters = complexity_counters(run.metrics)
     assert counters["rounds"] == rounds
@@ -229,7 +220,7 @@ def test_criterion_06_edge_reduction():
 def test_criterion_07_scaling_trend():
     t0 = time.monotonic()
     result = run_scaling_sweep()
-    sizes = sorted(result.settings.sizes)
+    sizes = sorted(result.rounds["dring"])
 
     ring = [result.rounds["dring"][n] for n in sizes]
     assert all(b > a for a, b in zip(ring, ring[1:]))

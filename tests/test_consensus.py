@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn.config import ExperimentConfig, QuadraticConfig
 from dmslearn.consensus import (
     DIVERGENCE_CAP,
     AgentState,
@@ -404,10 +405,8 @@ def test_sticky_markov_switching_still_converges():
     drawn = []
     for stay in (None, 0.9):
         streams = seed_streams(0)
-        agents, monitor, params = build_quadratic_setup(
-            agent_count=10, dim=2, curv_low=1.0, curv_high=2.0, bias_amp=0.0, bias_amp2=0.0,
-            far_start=1.0, gamma=0.5, xi=0.0, shared_init=False, init_rng=streams["init"],
-        )
+        config = ExperimentConfig(agent_count=10, gamma=0.5, quadratic=QuadraticConfig(far_start=1.0))
+        agents, monitor, params = build_quadratic_setup(config, streams["init"])
         transition = None if stay is None else sticky_transition(8, stay)
         schedule = make_dms_schedule(10, transition=transition, rng=streams["schedule"])
         drawn.append(schedule.substructures)

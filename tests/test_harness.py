@@ -12,7 +12,7 @@ import yaml
 
 from dmslearn import experiment, secagg
 from dmslearn.cli import main
-from dmslearn.config import ConfigError, load_config, parse_config
+from dmslearn.config import AttackConfig, ConfigError, ExperimentConfig, load_config, parse_config
 from dmslearn.experiment import (
     average_monitor,
     linear_fit,
@@ -56,6 +56,15 @@ def test_config_round_trip():
     echoed = parse_config(json.loads(config.echo_json()))
     assert echoed == config
     assert echoed.echo_json() == config.echo_json()
+
+
+def test_readme_config_block_names_every_key_at_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    # The attack section is off by default; the README shows its keys.
+    assert parse_config(block).attack == AttackConfig()
+    del block["attack"]
+    assert block == {k: v for k, v in ExperimentConfig().to_dict().items() if k != "attack"}
 
 
 def test_config_unknown_key_rejected():
@@ -452,6 +461,15 @@ def test_cli_run_secagg_failure_exit(tmp_path):
     assert Counter(rounds) == {0: 50, 1: 50}
 
 
+@pytest.mark.parametrize("second", [{}, {"secure": {"enabled": True, "record_transcript": False}}])
+def test_a_run_into_a_used_directory_leaves_only_its_own_files(tmp_path, second):
+    # A secure run's transcript must not stay beside a later run's report
+    # set when that run writes no transcript of its own.
+    run_experiment(small_quadratic(secure={"enabled": True}), tmp_path)
+    run_experiment(small_quadratic(**second), tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {"config.echo", "report.jsonl", "summary.csv"}
+
+
 def test_cli_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("DMSLEARN_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
@@ -593,6 +611,11 @@ def test_cli_run_rejects_a_forecast_split_with_no_windows(tmp_path, capsys):
         # A secure run needs 3 agents, counted as the run counts them.
         {"strategy": "dfc", "agent_count": 2, "secure": {"enabled": True}},
         {"task": "forecast", "strategy": "fedavg", "data": {"pick": 2}, "secure": {"enabled": True}},
+        {"data": {"noise_scale": -0.5}},
+        {"tolerance": 0.0},
+        {"tolerance": -1.0},
+        # One subset of 21 can never connect 30 agents.
+        {"substructure_count": 1},
     ],
 )
 def test_cli_run_rejects_configs_it_cannot_build(tmp_path, config):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn.config import ExperimentConfig
+from dmslearn.experiment import build_schedule, seed_streams
 from dmslearn.topology import (
     Graph,
     MarkovSchedule,
@@ -102,6 +104,17 @@ def test_dms_schedule_draws_from_pool():
     pool = {id(g) for g in sched.substructures}
     seen = {id(sched.advance()) for _ in range(50)}
     assert seen <= pool
+
+
+@pytest.mark.parametrize("seed", [630, 631])
+def test_dms_schedule_redraws_only_a_disconnected_first_draw(seed):
+    # At the config defaults (30 agents, 8 subsets of 21), seed 631's first
+    # draw leaves an agent outside every subset; seed 630's connects them.
+    rng = seed_streams(seed)["schedule"]
+    first = [make_subset_graph(30, rng.choice(30, size=21, replace=False)) for _ in range(8)]
+    schedule = build_schedule(ExperimentConfig(seed=seed), seed_streams(seed)["schedule"])
+    assert union_connectivity(schedule.substructures)
+    assert (schedule.substructures == first) == union_connectivity(first)
 
 
 def test_dms_schedule_seeded_sequences_match():
