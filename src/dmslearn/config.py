@@ -206,6 +206,8 @@ class ExperimentConfig:
             raise ValueError("epochs must be positive")
         if self.subset_size is not None and self.subset_size < 3:
             raise ValueError("subset_size must be at least 3")
+        if self.subset_size is not None and self.strategy not in ("dms", "ctl"):
+            raise ValueError("subset_size applies only to the dms and ctl schedules")
         if self.substructure_count < 1:
             raise ValueError("substructure_count must be positive")
         if self.tolerance is not None and self.tolerance <= 0:

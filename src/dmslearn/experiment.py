@@ -450,16 +450,18 @@ def forecast_comparison(
     raises :class:`ConfigError` before any training. The centralized run
     trains one agent, so at most one of the base's attackers lies there,
     and it runs plaintext: one agent has no peer to hide its weights from.
+    Only the dms run draws subsets, so only it keeps the base's
+    ``subset_size``.
     """
     attack = base.attack
+    fixed = {"subset_size": None}
     solo = {
+        **fixed,
         "attack": None if attack is None else replace(attack, malicious=min(attack.malicious, 1)),
         "secure": replace(base.secure, enabled=False),
     }
-    configs = {
-        s: base.replace(strategy=s, task="forecast", **(solo if s == "centralized" else {}))
-        for s in ("dms", "fedavg", "dring", "dfc", "centralized")
-    }
+    arms = {"dms": {}, "fedavg": fixed, "dring": fixed, "dfc": fixed, "centralized": solo}
+    configs = {s: base.replace(strategy=s, task="forecast", **extra) for s, extra in arms.items()}
     results = {}
     for strategy, cfg in configs.items():
         sub = None if out_dir is None else Path(out_dir) / strategy

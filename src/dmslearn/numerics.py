@@ -169,26 +169,30 @@ class MlpModel:
 
     def loss_and_gradient(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    ) -> tuple[float | np.ndarray, np.ndarray]:
+        """Loss (...) and gradient (..., dim) of one weight vector on inputs
+        (..., samples, in_dim) and targets (..., samples, out_dim). Each
+        stacked batch gets its own 2-d call's result bit for bit; a 2-d
+        batch gets a ``float`` loss."""
         theta = np.asarray(theta, dtype=float)
         w1, b1, w2, b2 = self.unpack(theta)
-        n = x.shape[0]
+        n = x.shape[-2]
         act = x @ w1.T + b1
         hidden = np.tanh(act)
         pred = hidden @ w2.T + b2
         diff = pred - y
-        loss = float(np.mean(np.sum(diff * diff, axis=1)))
+        loss = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
 
-        grad = np.zeros_like(theta)
+        grad = np.zeros(diff.shape[:-2] + theta.shape)
         g1, gb1, g2, gb2 = self.unpack(grad)
         # d loss / d pred for the per-sample squared L2 averaged over n.
         delta_out = 2.0 * diff / n
-        g2[:] = delta_out.T @ hidden
-        gb2[:] = delta_out.sum(axis=0)
+        g2[...] = delta_out.swapaxes(-1, -2) @ hidden
+        gb2[...] = delta_out.sum(axis=-2)
         delta_hid = (delta_out @ w2) * (1.0 - hidden * hidden)
-        g1[:] = delta_hid.T @ x
-        gb1[:] = delta_hid.sum(axis=0)
-        return loss, grad
+        g1[...] = delta_hid.swapaxes(-1, -2) @ x
+        gb1[...] = delta_hid.sum(axis=-2)
+        return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 @dataclass(frozen=True)

@@ -106,21 +106,27 @@ def dlg_reconstruct(
     Minimizes the squared mismatch between the model gradient at a dummy
     sample and ``observed_grad`` by finite-difference descent on the dummy
     input and target (central differences of relative width 1e-4), with a
-    backtracking line search from a first step of 0.1, so the residual
-    series never increases. ``model`` needs only a
-    ``loss_and_gradient(theta, x, y)`` method. With ``restarts > 1`` the
-    attack reruns from fresh random inits and keeps the best residual.
+    backtracking line search of up to 40 halvings from a first step of
+    0.1, so the residual series never increases. Each iteration takes one
+    stacked call for every central difference and one for every candidate
+    step, keeping the first (largest) that improves: the iterates of one
+    call per difference and per candidate. ``model`` needs only a
+    ``loss_and_gradient(theta, x, y)`` that stacks leading batch axes.
+    With ``restarts > 1`` the attack reruns from fresh random inits and
+    keeps the best residual; ``y_init`` needs ``x_init``.
     """
+    if y_init is not None and x_init is None:
+        raise ValueError("y_init needs x_init")
     theta = np.asarray(theta, dtype=float)
     observed = np.asarray(observed_grad, dtype=float)
     in_dim = model.in_dim
     out_dim = model.out_dim
 
-    def residual_at(z: np.ndarray) -> float:
-        """Squared mismatch of the gradient at the dummy sample ``z`` (input, then target)."""
-        _, g = model.loss_and_gradient(theta, z[None, :in_dim], z[None, in_dim:])
+    def residuals(z: np.ndarray) -> np.ndarray:
+        """Squared gradient mismatch at each dummy sample row of ``z`` (input, then target)."""
+        _, g = model.loss_and_gradient(theta, z[:, None, :in_dim], z[:, None, in_dim:])
         d = g - observed
-        return float(d @ d)
+        return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
 
     best: ReconstructionResult | None = None
     for attempt in range(max(1, restarts)):
@@ -132,7 +138,7 @@ def dlg_reconstruct(
             y = rng.uniform(-1.0, 1.0, out_dim)
 
         z = np.concatenate([x, y])
-        residual = residual_at(z)
+        residual = float(residuals(z[None])[0])
         if not np.isfinite(residual):
             raise ValueError("attack residual non-finite at initialization")
         series = [residual]
@@ -142,29 +148,20 @@ def dlg_reconstruct(
         for _ in range(iters):
             if residual == 0.0:
                 break
-            grad = np.zeros_like(z)
-            for j in range(z.size):
-                h = 1e-4 * max(1.0, abs(z[j]))
-                zp = z.copy()
-                zp[j] += h
-                zm = z.copy()
-                zm[j] -= h
-                grad[j] = (residual_at(zp) - residual_at(zm)) / (2 * h)
+            h = 1e-4 * np.maximum(1.0, np.abs(z))
+            r = residuals(np.concatenate([z + np.diag(h), z - np.diag(h)]))
+            grad = (r[: z.size] - r[z.size :]) / (2 * h)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-14:
                 break
-            improved = False
-            t = trial_step
-            for _ in range(40):
-                cand = z - t * grad
-                r = residual_at(cand)
-                if np.isfinite(r) and r < residual:
-                    z = cand
-                    residual = r
-                    trial_step = min(t * 2.0, 1e3)
-                    improved = True
-                    break
-                t *= 0.5
+            # The 40 trial steps, halved in turn as a one-at-a-time search halves them.
+            steps = np.cumprod(np.r_[trial_step, np.full(39, 0.5)])
+            cands = z - steps[:, None] * grad
+            r = residuals(cands)
+            k = int(np.argmax(r < residual))  # the first improving step, if any
+            improved = r[k] < residual
+            if improved:
+                z, residual, trial_step = cands[k], float(r[k]), min(steps[k] * 2.0, 1e3)
             series.append(residual)
             accepted += 1
             if not improved:
@@ -189,8 +186,11 @@ def secure_leakage_probe(transcript: Transcript, encoded_vectors: Sequence[Seque
     """True when no individual encoded coordinate appears in any payload.
 
     Shares and share-sums are uniform field elements, so a hit against a
-    contributor's actual encoding would mean the protocol leaked it.
+    contributor's actual encoding would mean the protocol leaked it. A
+    transcript that kept no payloads raises ``ValueError``.
     """
+    if not transcript.record_payloads:
+        raise ValueError("the transcript kept no payloads to probe")
     private = set()
     for vec in encoded_vectors:
         private.update(int(v) for v in vec)
@@ -234,7 +234,6 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     samples_y = data_rng.uniform(0.0, 1.0, (agent_count, 1))
     victim = 0
     true_x = samples_x[victim]
-    true_y = samples_y[victim]
 
     def attack(theta: np.ndarray, grad: np.ndarray) -> ReconstructionResult:
         """Every arm's attack: one victim sample, one budget, one generator."""
@@ -245,7 +244,8 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     # Server arm: shared init; the gradient is inferred as the difference
     # of the two intercepted weights across one local step, over gamma.
     theta0 = model.init_params(init_rng)
-    _, true_grad = model.loss_and_gradient(theta0, true_x[None, :], true_y[None, :])
+    _, grads = model.loss_and_gradient(theta0, samples_x[:, None], samples_y[:, None])
+    true_grad = grads[victim]
     phi = theta0 - gamma * true_grad
     fedavg_rec = attack(theta0, (theta0 - phi) / gamma)
 
@@ -271,10 +271,6 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     dms_rec = attack(observed[0], dms_inferred)  # observed[0]: the attacker's best weight guess
 
     # Aggregate arm: the attacker sees only the securely summed gradients.
-    grads = [
-        model.loss_and_gradient(theta0, samples_x[i : i + 1], samples_y[i : i + 1])[1]
-        for i in range(agent_count)
-    ]
     codec = FixedPointCodec()
     session = party_placement(agent_count=agent_count, prime=codec.prime)[0]
     transcript = Transcript()

@@ -16,7 +16,9 @@ per-value fixed-point encoder (``old_encode``, ``old_encode_vector``),
 the per-strategy session layout (``old_party_placement``) and the
 per-round forecast evaluation from before it was stacked and took train
 losses from the learn stage (``old_forward``, ``old_forecast_mse``,
-``direct_round_record``), with their arithmetic and draw order
+``direct_round_record``), and the one-sample loss and gradient with the
+looped gradient-matching attack that called it (``old_loss_and_gradient``,
+``old_dlg_reconstruct``), with their arithmetic and draw order
 unchanged, so tests can assert that the replacement gives exactly the
 same numbers.
 """
@@ -51,6 +53,7 @@ from dmslearn.secagg import (
     Transcript,
     secure_aggregate,
 )
+from dmslearn.threats import ReconstructionResult
 from dmslearn.topology import mixing_matrix
 
 
@@ -750,3 +753,107 @@ def direct_round_record(k: int, metrics: RoundMetrics, thetas: np.ndarray, model
         "train_mse": old_forecast_mse(model, thetas, splits, "train"),
         "val_mse": old_forecast_mse(model, thetas, splits, "val"),
     }
+
+
+# --- the one-sample gradient and the looped attack before stacking -------
+# Copied unchanged apart from the names and the inlined weight unpacking:
+# a 2-d loss and gradient, and a gradient-matching attack that takes one such call per central difference
+# and per line-search candidate.
+
+
+def old_loss_and_gradient(model, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The 2-d loss and gradient: inputs (samples, in_dim), targets (samples, out_dim)."""
+    h, d, o = model.hidden_dim, model.in_dim, model.out_dim
+    theta = np.asarray(theta, dtype=float)
+    w1 = theta[: h * d].reshape(h, d)
+    b1 = theta[h * d : h * d + h]
+    w2 = theta[h * d + h : h * d + h + o * h].reshape(o, h)
+    b2 = theta[h * d + h + o * h :]
+    n = x.shape[0]
+    act = x @ w1.T + b1
+    hidden = np.tanh(act)
+    pred = hidden @ w2.T + b2
+    diff = pred - y
+    loss = float(np.mean(np.sum(diff * diff, axis=1)))
+    delta_out = 2.0 * diff / n
+    g2 = delta_out.T @ hidden
+    gb2 = delta_out.sum(axis=0)
+    delta_hid = (delta_out @ w2) * (1.0 - hidden * hidden)
+    g1 = delta_hid.T @ x
+    gb1 = delta_hid.sum(axis=0)
+    return loss, np.concatenate([g1.ravel(), gb1, g2.ravel(), gb2])
+
+
+def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts=1,
+                        x_init=None, y_init=None, true_x=None) -> ReconstructionResult:
+    theta = np.asarray(theta, dtype=float)
+    observed = np.asarray(observed_grad, dtype=float)
+    in_dim = model.in_dim
+    out_dim = model.out_dim
+
+    def residual_at(z: np.ndarray) -> float:
+        _, g = old_loss_and_gradient(model, theta, z[None, :in_dim], z[None, in_dim:])
+        d = g - observed
+        return float(d @ d)
+
+    best = None
+    for attempt in range(max(1, restarts)):
+        if x_init is not None and attempt == 0:
+            x = np.asarray(x_init, dtype=float).copy()
+            y = np.asarray(y_init, dtype=float).copy() if y_init is not None else rng.uniform(-1, 1, out_dim)
+        else:
+            x = rng.uniform(0.0, 1.0, in_dim)
+            y = rng.uniform(-1.0, 1.0, out_dim)
+
+        z = np.concatenate([x, y])
+        residual = residual_at(z)
+        if not np.isfinite(residual):
+            raise ValueError("attack residual non-finite at initialization")
+        series = [residual]
+        trial_step = 0.1
+        accepted = 0
+
+        for _ in range(iters):
+            if residual == 0.0:
+                break
+            grad = np.zeros_like(z)
+            for j in range(z.size):
+                h = 1e-4 * max(1.0, abs(z[j]))
+                zp = z.copy()
+                zp[j] += h
+                zm = z.copy()
+                zm[j] -= h
+                grad[j] = (residual_at(zp) - residual_at(zm)) / (2 * h)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-14:
+                break
+            improved = False
+            t = trial_step
+            for _ in range(40):
+                cand = z - t * grad
+                r = residual_at(cand)
+                if np.isfinite(r) and r < residual:
+                    z = cand
+                    residual = r
+                    trial_step = min(t * 2.0, 1e3)
+                    improved = True
+                    break
+                t *= 0.5
+            series.append(residual)
+            accepted += 1
+            if not improved:
+                break
+
+        result = ReconstructionResult(
+            x=z[:in_dim].copy(),
+            residual=residual,
+            residual_series=np.array(series),
+            iterations=accepted,
+        )
+        if best is None or result.residual < best.residual:
+            best = result
+
+    if true_x is not None:
+        dx = best.x - np.asarray(true_x, dtype=float)
+        best.input_mse = float(np.mean(dx * dx))
+    return best

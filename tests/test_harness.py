@@ -616,6 +616,8 @@ def test_cli_run_rejects_a_forecast_split_with_no_windows(tmp_path, capsys):
         {"tolerance": -1.0},
         # One subset of 21 can never connect 30 agents.
         {"substructure_count": 1},
+        # Only the dms and ctl schedules draw subsets.
+        {"strategy": "dring", "subset_size": 5},
     ],
 )
 def test_cli_run_rejects_configs_it_cannot_build(tmp_path, config):
@@ -755,6 +757,16 @@ def test_cli_compare_runs_secure_with_a_plaintext_centralized_arm(tmp_path):
         assert (out / name / "report.jsonl").exists()
         assert (out / name / "transcript.jsonl").exists() == secure
         assert json.loads((out / name / "config.echo").read_text())["secure"]["enabled"] == secure
+
+
+def test_cli_compare_keeps_subset_size_on_the_dms_arm_only(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "subset_size: 4\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ["dms", "fedavg", "dring", "dfc", "centralized"]:
+        echo = json.loads((out / name / "config.echo").read_text())
+        assert echo["subset_size"] == (4 if name == "dms" else None)
 
 
 def test_compare_traffic_orderings(tmp_path):

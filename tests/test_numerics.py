@@ -12,7 +12,13 @@ from dmslearn.numerics import (
     mse_loss,
 )
 
-from oracles import fd_gradient, old_forward, per_vector_noise, scalar_error_recursion
+from oracles import (
+    fd_gradient,
+    old_forward,
+    old_loss_and_gradient,
+    per_vector_noise,
+    scalar_error_recursion,
+)
 
 
 def test_mse_worked_value():
@@ -159,6 +165,35 @@ def test_stacked_forward_rows_equal_the_2d_forward(
             theta = thetas[0 if shared else i]
             assert np.array_equal(out[i], old_forward(model, theta, x[i]))
             assert np.array_equal(model.forward(theta, x[i]), out[i])
+
+
+@given(
+    st.lists(st.integers(1, 4), max_size=2),
+    st.integers(1, 20),
+    st.integers(1, 12),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_loss_and_gradient_rows_equal_the_2d_call(
+    lead, samples, in_dim, hidden, horizon, seed
+):
+    rng = np.random.default_rng(seed)
+    model = MlpModel(in_dim, hidden, horizon)
+    theta = rng.standard_normal(model.dim)
+    x = rng.standard_normal((*lead, samples, in_dim))
+    y = rng.standard_normal((*lead, samples, horizon))
+    losses, grads = model.loss_and_gradient(theta, x, y)
+    losses = np.asarray(losses)  # a float for a 2-d batch
+    assert losses.shape == tuple(lead)
+    assert grads.shape == (*lead, model.dim)
+    for idx in np.ndindex(*lead):
+        loss, grad = model.loss_and_gradient(theta, x[idx], y[idx])
+        assert type(loss) is float
+        ref_loss, ref_grad = old_loss_and_gradient(model, theta, x[idx], y[idx])
+        assert loss == ref_loss and losses[idx] == ref_loss
+        assert np.array_equal(grad, ref_grad) and np.array_equal(grads[idx], ref_grad)
 
 
 def test_mlp_task_wraps_dataset():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmslearn.numerics import MlpModel
 from dmslearn.secagg import FixedPointCodec, SecAggSession, SharingParams, Transcript, secure_aggregate
@@ -11,6 +12,8 @@ from dmslearn.threats import (
     run_poisoning_experiment,
     secure_leakage_probe,
 )
+
+from oracles import old_dlg_reconstruct
 
 
 def test_poison_constant_mode():
@@ -88,6 +91,57 @@ def test_dlg_restarts_never_hurt():
     assert multi.residual <= single.residual
 
 
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["none", "x", "xy"]),
+    st.integers(0, 40),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_dlg_matches_the_looped_attack(
+    in_dim, hidden, out_dim, true_observed, scaled, init, iters, restarts, seed
+):
+    # An observed gradient is either a real sample's or an arbitrary vector
+    # that no sample gives; inits are random, a given input, or both parts.
+    rng = np.random.default_rng(seed)
+    model = MlpModel(in_dim, hidden, out_dim)
+    theta = model.init_params(rng) * (3.0 if scaled else 1.0)
+    true_x = rng.uniform(0.0, 1.0, in_dim)
+    true_y = rng.uniform(-1.0, 1.0, out_dim)
+    if true_observed:
+        _, observed = model.loss_and_gradient(theta, true_x[None, :], true_y[None, :])
+    else:
+        observed = 0.1 * rng.standard_normal(model.dim)
+    start = {}
+    if init != "none":
+        start["x_init"] = true_x + rng.uniform(-0.1, 0.1, in_dim)
+    if init == "xy":
+        start["y_init"] = true_y + rng.uniform(-0.1, 0.1, out_dim)
+    new, old = [
+        attack(model, theta, observed, iters=iters, rng=np.random.default_rng(seed),
+               restarts=restarts, true_x=true_x, **start)
+        for attack in (dlg_reconstruct, old_dlg_reconstruct)
+    ]
+    assert np.array_equal(new.x, old.x)
+    assert new.residual == old.residual
+    assert np.array_equal(new.residual_series, old.residual_series)
+    assert new.iterations == old.iterations
+    assert new.input_mse == old.input_mse
+
+
+def test_dlg_rejects_a_target_init_without_an_input_init():
+    model = MlpModel(2, 3, 1)
+    theta = model.init_params(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="y_init needs x_init"):
+        dlg_reconstruct(model, theta, np.zeros(model.dim), iters=5,
+                        rng=np.random.default_rng(0), y_init=np.array([0.5]))
+
+
 def test_leakage_probe_on_real_transcript():
     codec = FixedPointCodec()
     rng = np.random.default_rng(5)
@@ -111,6 +165,14 @@ def test_leakage_probe_flags_planted_value():
     leaky = Transcript()
     leaky.log(0, "share", 0, 7, [encoded[0]], 16)
     assert secure_leakage_probe(leaky, [encoded]) is False
+
+
+def test_leakage_probe_rejects_a_transcript_without_payloads():
+    # The private value goes on the wire, but only its length is kept.
+    bare = Transcript(record_payloads=False)
+    bare.log(0, "share", 0, 7, [12345], 16)
+    with pytest.raises(ValueError, match="no payloads"):
+        secure_leakage_probe(bare, [[12345]])
 
 
 def test_compare_topologies_smoke():
