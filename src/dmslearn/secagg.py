@@ -179,6 +179,12 @@ def _point_width(params: SharingParams, summands: int) -> int:
     return _slot_width(summands * (params.degree + 1) * (params.prime - 1) * top)
 
 
+def _evaluate(columns: Sequence[int], params: SharingParams) -> list[int]:
+    """Each party's unreduced point ``sum_k x**k * columns[k]``, in party order."""
+    powers = _powers(params.parties, params.degree, params.prime)
+    return [sum(c * r for c, r in zip(row, columns)) for row in powers]
+
+
 def share(
     secret: int | Sequence[int],
     params: SharingParams,
@@ -200,11 +206,12 @@ def share(
     Sharing a vector draws and returns exactly what sharing its coordinates
     one by one would. A scalar secret is the length-1 case.
 
-    With ``width``, party ``x`` gets the unreduced integer ``sum_k x**k *
-    column_k`` instead, where column ``k`` packs the degree-``k``
-    coefficients (the secrets at ``k = 0``) in little-endian ``width``-byte
-    slots; ``width`` must hold, without a carry, the whole sum of the points
-    a party adds before it reduces once.
+    With ``width``, it returns the ``degree + 1`` packed columns instead,
+    where column ``k`` packs the degree-``k`` coefficients (the secrets at
+    ``k = 0``) in little-endian ``width``-byte slots, so that party ``x``'s
+    point is the unreduced integer ``sum_k x**k * column_k``; ``width`` must
+    hold, without a carry, the whole point of the columns summed over every
+    contributor before a party reduces it once.
     """
     scalar = isinstance(secret, numbers.Integral)
     secrets = [int(secret)] if scalar else [int(v) for v in secret]
@@ -229,11 +236,9 @@ def share(
     slots = np.zeros((degree, dim, slot), np.uint8)
     slots[..., :nbytes] = cells.reshape(dim, degree, nbytes).transpose(1, 0, 2)[..., ::-1]
     columns = [_pack(secrets, slot)] + [int.from_bytes(col.tobytes(), "little") for col in slots]
-    powers = _powers(params.parties, degree, params.prime)
-    points = [sum(c * r for c, r in zip(row, columns)) for row in powers]
     if width is not None:
-        return points
-    points = [_unpacked(point, dim, slot, params.prime) for point in points]
+        return columns
+    points = [_unpacked(point, dim, slot, params.prime) for point in _evaluate(columns, params)]
     return [SecretShare(x, p[0] if scalar else p) for x, p in enumerate(points, start=1)]
 
 
@@ -466,11 +471,15 @@ def secure_aggregate(
     """Sum the contributors' vectors without revealing any one of them.
 
     Each contributor fixed-point encodes its vector and shares it among the
-    parties, one polynomial per coordinate; each party adds the packed
-    share points it receives and reduces its total once; recipients
-    reconstruct the per-coordinate sums and decode. Only the sum is ever
-    reconstructed. ``corrupt_party`` is a fault-injection hook
-    for tests: it adds one to that party's first summed share before
+    parties, one polynomial per coordinate; each party adds the share
+    points it receives; recipients reconstruct the per-coordinate sums and
+    decode. Only the sum is ever reconstructed. Sharing is linear, so the
+    simulation adds the contributors' packed coefficient columns and
+    evaluates that summed polynomial once per party: by linearity this is
+    exactly the party's sum of received points, which it reduces once. A
+    contributor's own points are evaluated only for a transcript that
+    records payloads. ``corrupt_party`` is a fault-injection hook for
+    tests: it adds one to that party's first summed share before
     reconstruction, which the consistency check must catch whenever there
     are more parties than the threshold.
 
@@ -495,15 +504,18 @@ def secure_aggregate(
     elem_bytes = (prime.bit_length() + 7) // 8
     width = _point_width(params, len(vectors))
     record = transcript is not None and transcript.record_payloads
-    packed = [0] * params.parties  # each party's sum of the packed points it receives
+    summed = [0] * (params.degree + 1)  # the session's packed columns, summed over contributors
     for contributor, vec in zip(session.contributors, vectors):
-        points = share(codec.encode_vector(vec), params, rng, width=width)
-        for pos, (party, point) in enumerate(zip(session.parties, points)):
-            packed[pos] += point
-            if transcript is not None:  # an unrecorded payload is logged by its length alone
-                sent = _unpacked(point, dim, width, prime) if record else range(dim)
-                transcript.log(round_index, "share", contributor, party, sent, elem_bytes)
-    sums = [list(_unpacked(total, dim, width, prime)) for total in packed]
+        columns = share(codec.encode_vector(vec), params, rng, width=width)
+        summed = [a + c for a, c in zip(summed, columns)]
+        if transcript is not None:  # an unrecorded payload is logged by its length alone
+            if record:
+                sent = [_unpacked(p, dim, width, prime) for p in _evaluate(columns, params)]
+            else:
+                sent = [range(dim)] * params.parties
+            for party, payload in zip(session.parties, sent):
+                transcript.log(round_index, "share", contributor, party, payload, elem_bytes)
+    sums = [list(_unpacked(total, dim, width, prime)) for total in _evaluate(summed, params)]
 
     if corrupt_party is not None:
         sums[corrupt_party][0] = (sums[corrupt_party][0] + 1) % prime

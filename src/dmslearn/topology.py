@@ -10,10 +10,9 @@ simply keeps its own value.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "make_topology",
     "mixing_matrix",
     "stationary_distribution",
-    "union_connectivity",
 ]
 
 
@@ -238,26 +236,3 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     for _ in range(500):
         pi = pi @ transition
     return pi / pi.sum()
-
-
-def union_connectivity(substructures: Sequence[Graph]) -> bool:
-    """True when the union of all substructure edges connects every agent."""
-    if not substructures:
-        raise ValueError("no substructures given")
-    n = substructures[0].agent_count
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for g in substructures:
-        if g.agent_count != n:
-            raise ValueError("substructures disagree on agent count")
-        for i, j in g.sorted_edges:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n

@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way and avoids
 the package's own code paths: gradients come from finite differences on
 forward passes, field arithmetic uses naive power sums and extended
-Euclid, mixing weights come from explicit neighbor loops.
+Euclid, mixing weights come from explicit neighbor loops, and schedule
+connectivity from a breadth-first search.
 
 The exceptions are pins of code that a faster or simpler version
 replaced: ``pairwise_max_distance``, the three round functions of an
@@ -26,6 +27,7 @@ same numbers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +56,7 @@ from dmslearn.secagg import (
     secure_aggregate,
 )
 from dmslearn.threats import ReconstructionResult
-from dmslearn.topology import mixing_matrix
+from dmslearn.topology import Graph, mixing_matrix
 
 
 def fd_gradient(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -117,6 +119,31 @@ def mixing_by_loops(agent_count: int, edges) -> np.ndarray:
         for j in neighbors[i]:
             weights[i, j] = 1.0 / len(neighbors[i])
     return weights
+
+
+def union_connectivity(substructures: Sequence[Graph]) -> bool:
+    """True when the union of all substructure edges connects every agent,
+    by breadth-first search over the union's adjacency sets; the check that
+    ``make_dms_schedule``'s own union test must agree with."""
+    if not substructures:
+        raise ValueError("no substructures given")
+    n = substructures[0].agent_count
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for g in substructures:
+        if g.agent_count != n:
+            raise ValueError("substructures disagree on agent count")
+        for i, j in g.sorted_edges:
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == n
 
 
 def summed_quadratic_optimum(hessians, lin_terms) -> np.ndarray:

@@ -3,6 +3,8 @@ import importlib
 import inspect
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -887,3 +889,31 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
         assert calls[span] == 2, span
     for span in ("secagg.share", "secagg.reconstruct"):
         assert calls[span] > 0, span
+
+
+def test_a_failing_hypothesis_test_reports_and_the_session_goes_on(tmp_path):
+    # Under this repo's warning filters, reporting a failing @given test must
+    # print its falsifying example and leave the session running, not end it
+    # in an INTERNALERROR that hides the example and skips every later test.
+    # Any other deprecation still fails its test.
+    (tmp_path / "test_pin.py").write_text(
+        "import warnings\n\n"
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n\n\n"
+        "def test_deprecated():\n"
+        "    warnings.warn('old call', DeprecationWarning)\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), "--rootdir", str(tmp_path), str(tmp_path / "test_pin.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "Falsifying example: test_fails(" in done.stdout
+    assert "FAILED test_pin.py::test_deprecated - DeprecationWarning: old call" in done.stdout
+    assert "2 failed, 1 passed" in done.stdout

@@ -14,10 +14,9 @@ from dmslearn.topology import (
     make_topology,
     mixing_matrix,
     stationary_distribution,
-    union_connectivity,
 )
 
-from oracles import mixing_by_loops
+from oracles import mixing_by_loops, union_connectivity
 
 
 def test_ring_shape():
