@@ -60,18 +60,15 @@ def write_summary_csv(path: str | Path, rows: Sequence[dict], columns: Sequence[
 
 
 def write_transcript(path: str | Path, transcript: Transcript) -> Path:
-    """Append one JSON line per recorded protocol message to ``path``."""
+    """Append one JSON line per recorded protocol message to ``path``, with
+    sorted keys and no spaces, formatted directly rather than through json."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    phases = {phase: json.dumps(phase) for phase in {e.phase for e in transcript.entries}}
     with path.open("a") as fh:
-        for e in transcript.entries:
-            rec = {
-                "round": e.round_index,
-                "phase": e.phase,
-                "from": e.sender,
-                "to": e.receiver,
-                "payload_bytes": e.payload_bytes,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(
+            f'{{"from":{e.sender},"payload_bytes":{e.payload_bytes},"phase":{phases[e.phase]},'
+            f'"round":{e.round_index},"to":{e.receiver}}}\n'
+            for e in transcript.entries
+        )
     return path

@@ -129,13 +129,13 @@ def _rand_field_cells(rng: np.random.Generator, prime: int, count: int) -> np.nd
         cells[:, 0] &= (1 << (bits - 8 * (nbytes - 1))) - 1
         # Equal-width byte strings compare lexicographically, byte by unsigned byte.
         below = cells.view(f"S{nbytes}")[:, 0] < prime.to_bytes(nbytes, "big")
-        kept = np.concatenate([kept, cells[below]])
+        kept = cells if not len(kept) and below.all() else np.concatenate([kept, cells[below]])
     return kept
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """``values`` in one integer, one little-endian ``width``-byte slot each."""
-    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+def _pack(values: Sequence[int], width: int) -> bytes:
+    """``values`` in little-endian ``width``-byte slots."""
+    return b"".join([v.to_bytes(width, "little") for v in values])
 
 
 def _unpacked(packed: int, dim: int, width: int, prime: int) -> tuple[int, ...]:
@@ -144,39 +144,22 @@ def _unpacked(packed: int, dim: int, width: int, prime: int) -> tuple[int, ...]:
     return tuple([int.from_bytes(b, "little") % prime for b in raw])
 
 
-def _slot_width(bound: int) -> int:
-    """Bytes per packed slot that holds any integer up to ``bound``, so no slot carries."""
-    return bound.bit_length() // 8 + 1
-
-
-def _weighted_sums(
-    rows: Sequence[Sequence[int]], weights: Sequence[Sequence[int]], prime: int
-) -> list[tuple[int, ...]]:
-    """``sum_i w[i] * rows[i] mod prime``, coordinate by coordinate, for each
-    ``w`` in ``weights``. Every row entry and weight lies in ``[0, prime)``.
-
-    Kronecker substitution: each row is packed into one integer with one
-    slot per coordinate, each slot wide enough to hold a whole weighted sum,
-    so no slot carries into the next. A weighted sum of rows then takes
-    ``len(rows)`` big-integer products, and each slot is reduced once.
-    """
-    top = max(max(w) for w in weights)
-    width = _slot_width(len(rows) * (prime - 1) * top)
-    packed = [_pack(row, width) for row in rows]
-    sums = [sum(c * r for c, r in zip(w, packed)) for w in weights]
-    return [_unpacked(v, len(rows[0]), width, prime) for v in sums]
-
-
 @lru_cache(maxsize=64)
 def _powers(parties: int, degree: int, prime: int) -> tuple[tuple[int, ...], ...]:
     """``x**k mod prime`` for the evaluation points ``x = 1 .. parties``."""
     return tuple(tuple(pow(x, k, prime) for k in range(degree + 1)) for x in range(1, parties + 1))
 
 
-def _point_width(params: SharingParams, summands: int) -> int:
-    """Packed share-point slot width that a sum of ``summands`` points cannot carry out of."""
+def _point_width(params: SharingParams, summands: int, guard: int = 0) -> int:
+    """Slot bytes, in 32-bit limbs, for ``summands`` summed points, a fault and ``guard`` bits."""
     top = max(map(max, _powers(params.parties, params.degree, params.prime)))
-    return _slot_width(summands * (params.degree + 1) * (params.prime - 1) * top)
+    bits = (summands * (params.degree + 1) * (params.prime - 1) * top + 1).bit_length() + guard
+    return -(-bits // 32) * 4
+
+
+def _columns(limbs: np.ndarray) -> list[int]:
+    """One packed integer per degree from the low 32 bits of each ``[k, j]`` limb."""
+    return [int.from_bytes(col.astype("<u4").tobytes(), "little") for col in limbs]
 
 
 def _evaluate(columns: Sequence[int], params: SharingParams) -> list[int]:
@@ -192,7 +175,7 @@ def share(
     *,
     coefficients: Sequence[int] | Sequence[Sequence[int]] | None = None,
     width: int | None = None,
-) -> list[SecretShare] | list[int]:
+) -> list[SecretShare] | np.ndarray:
     """Split ``secret`` into ``params.parties`` shares.
 
     The constant coefficient is the secret; the remaining ``degree``
@@ -206,12 +189,12 @@ def share(
     Sharing a vector draws and returns exactly what sharing its coordinates
     one by one would. A scalar secret is the length-1 case.
 
-    With ``width``, it returns the ``degree + 1`` packed columns instead,
-    where column ``k`` packs the degree-``k`` coefficients (the secrets at
-    ``k = 0``) in little-endian ``width``-byte slots, so that party ``x``'s
-    point is the unreduced integer ``sum_k x**k * column_k``; ``width`` must
-    hold, without a carry, the whole point of the columns summed over every
-    contributor before a party reduces it once.
+    With ``width``, a multiple of 4, it returns the coefficients instead, as
+    a ``(degree + 1, dim, width // 4)`` ``uint32`` array of little-endian
+    32-bit limbs: ``[k, j]`` is coordinate ``j``'s degree-``k`` coefficient
+    (the secret at ``k = 0``) in a ``width``-byte slot, which must hold,
+    without a carry, a party's whole point on the coefficients summed over
+    every contributor before it reduces that point once.
     """
     scalar = isinstance(secret, numbers.Integral)
     secrets = [int(secret)] if scalar else [int(v) for v in secret]
@@ -231,57 +214,72 @@ def share(
         if rng is None:
             raise ValueError("random sharing needs an rng")
         cells = _rand_field_cells(rng, params.prime, len(secrets) * params.degree)
-    dim, degree, nbytes = len(secrets), params.degree, cells.shape[1]
+    dim, degree, words = len(secrets), params.degree, -(-cells.shape[1] // 4)
     slot = width or _point_width(params, 1)
-    slots = np.zeros((degree, dim, slot), np.uint8)
-    slots[..., :nbytes] = cells.reshape(dim, degree, nbytes).transpose(1, 0, 2)[..., ::-1]
-    columns = [_pack(secrets, slot)] + [int.from_bytes(col.tobytes(), "little") for col in slots]
+    if slot % 4 or slot < 4 * words:
+        raise ValueError("width must be whole 32-bit limbs that hold a field element")
+    limbs = np.zeros((degree + 1, dim, slot // 4), np.uint32)
+    limbs[0, :, :words] = np.frombuffer(_pack(secrets, 4 * words), "<u4").reshape(dim, words)
+    # Big-endian words come most significant first; reversed, they are the limbs.
+    words_be = np.pad(cells, ((0, 0), (4 * words - cells.shape[1], 0))).view(">u4")
+    limbs[1:, :, :words] = words_be.reshape(dim, degree, words).transpose(1, 0, 2)[..., ::-1]
     if width is not None:
-        return columns
-    points = [_unpacked(point, dim, slot, params.prime) for point in _evaluate(columns, params)]
+        return limbs
+    points = [_unpacked(p, dim, slot, params.prime) for p in _evaluate(_columns(limbs), params)]
     return [SecretShare(x, p[0] if scalar else p) for x, p in enumerate(points, start=1)]
 
 
-@lru_cache(maxsize=256)
 def _reconstruction_weights(
-    indices: tuple[int, ...], threshold: int, prime: int
+    indices: tuple[int, ...], threshold: int, prime: int, exact: bool = False
 ) -> tuple[tuple[int, ...], ...]:
     """Lagrange weights on the first ``threshold`` of the sorted ``indices``:
     the row that interpolates at zero, then one row per surplus index that
-    predicts its share."""
+    predicts its share. Reduced mod ``prime``, or with ``exact`` the signed
+    integers that they are when those first indices are ``1 .. threshold``."""
     base = indices[:threshold]
 
     def weight(a: int, x: int) -> int:
         others = [b for b in base if b != a]
-        den = math.prod(a - b for b in others)
-        return math.prod(x - b for b in others) * pow(den, -1, prime) % prime
+        num, den = math.prod(x - b for b in others), math.prod(a - b for b in others)
+        return num // den if exact else num * pow(den, -1, prime) % prime
 
     return tuple(tuple(weight(a, x) for a in base) for x in (0, *indices[threshold:]))
 
 
-def _validated(
-    shares: Sequence[SecretShare], params: SharingParams
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(index, values) per share, sorted by index; a scalar value is a
-    length-1 tuple."""
+@lru_cache(maxsize=256)
+def _interpolation(indices: tuple[int, ...], threshold: int, prime: int) -> tuple:
+    """``reconstruct``'s weights on ``indices`` (exact if they can be), the most a row subtracts,
+    its share included, and the guard bits that keep lifted slots below ``2**(8 * width - 1)``."""
+    exact = indices[:threshold] == tuple(range(1, threshold + 1))
+    weights = _reconstruction_weights(indices, threshold, prime, exact)
+    negative = max((k > 0) - sum(w for w in row if w < 0) for k, row in enumerate(weights))
+    positive = max(sum(w for w in row if w > 0) for row in weights)
+    return weights, negative, (positive + negative).bit_length() + 1
+
+
+def _validated(shares: Sequence[SecretShare], params: SharingParams, packed: bool) -> list[tuple]:
+    """(index, value) per share, sorted by index; a scalar is a 1-tuple unless ``packed``."""
     seen = set()
     rows = []
     for s in shares:
         if not (1 <= s.index <= params.parties):
             raise ValueError(f"share index {s.index} out of range")
-        values = (s.value,) if isinstance(s.value, numbers.Integral) else tuple(s.value)
-        if values and not (0 <= min(values) and max(values) < params.prime):
+        scalar = isinstance(s.value, numbers.Integral)
+        values = s.value if packed else (s.value,) if scalar else tuple(s.value)
+        if not packed and values and not (0 <= min(values) and max(values) < params.prime):
             raise ValueError("share value outside the field")
         if s.index in seen:
             raise ValueError(f"duplicate share index {s.index}")
         seen.add(s.index)
         rows.append((s.index, values))
-    if len({len(values) for _, values in rows}) > 1:
+    if not packed and len({len(values) for _, values in rows}) > 1:
         raise ValueError("shares disagree on the secret's length")
     return sorted(rows, key=lambda row: row[0])
 
 
-def reconstruct(shares: Sequence[SecretShare], params: SharingParams) -> int | tuple[int, ...]:
+def reconstruct(
+    shares: Sequence[SecretShare], params: SharingParams, *, width: int | None = None, dim: int = 1
+) -> int | tuple[int, ...]:
     """Interpolate the secret at zero from at least ``threshold`` shares.
 
     With more than ``threshold`` shares the surplus ones are checked
@@ -292,21 +290,43 @@ def reconstruct(shares: Sequence[SecretShare], params: SharingParams) -> int | t
     a mismatch names the share that reconstructing the coordinates one by
     one would: the first surplus share off its polynomial at the lowest
     such coordinate.
+
+    With ``width``, each value packs ``dim`` unreduced coordinates in
+    little-endian ``width``-byte slots, each below ``2**(8 * width - guard)``
+    (see ``_interpolation``); tuple values are packed so too. At indices
+    ``1 .. threshold`` the weights are exact signed integers. A lift by a
+    multiple of the prime keeps each slot of a weighted sum in ``[0, 2**(8 *
+    width - 1))``, so every slot of a check's difference ``D`` is zero mod
+    the prime exactly when ``D % prime == 0`` and no slot of ``D // prime``
+    has a bit at or above ``8 * width - prime.bit_length()``.
     """
-    rows = _validated(shares, params)
-    t = params.threshold
+    rows = _validated(shares, params, packed=width is not None)
+    t, prime = params.threshold, params.prime
     if len(rows) < t:
         raise ShareCountError(f"got {len(rows)} shares, reconstruction needs {t}")
-    weights = _reconstruction_weights(tuple(index for index, _ in rows), t, params.prime)
-    secret, *predicted = _weighted_sums([values for _, values in rows[:t]], weights, params.prime)
-    mismatches = [
-        (next(j for j, (a, b) in enumerate(zip(guess, values)) if a != b), index)
-        for (index, values), guess in zip(rows[t:], predicted)
-        if guess != values
-    ]
+    weights, negative, guard = _interpolation(tuple(index for index, _ in rows), t, prime)
+    scalar = width is None and isinstance(shares[0].value, numbers.Integral)
+    if width is None:
+        dim, width = len(rows[0][1]), -(-(prime.bit_length() + guard) // 8)
+        rows = [(index, int.from_bytes(_pack(values, width), "little")) for index, values in rows]
+    bits, ones = 8 * width, int.from_bytes(b"\x01".ljust(width, b"\0") * dim, "little")
+    bound = 1 << max(bits - guard, 0)  # every input slot stays below it
+    high = ((1 << bits) - bound) * ones
+    if bound < prime or any(v < 0 or v >> (bits * dim) or v & high for _, v in rows):
+        raise ValueError(f"packed share values must stay below {bound} in {width}-byte slots")
+    lift = -(-negative * bound // prime) * prime * ones
+    secret, *predicted = [sum(w * v for w, (_, v) in zip(row, rows)) + lift for row in weights]
+    high = ((1 << bits) - (1 << (bits - prime.bit_length()))) * ones
+    mismatches = []
+    for (index, v), guess in zip(rows[t:], predicted):
+        q, r = divmod(guess - v, prime)
+        if r or q & high:
+            off = _unpacked(guess - v, dim, width, prime)
+            mismatches.append((next(j for j, d in enumerate(off) if d), index))
     if mismatches:
         raise TamperError(f"share at index {min(mismatches)[1]} is off the sharing polynomial")
-    return secret[0] if isinstance(shares[0].value, numbers.Integral) else secret
+    values = _unpacked(secret, dim, width, prime)
+    return values[0] if scalar else values
 
 
 def detect_tampering(shares: Sequence[SecretShare], params: SharingParams) -> bool:
@@ -474,14 +494,16 @@ def secure_aggregate(
     parties, one polynomial per coordinate; each party adds the share
     points it receives; recipients reconstruct the per-coordinate sums and
     decode. Only the sum is ever reconstructed. Sharing is linear, so the
-    simulation adds the contributors' packed coefficient columns and
-    evaluates that summed polynomial once per party: by linearity this is
-    exactly the party's sum of received points, which it reduces once. A
-    contributor's own points are evaluated only for a transcript that
-    records payloads. ``corrupt_party`` is a fault-injection hook for
-    tests: it adds one to that party's first summed share before
-    reconstruction, which the consistency check must catch whenever there
-    are more parties than the threshold.
+    simulation adds the contributors' coefficient limbs (``share(...,
+    width=)``) in one ``uint64`` array, carries once into slots too wide to
+    overflow, packs each degree in one integer and evaluates that summed
+    polynomial once per party: by linearity, the party's sum of received
+    points. ``reconstruct`` takes these totals packed and unreduced;
+    reduced points are built only for a transcript that records payloads.
+    ``corrupt_party`` is a fault-injection hook for tests: it adds one to
+    the first summed share of the party at that position (of a nonempty
+    vector) before reconstruction, which the consistency check must catch
+    whenever there are more parties than the threshold.
 
     Raises :class:`ContributorError` below three contributors: with one or
     two inputs the aggregate itself gives a recipient enough to solve for
@@ -501,32 +523,38 @@ def secure_aggregate(
 
     params = session.params
     prime = params.prime
+    if corrupt_party is not None and (corrupt_party not in range(params.parties) or not dim):
+        raise ValueError(f"corrupt_party {corrupt_party} names no share of a nonempty sum")
     elem_bytes = (prime.bit_length() + 7) // 8
-    width = _point_width(params, len(vectors))
+    guard = _interpolation(tuple(range(1, params.parties + 1)), params.threshold, prime)[2]
+    width = _point_width(params, len(vectors), guard)
     record = transcript is not None and transcript.record_payloads
-    summed = [0] * (params.degree + 1)  # the session's packed columns, summed over contributors
+    summed = np.zeros((params.degree + 1, dim, width // 4), np.uint64)
     for contributor, vec in zip(session.contributors, vectors):
-        columns = share(codec.encode_vector(vec), params, rng, width=width)
-        summed = [a + c for a, c in zip(summed, columns)]
+        limbs = share(codec.encode_vector(vec), params, rng, width=width)
+        summed += limbs
         if transcript is not None:  # an unrecorded payload is logged by its length alone
             if record:
-                sent = [_unpacked(p, dim, width, prime) for p in _evaluate(columns, params)]
+                sent = [_unpacked(p, dim, width, prime) for p in _evaluate(_columns(limbs), params)]
             else:
                 sent = [range(dim)] * params.parties
             for party, payload in zip(session.parties, sent):
                 transcript.log(round_index, "share", contributor, party, payload, elem_bytes)
-    sums = [list(_unpacked(total, dim, width, prime)) for total in _evaluate(summed, params)]
+    for j in range(width // 4 - 1):
+        summed[..., j + 1] += summed[..., j] >> 32
+    totals = _evaluate(_columns(summed), params)
 
     if corrupt_party is not None:
-        sums[corrupt_party][0] = (sums[corrupt_party][0] + 1) % prime
+        totals[corrupt_party] += 1
 
     if transcript is not None:
+        rows = [_unpacked(v, dim, width, prime) if record else range(dim) for v in totals]
         for recipient in session.recipients:
-            for party, row in zip(session.parties, sums):
+            for party, row in zip(session.parties, rows):
                 transcript.log(round_index, "reconstruct", party, recipient, row, elem_bytes)
 
-    totals = reconstruct([SecretShare(pos + 1, tuple(row)) for pos, row in enumerate(sums)], params)
-    return codec.decode_vector(totals)
+    shares = [SecretShare(x, total) for x, total in enumerate(totals, start=1)]
+    return codec.decode_vector(reconstruct(shares, params, width=width, dim=dim))
 
 
 def party_placement(

@@ -17,17 +17,20 @@ per-value fixed-point encoder (``old_encode``, ``old_encode_vector``),
 the per-strategy session layout (``old_party_placement``) and the
 per-round forecast evaluation from before it was stacked and took train
 losses from the learn stage (``old_forward``, ``old_forecast_mse``,
-``direct_round_record``), and the one-sample loss and gradient with the
+``direct_round_record``), the one-sample loss and gradient with the
 looped gradient-matching attack that called it (``old_loss_and_gradient``,
-``old_dlg_reconstruct``), with their arithmetic and draw order
+``old_dlg_reconstruct``), and the json-encoding transcript writer
+(``old_write_transcript``), with their arithmetic and draw order
 unchanged, so tests can assert that the replacement gives exactly the
 same numbers.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -884,3 +887,25 @@ def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts
         dx = best.x - np.asarray(true_x, dtype=float)
         best.input_mse = float(np.mean(dx * dx))
     return best
+
+
+# --- the json.dumps transcript writer the direct formatter replaced -------
+# Copied unchanged apart from the name.
+
+
+def old_write_transcript(path, transcript: Transcript):
+    """Append one JSON line per recorded protocol message to ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a") as fh:
+        for e in transcript.entries:
+            rec = {
+                "round": e.round_index,
+                "phase": e.phase,
+                "from": e.sender,
+                "to": e.receiver,
+                "payload_bytes": e.payload_bytes,
+            }
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+    return path

@@ -24,11 +24,11 @@ from dmslearn.experiment import (
 )
 from dmslearn.consensus import ConvergenceMonitor
 from dmslearn.numerics import MlpModel
-from dmslearn.reports import write_report
+from dmslearn.reports import write_report, write_transcript
 from dmslearn.secagg import Transcript
 from dmslearn.threats import run_poisoning_experiment
 
-from oracles import direct_round_record, household_splits, old_forecast_mse
+from oracles import direct_round_record, household_splits, old_forecast_mse, old_write_transcript
 
 
 def read_report(path):
@@ -388,6 +388,23 @@ def test_report_files_are_canonical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = read_report(p1)
     assert back[0]["a"] == 2.5
+
+
+def test_transcript_lines_equal_the_json_encoded_ones(tmp_path):
+    transcript = Transcript(record_payloads=False)
+    for round_index, phase, sender, receiver, dim in (
+        (0, "share", 3, 3, 801),
+        (12, "share", 123, 10, 4),
+        (12, "reconstruct", 1004, 31, 0),
+        (7, "reconstruct", 10, 123456, 25),
+    ):
+        transcript.log(round_index, phase, sender, receiver, range(dim), 16)
+    for path in (tmp_path / "new.jsonl", tmp_path / "old.jsonl"):
+        path.write_text("kept\n")  # both append
+    write_transcript(tmp_path / "new.jsonl", transcript)
+    old_write_transcript(tmp_path / "old.jsonl", transcript)
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+    assert len((tmp_path / "new.jsonl").read_text().splitlines()) == 5
 
 
 def test_cli_run_ok(tmp_path):

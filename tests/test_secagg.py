@@ -18,6 +18,7 @@ from dmslearn.secagg import (
     SecretShare,
     TamperError,
     Transcript,
+    _interpolation,
     _rand_field_cells,
     _reconstruction_weights,
     detect_tampering,
@@ -567,9 +568,25 @@ def test_secure_aggregate_matches_the_old_per_coordinate_path(data, prime, seed)
         parties=tuple(range(100, 100 + params.parties)),
         recipients=tuple(range(data.draw(st.integers(1, count)))),
     )
-    corrupt = data.draw(st.one_of(st.none(), st.integers(0, params.parties - 1)))
+    corrupt = data.draw(st.one_of(st.none(), st.integers(-2, params.parties + 1)))
     # Recorded, unrecorded and absent transcripts take different share paths.
     mode = data.draw(st.sampled_from([{}, {"record_payloads": False}, None]))
+    if corrupt is not None and (corrupt not in range(params.parties) or dim == 0):
+        # The old path corrupted a party counted from the end, or raised a
+        # bare IndexError; the new one rejects the index before drawing,
+        # after the checks that the old path made first.
+        old = outcome(old_secure_aggregate, vectors, session, codec, np.random.default_rng(seed),
+                      corrupt_party=corrupt)
+        if not (isinstance(old, tuple) and old[0] is EncodingRangeError):
+            old = ValueError, f"corrupt_party {corrupt} names no share of a nonempty sum"
+        rng = np.random.default_rng(seed)
+        transcript = None if mode is None else Transcript(**mode)
+        new = outcome(secure_aggregate, vectors, session, codec, rng, transcript=transcript,
+                      corrupt_party=corrupt)
+        assert new == old
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert transcript is None or transcript.entries == []
+        return
     runs = []
     for aggregate in (secure_aggregate, old_secure_aggregate):
         rng = np.random.default_rng(seed)
@@ -630,12 +647,141 @@ def test_corrupt_party_is_caught_at_every_position():
 
 
 def test_reconstruction_weights_are_cached_per_index_set():
-    _reconstruction_weights.cache_clear()
+    _interpolation.cache_clear()
     rng = np.random.default_rng(0)
     params = SharingParams(5, 2, PRIME_TEST_97)
     for _ in range(3):
         reconstruct(share([1, 2, 3], params, rng), params)
         reconstruct(share(4, params, rng)[1:], params)
-    info = _reconstruction_weights.cache_info()
+    info = _interpolation.cache_info()
     assert (info.misses, info.hits) == (2, 4)
     assert info.maxsize is not None
+
+
+# --- the packed reconstruction and the limb sums ---------------------------
+
+
+def packed(values, width):
+    """``values`` in one integer, one little-endian ``width``-byte slot each."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def test_integer_weights_are_the_field_weights():
+    for parties in range(3, 32):
+        indices = tuple(range(1, parties + 1))
+        for threshold in range(2, (parties - 1) // 2 + 2):
+            for prime in (PRIME_128, PRIME_TEST_97):
+                exact = _reconstruction_weights(indices, threshold, prime, exact=True)
+                field = _reconstruction_weights(indices, threshold, prime)
+                assert [[w % prime for w in row] for row in exact] == [list(row) for row in field]
+                assert _interpolation(indices, threshold, prime)[0] == exact
+    # The benchmark's 21-party degree-10 session: single-digit weights.
+    exact = _interpolation(tuple(range(1, 22)), 11, PRIME_128)[0]
+    assert max(abs(w) for row in exact for w in row).bit_length() == 25
+
+
+@pytest.mark.parametrize("parties, degree", [(5, 2), (21, 10)])
+def test_packed_check_catches_a_fault_that_leaves_a_multiple_of_p(parties, degree):
+    # Adding 1 + c * 2**(8 * width), a multiple of p, to one party's packed
+    # total leaves every difference from a prediction as divisible by p as
+    # before, so a bare ``D % p == 0`` check passes it; slot 0 is still off.
+    params, width, dim = SharingParams(parties, degree), 28, 3
+    prime = params.prime
+    c = -pow(1 << (8 * width), -1, prime) % prime
+    fault = 1 + (c << (8 * width))
+    assert fault % prime == 0
+    shares = share([11, 22, 33], params, np.random.default_rng(parties))
+    for pos in (0, degree, degree + 1, parties - 1):
+        values = list(shares[pos].value)
+        values[0], values[1] = (values[0] + 1) % prime, (values[1] + c) % prime
+        bad = [*shares[:pos], SecretShare(pos + 1, tuple(values)), *shares[pos + 1 :]]
+        totals = [packed(s.value, width) + (fault if s.index == pos + 1 else 0) for s in shares]
+        expected = outcome(reconstruct, bad, params)
+        assert expected[0] is TamperError
+        packed_shares = [SecretShare(x, v) for x, v in enumerate(totals, start=1)]
+        assert outcome(reconstruct, packed_shares, params, width=width, dim=dim) == expected
+
+
+@given(data=st.data(), prime=PRIMES, seed=st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_packed_reconstruct_matches_the_tuple_mode(data, prime, seed):
+    params = sharing_params(data.draw, prime)
+    dim = data.draw(st.integers(min_value=0, max_value=6))
+    secret = data.draw(st.lists(st.integers(0, prime - 1), min_size=dim, max_size=dim))
+    shares = share(secret, params, np.random.default_rng(seed))
+    picked = data.draw(st.permutations(shares))[: data.draw(st.integers(0, params.parties))]
+    for _ in range(data.draw(st.integers(0, 2)) if picked and dim else 0):
+        pos, coord = data.draw(st.integers(0, len(picked) - 1)), data.draw(st.integers(0, dim - 1))
+        value = list(picked[pos].value)
+        value[coord] = (value[coord] + data.draw(st.integers(1, prime - 1))) % prime
+        picked[pos] = SecretShare(picked[pos].index, tuple(value))
+    stray = data.draw(st.sampled_from([None, 0, params.parties + 1, "duplicate"]))
+    if stray == "duplicate" and picked:
+        picked.insert(data.draw(st.integers(0, len(picked))), picked[0])
+    elif isinstance(stray, int):
+        picked.append(SecretShare(stray, tuple(secret)))
+    # Slots that hold a field element, a guard of at most L + 4 bits for
+    # these thresholds, and 7 bits for unreduced values.
+    bits = prime.bit_length()
+    width = -(-(2 * bits + 11) // 8) + data.draw(st.integers(0, 3))
+    unreduced = [
+        SecretShare(s.index, packed([v + data.draw(st.integers(0, 127)) * prime for v in s.value], width))
+        for s in picked
+    ]
+    expected = outcome(reconstruct, picked, params)
+    assert outcome(reconstruct, unreduced, params, width=width, dim=dim) == expected
+
+
+def test_packed_reconstruct_rejects_values_beyond_its_slots():
+    params = SharingParams(5, 2)
+    shares = share([1, 2], params, np.random.default_rng(0))
+    width = 20
+    guard = _interpolation(tuple(range(1, 6)), 3, params.prime)[2]
+    ok = [SecretShare(s.index, packed(s.value, width)) for s in shares]
+    assert reconstruct(ok, params, width=width, dim=2) == (1, 2)
+    for value in (-1, 1 << (8 * width * 2), 1 << (8 * width - guard)):
+        bad = [*ok[:4], SecretShare(5, value)]
+        with pytest.raises(ValueError, match="must stay below"):
+            reconstruct(bad, params, width=width, dim=2)
+    with pytest.raises(ValueError, match="must stay below"):
+        reconstruct(ok, params, width=16, dim=2)  # no room above a field element
+    with pytest.raises(ValueError, match="must stay below"):
+        reconstruct(ok, params, width=1, dim=2)  # not even the guard bits
+    with pytest.raises(ValueError, match="must stay below"):
+        reconstruct(ok, params, width=width)  # one slot by default
+
+
+def test_corrupt_party_must_name_a_share_of_a_nonempty_sum():
+    codec = FixedPointCodec()
+    for corrupt, dim in ((-1, 2), (3, 2), (7, 2), (0, 0)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"corrupt_party {corrupt} names no share"):
+            secure_aggregate([np.ones(dim)] * 3, session_of(), codec, rng, corrupt_party=corrupt)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("parties, degree, contributors", [(21, 10, 21), (3, 1, 30)])
+def test_secure_aggregate_matches_the_old_path_at_benchmark_scale(parties, degree, contributors):
+    # The limb sums carry across limbs only with many summands, which the
+    # small hypothesis cases above never reach: a dms session of 21 agents
+    # and a fedavg session of 30 contributors, at the forecast model's d.
+    # The old path runs once, recorded; the unrecorded run must match it
+    # with every payload left out.
+    codec = FixedPointCodec()
+    ids = tuple(range(contributors))
+    holders = ids if parties == contributors else (30, 31, 32)
+    session = SecAggSession(SharingParams(parties, degree), ids, holders, holders[:1] + ids[:2])
+    vectors = [np.random.default_rng(i).normal(scale=0.3, size=801) for i in ids]
+
+    def run(aggregate, record):
+        rng, transcript = np.random.default_rng(17), Transcript(record_payloads=record)
+        total = aggregate(vectors, session, codec, rng, transcript=transcript, round_index=4)
+        return total.tobytes(), rng.bit_generator.state, transcript
+
+    old_total, old_state, old_log = run(old_secure_aggregate, True)
+    bare_entries = [dataclasses.replace(e, payload=()) for e in old_log.entries]
+    for record in (True, False):
+        total, state, log = run(secure_aggregate, record)
+        assert (total, state) == (old_total, old_state)
+        assert (log.messages, log.bytes) == (old_log.messages, old_log.bytes)
+        assert log.entries == (old_log.entries if record else bare_entries)
