@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import LocalTask, MlpTask, NoiseModel, QuadraticTask
+from .numerics import NoiseModel, TaskSet
 from .secagg import (
     FixedPointCodec,
     SecAggError,
@@ -45,7 +45,6 @@ __all__ = [
     "dms_round",
     "fedavg_round",
     "lr_bound",
-    "make_agents",
     "max_disagreement",
     "run_training",
 ]
@@ -74,43 +73,20 @@ class RoundFailure(RuntimeError):
 
 @dataclass
 class AgentState:
-    """One agent's task binding and weight state.
+    """One agent's weights: ``theta`` is the post-consensus weight vector,
+    ``phi`` the most recent local-step result (the value the agent
+    broadcast this round)."""
 
-    ``theta`` is the post-consensus weight vector, ``phi`` the most recent
-    local-step result (the value the agent broadcast this round).
-    """
-
-    task: LocalTask
-    gamma: float
     theta: np.ndarray
     phi: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float).copy()
-        if not self.gamma > 0:
-            raise ValueError("learning rate must be positive")
-
-
-def make_agents(
-    tasks: Sequence[LocalTask], inits: Sequence[np.ndarray], gamma: float
-) -> list[AgentState]:
-    if len(tasks) != len(inits):
-        raise ValueError("one init per task required")
-    dims = {t.dim for t in tasks}
-    if len(dims) != 1:
-        raise ValueError("all agents must share one weight dimension")
-    return [
-        AgentState(task=t, gamma=float(gamma), theta=np.asarray(x, dtype=float))
-        for t, x in zip(tasks, inits)
-    ]
 
 
 @dataclass(frozen=True)
 class RoundMetrics:
     """Structural record of one round: graph size and traffic, and the
     per-agent training losses at the weights the learn stage started
-    from, taken from its first local step (None for tasks whose learn
-    stage computes no loss)."""
+    from, the losses its task set returned with the first step's
+    gradients (None for quadratic task sets, which return none)."""
 
     round_index: int
     edge_count: int
@@ -289,33 +265,17 @@ Learn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 
 def _learner(
-    agents: list[AgentState],
+    tasks: TaskSet,
+    gamma: float,
     epochs: int,
     noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
 ) -> Learn:
     """The learn stage: ``epochs`` perturbed gradient steps on every row of
-    the stacked weights. Each call draws one agent-major (n, epochs, d)
-    noise block, the stream of drawing agent 0's steps first. Quadratic
-    task sets take one batched ``H @ theta + b`` product per step, bit for
-    bit each task's own gradient (``thetas @ H.T`` is not, for dense H);
-    network task sets call each task's ``loss_and_gradient`` and keep the
-    first step's losses, which are the losses at the weights the call
-    started from; any other set calls each task's ``gradient``."""
-    tasks = [a.task for a in agents]
-    if all(isinstance(t, QuadraticTask) for t in tasks):
-        hessians = np.stack([t.hessian for t in tasks])
-        lin = np.stack([t.lin_term for t in tasks])
-        step = lambda thetas: (None, np.matmul(hessians, thetas[..., None])[..., 0] + lin)
-    elif all(isinstance(t, MlpTask) for t in tasks):
-
-        def step(thetas):
-            pairs = [t.loss_and_gradient(r) for t, r in zip(tasks, thetas)]
-            return np.array([loss for loss, _ in pairs]), np.array([grad for _, grad in pairs])
-
-    else:
-        step = lambda thetas: (None, np.array([t.gradient(r) for t, r in zip(tasks, thetas)]))
-    gammas = np.array([[a.gamma] for a in agents])
+    the stacked weights, one ``tasks.loss_and_gradient`` call per step.
+    Each call draws one agent-major (n, epochs, d) noise block, the stream
+    of drawing agent 0's steps first, and returns the first step's losses,
+    which are the losses at the weights the call started from."""
     noisy = noise is not None and noise.bound > 0.0
     if noisy and noise_rng is None:
         raise ValueError("noise sampling needs an rng")
@@ -324,10 +284,10 @@ def _learner(
         draws = noise.sample((len(thetas), epochs, thetas.shape[1]), noise_rng) if noisy else None
         first_losses = None
         for e in range(epochs):
-            losses, grad = step(thetas)
+            losses, grad = tasks.loss_and_gradient(thetas)
             if e == 0:
                 first_losses = losses
-            thetas = thetas - gammas * grad
+            thetas = thetas - gamma * grad
             if noisy:
                 thetas = thetas + draws[:, e]
         return thetas, first_losses
@@ -487,9 +447,11 @@ class TrainingRun:
 
 
 def run_training(
-    agents: list[AgentState],
+    tasks: TaskSet,
     schedule: MarkovSchedule | None,
     *,
+    inits: np.ndarray,
+    gamma: float,
     strategy: str = "dms",
     rounds: int,
     alpha: float = 1.0,
@@ -511,9 +473,11 @@ def run_training(
     rounds. A divergent weight or worst error (see
     ``_diverged``) stops the run and flags it.
 
-    The rounds run on one stacked (n, d) weight array; its rows are
-    written back to each agent's ``theta`` and ``phi`` before every
-    ``on_round`` call and at the end.
+    The rounds start from a copy of the (n, d) ``inits``, which must
+    match the task set's (n, d), and step every agent with the learning
+    rate ``gamma``; the run's agents get the rows of the stacked weights
+    as their ``theta`` and ``phi`` before every ``on_round`` call and at
+    the end.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -525,7 +489,11 @@ def run_training(
 
     if epochs < 1:
         raise ValueError("epochs must be positive")
-    thetas = np.array([agent.theta for agent in agents])
+    if not gamma > 0:
+        raise ValueError("learning rate must be positive")
+    thetas = np.array(inits, dtype=float)
+    if thetas.shape != tasks.shape:
+        raise ValueError(f"inits of shape {thetas.shape} for a task set of shape {tasks.shape}")
     if strategy == "fedavg" and not np.all(thetas == thetas[0]):
         raise ValueError("fedavg agents must share the initial weights")
 
@@ -537,7 +505,8 @@ def run_training(
     terminated = tolerance is not None and worst < tolerance
     diverged = False
     completed = 0
-    learn = _learner(agents, epochs, noise, noise_rng)
+    agents = [AgentState(theta) for theta in thetas]
+    learn = _learner(tasks, gamma, epochs, noise, noise_rng)
     options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
     try:
         for k in range(0 if terminated else rounds):

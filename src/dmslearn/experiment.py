@@ -16,19 +16,17 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, QuadraticConfig
 from .consensus import (
-    AgentState,
     ContractionParams,
     ConvergenceMonitor,
     SecureSetup,
     TrainingRun,
     complexity_counters,
     lr_bound,
-    make_agents,
     max_disagreement,
     run_training,
 )
 from .data import gen_synthetic_load, household_features, kmeans, window_dataset
-from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask
+from .numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks
 from .reports import write_report, write_summary_csv, write_transcript
 from .secagg import FixedPointCodec, Transcript
 from .threats import PoisonPolicy
@@ -91,8 +89,9 @@ def ring_bias_profile(agent_count: int, amp: float, amp2: float) -> np.ndarray:
 
 def build_quadratic_setup(
     config: ExperimentConfig, init_rng: np.random.Generator
-) -> tuple[list[AgentState], ConvergenceMonitor, ContractionParams]:
-    """The run's agents on diagonal quadratics with optional heterogeneous optima.
+) -> tuple[QuadraticTasks, np.ndarray, ConvergenceMonitor, ContractionParams]:
+    """The run's task set of diagonal quadratics with optional heterogeneous
+    optima, and its (n, d) inits.
 
     Every agent gets the same diagonal Hessian with entries spread over
     [curv_low, curv_high]; offsets move each agent's optimum along a
@@ -103,17 +102,17 @@ def build_quadratic_setup(
     q, n = config.quadratic, config.agents
     hessian = np.diag(np.linspace(q.curv_low, q.curv_high, q.dim))
     offsets = ring_bias_profile(n, q.bias_amp, q.bias_amp2)
-    tasks = [QuadraticTask.from_optimum(hessian, np.full(q.dim, offsets[i])) for i in range(n)]
-    total_q = sum(t.hessian for t in tasks)
-    total_b = sum(t.lin_term for t in tasks)
-    global_opt = np.linalg.solve(total_q, -total_b)
+    tasks = QuadraticTasks.from_optima(
+        np.repeat(hessian[None], n, axis=0), np.repeat(offsets[:, None], q.dim, axis=1)
+    )
+    # Summed agent by agent: np.sum's pairwise order can move the last bits.
+    global_opt = np.linalg.solve(sum(tasks.hessians), -sum(tasks.lin_terms))
 
     if config.strategy == "fedavg":
         shared = q.far_start + init_rng.uniform(-0.5, 0.5, q.dim)
-        inits = [shared.copy() for _ in range(n)]
+        inits = np.repeat(shared[None], n, axis=0)
     else:
-        inits = [q.far_start + init_rng.uniform(-0.5, 0.5, q.dim) for _ in range(n)]
-    agents = make_agents(tasks, inits, config.gamma)
+        inits = np.array([q.far_start + init_rng.uniform(-0.5, 0.5, q.dim) for _ in range(n)])
     monitor = ConvergenceMonitor(global_opt)
     params = ContractionParams(
         p_lower=np.full(n, q.curv_low),
@@ -122,7 +121,7 @@ def build_quadratic_setup(
         step_sizes=np.full(n, config.gamma),
         alpha=config.alpha,
     )
-    return agents, monitor, params
+    return tasks, inits, monitor, params
 
 
 def average_monitor(monitors: Sequence[ConvergenceMonitor]) -> ConvergenceMonitor:
@@ -140,8 +139,8 @@ SPLITS = ("train", "val", "test")
 
 @dataclass
 class _ForecastSetup:
-    agents: list[AgentState]
-    model: MlpModel
+    tasks: NetworkTasks
+    inits: np.ndarray
     # Split name -> inputs (households, windows, lookback) and targets
     # (households, windows, horizon), stacked in household order.
     splits: dict[str, tuple[np.ndarray, np.ndarray]]
@@ -188,20 +187,20 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
             x, y = splits[name]
             x[i], y[i] = part.features, part.targets
 
+    # The task set views the stacked train split; the centralized agent
+    # pools every household's windows.
     train_x, train_y = splits["train"]
     if config.strategy == "centralized":
-        pooled = Dataset(train_x.reshape(-1, lookback), train_y.reshape(-1, horizon))
-        tasks = [MlpTask(model, pooled)]
-        inits = [model.init_params(rngs["init"])]
+        pooled = (train_x.reshape(1, -1, lookback), train_y.reshape(1, -1, horizon))
+        tasks = NetworkTasks(model, *pooled)
     else:
-        tasks = [MlpTask(model, Dataset(x, y)) for x, y in zip(train_x, train_y)]
-        if config.strategy == "fedavg":
-            shared = model.init_params(rngs["init"])
-            inits = [shared.copy() for _ in tasks]
-        else:
-            inits = [model.init_params(rngs["init"]) for _ in tasks]
-    agents = make_agents(tasks, inits, config.gamma)
-    return _ForecastSetup(agents=agents, model=model, splits=splits, households=picked)
+        tasks = NetworkTasks(model, train_x, train_y)
+    n = len(tasks.x)
+    if config.strategy == "fedavg":
+        inits = np.repeat(model.init_params(rngs["init"])[None], n, axis=0)
+    else:
+        inits = np.array([model.init_params(rngs["init"]) for _ in range(n)])
+    return _ForecastSetup(tasks=tasks, inits=inits, splits=splits, households=picked)
 
 
 def _forecast_mse(setup: _ForecastSetup, which: str, thetas: np.ndarray) -> float:
@@ -212,7 +211,7 @@ def _forecast_mse(setup: _ForecastSetup, which: str, thetas: np.ndarray) -> floa
     household's split, so the number is comparable across strategies.
     """
     x, y = setup.splits[which]
-    diff = setup.model.forward(thetas, x) - y
+    diff = setup.tasks.model.forward(thetas, x) - y
     return float(np.mean(np.mean(np.sum(diff * diff, axis=-1), axis=-1)))
 
 
@@ -265,10 +264,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
                     f"gamma {config.gamma} exceeds the stability bound "
                     f"{lr_bound(config.quadratic.curv_high)}; pass --allow-unstable to run anyway"
                 )
-            agents, monitor, _params = build_quadratic_setup(config, rngs["init"])
+            tasks, inits, monitor, _params = build_quadratic_setup(config, rngs["init"])
         else:
             setup = _build_forecast_setup(config, rngs)
-            agents = setup.agents
+            tasks, inits = setup.tasks, setup.inits
 
         schedule = build_schedule(config, rngs["schedule"])
     except ValueError as exc:
@@ -323,8 +322,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         rows.append(rec)
 
     run = run_training(
-        agents,
+        tasks,
         schedule,
+        inits=inits,
+        gamma=config.gamma,
         strategy=config.strategy,
         rounds=config.rounds,
         alpha=config.alpha,
@@ -352,7 +353,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     if monitor is not None:
         summary["final_worst_mse"] = float(monitor.worst_mse[-1])
     if setup is not None:
-        thetas = np.array([a.theta for a in agents])
+        thetas = np.array([a.theta for a in run.agents])
         for name in SPLITS:
             summary[f"{name}_mse"] = _forecast_mse(setup, name, thetas)
         summary["households"] = setup.households
@@ -425,10 +426,12 @@ def run_scaling_sweep(seed: int = 1) -> SweepResult:
         for n in SWEEP_SIZES:
             config = SWEEP_BASE.replace(strategy=strategy, agent_count=n)
             streams = seed_streams(np.random.SeedSequence([seed, strat_idx, n]))
-            agents, monitor, _ = build_quadratic_setup(config, streams["init"])
+            tasks, inits, monitor, _ = build_quadratic_setup(config, streams["init"])
             run = run_training(
-                agents,
+                tasks,
                 build_schedule(config, streams["schedule"]),
+                inits=inits,
+                gamma=config.gamma,
                 strategy=strategy,
                 rounds=config.rounds,
                 monitor=monitor,

@@ -1,90 +1,59 @@
-"""Local objectives, gradient steps, and the perturbation model.
+"""Task sets, gradient steps, and the perturbation model.
 
-Two task families: quadratics with known curvature bounds (the analysis
-objects) and a small dense network on tabular windows (the demo workload).
-Both expose loss/gradient on a flat parameter vector so the training loops
-never need to know which one they are driving.
+A run's tasks are one stacked set with one learn contract:
+``loss_and_gradient(thetas)`` maps the (n, d) weights to the n losses (or
+None) and the (n, d) gradients, so the training loops never need to know
+which family they are driving. Two families: quadratics with known
+curvature bounds (the analysis objects) and a small dense network on
+each agent's tabular windows (the demo workload).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 __all__ = [
     "Dataset",
-    "LocalTask",
     "MlpModel",
-    "MlpTask",
+    "NetworkTasks",
     "NoiseModel",
-    "QuadraticTask",
+    "QuadraticTasks",
+    "TaskSet",
     "local_step",
-    "mse_loss",
 ]
 
 
-class LocalTask(Protocol):
-    """Anything the training loops can optimize locally."""
-
-    dim: int
-
-    def loss(self, theta: np.ndarray) -> float: ...
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
-class QuadraticTask:
-    """``L(theta) = 0.5 theta' Q theta + b' theta`` with symmetric
-    positive definite ``Q``.
+class QuadraticTasks:
+    """Agent i minimizes ``0.5 theta' H_i theta + b_i' theta``, with the
+    symmetric positive definite ``hessians`` (n, d, d) and ``lin_terms``
+    (n, d).
 
-    The unique minimizer is ``-Q^{-1} b``; eigenvalues of ``Q`` bound the
-    curvature from both sides, which is what the contraction analysis
-    consumes.
+    Agent i's minimizer is ``-H_i^{-1} b_i``; the eigenvalues of ``H_i``
+    bound its curvature from both sides, which is what the contraction
+    analysis consumes.
     """
 
-    hessian: np.ndarray
-    lin_term: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.hessian, dtype=float)
-        b = np.asarray(self.lin_term, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("hessian must be square")
-        if not np.allclose(q, q.T):
-            raise ValueError("hessian must be symmetric")
-        if b.shape != (q.shape[0],):
-            raise ValueError("linear term shape mismatch")
-        object.__setattr__(self, "hessian", q)
-        object.__setattr__(self, "lin_term", b)
+    hessians: np.ndarray
+    lin_terms: np.ndarray
 
     @classmethod
-    def from_optimum(cls, hessian: np.ndarray, optimum: np.ndarray) -> "QuadraticTask":
-        """Quadratic with the given curvature whose minimizer is ``optimum``."""
-        q = np.asarray(hessian, dtype=float)
-        b = -q @ np.asarray(optimum, dtype=float)
-        return cls(hessian=q, lin_term=b)
+    def from_optima(cls, hessians: np.ndarray, optima: np.ndarray) -> "QuadraticTasks":
+        """The set whose agent i has curvature ``hessians[i]`` and minimizer ``optima[i]``."""
+        q = np.asarray(hessians, dtype=float)
+        return cls(q, np.matmul(-q, np.asarray(optima, dtype=float)[..., None])[..., 0])
 
     @property
-    def dim(self) -> int:
-        return self.hessian.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.lin_terms.shape
 
-    def loss(self, theta: np.ndarray) -> float:
-        t = np.asarray(theta, dtype=float)
-        return float(0.5 * t @ self.hessian @ t + self.lin_term @ t)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.hessian @ np.asarray(theta, dtype=float) + self.lin_term
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over samples of the squared L2 error."""
-    diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    if diff.ndim == 1:
-        diff = diff[:, None]
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    def loss_and_gradient(self, thetas: np.ndarray) -> tuple[None, np.ndarray]:
+        """No losses, and each row's ``H_i theta_i + b_i`` from one batched
+        product, bit for bit the 2-d ``H_i @ theta_i`` (``thetas @ H.T`` is
+        not, for dense H)."""
+        return None, np.matmul(self.hessians, thetas[..., None])[..., 0] + self.lin_terms
 
 
 @dataclass(frozen=True)
@@ -170,51 +139,60 @@ class MlpModel:
     def loss_and_gradient(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> tuple[float | np.ndarray, np.ndarray]:
-        """Loss (...) and gradient (..., dim) of one weight vector on inputs
-        (..., samples, in_dim) and targets (..., samples, out_dim). Each
-        stacked batch gets its own 2-d call's result bit for bit; a 2-d
-        batch gets a ``float`` loss."""
+        """Loss (...) and gradient (..., dim) for weights (..., dim), inputs
+        (..., samples, in_dim) and targets (..., samples, out_dim).
+
+        Leading axes broadcast as in :meth:`forward`, so one call serves
+        each agent on its own batch, or one weight vector on a stack of
+        batches; each batch gets its own 2-d call's result bit for bit,
+        and a 2-d call gets a ``float`` loss. The transients are reused in
+        place, so a stacked call holds no more than two hidden-size buffers.
+        """
         theta = np.asarray(theta, dtype=float)
         w1, b1, w2, b2 = self.unpack(theta)
         n = x.shape[-2]
-        act = x @ w1.T + b1
-        hidden = np.tanh(act)
-        pred = hidden @ w2.T + b2
-        diff = pred - y
+        hidden = x @ np.swapaxes(w1, -1, -2)
+        hidden += b1[..., None, :]
+        np.tanh(hidden, out=hidden)
+        diff = hidden @ np.swapaxes(w2, -1, -2)
+        diff += b2[..., None, :]
+        diff -= y
         loss = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
 
-        grad = np.zeros(diff.shape[:-2] + theta.shape)
+        grad = np.zeros(diff.shape[:-2] + (self.dim,))
         g1, gb1, g2, gb2 = self.unpack(grad)
         # d loss / d pred for the per-sample squared L2 averaged over n.
-        delta_out = 2.0 * diff / n
-        g2[...] = delta_out.swapaxes(-1, -2) @ hidden
+        delta_out = diff
+        delta_out *= 2.0
+        delta_out /= n
+        g2[...] = np.swapaxes(delta_out, -1, -2) @ hidden
         gb2[...] = delta_out.sum(axis=-2)
-        delta_hid = (delta_out @ w2) * (1.0 - hidden * hidden)
-        g1[...] = delta_hid.swapaxes(-1, -2) @ x
+        delta_hid = delta_out @ w2
+        hidden *= hidden
+        delta_hid *= np.subtract(1.0, hidden, out=hidden)
+        g1[...] = np.swapaxes(delta_hid, -1, -2) @ x
         gb1[...] = delta_hid.sum(axis=-2)
         return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 @dataclass(frozen=True)
-class MlpTask:
-    """A network bound to one agent's data, exposed as a LocalTask."""
+class NetworkTasks:
+    """Agent i fits ``model`` to its own inputs ``x[i]`` (samples, in_dim)
+    and targets ``y[i]`` (samples, out_dim); every agent has as many samples."""
 
     model: MlpModel
-    data: Dataset
+    x: np.ndarray
+    y: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.model.dim
+    def shape(self) -> tuple[int, int]:
+        return (len(self.x), self.model.dim)
 
-    def loss(self, theta: np.ndarray) -> float:
-        pred = self.model.forward(theta, self.data.features)
-        return mse_loss(pred, self.data.targets)
+    def loss_and_gradient(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.model.loss_and_gradient(thetas, self.x, self.y)
 
-    def loss_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.model.loss_and_gradient(theta, self.data.features, self.data.targets)
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.loss_and_gradient(theta)[1]
+TaskSet = QuadraticTasks | NetworkTasks
 
 
 @dataclass(frozen=True)
@@ -257,14 +235,15 @@ class NoiseModel:
 
 
 def local_step(
-    task: LocalTask,
+    task,
     theta: np.ndarray,
     step_size: float,
     *,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """One perturbed gradient step: ``theta - step_size * grad + w``."""
+    """One perturbed gradient step, ``theta - step_size * grad + w``, for a
+    single task with ``dim`` and ``gradient(theta)``."""
     if step_size <= 0:
         raise ValueError("step size must be positive")
     phi = np.asarray(theta, dtype=float) - step_size * task.gradient(theta)

@@ -467,7 +467,7 @@ class Transcript:
                 phase,
                 sender,
                 receiver,
-                tuple(int(v) for v in payload) if self.record_payloads else (),
+                tuple(payload) if self.record_payloads else (),
                 len(payload) * elem_bytes,
             )
         )

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import ConvergenceMonitor, make_agents, run_training
-from .numerics import Dataset, MlpModel, MlpTask, NoiseModel, QuadraticTask
+from .consensus import ConvergenceMonitor, run_training
+from .numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks
 from .secagg import FixedPointCodec, Transcript, party_placement, secure_aggregate
 from .topology import make_dms_schedule
 
@@ -251,12 +251,8 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
 
     # Switching arm: per-agent inits the attacker never sees; broadcasts
     # observed across a mixing step.
-    tasks = [
-        MlpTask(model, Dataset(samples_x[i : i + 1], samples_y[i : i + 1]))
-        for i in range(agent_count)
-    ]
-    inits = [model.init_params(init_rng) for _ in range(agent_count)]
-    agents = make_agents(tasks, inits, gamma)
+    tasks = NetworkTasks(model, samples_x[:, None], samples_y[:, None])
+    inits = np.array([model.init_params(init_rng) for _ in range(agent_count)])
     schedule = make_dms_schedule(
         agent_count, subset_size=max(3, agent_count - 1), substructure_count=4, rng=mix_rng
     )
@@ -265,7 +261,9 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     def on_round(k, ags, metrics):
         observed.append(ags[victim].phi.copy())
 
-    run_training(agents, schedule, strategy="dms", rounds=2, on_round=on_round)
+    run_training(
+        tasks, schedule, inits=inits, gamma=gamma, strategy="dms", rounds=2, on_round=on_round
+    )
     dms_inferred = (observed[0] - observed[1]) / gamma
     mismatch = float(np.linalg.norm(dms_inferred - true_grad))
     dms_rec = attack(observed[0], dms_inferred)  # observed[0]: the attacker's best weight guess
@@ -327,24 +325,26 @@ def _poison_arm(
     init_rng = np.random.default_rng(init_seed)
     noise_rng = np.random.default_rng(noise_seed)
     optimum = np.zeros(dim)
-    tasks = [QuadraticTask.from_optimum(np.eye(dim), optimum) for _ in range(agent_count)]
+    tasks = QuadraticTasks.from_optima(
+        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
+    )
     if strategy == "fedavg":
-        shared = init_rng.uniform(-0.5, 0.5, dim)
-        inits = [shared.copy() for _ in range(agent_count)]
+        inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
         schedule = None
     else:
-        inits = [init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)]
+        inits = np.array([init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)])
         schedule = make_dms_schedule(
             agent_count,
             subset_size=subset_size,
             substructure_count=substructure_count,
             rng=np.random.default_rng(schedule_seed),
         )
-    agents = make_agents(tasks, inits, gamma)
     monitor = ConvergenceMonitor(optimum)
     run_training(
-        agents,
+        tasks,
         schedule,
+        inits=inits,
+        gamma=gamma,
         strategy=strategy,
         rounds=rounds,
         noise=NoiseModel(noise_bound),

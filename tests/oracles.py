@@ -7,7 +7,9 @@ Euclid, mixing weights come from explicit neighbor loops, and schedule
 connectivity from a breadth-first search.
 
 The exceptions are pins of code that a faster or simpler version
-replaced: ``pairwise_max_distance``, the three round functions of an
+replaced: the per-agent task layer that the stacked task sets replaced
+(``QuadraticTask``, ``MlpTask``, ``Agent``, ``make_agents``),
+``pairwise_max_distance``, the three round functions of an
 earlier engine (``old_dms_round``, ``old_ctl_round``,
 ``old_fedavg_round``) and the per-agent round body that the stacked
 engine replaced (``per_agent_round``), the secure-sum path before
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +46,7 @@ from dmslearn.consensus import (
 )
 from dmslearn.data import gen_synthetic_load, window_dataset
 from dmslearn.experiment import seed_streams
-from dmslearn.numerics import NoiseModel, local_step
+from dmslearn.numerics import NoiseModel, QuadraticTasks, local_step
 from dmslearn.secagg import (
     PRIME_128,
     ContributorError,
@@ -60,6 +63,73 @@ from dmslearn.secagg import (
 )
 from dmslearn.threats import ReconstructionResult
 from dmslearn.topology import Graph, mixing_matrix
+
+
+# --- the per-agent task layer the stacked task sets replaced -------------
+# One task object per agent, bound to its learning rate by an agent
+# record; a network task takes the 2-d loss and gradient.
+
+
+@dataclass(frozen=True)
+class QuadraticTask:
+    """``L(theta) = 0.5 theta' Q theta + b' theta`` for one agent."""
+
+    hessian: np.ndarray
+    lin_term: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.hessian.shape[0]
+
+    def loss(self, theta) -> float:
+        t = np.asarray(theta, dtype=float)
+        return float(0.5 * t @ self.hessian @ t + self.lin_term @ t)
+
+    def gradient(self, theta) -> np.ndarray:
+        return self.hessian @ np.asarray(theta, dtype=float) + self.lin_term
+
+    def loss_and_gradient(self, theta):
+        return None, self.gradient(theta)
+
+
+@dataclass(frozen=True)
+class MlpTask:
+    """A network bound to one agent's inputs (samples, in_dim) and targets
+    (samples, out_dim)."""
+
+    model: object
+    features: np.ndarray
+    targets: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    def loss_and_gradient(self, theta):
+        return old_loss_and_gradient(self.model, theta, self.features, self.targets)
+
+
+@dataclass
+class Agent:
+    task: object
+    gamma: float
+    theta: np.ndarray
+    phi: np.ndarray | None = None
+
+
+def per_agent_tasks(tasks) -> list:
+    """The per-agent tasks of a stacked task set, row by row."""
+    if isinstance(tasks, QuadraticTasks):
+        return [QuadraticTask(q, b) for q, b in zip(tasks.hessians, tasks.lin_terms)]
+    return [MlpTask(tasks.model, x, y) for x, y in zip(tasks.x, tasks.y)]
+
+
+def make_agents(tasks, inits, gamma: float) -> list[Agent]:
+    """One agent per row of the task set and of ``inits``."""
+    return [
+        Agent(task, float(gamma), np.array(theta, dtype=float))
+        for task, theta in zip(per_agent_tasks(tasks), inits)
+    ]
 
 
 def fd_gradient(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -382,29 +452,38 @@ def per_vector_noise(noise, dim, rng):
 
 
 def _per_agent_step(task, theta, gamma, noise, rng):
-    phi = np.asarray(theta, dtype=float) - gamma * task.gradient(theta)
+    loss, grad = task.loss_and_gradient(theta)
+    phi = np.asarray(theta, dtype=float) - gamma * grad
     if noise is not None and noise.bound > 0.0:
         phi = phi + per_vector_noise(noise, task.dim, rng)
-    return phi
+    return loss, phi
 
 
 def _learn(agents, starts, epochs, noise, noise_rng):
+    """Each agent's steps in turn; returns the first step's losses (None
+    for tasks that report none)."""
+    losses = []
     for agent, phi in zip(agents, starts):
-        for _ in range(epochs):
-            phi = _per_agent_step(agent.task, phi, agent.gamma, noise, noise_rng)
+        for e in range(epochs):
+            loss, phi = _per_agent_step(agent.task, phi, agent.gamma, noise, noise_rng)
+            if e == 0:
+                losses.append(loss)
         agent.phi = phi
+    return None if losses[0] is None else np.array(losses)
 
 
 def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=None,
                     noise_rng=None, broadcast_hook=None, secure=None, round_index=0):
-    """One round on a list of agents; ``broadcast_hook(i, row)`` is called per row.
+    """One round on a list of agents; ``broadcast_hook(i, row)`` is called
+    per row, and the metrics carry the learn stage's first-step losses.
 
     The secure mix and the metrics are the engine's own ``_secure_mix`` and
     ``_round_metrics``; ``old_engine_rounds`` pins those against copies.
     """
     n = len(agents)
+    losses = None
     if learn_first:
-        _learn(agents, [a.theta for a in agents], epochs, noise, noise_rng)
+        losses = _learn(agents, [a.theta for a in agents], epochs, noise, noise_rng)
         outgoing = np.array([a.phi for a in agents])
     else:
         outgoing = np.array([a.theta for a in agents])
@@ -423,10 +502,10 @@ def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=No
         for agent, row in zip(agents, mixed):
             agent.theta = row
     else:
-        _learn(agents, mixed, epochs, noise, noise_rng)
+        losses = _learn(agents, mixed, epochs, noise, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
-    return _round_metrics(round_index, graph, broadcast, secure, first_entry)
+    return _round_metrics(round_index, graph, broadcast, secure, first_entry, losses)
 
 
 def per_agent_rounds(agents, schedule, strategy, rounds, **options):

@@ -17,7 +17,6 @@ from dmslearn.consensus import (
     ConvergenceMonitor,
     complexity_counters,
     contraction_check,
-    make_agents,
     run_training,
 )
 from dmslearn.experiment import (
@@ -29,7 +28,7 @@ from dmslearn.experiment import (
     run_scaling_sweep,
     seed_streams,
 )
-from dmslearn.numerics import MlpModel, NoiseModel, QuadraticTask
+from dmslearn.numerics import MlpModel, NoiseModel, QuadraticTasks
 from dmslearn.secagg import (
     PRIME_128,
     PRIME_TEST_31,
@@ -64,17 +63,18 @@ def contraction_setup(seed: int, xi: float):
         noise=NoiseConfig(xi),
         quadratic=QuadraticConfig(far_start=1.0),
     )
-    agents, monitor, params = build_quadratic_setup(config, streams["init"])
+    tasks, inits, monitor, params = build_quadratic_setup(config, streams["init"])
     schedule = build_schedule(config, streams["schedule"])
-    return streams, agents, monitor, params, schedule
+    return streams, dict(inits=inits, gamma=config.gamma), tasks, monitor, params, schedule
 
 
 def test_criterion_01_contraction_convergence():
     t0 = time.monotonic()
-    _, agents, monitor, params, schedule = contraction_setup(0, xi=0.0)
+    _, start, tasks, monitor, params, schedule = contraction_setup(0, xi=0.0)
     run = run_training(
-        agents,
+        tasks,
         schedule,
+        **start,
         strategy="dfc",
         rounds=2000,
         monitor=monitor,
@@ -93,14 +93,11 @@ def test_criterion_01_contraction_convergence():
     assert report.slope_within_rate
 
     # 1.5x the stability bound on a single 1-D agent must be caught.
-    wild = make_agents(
-        [QuadraticTask.from_optimum(np.array([[2.0]]), np.zeros(1))],
-        [np.array([1.0])],
-        1.5,
-    )
     blown = run_training(
-        wild,
+        QuadraticTasks.from_optima(np.array([[[2.0]]]), np.zeros((1, 1))),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=1.5,
         strategy="dms",
         rounds=2000,
         monitor=ConvergenceMonitor(np.zeros(1)),
@@ -114,10 +111,11 @@ def test_criterion_02_noise_floor():
     monitors = []
     params = None
     for seed in range(20):
-        streams, agents, monitor, params, schedule = contraction_setup(seed, xi=0.1)
+        streams, start, tasks, monitor, params, schedule = contraction_setup(seed, xi=0.1)
         run_training(
-            agents,
+            tasks,
             schedule,
+            **start,
             strategy="dfc",
             rounds=300,
             noise=NoiseModel(0.1),
@@ -204,10 +202,11 @@ def test_criterion_05_tamper_detection():
 def test_criterion_06_edge_reduction():
     n, rounds = 30, 1000
     complete_edges = n * (n - 1) // 2  # 435
-    task = QuadraticTask.from_optimum(np.eye(1), np.zeros(1))
-    agents = make_agents([task] * n, [np.ones(1)] * n, 0.1)
+    tasks = QuadraticTasks.from_optima(np.repeat(np.eye(1)[None], n, axis=0), np.zeros((n, 1)))
     schedule = build_schedule(ExperimentConfig(agent_count=n), np.random.default_rng(0))
-    run = run_training(agents, schedule, strategy="dms", rounds=rounds)
+    run = run_training(
+        tasks, schedule, inits=np.ones((n, 1)), gamma=0.1, strategy="dms", rounds=rounds
+    )
     counters = complexity_counters(run.metrics)
     assert counters["rounds"] == rounds
     assert 0.45 * complete_edges <= counters["mean_edges"] <= 0.55 * complete_edges

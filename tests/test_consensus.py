@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from dmslearn.config import ExperimentConfig, QuadraticConfig
 from dmslearn.consensus import (
     DIVERGENCE_CAP,
-    AgentState,
     ContractionParams,
     ConvergenceMonitor,
     RoundFailure,
@@ -14,12 +13,11 @@ from dmslearn.consensus import (
     complexity_counters,
     contraction_check,
     lr_bound,
-    make_agents,
     max_disagreement,
     run_training,
 )
 from dmslearn.experiment import build_quadratic_setup, seed_streams
-from dmslearn.numerics import NoiseModel, QuadraticTask, local_step
+from dmslearn.numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks, local_step
 from dmslearn.secagg import ContributorError, Transcript
 from dmslearn.threats import PoisonPolicy, poison_broadcast
 from dmslearn.topology import (
@@ -34,16 +32,21 @@ from dmslearn.topology import (
 )
 
 from oracles import (
+    make_agents,
     old_engine_rounds,
     pairwise_max_distance,
     per_agent_rounds,
+    per_agent_tasks,
     summed_quadratic_optimum,
 )
 
 
-def quad(p, u=0.0, dim=1):
-    q = np.eye(dim) * p
-    return QuadraticTask.from_optimum(q, np.full(dim, u))
+def quads(p, u=0.0, dim=1, n=1):
+    """``n`` agents on curvature ``p * I`` with every coordinate of the
+    minimizer at ``u``; ``p`` and ``u`` are one value or one per agent."""
+    p, u = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p, u))
+    optima = np.repeat(u[:, None], dim, axis=1)
+    return QuadraticTasks.from_optima(p[:, None, None] * np.eye(dim), optima)
 
 
 def complete_schedule(n):
@@ -51,112 +54,117 @@ def complete_schedule(n):
 
 
 def test_single_agent_is_gradient_descent():
-    task = quad(2.0, u=1.0)
-    agents = make_agents([task], [np.array([5.0])], 0.3)
+    tasks = quads(2.0, u=1.0)
     schedule = make_static_schedule(Graph(1, frozenset()))
-    run_training(agents, schedule, strategy="dms", rounds=10)
+    run = run_training(tasks, schedule, inits=[[5.0]], gamma=0.3, strategy="dms", rounds=10)
     theta = np.array([5.0])
     for _ in range(10):
-        theta = local_step(task, theta, 0.3)
-    assert np.allclose(agents[0].theta, theta)
+        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.3)
+    assert np.allclose(run.agents[0].theta, theta)
 
 
 def test_centralized_label_is_single_node_descent():
-    task = quad(3.0, u=-2.0)
-    agents = make_agents([task], [np.array([0.0])], 0.1)
+    tasks = quads(3.0, u=-2.0)
     schedule = make_static_schedule(Graph(1, frozenset()))
-    run = run_training(agents, schedule, strategy="centralized", rounds=25)
+    run = run_training(tasks, schedule, inits=[[0.0]], gamma=0.1, strategy="centralized", rounds=25)
     assert run.rounds_completed == 25
     theta = np.array([0.0])
     for _ in range(25):
-        theta = local_step(task, theta, 0.1)
+        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.1)
     assert np.allclose(run.agents[0].theta, theta)
 
 
 def test_identical_agents_agree_after_one_mix():
     # The complete graph averages everyone identically, so agents with the
     # same task collapse onto one trajectory after a single round.
-    task = quad(1.0)
     inits = [np.array([float(i)]) for i in range(4)]
-    agents = make_agents([task] * 4, inits, 0.2)
-    run_training(agents, complete_schedule(4), strategy="dfc", rounds=1)
-    thetas = np.array([a.theta for a in agents])
+    run = run_training(
+        quads(1.0, n=4), complete_schedule(4), inits=inits, gamma=0.2, strategy="dfc", rounds=1
+    )
+    thetas = np.array([a.theta for a in run.agents])
     assert max_disagreement(thetas) == 0.0
 
 
 def test_common_optimum_reached_learn_first():
     hessians = [np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), np.diag([2.0, 2.0])]
     u = np.array([0.7, -1.3])
-    tasks = [QuadraticTask.from_optimum(q, u) for q in hessians]
-    agents = make_agents(tasks, [np.zeros(2)] * 3, 0.1)
-    run_training(agents, complete_schedule(3), strategy="dfc", rounds=400)
-    target = summed_quadratic_optimum(hessians, [t.lin_term for t in tasks])
+    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
+    run = run_training(
+        tasks, complete_schedule(3), inits=np.zeros((3, 2)), gamma=0.1, strategy="dfc", rounds=400
+    )
+    target = summed_quadratic_optimum(hessians, tasks.lin_terms)
     assert np.allclose(target, u)
-    for agent in agents:
+    for agent in run.agents:
         assert np.linalg.norm(agent.theta - target) < 1e-6
 
 
 def test_common_optimum_reached_mix_first():
     hessians = [np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), np.diag([2.0, 2.0])]
     u = np.array([0.7, -1.3])
-    tasks = [QuadraticTask.from_optimum(q, u) for q in hessians]
-    learn_first = make_agents(tasks, [np.zeros(2)] * 3, 0.1)
-    mix_first = make_agents(tasks, [np.zeros(2)] * 3, 0.1)
-    run_training(learn_first, complete_schedule(3), strategy="dfc", rounds=400)
-    run_training(mix_first, complete_schedule(3), strategy="ctl", rounds=400)
-    for a, b in zip(learn_first, mix_first):
+    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
+    learn_first, mix_first = (
+        run_training(
+            tasks, complete_schedule(3), inits=np.zeros((3, 2)), gamma=0.1, strategy=s, rounds=400
+        )
+        for s in ("dfc", "ctl")
+    )
+    for a, b in zip(learn_first.agents, mix_first.agents):
         assert np.linalg.norm(a.theta - u) < 1e-5
         assert np.linalg.norm(b.theta - u) < 1e-5
         assert np.linalg.norm(a.theta - b.theta) < 1e-5
 
 
 def test_fedavg_identical_to_solo_descent():
-    task = quad(2.0, u=3.0)
-    agents = make_agents([task] * 4, [np.zeros(1)] * 4, 0.25)
-    run = run_training(agents, None, strategy="fedavg", rounds=12)
+    tasks = quads(2.0, u=3.0, n=4)
+    run = run_training(
+        tasks, None, inits=np.zeros((4, 1)), gamma=0.25, strategy="fedavg", rounds=12
+    )
     theta = np.zeros(1)
     for _ in range(12):
-        theta = local_step(task, theta, 0.25)
-    assert np.allclose(run.agents[0].theta, theta)
-    for agent in agents:
+        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.25)
+    for agent in run.agents:
         assert np.allclose(agent.theta, theta)
 
 
 def test_fedavg_agents_hold_exactly_the_server_mean():
     n, d = 7, 5
     rng = np.random.default_rng(4)
-    tasks = [QuadraticTask.from_optimum(np.eye(d), rng.uniform(-1, 1, d)) for _ in range(n)]
-    agents = make_agents(tasks, [np.full(d, 0.3)] * n, 0.4)
-    run = run_training(agents, None, strategy="fedavg", rounds=1)
-    uploads = np.array([a.phi for a in agents])
-    for agent in agents:
+    hessians = np.repeat(np.eye(d)[None], n, axis=0)
+    tasks = QuadraticTasks.from_optima(hessians, rng.uniform(-1, 1, (n, d)))
+    run = run_training(
+        tasks, None, inits=np.full((n, d), 0.3), gamma=0.4, strategy="fedavg", rounds=1
+    )
+    uploads = np.array([a.phi for a in run.agents])
+    for agent in run.agents:
         assert np.array_equal(agent.theta, uploads.mean(axis=0))
-    assert np.array_equal(run.agents[0].theta, uploads.mean(axis=0))
 
 
 def test_fedavg_epochs_multiply_local_steps():
-    task = quad(1.0, u=1.0)
-    agents = make_agents([task], [np.zeros(1)], 0.1)
-    run = run_training(agents, None, strategy="fedavg", rounds=2, epochs=3)
+    tasks = quads(1.0, u=1.0)
+    run = run_training(tasks, None, inits=[[0.0]], gamma=0.1, strategy="fedavg", rounds=2, epochs=3)
     theta = np.zeros(1)
     for _ in range(6):
-        theta = local_step(task, theta, 0.1)
+        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.1)
     assert np.allclose(run.agents[0].theta, theta)
 
 
 def test_fedavg_rejects_mismatched_inits():
-    task = quad(1.0)
-    agents = make_agents([task] * 2, [np.zeros(1), np.ones(1)], 0.1)
     with pytest.raises(ValueError):
-        run_training(agents, None, strategy="fedavg", rounds=1)
+        run_training(
+            quads(1.0, n=2), None, inits=[[0.0], [1.0]], gamma=0.1, strategy="fedavg", rounds=1
+        )
 
 
 def test_zero_round_budget_records_initial_state():
-    task = quad(1.0)
-    agents = make_agents([task] * 2, [np.ones(1)] * 2, 0.1)
     monitor = ConvergenceMonitor(np.zeros(1))
     run = run_training(
-        agents, complete_schedule(2), strategy="dfc", rounds=0, monitor=monitor
+        quads(1.0, n=2),
+        complete_schedule(2),
+        inits=np.ones((2, 1)),
+        gamma=0.1,
+        strategy="dfc",
+        rounds=0,
+        monitor=monitor,
     )
     assert run.rounds_completed == 0
     assert not run.terminated_early
@@ -164,12 +172,12 @@ def test_zero_round_budget_records_initial_state():
 
 
 def test_tolerance_met_at_init_needs_no_rounds():
-    task = quad(1.0, u=2.0)
-    agents = make_agents([task], [np.array([2.0])], 0.1)
     monitor = ConvergenceMonitor(np.array([2.0]))
     run = run_training(
-        agents,
+        quads(1.0, u=2.0),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[2.0]],
+        gamma=0.1,
         strategy="dms",
         rounds=50,
         monitor=monitor,
@@ -181,12 +189,12 @@ def test_tolerance_met_at_init_needs_no_rounds():
 
 
 def test_tolerance_terminates_at_first_crossing():
-    task = quad(2.0)
-    agents = make_agents([task], [np.array([1.0])], 0.1)
     monitor = ConvergenceMonitor(np.zeros(1))
     run = run_training(
-        agents,
+        quads(2.0),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=0.1,
         strategy="dms",
         rounds=500,
         monitor=monitor,
@@ -201,11 +209,12 @@ def test_tolerance_terminates_at_first_crossing():
 def test_tolerance_without_a_monitor_is_rejected():
     # The tolerance is measured against the monitor's optimum, so without
     # one it would have nothing to stop on.
-    agents = make_agents([quad(2.0)], [np.array([1.0])], 0.1)
     with pytest.raises(ValueError, match="monitor"):
         run_training(
-            agents,
+            quads(2.0),
             make_static_schedule(Graph(1, frozenset())),
+            inits=[[1.0]],
+            gamma=0.1,
             strategy="dms",
             rounds=5,
             tolerance=1e-8,
@@ -213,12 +222,12 @@ def test_tolerance_without_a_monitor_is_rejected():
 
 
 def test_divergence_is_flagged_and_stops_the_run():
-    task = quad(2.0)
-    agents = make_agents([task], [np.array([1.0])], 3.0)  # far past 2/p
     monitor = ConvergenceMonitor(np.zeros(1))
     run = run_training(
-        agents,
+        quads(2.0),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=3.0,  # far past 2/p
         strategy="dms",
         rounds=10_000,
         monitor=monitor,
@@ -234,10 +243,11 @@ def test_monitor_history_is_not_rebuilt_inside_the_loop(monkeypatch):
     monkeypatch.setattr(
         ConvergenceMonitor, "theta_errors", property(lambda m: reads.append(1) or rebuild(m))
     )
-    agents = make_agents([quad(1.0, u) for u in (-1.0, 0.0, 1.0)], [np.full(1, 5.0)] * 3, 0.01)
     run = run_training(
-        agents,
+        quads(1.0, u=(-1.0, 0.0, 1.0), n=3),
         complete_schedule(3),
+        inits=np.full((3, 1), 5.0),
+        gamma=0.01,
         rounds=50,
         monitor=ConvergenceMonitor(np.zeros(1)),
         tolerance=1e-30,
@@ -251,10 +261,14 @@ def test_run_and_contraction_check_share_one_divergence_rule(rounds, diverged):
     # gamma = 1.5 on curvature 2 multiplies the error by -2 each step, so
     # the squared error grows 4x per round from 1: 4**14 ~ 2.7e8 stays
     # under the cap, 4**20 ~ 1.1e12 passes it in the last round.
-    agents = make_agents([quad(2.0)], [np.array([1.0])], 1.5)
     monitor = ConvergenceMonitor(np.zeros(1))
     run = run_training(
-        agents, make_static_schedule(Graph(1, frozenset())), rounds=rounds, monitor=monitor
+        quads(2.0),
+        make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=1.5,
+        rounds=rounds,
+        monitor=monitor,
     )
     assert run.rounds_completed == rounds
     assert (monitor.worst_mse[-1] > DIVERGENCE_CAP) == diverged
@@ -315,12 +329,12 @@ def test_lambda_bar_closed_form():
 def test_boundary_step_oscillates_without_divergence():
     # gamma = 2/p flips the error sign each step and keeps its magnitude;
     # the checker must call this stable-but-not-converging, not divergent.
-    task = quad(2.0)
-    agents = make_agents([task], [np.array([1.0])], 1.0)
     monitor = ConvergenceMonitor(np.zeros(1))
     run_training(
-        agents,
+        quads(2.0),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=1.0,
         strategy="dms",
         rounds=40,
         monitor=monitor,
@@ -339,12 +353,12 @@ def test_boundary_step_oscillates_without_divergence():
 
 
 def test_slope_matches_contraction_single_agent():
-    task = quad(2.0)
-    agents = make_agents([task], [np.array([1.0])], 0.25)
     monitor = ConvergenceMonitor(np.zeros(1))
     run_training(
-        agents,
+        quads(2.0),
         make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=0.25,
         strategy="dms",
         rounds=30,
         monitor=monitor,
@@ -363,15 +377,13 @@ def test_slope_matches_contraction_single_agent():
 
 def test_noise_floor_within_bound():
     rng = np.random.default_rng(0)
-    task = quad(2.0)
     n = 5
-    agents = make_agents([task] * n, [np.ones(1)] * n, 0.5)
     monitor = ConvergenceMonitor(np.zeros(1))
-    from dmslearn.numerics import NoiseModel
-
     run_training(
-        agents,
+        quads(2.0, n=n),
         complete_schedule(n),
+        inits=np.ones((n, 1)),
+        gamma=0.5,
         strategy="dfc",
         rounds=400,
         noise=NoiseModel(0.1),
@@ -406,12 +418,19 @@ def test_sticky_markov_switching_still_converges():
     for stay in (None, 0.9):
         streams = seed_streams(0)
         config = ExperimentConfig(agent_count=10, gamma=0.5, quadratic=QuadraticConfig(far_start=1.0))
-        agents, monitor, params = build_quadratic_setup(config, streams["init"])
+        tasks, inits, monitor, params = build_quadratic_setup(config, streams["init"])
         transition = None if stay is None else sticky_transition(8, stay)
         schedule = make_dms_schedule(10, transition=transition, rng=streams["schedule"])
         drawn.append(schedule.substructures)
         run = run_training(
-            agents, schedule, strategy="dms", rounds=2000, monitor=monitor, tolerance=1e-10
+            tasks,
+            schedule,
+            inits=inits,
+            gamma=config.gamma,
+            strategy="dms",
+            rounds=2000,
+            monitor=monitor,
+            tolerance=1e-10,
         )
         assert run.terminated_early and not run.diverged
         pi = stationary_distribution(schedule.transition)
@@ -431,12 +450,12 @@ def test_sticky_markov_switching_still_converges():
 
 
 def test_ring_message_totals():
-    task = quad(1.0)
     n, rounds = 30, 30
-    agents = make_agents([task] * n, [np.zeros(1)] * n, 0.1)
     run = run_training(
-        agents,
+        quads(1.0, n=n),
         make_static_schedule(make_topology("ring", n)),
+        inits=np.zeros((n, 1)),
+        gamma=0.1,
         strategy="dring",
         rounds=rounds,
     )
@@ -451,10 +470,15 @@ def test_ring_message_totals():
 
 
 def test_complete_graph_message_totals():
-    task = quad(1.0)
     n = 30
-    agents = make_agents([task] * n, [np.zeros(1)] * n, 0.1)
-    run = run_training(agents, complete_schedule(n), strategy="dfc", rounds=1)
+    run = run_training(
+        quads(1.0, n=n),
+        complete_schedule(n),
+        inits=np.zeros((n, 1)),
+        gamma=0.1,
+        strategy="dfc",
+        rounds=1,
+    )
     counters = complexity_counters(run.metrics)
     assert counters["total_messages"] == n * (n - 1)
     assert np.all(counters["per_agent_messages"] == n - 1)
@@ -467,18 +491,24 @@ def test_counters_empty():
 
 
 def test_broadcast_hook_shifts_the_average():
-    task = quad(1.0, u=0.0)
-    agents = make_agents([task] * 3, [np.ones(1)] * 3, 0.1)
-    clean = make_agents([task] * 3, [np.ones(1)] * 3, 0.1)
-
     def hook(broadcast):
         out = broadcast.copy()
         out[0] += 3.0
         return out
 
-    run_training(agents, complete_schedule(3), strategy="dfc", rounds=1, broadcast_hook=hook)
-    run_training(clean, complete_schedule(3), strategy="dfc", rounds=1)
-    for a, c in zip(agents, clean):
+    hooked, clean = (
+        run_training(
+            quads(1.0, u=0.0, n=3),
+            complete_schedule(3),
+            inits=np.ones((3, 1)),
+            gamma=0.1,
+            strategy="dfc",
+            rounds=1,
+            broadcast_hook=h,
+        )
+        for h in (hook, None)
+    )
+    for a, c in zip(hooked.agents, clean.agents):
         assert np.allclose(a.theta - c.theta, 1.0)
 
 
@@ -496,10 +526,17 @@ def test_broadcast_hook_edits_of_its_argument_do_not_reach_the_agents(strategy):
 
     runs = []
     for hook in (clean, scribble):
-        agents = make_agents([quad(1.0, u=float(i)) for i in range(3)], [np.ones(1)] * 3, 0.1)
         schedule = None if strategy == "fedavg" else complete_schedule(3)
-        run_training(agents, schedule, strategy=strategy, rounds=3, broadcast_hook=hook)
-        runs.append(agents)
+        run = run_training(
+            quads(1.0, u=(0.0, 1.0, 2.0), n=3),
+            schedule,
+            inits=np.ones((3, 1)),
+            gamma=0.1,
+            strategy=strategy,
+            rounds=3,
+            broadcast_hook=hook,
+        )
+        runs.append(run.agents)
     for a, b in zip(*runs):
         assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
 
@@ -507,32 +544,44 @@ def test_broadcast_hook_edits_of_its_argument_do_not_reach_the_agents(strategy):
 def test_secure_complete_matches_plaintext():
     hessians = [np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.diag([1.5, 1.5])]
     u = np.array([0.4, -0.2])
-    tasks = [QuadraticTask.from_optimum(q, u) for q in hessians]
-    n = len(tasks)
-    plain = make_agents(tasks, [np.ones(2)] * n, 0.1)
-    secure = make_agents(tasks, [np.ones(2)] * n, 0.1)
-    run_training(plain, complete_schedule(n), strategy="dfc", rounds=3)
+    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
+    n = len(hessians)
     setup = SecureSetup(rng=np.random.default_rng(0), transcript=Transcript())
-    run_training(secure, complete_schedule(n), strategy="dfc", rounds=3, secure=setup)
+    plain, secure = (
+        run_training(
+            tasks,
+            complete_schedule(n),
+            inits=np.ones((n, 2)),
+            gamma=0.1,
+            strategy="dfc",
+            rounds=3,
+            secure=s,
+        )
+        for s in (None, setup)
+    )
     worst = max(
-        float(np.max(np.abs(a.theta - b.theta))) for a, b in zip(plain, secure)
+        float(np.max(np.abs(a.theta - b.theta))) for a, b in zip(plain.agents, secure.agents)
     )
     assert worst <= n * 2.0**-15
     assert setup.transcript.messages > 0
 
 
 def test_secure_ring_matches_plaintext():
-    task = quad(2.0, u=1.0)
     n = 5
-    plain = make_agents([task] * n, [np.zeros(1)] * n, 0.2)
-    secure = make_agents([task] * n, [np.zeros(1)] * n, 0.2)
-    ring = make_static_schedule(make_topology("ring", n))
-    run_training(plain, ring, strategy="dring", rounds=4)
-    ring2 = make_static_schedule(make_topology("ring", n))
-    setup = SecureSetup(rng=np.random.default_rng(1))
-    run_training(secure, ring2, strategy="dring", rounds=4, secure=setup)
+    plain, secure = (
+        run_training(
+            quads(2.0, u=1.0, n=n),
+            make_static_schedule(make_topology("ring", n)),
+            inits=np.zeros((n, 1)),
+            gamma=0.2,
+            strategy="dring",
+            rounds=4,
+            secure=s,
+        )
+        for s in (None, SecureSetup(rng=np.random.default_rng(1)))
+    )
     worst = max(
-        float(np.max(np.abs(a.theta - b.theta))) for a, b in zip(plain, secure)
+        float(np.max(np.abs(a.theta - b.theta))) for a, b in zip(plain.agents, secure.agents)
     )
     assert worst <= n * 2.0**-15
 
@@ -541,13 +590,20 @@ def test_secure_three_agent_ring_runs_one_triangle_session():
     # Every closed neighborhood of the 3-agent ring is the whole ring, so
     # dring runs dfc's single session: the same weights and transcript,
     # and half the traffic of one session per agent.
-    tasks = [quad(1.0 + i, u=float(i), dim=2) for i in range(3)]
+    tasks = quads((1.0, 2.0, 3.0), u=(0.0, 1.0, 2.0), dim=2, n=3)
     runs = []
     for strategy, kind in (("dring", "ring"), ("dfc", "complete")):
-        agents = make_agents(tasks, [np.zeros(2)] * 3, 0.2)
         setup = SecureSetup(rng=np.random.default_rng(3), transcript=Transcript())
         schedule = make_static_schedule(make_topology(kind, 3))
-        run = run_training(agents, schedule, strategy=strategy, rounds=3, secure=setup)
+        run = run_training(
+            tasks,
+            schedule,
+            inits=np.zeros((3, 2)),
+            gamma=0.2,
+            strategy=strategy,
+            rounds=3,
+            secure=setup,
+        )
         runs.append((run, setup.transcript))
     (ring, ring_log), (full, full_log) = runs
     for a, b in zip(ring.agents, full.agents):
@@ -558,13 +614,19 @@ def test_secure_three_agent_ring_runs_one_triangle_session():
 
 
 def test_secure_fedavg_matches_plaintext():
-    task = quad(1.0, u=2.0)
     n = 4
-    plain = make_agents([task] * n, [np.zeros(1)] * n, 0.3)
-    secure = make_agents([task] * n, [np.zeros(1)] * n, 0.3)
-    run_a = run_training(plain, None, strategy="fedavg", rounds=5)
-    setup = SecureSetup(rng=np.random.default_rng(2))
-    run_b = run_training(secure, None, strategy="fedavg", rounds=5, secure=setup)
+    run_a, run_b = (
+        run_training(
+            quads(1.0, u=2.0, n=n),
+            None,
+            inits=np.zeros((n, 1)),
+            gamma=0.3,
+            strategy="fedavg",
+            rounds=5,
+            secure=s,
+        )
+        for s in (None, SecureSetup(rng=np.random.default_rng(2)))
+    )
     assert np.max(np.abs(run_a.agents[0].theta - run_b.agents[0].theta)) <= n * 2.0**-15
 
 
@@ -573,22 +635,34 @@ def test_secure_round_counts_protocol_traffic_by_default():
     # reports the protocol's traffic, not the 20 plaintext edge messages:
     # 5 contributors share to 5 parties and 5 parties send to 5 recipients,
     # 50 messages of two 16-byte field elements each.
-    task = quad(1.0, u=1.0, dim=2)
-    agents = make_agents([task] * 5, [np.zeros(2)] * 5, 0.1)
     setup = SecureSetup(rng=np.random.default_rng(0))
-    run = run_training(agents, complete_schedule(5), strategy="dfc", rounds=1, secure=setup)
+    run = run_training(
+        quads(1.0, u=1.0, dim=2, n=5),
+        complete_schedule(5),
+        inits=np.zeros((5, 2)),
+        gamma=0.1,
+        strategy="dfc",
+        rounds=1,
+        secure=setup,
+    )
     assert (run.metrics[0].messages, run.metrics[0].bytes) == (50, 1600)
 
 
 def test_secure_needs_three_active_agents():
     # A two-member group cannot hide anyone's input behind the sum, so the
     # secure path refuses the round and reports which round died.
-    task = quad(1.0)
-    agents = make_agents([task] * 6, [np.zeros(1)] * 6, 0.1)
     schedule = make_static_schedule(make_subset_graph(6, (1, 4)))
     setup = SecureSetup(rng=np.random.default_rng(0))
     with pytest.raises(RoundFailure) as err:
-        run_training(agents, schedule, strategy="dms", rounds=1, secure=setup)
+        run_training(
+            quads(1.0, n=6),
+            schedule,
+            inits=np.zeros((6, 1)),
+            gamma=0.1,
+            strategy="dms",
+            rounds=1,
+            secure=setup,
+        )
     assert err.value.round_index == 0
     assert isinstance(err.value.cause, ContributorError)
 
@@ -596,48 +670,69 @@ def test_secure_needs_three_active_agents():
 def test_agents_hold_the_last_completed_round_after_a_failure():
     # Round 0 runs on the complete graph and round 1 on a two-member group,
     # which the secure path refuses; the agents keep round 0's weights.
-    tasks = [quad(1.0, u=float(i)) for i in range(6)]
+    tasks = quads(1.0, u=np.arange(6.0), n=6)
     complete, pair = make_topology("complete", 6), make_subset_graph(6, (1, 4))
     runs = []
     for rounds in (1, 2):
-        agents = make_agents(tasks, [np.zeros(1)] * 6, 0.1)
         schedule = MarkovSchedule([pair, complete], np.array([[0.0, 1.0], [1.0, 0.0]]),
                                   np.random.default_rng(0))
         setup = SecureSetup(rng=np.random.default_rng(0))
+        options = dict(
+            inits=np.zeros((6, 1)), gamma=0.1, strategy="dms", rounds=rounds, secure=setup
+        )
+        seen = []
+
+        def on_round(k, agents, metrics):
+            seen.append(agents)
+
         if rounds == 2:
             with pytest.raises(RoundFailure) as err:
-                run_training(agents, schedule, strategy="dms", rounds=rounds, secure=setup)
+                run_training(tasks, schedule, on_round=on_round, **options)
             assert err.value.round_index == 1
         else:
-            run_training(agents, schedule, strategy="dms", rounds=rounds, secure=setup)
-        runs.append(agents)
+            run_training(tasks, schedule, on_round=on_round, **options)
+        runs.append(seen[0])
     for done, failed in zip(*runs):
         assert np.array_equal(done.theta, failed.theta)
         assert np.array_equal(done.phi, failed.phi)
         assert not np.array_equal(failed.theta, np.zeros(1))
 
 
-def test_agent_rejects_zero_learning_rate():
-    with pytest.raises(ValueError):
-        AgentState(task=quad(1.0), gamma=0.0, theta=np.zeros(1))
-    with pytest.raises(ValueError):
-        make_agents([quad(1.0)], [np.zeros(1)], 0.0)
+def test_run_training_rejects_inits_off_the_task_set_and_a_nonpositive_gamma():
+    quadratic = quads(1.0, dim=2, n=3)
+    network = NetworkTasks(MlpModel(2, 3, 1), np.zeros((3, 4, 2)), np.zeros((3, 4, 1)))
+    cases = [
+        (quadratic, np.zeros((2, 2)), 0.1, "shape"),  # one init short
+        (quadratic, np.zeros((3, 1)), 0.1, "shape"),  # too narrow
+        (network, np.zeros((3, 12)), 0.1, "shape"),  # one weight short of the model's 13
+        (quadratic, np.zeros((3, 2)), 0.0, "learning rate"),
+        (quadratic, np.zeros((3, 2)), -0.1, "learning rate"),
+    ]
+    for tasks, inits, gamma, match in cases:
+        with pytest.raises(ValueError, match=match):
+            run_training(tasks, complete_schedule(3), inits=inits, gamma=gamma, rounds=1)
 
 
 def test_plaintext_dms_round_bytes():
     n, d = 7, 3
-    tasks = [quad(1.0, dim=d)] * n
-    agents = make_agents(tasks, [np.zeros(d)] * n, 0.1)
     schedule = make_dms_schedule(n, subset_size=4, rng=np.random.default_rng(0))
-    run = run_training(agents, schedule, strategy="dms", rounds=5)
+    run = run_training(
+        quads(1.0, dim=d, n=n),
+        schedule,
+        inits=np.zeros((n, d)),
+        gamma=0.1,
+        strategy="dms",
+        rounds=5,
+    )
     for m in run.metrics:
         assert m.bytes == 2 * m.edge_count * d * 8
 
 
 def test_plaintext_fedavg_round_bytes():
     n, d = 5, 4
-    agents = make_agents([quad(1.0, dim=d)] * n, [np.zeros(d)] * n, 0.1)
-    run = run_training(agents, None, strategy="fedavg", rounds=3)
+    run = run_training(
+        quads(1.0, dim=d, n=n), None, inits=np.zeros((n, d)), gamma=0.1, strategy="fedavg", rounds=3
+    )
     assert [m.bytes for m in run.metrics] == [2 * n * d * 8] * 3
     assert complexity_counters(run.metrics)["total_bytes"] == 3 * 2 * n * d * 8
 
@@ -677,16 +772,22 @@ def _dense_hessian(rng, d):
     return (q + q.T) / 2
 
 
-def _engine_case(strategy, n, d, seed, shared, shared_hessian=False):
+def _engine_case(strategy, n, d, seed, shared, shared_hessian=False, family="quadratic"):
+    """A task set of ``family``, its (n, dim) inits and the strategy's
+    schedule; a network set has d inputs, so dim is the model's."""
     rng = np.random.default_rng(seed)
-    common = _dense_hessian(rng, d)
-    tasks = [
-        QuadraticTask.from_optimum(
-            common.copy() if shared_hessian else _dense_hessian(rng, d), rng.uniform(-1, 1, d)
-        )
-        for _ in range(n)
-    ]
-    inits = [rng.uniform(-1, 1, d)] * n if shared else [rng.uniform(-1, 1, d) for _ in range(n)]
+    if family == "quadratic":
+        common = _dense_hessian(rng, d)
+        pairs = [
+            (common.copy() if shared_hessian else _dense_hessian(rng, d), rng.uniform(-1, 1, d))
+            for _ in range(n)
+        ]
+        tasks = QuadraticTasks.from_optima(*map(np.array, zip(*pairs)))
+    else:
+        x, y = rng.uniform(0, 1, (n, 4, d)), rng.uniform(-1, 1, (n, 4, 2))
+        tasks = NetworkTasks(MlpModel(d, 3, 2), x, y)
+    dim = tasks.shape[1]
+    inits = [rng.uniform(-1, 1, dim)] * n if shared else [rng.uniform(-1, 1, dim) for _ in range(n)]
     if strategy == "fedavg":
         schedule = None
     elif strategy == "centralized":
@@ -697,7 +798,7 @@ def _engine_case(strategy, n, d, seed, shared, shared_hessian=False):
         schedule = complete_schedule(n)
     else:
         schedule = make_dms_schedule(n, subset_size=3, substructure_count=3, rng=np.random.default_rng(seed))
-    return make_agents(tasks, inits, 0.2), schedule
+    return tasks, np.array(inits), schedule
 
 
 @given(
@@ -727,7 +828,7 @@ def test_engine_matches_previous_round_functions(
     policy = PoisonPolicy(frozenset({0}), epsilon=0.3)
     runs = []
     for engine in ("new", "old"):
-        agents, schedule = _engine_case(strategy, n, d, seed, shared=strategy == "fedavg")
+        tasks, inits, schedule = _engine_case(strategy, n, d, seed, shared=strategy == "fedavg")
         hooks = {"new": policy.hook(), "old": lambda i, w: poison_broadcast(w, policy, i)}
         options = dict(
             alpha=alpha,
@@ -740,8 +841,12 @@ def test_engine_matches_previous_round_functions(
             else None,
         )
         if engine == "new":
-            metrics = run_training(agents, schedule, strategy=strategy, rounds=rounds, **options).metrics
+            run = run_training(
+                tasks, schedule, inits=inits, gamma=0.2, strategy=strategy, rounds=rounds, **options
+            )
+            agents, metrics = run.agents, run.metrics
         else:
+            agents = make_agents(tasks, inits, 0.2)
             metrics = old_engine_rounds(agents, schedule, strategy, rounds, **options)
         runs.append((agents, metrics))
     (new_agents, new_metrics), (old_agents, old_metrics) = runs
@@ -775,7 +880,66 @@ def assert_triangle_traffic(metrics, d):
     assert metrics.per_agent_messages.tolist() == [6, 6, 6]
 
 
+def _assert_engines_agree(
+    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs,
+    seed,
+):
+    """The stacked engine against the per-agent round body: weights, every
+    round metric (the first-step losses too) and both rngs' states."""
+    # "capped" puts the noise cap below the typical draw's norm, so most
+    # draws take the rescaling path.
+    if strategy == "centralized":
+        n, secure = 1, False
+    noise = {"none": None, "bounded": NoiseModel(0.05), "capped": NoiseModel(0.05, cap_factor=0.8)}
+    # Id n + 1 names no agent, so the hook must skip it.
+    mode = "constant" if poison_mode == "none" else poison_mode
+    policy = PoisonPolicy(frozenset({0, 2, n + 1}), epsilon=0.3, mode=mode)
+    runs = []
+    for engine in ("stacked", "per_agent"):
+        tasks, inits, schedule = _engine_case(
+            strategy,
+            n,
+            d,
+            seed,
+            shared=strategy == "fedavg",
+            shared_hessian=shared_hessian,
+            family=family,
+        )
+        hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: poison_broadcast(w, policy, i)}
+        rngs = (np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
+        options = dict(
+            alpha=alpha,
+            epochs=epochs,
+            noise=noise[noise_kind],
+            noise_rng=rngs[0],
+            broadcast_hook=None if poison_mode == "none" else hooks[engine],
+            secure=SecureSetup(rng=rngs[1], transcript=Transcript()) if secure else None,
+        )
+        if engine == "stacked":
+            run = run_training(
+                tasks, schedule, inits=inits, gamma=0.2, strategy=strategy, rounds=rounds, **options
+            )
+            agents, metrics = run.agents, run.metrics
+        else:
+            agents = make_agents(tasks, inits, 0.2)
+            metrics = per_agent_rounds(agents, schedule, strategy, rounds, **options)
+        runs.append((agents, metrics, [r.bit_generator.state for r in rngs]))
+    (agents, metrics, states), (ref_agents, ref_metrics, ref_states) = runs
+    for a, b in zip(agents, ref_agents, strict=True):
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.phi, b.phi)
+    assert len(metrics) == len(ref_metrics) == rounds
+    for m, o in zip(metrics, ref_metrics):
+        assert (m.train_losses is None) == (family == "quadratic")
+        for name in RoundMetrics.__dataclass_fields__:
+            assert np.array_equal(getattr(m, name), getattr(o, name)), name
+        if secure and strategy == "dring" and n == 3:
+            assert_triangle_traffic(m, len(inits[0]))
+    assert states == ref_states
+
+
 @given(
+    st.sampled_from(["quadratic", "network"]),
     st.sampled_from(STRATEGIES),
     st.integers(3, 6),
     st.integers(1, 4),
@@ -790,44 +954,24 @@ def assert_triangle_traffic(metrics, d):
 )
 @settings(max_examples=120, deadline=None)
 def test_stacked_engine_matches_the_per_agent_round(
-    strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs, seed
+    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs,
+    seed,
 ):
-    # "capped" puts the noise cap below the typical draw's norm, so most
-    # draws take the rescaling path.
-    if strategy == "centralized":
-        n, secure = 1, False
-    noise = {"none": None, "bounded": NoiseModel(0.05), "capped": NoiseModel(0.05, cap_factor=0.8)}
-    # Id n + 1 names no agent, so the hook must skip it.
-    mode = "constant" if poison_mode == "none" else poison_mode
-    policy = PoisonPolicy(frozenset({0, 2, n + 1}), epsilon=0.3, mode=mode)
-    runs = []
-    for engine in ("stacked", "per_agent"):
-        agents, schedule = _engine_case(
-            strategy, n, d, seed, shared=strategy == "fedavg", shared_hessian=shared_hessian
-        )
-        hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: poison_broadcast(w, policy, i)}
-        rngs = (np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
-        options = dict(
-            alpha=alpha,
-            epochs=epochs,
-            noise=noise[noise_kind],
-            noise_rng=rngs[0],
-            broadcast_hook=None if poison_mode == "none" else hooks[engine],
-            secure=SecureSetup(rng=rngs[1], transcript=Transcript()) if secure else None,
-        )
-        if engine == "stacked":
-            metrics = run_training(agents, schedule, strategy=strategy, rounds=rounds, **options).metrics
-        else:
-            metrics = per_agent_rounds(agents, schedule, strategy, rounds, **options)
-        runs.append((agents, metrics, [r.bit_generator.state for r in rngs]))
-    (agents, metrics, states), (ref_agents, ref_metrics, ref_states) = runs
-    for a, b in zip(agents, ref_agents):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.phi, b.phi)
-    assert len(metrics) == len(ref_metrics) == rounds
-    for m, o in zip(metrics, ref_metrics):
-        for name in RoundMetrics.__dataclass_fields__:
-            assert np.array_equal(getattr(m, name), getattr(o, name)), name
-        if secure and strategy == "dring" and n == 3:
-            assert_triangle_traffic(m, d)
-    assert states == ref_states
+    _assert_engines_agree(
+        family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha,
+        epochs, seed,
+    )
+
+
+# Every strategy, epoch count, noise kind and mode on network task sets.
+@pytest.mark.parametrize("secure", [False, True])
+@pytest.mark.parametrize("noise_kind", ["none", "bounded", "capped"])
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stacked_engine_matches_the_per_agent_round_on_network_tasks(
+    strategy, epochs, noise_kind, secure
+):
+    seed = epochs * 7 + secure
+    _assert_engines_agree(
+        "network", strategy, 4, 3, 2, noise_kind, "scaled", secure, False, 0.9, epochs, seed
+    )

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 from dmslearn.numerics import (
     Dataset,
     MlpModel,
-    MlpTask,
+    NetworkTasks,
     NoiseModel,
-    QuadraticTask,
+    QuadraticTasks,
     local_step,
-    mse_loss,
 )
 
 from oracles import (
+    QuadraticTask,
     fd_gradient,
     old_forward,
     old_loss_and_gradient,
@@ -21,47 +21,29 @@ from oracles import (
 )
 
 
-def test_mse_worked_value():
-    pred = np.array([1.0, 2.0, 3.0])
-    target = np.array([0.0, 0.0, 0.0])
-    assert mse_loss(pred, target) == pytest.approx(14.0 / 3.0)
-
-
-def test_mse_zero_on_match():
-    x = np.array([[1.0], [2.0]])
-    assert mse_loss(x, x) == 0.0
-
-
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=20),
-    st.floats(min_value=-5, max_value=5),
-)
-@settings(max_examples=100, deadline=None)
-def test_mse_shift_invariance(values, shift):
-    a = np.array(values)
-    assert mse_loss(a + shift, a) == pytest.approx(shift * shift, abs=1e-9)
-
-
 def test_quadratic_gradient_closed_form():
-    q = np.array([[2.0, 0.5], [0.5, 1.0]])
-    b = np.array([1.0, -1.0])
-    task = QuadraticTask(q, b)
-    theta = np.array([0.3, -0.7])
-    assert np.allclose(task.gradient(theta), q @ theta + b)
-    assert np.allclose(task.gradient(theta), fd_gradient(task.loss, theta), atol=1e-5)
+    # Each row's gradient is its own H_i theta_i + b_i, bit for bit the
+    # 2-d product, and the derivative of its loss.
+    q = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 3.0]]])
+    b = np.array([[1.0, -1.0], [0.2, 0.4]])
+    thetas = np.array([[0.3, -0.7], [-1.1, 0.6]])
+    losses, grads = QuadraticTasks(q, b).loss_and_gradient(thetas)
+    assert losses is None and grads.shape == (2, 2)
+    for i in range(2):
+        task = QuadraticTask(q[i], b[i])
+        assert np.array_equal(grads[i], q[i] @ thetas[i] + b[i])
+        assert np.allclose(grads[i], fd_gradient(task.loss, thetas[i]), atol=1e-5)
 
 
 def test_quadratic_from_optimum():
-    q = np.diag([1.0, 4.0])
-    u = np.array([2.0, -3.0])
-    task = QuadraticTask.from_optimum(q, u)
-    assert np.allclose(task.gradient(u), 0.0)
-    assert task.loss(u) <= task.loss(u + 0.1)
-
-
-def test_quadratic_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        QuadraticTask(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
+    q = np.array([np.diag([1.0, 4.0]), [[2.0, 0.5], [0.5, 1.0]]])
+    u = np.array([[2.0, -3.0], [0.5, 1.5]])
+    tasks = QuadraticTasks.from_optima(q, u)
+    assert tasks.shape == (2, 2)
+    assert np.allclose(tasks.loss_and_gradient(u)[1], 0.0)
+    for i in range(2):
+        task = QuadraticTask(tasks.hessians[i], tasks.lin_terms[i])
+        assert task.loss(u[i]) <= task.loss(u[i] + 0.1)
 
 
 def test_descent_below_stability_bound():
@@ -134,7 +116,8 @@ def test_mlp_gradient_matches_finite_differences():
     x = rng.standard_normal((8, 2))
     y = rng.standard_normal((8, 1))
     loss, grad = model.loss_and_gradient(theta, x, y)
-    assert loss == pytest.approx(mse_loss(model.forward(theta, x), y))
+    diff = model.forward(theta, x) - y
+    assert loss == pytest.approx(np.mean(np.sum(diff * diff, axis=1)))
     ref = fd_gradient(lambda t: model.loss_and_gradient(t, x, y)[0], theta)
     assert np.allclose(grad, ref, atol=1e-6)
 
@@ -173,43 +156,56 @@ def test_stacked_forward_rows_equal_the_2d_forward(
     st.integers(1, 12),
     st.integers(1, 8),
     st.integers(1, 3),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
 def test_stacked_loss_and_gradient_rows_equal_the_2d_call(
-    lead, samples, in_dim, hidden, horizon, seed
+    lead, samples, in_dim, hidden, horizon, stacked_theta, seed
 ):
-    rng = np.random.default_rng(seed)
+    # One weight vector over a stack of batches, or one weight row per batch.
+    assert_stacked_rows_equal_the_2d_call(
+        tuple(lead), samples, in_dim, hidden, horizon, stacked_theta, np.random.default_rng(seed)
+    )
+
+
+# The forecast learn stage, the DLG switching arm and the centralized
+# pool, then odd shapes.
+@pytest.mark.parametrize(
+    "n, samples, in_dim, hidden, horizon",
+    [
+        (30, 303, 48, 16, 1),
+        (6, 1, 2, 4, 1),
+        (1, 9090, 48, 16, 1),
+        (2, 7, 3, 5, 2),
+        (5, 1, 1, 1, 1),
+        (3, 13, 9, 2, 3),
+        (1, 1, 1, 1, 1),
+    ],
+)
+def test_stacked_loss_and_gradient_rows_at_the_callers_shapes(n, samples, in_dim, hidden, horizon):
+    rng = np.random.default_rng(n * samples + in_dim)
+    assert_stacked_rows_equal_the_2d_call((n,), samples, in_dim, hidden, horizon, True, rng)
+
+
+def assert_stacked_rows_equal_the_2d_call(
+    lead, samples, in_dim, hidden, horizon, stacked_theta, rng
+):
     model = MlpModel(in_dim, hidden, horizon)
-    theta = rng.standard_normal(model.dim)
+    theta = rng.standard_normal((*lead, model.dim) if stacked_theta else model.dim)
     x = rng.standard_normal((*lead, samples, in_dim))
     y = rng.standard_normal((*lead, samples, horizon))
     losses, grads = model.loss_and_gradient(theta, x, y)
     losses = np.asarray(losses)  # a float for a 2-d batch
-    assert losses.shape == tuple(lead)
+    assert losses.shape == lead
     assert grads.shape == (*lead, model.dim)
     for idx in np.ndindex(*lead):
-        loss, grad = model.loss_and_gradient(theta, x[idx], y[idx])
+        row = theta[idx] if stacked_theta else theta
+        loss, grad = model.loss_and_gradient(row, x[idx], y[idx])
         assert type(loss) is float
-        ref_loss, ref_grad = old_loss_and_gradient(model, theta, x[idx], y[idx])
+        ref_loss, ref_grad = old_loss_and_gradient(model, row, x[idx], y[idx])
         assert loss == ref_loss and losses[idx] == ref_loss
         assert np.array_equal(grad, ref_grad) and np.array_equal(grads[idx], ref_grad)
-
-
-def test_mlp_task_wraps_dataset():
-    rng = np.random.default_rng(2)
-    model = MlpModel(2, 3, 1)
-    data = Dataset(rng.standard_normal((6, 2)), rng.standard_normal(6))
-    task = MlpTask(model, data)
-    theta = model.init_params(rng)
-    assert task.dim == model.dim
-    assert task.loss(theta) == pytest.approx(
-        model.loss_and_gradient(theta, data.features, data.targets)[0]
-    )
-    assert np.allclose(
-        task.gradient(theta),
-        model.loss_and_gradient(theta, data.features, data.targets)[1],
-    )
 
 
 def test_mlp_can_fit_tiny_problem():
@@ -217,12 +213,12 @@ def test_mlp_can_fit_tiny_problem():
     model = MlpModel(1, 8, 1)
     x = np.linspace(-1, 1, 16).reshape(-1, 1)
     y = 0.5 * x
-    task = MlpTask(model, Dataset(x, y))
-    theta = model.init_params(rng)
-    start = task.loss(theta)
+    tasks = NetworkTasks(model, x[None], y[None])
+    thetas = model.init_params(rng)[None]
+    start = tasks.loss_and_gradient(thetas)[0][0]
     for _ in range(500):
-        theta = local_step(task, theta, 0.1)
-    assert task.loss(theta) < 0.01 * start
+        thetas = thetas - 0.1 * tasks.loss_and_gradient(thetas)[1]
+    assert tasks.loss_and_gradient(thetas)[0][0] < 0.01 * start
 
 
 def test_noise_zero_bound_is_silent():
