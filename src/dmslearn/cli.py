@@ -193,8 +193,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_cluster(args) -> int:
     if args.clusters > args.households:
-        print("config error: --clusters must not exceed --households", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--clusters must not exceed --households")
     out = _out_dir(args, "cluster")
     out.mkdir(parents=True, exist_ok=True)
     profiles = gen_synthetic_load(args.households, args.days, args.seed or 0)

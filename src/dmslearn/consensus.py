@@ -73,9 +73,9 @@ class RoundFailure(RuntimeError):
 
 @dataclass
 class AgentState:
-    """One agent's weights: ``theta`` is the post-consensus weight vector,
-    ``phi`` the most recent local-step result (the value the agent
-    broadcast this round)."""
+    """One agent's weights at the end of a run: ``theta`` is the
+    post-consensus weight vector, ``phi`` the last local-step result (the
+    value the agent broadcast in the last round; None after zero rounds)."""
 
     theta: np.ndarray
     phi: np.ndarray | None = None
@@ -424,13 +424,6 @@ def fedavg_round(thetas, learn, **options):
     return _round(thetas, None, learn, learn_first=True, **options)
 
 
-def _write_back(agents: list[AgentState], thetas: np.ndarray, phis: np.ndarray | None) -> None:
-    for i, agent in enumerate(agents):
-        agent.theta = thetas[i]
-        if phis is not None:
-            agent.phi = phis[i]
-
-
 @dataclass
 class TrainingRun:
     """Everything a finished (or aborted) run leaves behind."""
@@ -462,7 +455,7 @@ def run_training(
     monitor: ConvergenceMonitor | None = None,
     tolerance: float | None = None,
     epochs: int = 1,
-    on_round: Callable[[int, list[AgentState], RoundMetrics], None] | None = None,
+    on_round: Callable[[int, np.ndarray, np.ndarray, RoundMetrics], None] | None = None,
 ) -> TrainingRun:
     """Drive a strategy for ``rounds`` rounds or until the worst-agent
     squared error drops below ``tolerance``.
@@ -475,9 +468,11 @@ def run_training(
 
     The rounds start from a copy of the (n, d) ``inits``, which must
     match the task set's (n, d), and step every agent with the learning
-    rate ``gamma``; the run's agents get the rows of the stacked weights
-    as their ``theta`` and ``phi`` before every ``on_round`` call and at
-    the end.
+    rate ``gamma``. After round k, ``on_round(k, thetas, phis, metrics)``
+    gets the round's stacked (n, d) weights and learn outputs, which no
+    later round edits; after a ``RoundFailure`` they are the only record
+    of the last completed round. The run's agents, ``AgentState`` records
+    of the final rows, are built when the run ends.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -504,38 +499,31 @@ def run_training(
     worst = None if monitor is None else monitor.record(thetas)
     terminated = tolerance is not None and worst < tolerance
     diverged = False
-    completed = 0
-    agents = [AgentState(theta) for theta in thetas]
     learn = _learner(tasks, gamma, epochs, noise, noise_rng)
     options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
-    try:
-        for k in range(0 if terminated else rounds):
-            if strategy == "fedavg":
-                thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
-            elif strategy == "ctl":
-                thetas, phis, metrics = ctl_round(thetas, learn, schedule, round_index=k, **options)
-            else:
-                thetas, phis, metrics = dms_round(thetas, learn, schedule, round_index=k, **options)
-            metrics_list.append(metrics)
-            completed = k + 1
-            if monitor is not None:
-                worst = monitor.record(thetas)
-            if on_round is not None:
-                _write_back(agents, thetas, phis)
-                on_round(k, agents, metrics)
-            if _diverged(thetas) or (worst is not None and _diverged(worst)):
-                diverged = True
-                break
-            if tolerance is not None and worst < tolerance:
-                terminated = True
-                break
-    finally:
-        # After a RoundFailure too, agents hold the last completed round.
-        _write_back(agents, thetas, phis)
+    for k in range(0 if terminated else rounds):
+        if strategy == "fedavg":
+            thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
+        elif strategy == "ctl":
+            thetas, phis, metrics = ctl_round(thetas, learn, schedule, round_index=k, **options)
+        else:
+            thetas, phis, metrics = dms_round(thetas, learn, schedule, round_index=k, **options)
+        metrics_list.append(metrics)
+        if monitor is not None:
+            worst = monitor.record(thetas)
+        if on_round is not None:
+            on_round(k, thetas, phis, metrics)
+        if _diverged(thetas) or (worst is not None and _diverged(worst)):
+            diverged = True
+            break
+        if tolerance is not None and worst < tolerance:
+            terminated = True
+            break
+    last_phis = [None] * len(thetas) if phis is None else phis
     return TrainingRun(
-        agents=agents,
+        agents=[AgentState(theta, phi) for theta, phi in zip(thetas, last_phis)],
         metrics=metrics_list,
-        rounds_completed=completed,
+        rounds_completed=len(metrics_list),
         terminated_early=terminated,
         diverged=diverged,
     )

@@ -3,7 +3,8 @@
 The generator substitutes real smart-meter data: three behavior
 archetypes, each a weekly-periodic base pattern plus seeded noise and
 occasional consumption events, so cluster structure and forecastability
-are controlled.
+are controlled. Windowing takes every picked household's series in one
+call and returns each split stacked in household order.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Dataset
-
 SLOTS_PER_DAY = 48
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "KMeansResult",
     "LoadProfile",
     "SLOTS_PER_DAY",
-    "WindowedSplits",
     "gen_synthetic_load",
     "household_features",
     "kmeans",
@@ -185,50 +183,44 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> KMeansResult:
     )
 
 
-@dataclass(frozen=True)
-class WindowedSplits:
-    """Chronological 70/15/15 split of sliding windows.
+def window_dataset(
+    series: np.ndarray, lookback: int, horizon: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Sliding supervised windows, stride one, of every row of ``series``
+    (households, slots).
 
-    Inputs are min-max normalized with train-split statistics only;
-    targets stay in raw units so reported errors are in kWh.
+    Returns split name -> inputs (households, windows, lookback) and
+    targets (households, windows, horizon). Of the N windows per
+    household, the splits take ceil(0.7 N) / floor(0.15 N) / rest in time
+    order. Each household's inputs are min-max normalized with the range
+    of its own train inputs, and a household whose train inputs are flat
+    gets zero inputs in every split; targets stay in raw units, so
+    reported errors are in kWh.
     """
-
-    train: Dataset
-    val: Dataset
-    test: Dataset
-    lo: float
-    hi: float
-
-
-def window_dataset(profile, lookback: int, horizon: int) -> WindowedSplits:
-    """Sliding supervised windows from one series, stride one.
-
-    Accepts a LoadProfile or a plain 1-d series. Split sizes are
-    ceil(0.7 N) / floor(0.15 N) / rest in time order; a zero range in the
-    train inputs normalizes everything to zeros.
-    """
-    series = np.asarray(getattr(profile, "series", profile), dtype=float)
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 2:
+        raise ValueError("series must be (households, slots)")
     if lookback < 1 or horizon < 1:
         raise ValueError("lookback and horizon must be positive")
-    n_windows = series.size - lookback - horizon + 1
+    n_windows = series.shape[1] - lookback - horizon + 1
     if n_windows < 1:
         raise ValueError("series too short for one window")
-    x = np.lib.stride_tricks.sliding_window_view(series, lookback)[:n_windows].copy()
-    y = np.lib.stride_tricks.sliding_window_view(series[lookback:], horizon).copy()
+    x = np.lib.stride_tricks.sliding_window_view(series, lookback, axis=1)
+    y = np.lib.stride_tricks.sliding_window_view(series[:, lookback:], horizon, axis=1)
 
     n_train = math.ceil(0.7 * n_windows)
     n_val = math.floor(0.15 * n_windows)
-    lo = float(x[:n_train].min())
-    hi = float(x[:n_train].max())
-    span = hi - lo
-    if span > 0:
-        xn = (x - lo) / span
-    else:
-        xn = np.zeros_like(x)
-    return WindowedSplits(
-        train=Dataset(xn[:n_train], y[:n_train]),
-        val=Dataset(xn[n_train : n_train + n_val], y[n_train : n_train + n_val]),
-        test=Dataset(xn[n_train + n_val :], y[n_train + n_val :]),
-        lo=lo,
-        hi=hi,
-    )
+    # The train inputs cover exactly the first n_train + lookback - 1 slots.
+    train_slots = series[:, : n_train + lookback - 1]
+    lo = train_slots.min(axis=1)[:, None, None]
+    span = train_slots.max(axis=1)[:, None, None] - lo
+    flat = span[:, 0, 0] == 0
+    span[flat] = 1.0
+    edges = (0, n_train, n_train + n_val, n_windows)
+    splits = {}
+    for name, a, b in zip(("train", "val", "test"), edges, edges[1:]):
+        xs = x[:, a:b] - lo
+        xs /= span
+        xs[flat] = 0.0  # assigned, so that no input becomes -0.0
+        splits[name] = (xs, y[:, a:b].copy())
+    return splits

@@ -134,9 +134,6 @@ def average_monitor(monitors: Sequence[ConvergenceMonitor]) -> ConvergenceMonito
     return out
 
 
-SPLITS = ("train", "val", "test")
-
-
 @dataclass
 class _ForecastSetup:
     tasks: NetworkTasks
@@ -166,26 +163,13 @@ def _build_forecast_setup(config: ExperimentConfig, rngs) -> _ForecastSetup:
 
     lookback, horizon = config.model.lookback, config.model.horizon
     model = MlpModel(lookback, config.model.hidden, horizon)
-    # Every series has the same length, so every household has the same
-    # split sizes; each household's windows are copied into the stacked
-    # arrays and dropped, so no second copy is held.
-    splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for i, h in enumerate(picked):
-        windows = window_dataset(profiles[h], lookback, horizon)
-        for name in SPLITS:
-            part = getattr(windows, name)
-            if name not in splits:
-                if len(part) == 0:
-                    raise ConfigError(
-                        f"config.model.lookback: {lookback} leaves no {name} windows over "
-                        f"data.days {d.days}; lower model.lookback or raise data.days"
-                    )
-                splits[name] = (
-                    np.empty((len(picked), *part.features.shape)),
-                    np.empty((len(picked), *part.targets.shape)),
-                )
-            x, y = splits[name]
-            x[i], y[i] = part.features, part.targets
+    splits = window_dataset(np.array([profiles[h].series for h in picked]), lookback, horizon)
+    for name, (x, _) in splits.items():
+        if x.shape[1] == 0:
+            raise ConfigError(
+                f"config.model.lookback: {lookback} leaves no {name} windows over "
+                f"data.days {d.days}; lower model.lookback or raise data.days"
+            )
 
     # The task set views the stacked train split; the centralized agent
     # pools every household's windows.
@@ -294,12 +278,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # last row takes the summary's.
     train_from_learn = setup is not None and config.strategy not in ("ctl", "centralized")
 
-    def on_round(k, ags, metrics):
+    def on_round(k, thetas, phis, metrics):
         if secure is not None:
             if transcript_path is not None:
                 write_transcript(transcript_path, secure.transcript)
             secure.transcript.entries.clear()
-        thetas = np.array([a.theta for a in ags])
         rec = {
             "type": "round",
             "round": k,
@@ -354,7 +337,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         summary["final_worst_mse"] = float(monitor.worst_mse[-1])
     if setup is not None:
         thetas = np.array([a.theta for a in run.agents])
-        for name in SPLITS:
+        for name in setup.splits:
             summary[f"{name}_mse"] = _forecast_mse(setup, name, thetas)
         summary["households"] = setup.households
         if train_from_learn and rows:

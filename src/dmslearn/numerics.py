@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Dataset",
     "MlpModel",
     "NetworkTasks",
     "NoiseModel",
@@ -54,29 +53,6 @@ class QuadraticTasks:
         product, bit for bit the 2-d ``H_i @ theta_i`` (``thetas @ H.T`` is
         not, for dense H)."""
         return None, np.matmul(self.hessians, thetas[..., None])[..., 0] + self.lin_terms
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Feature matrix and targets for one agent."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("features must be 2-d")
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.shape[0] != x.shape[0]:
-            raise ValueError("feature/target row mismatch")
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "targets", y)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 class MlpModel:

@@ -258,8 +258,8 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     )
     observed: list[np.ndarray] = []
 
-    def on_round(k, ags, metrics):
-        observed.append(ags[victim].phi.copy())
+    def on_round(k, thetas, phis, metrics):
+        observed.append(phis[victim].copy())
 
     run_training(
         tasks, schedule, inits=inits, gamma=gamma, strategy="dms", rounds=2, on_round=on_round

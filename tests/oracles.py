@@ -16,9 +16,10 @@ engine replaced (``per_agent_round``), the secure-sum path before
 cached reconstruction weights and vector shares (``old_share``,
 ``old_reconstruct``, ``old_secure_aggregate`` and their helpers), the
 per-value fixed-point encoder (``old_encode``, ``old_encode_vector``),
-the per-strategy session layout (``old_party_placement``) and the
-per-round forecast evaluation from before it was stacked and took train
-losses from the learn stage (``old_forward``, ``old_forecast_mse``,
+the per-strategy session layout (``old_party_placement``), the
+per-household windowing (``old_window_dataset``) and the per-round
+forecast evaluation from before they were stacked and train losses came
+from the learn stage (``old_forward``, ``old_forecast_mse``,
 ``direct_round_record``), the one-sample loss and gradient with the
 looped gradient-matching attack that called it (``old_loss_and_gradient``,
 ``old_dlg_reconstruct``), and the json-encoding transcript writer
@@ -44,7 +45,7 @@ from dmslearn.consensus import (
     _round_metrics,
     _secure_mix,
 )
-from dmslearn.data import gen_synthetic_load, window_dataset
+from dmslearn.data import gen_synthetic_load
 from dmslearn.experiment import seed_streams
 from dmslearn.numerics import NoiseModel, QuadraticTasks, local_step
 from dmslearn.secagg import (
@@ -806,9 +807,10 @@ def old_party_placement(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-# --- per-round forecast evaluation before stacking ----------------------
-# One 2-d forward pass per household, and train_mse evaluated directly
-# after every round rather than taken from the next learn stage.
+# --- per-household windowing and per-round forecast evaluation ---------
+# One household's windows per call, one 2-d forward pass per household,
+# and train_mse evaluated directly after every round rather than taken
+# from the next learn stage.
 
 
 def old_forward(model, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -823,13 +825,64 @@ def old_forward(model, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return hidden @ w2.T + b2
 
 
-def household_splits(config, households: Sequence[int]) -> list:
-    """Each household's WindowedSplits, regenerated from the run's data stream."""
+@dataclass(frozen=True)
+class OldWindows:
+    """One household's windows of one split."""
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+
+@dataclass(frozen=True)
+class OldSplits:
+    train: OldWindows
+    val: OldWindows
+    test: OldWindows
+    lo: float
+    hi: float
+
+
+def old_window_dataset(series: np.ndarray, lookback: int, horizon: int) -> OldSplits:
+    """One household's sliding windows, stride one, split ceil(0.7 N) /
+    floor(0.15 N) / rest in time order; inputs min-max normalized with the
+    train inputs' range, all zeros when that range is zero."""
+    series = np.asarray(series, dtype=float)
+    if lookback < 1 or horizon < 1:
+        raise ValueError("lookback and horizon must be positive")
+    n_windows = series.size - lookback - horizon + 1
+    if n_windows < 1:
+        raise ValueError("series too short for one window")
+    x = np.lib.stride_tricks.sliding_window_view(series, lookback)[:n_windows].copy()
+    y = np.lib.stride_tricks.sliding_window_view(series[lookback:], horizon).copy()
+
+    n_train = math.ceil(0.7 * n_windows)
+    n_val = math.floor(0.15 * n_windows)
+    lo = float(x[:n_train].min())
+    hi = float(x[:n_train].max())
+    span = hi - lo
+    if span > 0:
+        xn = (x - lo) / span
+    else:
+        xn = np.zeros_like(x)
+    return OldSplits(
+        train=OldWindows(xn[:n_train], y[:n_train]),
+        val=OldWindows(xn[n_train : n_train + n_val], y[n_train : n_train + n_val]),
+        test=OldWindows(xn[n_train + n_val :], y[n_train + n_val :]),
+        lo=lo,
+        hi=hi,
+    )
+
+
+def household_splits(config, households: Sequence[int]) -> list[OldSplits]:
+    """Each household's splits, regenerated from the run's data stream."""
     d = config.data
     data_seed = int(seed_streams(config.seed)["data"].integers(2**31))
     profiles = gen_synthetic_load(d.households, d.days, data_seed, noise_scale=d.noise_scale)
     return [
-        window_dataset(profiles[h], config.model.lookback, config.model.horizon)
+        old_window_dataset(profiles[h].series, config.model.lookback, config.model.horizon)
         for h in households
     ]
 

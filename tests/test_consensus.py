@@ -669,10 +669,11 @@ def test_secure_needs_three_active_agents():
 
 def test_agents_hold_the_last_completed_round_after_a_failure():
     # Round 0 runs on the complete graph and round 1 on a two-member group,
-    # which the secure path refuses; the agents keep round 0's weights.
+    # which the secure path refuses; the failed run's caller keeps round 0's
+    # weights from the arrays its on_round was handed.
     tasks = quads(1.0, u=np.arange(6.0), n=6)
     complete, pair = make_topology("complete", 6), make_subset_graph(6, (1, 4))
-    runs = []
+    seen = {}
     for rounds in (1, 2):
         schedule = MarkovSchedule([pair, complete], np.array([[0.0, 1.0], [1.0, 0.0]]),
                                   np.random.default_rng(0))
@@ -680,22 +681,23 @@ def test_agents_hold_the_last_completed_round_after_a_failure():
         options = dict(
             inits=np.zeros((6, 1)), gamma=0.1, strategy="dms", rounds=rounds, secure=setup
         )
-        seen = []
+        seen[rounds] = []
 
-        def on_round(k, agents, metrics):
-            seen.append(agents)
+        def on_round(k, thetas, phis, metrics):
+            seen[rounds].append((thetas, phis))
 
         if rounds == 2:
             with pytest.raises(RoundFailure) as err:
                 run_training(tasks, schedule, on_round=on_round, **options)
             assert err.value.round_index == 1
         else:
-            run_training(tasks, schedule, on_round=on_round, **options)
-        runs.append(seen[0])
-    for done, failed in zip(*runs):
-        assert np.array_equal(done.theta, failed.theta)
-        assert np.array_equal(done.phi, failed.phi)
-        assert not np.array_equal(failed.theta, np.zeros(1))
+            done = run_training(tasks, schedule, on_round=on_round, **options)
+    [(thetas, phis)] = seen[1]
+    assert np.array_equal(thetas, [a.theta for a in done.agents])
+    assert np.array_equal(phis, [a.phi for a in done.agents])
+    [(failed_thetas, failed_phis)] = seen[2]
+    assert np.array_equal(failed_thetas, thetas) and np.array_equal(failed_phis, phis)
+    assert not np.array_equal(failed_thetas, np.zeros((6, 1)))
 
 
 def test_run_training_rejects_inits_off_the_task_set_and_a_nonpositive_gamma():

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmslearn.data import (
     ARCHETYPES,
@@ -9,6 +12,8 @@ from dmslearn.data import (
     kmeans,
     window_dataset,
 )
+
+from oracles import old_window_dataset
 
 
 def test_archetype_curves_have_48_slots():
@@ -123,53 +128,103 @@ def test_kmeans_on_real_features_groups_archetypes():
 
 def test_window_minimal_series():
     series = np.arange(10.0)
-    splits = window_dataset(series, lookback=6, horizon=4)
-    assert len(splits.train) == 1
-    assert len(splits.val) == 0
-    assert len(splits.test) == 0
-    assert np.allclose(splits.train.targets[0], series[6:])
+    splits = window_dataset(series[None], lookback=6, horizon=4)
+    assert splits["train"][0].shape == (1, 1, 6)
+    assert splits["val"][0].shape == (1, 0, 6)
+    assert splits["test"][1].shape == (1, 0, 4)
+    assert np.allclose(splits["train"][1][0, 0], series[6:])
 
 
 def test_window_split_sizes_and_order():
-    series = np.arange(100.0)
+    series = np.stack([np.arange(100.0), 300.0 - np.arange(100.0)])
     lookback, horizon = 10, 1
     splits = window_dataset(series, lookback, horizon)
     n = 100 - lookback - horizon + 1  # 90
-    assert len(splits.train) == 63
-    assert len(splits.val) == 13
-    assert len(splits.test) == n - 63 - 13
+    assert [splits[name][0].shape for name in ("train", "val", "test")] == [
+        (2, 63, lookback), (2, 13, lookback), (2, n - 63 - 13, lookback)
+    ]
     # chronological: every val target comes after every train target
-    assert splits.train.targets.max() < splits.val.targets.min()
-    assert splits.val.targets.max() < splits.test.targets.min()
+    (_, train), (_, val), (_, test) = splits["train"], splits["val"], splits["test"]
+    assert train[0].max() < val[0].min() and val[0].max() < test[0].min()
+    assert np.array_equal(train[1, :, 0], 300.0 - np.arange(10, 73))
+    assert np.array_equal(test[1, :, 0], 300.0 - np.arange(86, 100))
 
 
 def test_window_normalization_uses_train_stats_only():
-    series = np.arange(100.0)
+    series = np.stack([np.arange(100.0), 5.0 + 2.0 * np.arange(100.0)])
     splits = window_dataset(series, 10, 1)
-    # train inputs span [0, 71]; normalized train range is exactly [0, 1]
-    assert splits.lo == 0.0
-    assert splits.hi == 71.0
-    assert splits.train.features.min() == 0.0
-    assert splits.train.features.max() == 1.0
+    # train inputs span [0, 71] and [5, 147]; each row's train range is exactly [0, 1]
+    x_train, x_test = splits["train"][0], splits["test"][0]
+    assert np.array_equal(x_train.min(axis=(1, 2)), [0.0, 0.0])
+    assert np.array_equal(x_train.max(axis=(1, 2)), [1.0, 1.0])
+    raw_test = np.lib.stride_tricks.sliding_window_view(series[1], 10)[76:90]
+    assert np.array_equal(x_test[1], (raw_test - 5.0) / 142.0)
     # later windows exceed 1 after the same affine map
-    assert splits.test.features.max() > 1.0
+    assert np.all(x_test.max(axis=(1, 2)) > 1.0)
     # targets keep raw units
-    assert splits.test.targets.max() == 99.0
+    assert np.array_equal(splits["test"][1][:, -1, 0], [99.0, 203.0])
 
 
 def test_window_zero_range_guard():
-    splits = window_dataset(np.ones(50), 8, 1)
-    assert np.all(splits.train.features == 0.0)
-    assert np.all(splits.val.features == 0.0)
+    series = np.stack([np.ones(50), np.r_[np.ones(40), np.zeros(10)], np.arange(50.0)])
+    splits = window_dataset(series, 8, 1)
+    for name in ("train", "val", "test"):
+        x = splits[name][0]
+        assert np.all(x[:2] == 0.0) and not np.any(np.signbit(x[:2]))
+        assert np.any(x[2] != 0.0)
 
 
 def test_window_too_short_rejected():
     with pytest.raises(ValueError):
-        window_dataset(np.arange(5.0), lookback=4, horizon=2)
+        window_dataset(np.arange(5.0)[None], lookback=4, horizon=2)
+    # One household's series is a (1, slots) row, not a 1-d array.
+    with pytest.raises(ValueError):
+        window_dataset(np.arange(50.0), lookback=4, horizon=2)
 
 
-def test_window_accepts_profile_objects():
-    (p,) = gen_synthetic_load(1, 3, seed=0)
-    splits = window_dataset(p, lookback=48, horizon=1)
-    total = len(splits.train) + len(splits.val) + len(splits.test)
-    assert total == p.series.size - 48
+def test_window_rejects_nonpositive_lookback_or_horizon():
+    series = np.arange(50.0)[None]
+    for lookback, horizon in ((0, 1), (4, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="lookback and horizon must be positive"):
+            window_dataset(series, lookback, horizon)
+
+
+def test_window_covers_every_window_of_generated_profiles():
+    profiles = gen_synthetic_load(3, 3, seed=0)
+    series = np.array([p.series for p in profiles])
+    splits = window_dataset(series, lookback=48, horizon=1)
+    sizes = [splits[name][1].shape[:2] for name in ("train", "val", "test")]
+    assert all(rows == 3 for rows, _ in sizes)
+    assert sum(n for _, n in sizes) == series.shape[1] - 48
+    # Each household's targets, split by split, are its own series after the lookback.
+    targets = np.concatenate([splits[name][1][:, :, 0] for name in ("train", "val", "test")], axis=1)
+    assert np.array_equal(targets, series[:, 48:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    households=st.integers(1, 4),
+    lookback=st.integers(1, 12),
+    horizon=st.integers(1, 4),
+    extra=st.integers(0, 60),
+    flat=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_windows_equal_the_per_household_windows_bit_for_bit(
+    households, lookback, horizon, extra, flat, seed
+):
+    # Flat rows hold their train inputs at one value while later slots move
+    # above and below it, so their val and test inputs would be nonzero (or
+    # -0.0) under any normalization but the zeroing the old code did.
+    rng = np.random.default_rng(seed)
+    series = rng.uniform(0.0, 3.0, (households, lookback + horizon + extra))
+    n_train = math.ceil(0.7 * (extra + 1))
+    for i in np.flatnonzero(flat[:households]):
+        series[i, : n_train + lookback - 1] = 1.5
+    splits = window_dataset(series, lookback, horizon)
+    for i in range(households):
+        old = old_window_dataset(series[i], lookback, horizon)
+        for name, (x, y) in splits.items():
+            part = getattr(old, name)
+            assert x[i].shape == part.features.shape and x[i].tobytes() == part.features.tobytes()
+            assert y[i].shape == part.targets.shape and y[i].tobytes() == part.targets.tobytes()

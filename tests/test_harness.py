@@ -214,13 +214,13 @@ def test_run_experiment_keeps_one_round_of_transcript(tmp_path, monkeypatch, wri
     held = []
     real = experiment.run_training
 
-    def spy(agents, schedule, *, secure, on_round, **options):
-        def counted(k, ags, metrics):
+    def spy(tasks, schedule, *, secure, on_round, **options):
+        def counted(k, thetas, phis, metrics):
             held.append((len(secure.transcript.entries), metrics.messages))
-            on_round(k, ags, metrics)
+            on_round(k, thetas, phis, metrics)
             held.append((len(secure.transcript.entries), 0))
 
-        return real(agents, schedule, secure=secure, on_round=counted, **options)
+        return real(tasks, schedule, secure=secure, on_round=counted, **options)
 
     monkeypatch.setattr(experiment, "run_training", spy)
     config = small_quadratic(rounds=4, secure={"enabled": True})
@@ -343,12 +343,12 @@ def test_forecast_reports_equal_the_direct_evaluation(monkeypatch, strategy, var
     seen = []
     real = experiment.run_training
 
-    def spy(agents, schedule, *, on_round, **options):
-        def record(k, ags, metrics):
-            on_round(k, ags, metrics)
-            seen.append((k, metrics, np.array([a.theta for a in ags])))
+    def spy(tasks, schedule, *, on_round, **options):
+        def record(k, thetas, phis, metrics):
+            on_round(k, thetas, phis, metrics)
+            seen.append((k, metrics, thetas))
 
-        return real(agents, schedule, on_round=record, **options)
+        return real(tasks, schedule, on_round=record, **options)
 
     monkeypatch.setattr(experiment, "run_training", spy)
     result = run_experiment(config)
@@ -524,6 +524,13 @@ def test_cli_cluster(tmp_path):
     assert code == 0
     lines = (out / "assignments.csv").read_text().strip().splitlines()
     assert len(lines) == 31
+
+
+def test_cli_cluster_rejects_more_clusters_than_households(tmp_path, capsys):
+    out = tmp_path / "cluster"
+    assert main(["cluster", "--households", "2", "--clusters", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --clusters must not exceed --households\n"
+    assert not (out / "assignments.csv").exists()
 
 
 def test_cli_out_that_is_a_file_exits_2(tmp_path, capsys):
@@ -904,6 +911,8 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
     _, calls = tracer.self_times()
     for span in ("consensus.round", "topology.advance", "experiment.on_round"):
         assert calls[span] == 2, span
+    for span in ("data.generate", "data.kmeans", "data.window"):
+        assert calls[span] == 1, span
     for span in ("secagg.share", "secagg.reconstruct"):
         assert calls[span] > 0, span
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmslearn.numerics import (
-    Dataset,
     MlpModel,
     NetworkTasks,
     NoiseModel,
@@ -74,17 +73,6 @@ def test_local_step_requires_positive_step():
     task = QuadraticTask(np.eye(1), np.zeros(1))
     with pytest.raises(ValueError):
         local_step(task, np.zeros(1), 0.0)
-
-
-def test_dataset_column_coercion():
-    d = Dataset(np.ones((4, 2)), np.arange(4.0))
-    assert d.targets.shape == (4, 1)
-    assert len(d) == 4
-
-
-def test_dataset_shape_mismatch():
-    with pytest.raises(ValueError):
-        Dataset(np.ones((4, 2)), np.arange(3.0))
 
 
 def test_mlp_unpack_round_trip():
