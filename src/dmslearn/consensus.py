@@ -310,7 +310,7 @@ def _secure_mix(
     sessions = party_placement(graph, agent_count=n, prime=secure.codec.prime)
     for session in sessions:
         total = secure_aggregate(
-            [broadcast[j] for j in session.contributors],
+            broadcast[list(session.contributors)],
             session,
             secure.codec,
             secure.rng,
@@ -318,8 +318,7 @@ def _secure_mix(
             round_index=round_index,
         )
         targets = session.contributors if graph is None else session.recipients
-        for j in targets:
-            mixed[j] = total / len(session.contributors)
+        mixed[list(targets)] = total / len(session.contributors)
     return mixed
 
 

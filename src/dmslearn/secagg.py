@@ -1,9 +1,10 @@
 """Shamir secret sharing over a prime field, fixed-point encoding, and the
 secure aggregation pipeline built on both.
 
-All field elements are plain Python ints in ``[0, p)``. Shares evaluate the
-sharing polynomial at the points ``1 .. parties`` in party order, so a
-party's position in the session determines its evaluation point.
+Field elements are Python ints in ``[0, p)``, or rows of little-endian
+32-bit limbs in ``uint32`` arrays. Shares evaluate the sharing polynomial at
+the points ``1 .. parties`` in party order, so a party's position in the
+session determines its evaluation point.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -144,15 +145,9 @@ def _unpacked(packed: int, dim: int, width: int, prime: int) -> tuple[int, ...]:
     return tuple([int.from_bytes(b, "little") % prime for b in raw])
 
 
-@lru_cache(maxsize=64)
-def _powers(parties: int, degree: int, prime: int) -> tuple[tuple[int, ...], ...]:
-    """``x**k mod prime`` for the evaluation points ``x = 1 .. parties``."""
-    return tuple(tuple(pow(x, k, prime) for k in range(degree + 1)) for x in range(1, parties + 1))
-
-
 def _point_width(params: SharingParams, summands: int, guard: int = 0) -> int:
     """Slot bytes, in 32-bit limbs, for ``summands`` summed points, a fault and ``guard`` bits."""
-    top = max(map(max, _powers(params.parties, params.degree, params.prime)))
+    top = params.parties**params.degree  # the largest x**k that Horner's rule multiplies in
     bits = (summands * (params.degree + 1) * (params.prime - 1) * top + 1).bit_length() + guard
     return -(-bits // 32) * 4
 
@@ -163,13 +158,13 @@ def _columns(limbs: np.ndarray) -> list[int]:
 
 
 def _evaluate(columns: Sequence[int], params: SharingParams) -> list[int]:
-    """Each party's unreduced point ``sum_k x**k * columns[k]``, in party order."""
-    powers = _powers(params.parties, params.degree, params.prime)
-    return [sum(c * r for c, r in zip(row, columns)) for row in powers]
+    """Each party's unreduced point ``sum_k x**k * columns[k]`` by Horner's rule, in party order."""
+    high_first = columns[::-1]
+    return [reduce(lambda acc, c: acc * x + c, high_first) for x in range(1, params.parties + 1)]
 
 
 def share(
-    secret: int | Sequence[int],
+    secret: int | Sequence[int] | np.ndarray,
     params: SharingParams,
     rng: np.random.Generator | None = None,
     *,
@@ -187,7 +182,9 @@ def share(
     order, and each share's ``value`` is the tuple of its points on them;
     ``coefficients`` then holds one row of ``degree`` values per coordinate.
     Sharing a vector draws and returns exactly what sharing its coordinates
-    one by one would. A scalar secret is the length-1 case.
+    one by one would. A scalar secret is the length-1 case. A vector secret
+    may also come as the ``(dim, words)`` ``uint32`` limbs that
+    ``FixedPointCodec.encode_limbs`` gives, range-checked and placed as is.
 
     With ``width``, a multiple of 4, it returns the coefficients instead, as
     a ``(degree + 1, dim, width // 4)`` ``uint32`` array of little-endian
@@ -196,33 +193,44 @@ def share(
     without a carry, a party's whole point on the coefficients summed over
     every contributor before it reduces that point once.
     """
+    nbytes = ((params.prime - 1).bit_length() + 7) // 8
+    words = -(-nbytes // 4)
     scalar = isinstance(secret, numbers.Integral)
-    secrets = [int(secret)] if scalar else [int(v) for v in secret]
-    if secrets and not (0 <= min(secrets) and max(secrets) < params.prime):
-        raise ValueError("secret outside the field")
+    if isinstance(secret, np.ndarray) and secret.dtype == np.uint32 and secret.ndim == 2:
+        # Most significant limb first, big-endian: byte strings that compare as the numbers.
+        high_first = np.ascontiguousarray(secret[:, ::-1], ">u4")
+        top = params.prime.to_bytes(4 * words, "big")
+        if secret.shape[1] != words or (high_first.view(f"S{4 * words}") >= top).any():
+            raise ValueError("secret outside the field")
+    else:
+        secret = [int(secret)] if scalar else [int(v) for v in secret]
+        if secret and not (0 <= min(secret) and max(secret) < params.prime):
+            raise ValueError("secret outside the field")
+        secret = np.frombuffer(_pack(secret, 4 * words), "<u4").reshape(len(secret), words)
+    dim, degree = len(secret), params.degree
     if coefficients is not None:
         rows = [coefficients] if scalar else coefficients
-        if len(rows) != len(secrets) or any(len(row) != params.degree for row in rows):
+        if len(rows) != dim or any(len(row) != degree for row in rows):
             raise ValueError("need exactly one coefficient per degree")
         drawn = [int(c) for row in rows for c in row]
         if any(not (0 <= c < params.prime) for c in drawn):
             raise ValueError("coefficient outside the field")
-        nbytes = ((params.prime - 1).bit_length() + 7) // 8
         cells = np.array([[*c.to_bytes(nbytes, "big")] for c in drawn], np.uint8)
         cells = cells.reshape(len(drawn), nbytes)
     else:
         if rng is None:
             raise ValueError("random sharing needs an rng")
-        cells = _rand_field_cells(rng, params.prime, len(secrets) * params.degree)
-    dim, degree, words = len(secrets), params.degree, -(-cells.shape[1] // 4)
+        cells = _rand_field_cells(rng, params.prime, dim * degree)
     slot = width or _point_width(params, 1)
     if slot % 4 or slot < 4 * words:
         raise ValueError("width must be whole 32-bit limbs that hold a field element")
     limbs = np.zeros((degree + 1, dim, slot // 4), np.uint32)
-    limbs[0, :, :words] = np.frombuffer(_pack(secrets, 4 * words), "<u4").reshape(dim, words)
+    limbs[0, :, :words] = secret
+    if nbytes % 4:
+        cells = np.pad(cells, ((0, 0), (4 * words - nbytes, 0)))
     # Big-endian words come most significant first; reversed, they are the limbs.
-    words_be = np.pad(cells, ((0, 0), (4 * words - cells.shape[1], 0))).view(">u4")
-    limbs[1:, :, :words] = words_be.reshape(dim, degree, words).transpose(1, 0, 2)[..., ::-1]
+    words_be = cells.view(">u4").reshape(dim, degree, words)
+    limbs[1:, :, :words] = words_be.transpose(1, 0, 2)[..., ::-1]
     if width is not None:
         return limbs
     points = [_unpacked(p, dim, slot, params.prime) for p in _evaluate(_columns(limbs), params)]
@@ -347,7 +355,7 @@ def detect_tampering(shares: Sequence[SecretShare], params: SharingParams) -> bo
 class FixedPointCodec:
     """Map reals to the field with ``fraction_bits`` of fractional precision.
 
-    ``encode_vector`` rounds to the nearest multiple of
+    ``encode_limbs`` rounds to the nearest multiple of
     ``2**-fraction_bits`` and embeds negatives in the upper half of the
     field, so decode uses the half-field sign convention. Values representable with ``fraction_bits``
     fractional bits round-trip exactly: 48 significand bits are well inside
@@ -378,22 +386,41 @@ class FixedPointCodec:
         return (self.prime - 1) // 2
 
     def decode(self, v: int) -> float:
-        if not (0 <= v < self.prime):
-            raise ValueError("field element out of range")
-        signed = v - self.prime if v > self.half else v
-        return signed / self.scale
+        return float(self.decode_vector([v])[0])
+
+    def encode_limbs(self, values: np.ndarray | Sequence[float]) -> np.ndarray:
+        """``values`` (..., d) as a (..., d, words) ``uint32`` array of the field elements'
+        little-endian 32-bit limbs, as ``share`` takes them. The rounded float is an integer, so
+        floored scaling by ``2**-32`` cuts it into two's-complement limbs exactly; a negative one
+        gets ``p`` added with a carry. The range error names the first bad value, row-major."""
+        x = np.asarray(values, dtype=float)
+        bad = ~(np.abs(x) < self.magnitude_bound)  # NaN fails the comparison too
+        if bad.any():
+            first = float(x.flat[np.argmax(bad)])
+            raise EncodingRangeError(f"value {first!r} outside the fixed-point range")
+        rest = np.floor(x * float(self.scale) + 0.5)
+        negative, carry = rest < 0, 0
+        limbs = np.empty((*x.shape, -(-(self.prime - 1).bit_length() // 32)), np.uint32)
+        for k in range(limbs.shape[-1]):
+            high = np.floor(rest * 2.0**-32)
+            limb = (rest - high * 2.0**32).astype(np.int64) + carry
+            limb += negative * (self.prime >> 32 * k & 0xFFFFFFFF)
+            # Below 2**33: the uint32 store keeps the low 32 bits, the shift the carry.
+            limbs[..., k], carry, rest = limb, limb >> 32, high
+        return limbs
 
     def encode_vector(self, values: np.ndarray | Sequence[float]) -> list[int]:
-        x = np.asarray(values, dtype=float).ravel()
-        # NaN fails the comparison too.
-        bad = ~(np.abs(x) < self.magnitude_bound)
-        if bad.any():
-            first = float(x[np.argmax(bad)])
-            raise EncodingRangeError(f"value {first!r} outside the fixed-point range")
-        return [int(v) % self.prime for v in np.floor(x * float(self.scale) + 0.5)]
+        """The field elements of ``encode_limbs``, as ints."""
+        limbs = self.encode_limbs(np.asarray(values, dtype=float).ravel())
+        return [int.from_bytes(row.astype("<u4").tobytes(), "little") for row in limbs]
 
     def decode_vector(self, values: Sequence[int]) -> np.ndarray:
-        return np.array([self.decode(int(v)) for v in values], dtype=float)
+        """Signed in ints, then scaled in float64: exact, since the scale is a power of two."""
+        values = list(map(int, values))
+        if values and not (0 <= min(values) and max(values) < self.prime):
+            raise ValueError("field element out of range")
+        prime, half = self.prime, self.half
+        return np.array([v - prime if v > half else v for v in values], float) / self.scale
 
     def sum_headroom(self, terms: int) -> bool:
         """Whether a sum of ``terms`` in-range values stays decodable."""
@@ -479,7 +506,7 @@ class Transcript:
 
 
 def secure_aggregate(
-    vectors: Sequence[np.ndarray],
+    vectors: np.ndarray | Sequence[np.ndarray],
     session: SecAggSession,
     codec: FixedPointCodec,
     rng: np.random.Generator,
@@ -493,11 +520,13 @@ def secure_aggregate(
     Each contributor fixed-point encodes its vector and shares it among the
     parties, one polynomial per coordinate; each party adds the share
     points it receives; recipients reconstruct the per-coordinate sums and
-    decode. Only the sum is ever reconstructed. Sharing is linear, so the
-    simulation adds the contributors' coefficient limbs (``share(...,
-    width=)``) in one ``uint64`` array, carries once into slots too wide to
-    overflow, packs each degree in one integer and evaluates that summed
-    polynomial once per party: by linearity, the party's sum of received
+    decode. Only the sum is ever reconstructed. The simulation encodes all
+    ``vectors`` (rows, or equally sized arrays) in one ``encode_limbs`` call,
+    so a value out of range raises before any draw. Sharing is linear, so it
+    adds the contributors' coefficient limbs (``share(..., width=)``) in one
+    ``uint64`` array, carries once into slots too wide to overflow, packs
+    each degree in one integer and evaluates that summed polynomial once per
+    party by Horner's rule: by linearity, the party's sum of received
     points. ``reconstruct`` takes these totals packed and unreduced;
     reduced points are built only for a transcript that records payloads.
     ``corrupt_party`` is a fault-injection hook for tests: it adds one to
@@ -529,9 +558,10 @@ def secure_aggregate(
     guard = _interpolation(tuple(range(1, params.parties + 1)), params.threshold, prime)[2]
     width = _point_width(params, len(vectors), guard)
     record = transcript is not None and transcript.record_payloads
+    encoded = codec.encode_limbs([np.ravel(v) for v in vectors])
     summed = np.zeros((params.degree + 1, dim, width // 4), np.uint64)
-    for contributor, vec in zip(session.contributors, vectors):
-        limbs = share(codec.encode_vector(vec), params, rng, width=width)
+    for contributor, secret in zip(session.contributors, encoded):
+        limbs = share(secret, params, rng, width=width)
         summed += limbs
         if transcript is not None:  # an unrecorded payload is logged by its length alone
             if record:

@@ -15,8 +15,10 @@ earlier engine (``old_dms_round``, ``old_ctl_round``,
 engine replaced (``per_agent_round``), the secure-sum path before
 cached reconstruction weights and vector shares (``old_share``,
 ``old_reconstruct``, ``old_secure_aggregate`` and their helpers), the
-per-value fixed-point encoder (``old_encode``, ``old_encode_vector``),
-the per-strategy session layout (``old_party_placement``), the
+per-value fixed-point encoder and decoder (``old_encode``,
+``old_encode_vector``, ``old_decode_vector``), the point evaluation with
+reduced powers that Horner's rule replaced (``old_evaluate``), the
+per-strategy session layout (``old_party_placement``), the
 per-household windowing (``old_window_dataset``) and the per-round
 forecast evaluation from before they were stacked and train losses came
 from the learn stage (``old_forward``, ``old_forecast_mse``,
@@ -724,7 +726,7 @@ def old_rand_field_elements(rng: np.random.Generator, prime: int, count: int) ->
     return out
 
 
-# --- the per-value encoder the vectorised one replaced -------------------
+# --- the per-value encoder and decoder the vectorised ones replaced ------
 
 
 def old_encode(codec: FixedPointCodec, x: float) -> int:
@@ -735,6 +737,31 @@ def old_encode(codec: FixedPointCodec, x: float) -> int:
 
 def old_encode_vector(codec: FixedPointCodec, values) -> list[int]:
     return [old_encode(codec, float(x)) for x in np.asarray(values, dtype=float).ravel()]
+
+
+def old_decode_vector(codec: FixedPointCodec, values) -> np.ndarray:
+    out = []
+    for v in values:
+        v = int(v)
+        if not (0 <= v < codec.prime):
+            raise ValueError("field element out of range")
+        out.append((v - codec.prime if v > codec.half else v) / codec.scale)
+    return np.array(out, dtype=float)
+
+
+# --- the point evaluation with reduced powers that Horner's rule replaced ---
+# Copied unchanged apart from the names.
+
+
+def old_powers(parties: int, degree: int, prime: int) -> tuple[tuple[int, ...], ...]:
+    """``x**k mod prime`` for the evaluation points ``x = 1 .. parties``."""
+    return tuple(tuple(pow(x, k, prime) for k in range(degree + 1)) for x in range(1, parties + 1))
+
+
+def old_evaluate(columns: Sequence[int], params: SharingParams) -> list[int]:
+    """Each party's unreduced point ``sum_k x**k * columns[k]``, in party order."""
+    powers = old_powers(params.parties, params.degree, params.prime)
+    return [sum(c * r for c, r in zip(row, columns)) for row in powers]
 
 
 # --- the per-strategy session layout the graph rule replaced -------------

@@ -18,7 +18,9 @@ from dmslearn.secagg import (
     SecretShare,
     TamperError,
     Transcript,
+    _evaluate,
     _interpolation,
+    _point_width,
     _rand_field_cells,
     _reconstruction_weights,
     detect_tampering,
@@ -34,7 +36,9 @@ from oracles import (
     naive_reconstruct,
     old_rand_field_element,
     old_rand_field_elements,
-    old_encode,
+    old_decode_vector,
+    old_encode_vector,
+    old_evaluate,
     old_party_placement,
     old_reconstruct,
     old_secure_aggregate,
@@ -394,32 +398,188 @@ def _encoded(encode, values):
         return str(exc)
 
 
-CODEC_EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-17, -(2.0**-17), 1.5, -2.25]
+# --- the limb encoder, the numpy decoder and Horner's rule -------------------
+
+LIMB_CODECS = [
+    FixedPointCodec(1, 1, PRIME_TEST_31),
+    FixedPointCodec(1, 1, PRIME_TEST_97),
+    FixedPointCodec(8, 4),
+    FixedPointCodec(16, 8),
+    FixedPointCodec(),
+    FixedPointCodec(16, 32, 2**61 - 1),  # two words, coefficient cells without padding
+    FixedPointCodec(60, 60),  # values far beyond int64
+]
+
+
+def limb_ints(limbs):
+    """The integers held by each run of little-endian 32-bit limbs along the last axis."""
+    rows = limbs.reshape(-1, limbs.shape[-1]).astype("<u4")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+@st.composite
+def codec_blocks(draw, codecs=LIMB_CODECS, strays=True):
+    """A codec and a 1-d or (rows, d) block of values at its edges: ties, -0.0,
+    the last floats inside the bound, and (with ``strays``) values outside it."""
+    codec = draw(st.sampled_from(codecs))
+    bound, step = codec.magnitude_bound, 1.0 / codec.scale
+    top = 1 << (codec.integer_bits + codec.fraction_bits)
+    inside = float(np.nextafter(bound, 0.0))
+    edges = [0.0, -0.0, step, -step, step / 2, -step / 2, 2.0**-17, -(2.0**-17)]
+    edges += [inside, -inside, bound - step, step / 2 - bound]
+    value = st.one_of(
+        st.floats(-inside, inside),
+        st.sampled_from([v for v in edges if abs(v) < bound]),
+        # Ties, where exact; at 2**120 steps, k + 0.5 can round up to the bound.
+        st.integers(-top, top - 1).map(lambda k: (k + 0.5) * step).filter(lambda v: abs(v) < bound),
+        st.integers(0, min(40, top)).map(lambda k: inside - k * step),
+        st.integers(0, min(40, top)).map(lambda k: k * step - inside),
+    )
+    if strays:
+        outside = [bound, -bound, np.nan, np.inf, -np.inf, 2 * bound, 1.5, -2.25]
+        coarse_ties = st.integers(-(2**12), 2**12).map(lambda k: (k + 0.5) / 2**8)
+        value = st.one_of(value, st.sampled_from(outside), st.floats(), coarse_ties)
+    flat_shape = (draw(st.integers(0, 6)),)
+    shape = draw(st.sampled_from([flat_shape, (draw(st.integers(1, 3)), draw(st.integers(0, 4)))]))
+    size = int(np.prod(shape))
+    flat = draw(st.lists(value, min_size=size, max_size=size))
+    return codec, np.array(flat, dtype=float).reshape(shape)
+
+
+@given(codec_blocks())
+@settings(max_examples=500, deadline=None)
+def test_vector_encode_matches_the_per_value_encoder(case):
+    # Bit for bit, as ints and as limbs. The old encoder walks the values in
+    # row-major order, so its error names the first bad value in that order,
+    # as the one-call encoder must.
+    codec, block = case
+    old = _encoded(lambda v: old_encode_vector(codec, v), block)
+    assert _encoded(codec.encode_vector, block) == old
+    limbs = _encoded(codec.encode_limbs, block)
+    if isinstance(old, str):
+        assert limbs == old
+    else:
+        words = -(-(codec.prime - 1).bit_length() // 32)
+        assert limbs.dtype == np.uint32 and limbs.shape == (*block.shape, words)
+        assert limb_ints(limbs) == old
 
 
 @given(
-    st.sampled_from([FixedPointCodec(), FixedPointCodec(8, 4), FixedPointCodec(1, 1, PRIME_TEST_97)]),
-    st.lists(
-        st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True),
-            st.sampled_from(CODEC_EDGE_VALUES),
-            st.integers(-(2**12), 2**12).map(lambda k: (k + 0.5) / 2**8),
-        ),
-        max_size=6,
-    ),
+    codec=st.sampled_from(LIMB_CODECS),
+    data=st.data(),
+    stray=st.sampled_from([None, -1, 0, 1, 2**64]),
+)
+@settings(max_examples=400, deadline=None)
+def test_numpy_decoder_matches_the_per_value_decoder(codec, data, stray):
+    p, half = codec.prime, codec.half
+    # Floats past 2**53 round: cover halfway points at every exponent, and
+    # values on both sides of the sign cut and of int64's range.
+    ties = st.integers(53, 126).map(lambda e: (1 << e) + (1 << (e - 53)))
+    centre = st.one_of(ties, st.sampled_from([0, half, 2**63, 2**64, p - 2**63, p - 1]))
+    near = st.tuples(centre, st.integers(-3, 3), st.booleans()).map(
+        lambda c: (p - c[0] - c[1] if c[2] else c[0] + c[1]) % p
+    )
+    values = data.draw(st.lists(st.one_of(st.integers(0, p - 1), near), max_size=8))
+    if stray is not None:  # -1, p, p + 1 or p + 2**64: outside the field
+        values.insert(data.draw(st.integers(0, len(values))), -1 if stray < 0 else p + stray)
+    new, old = outcome(codec.decode_vector, values), outcome(old_decode_vector, codec, values)
+    if isinstance(old, np.ndarray):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    else:
+        assert new == old
+
+
+@given(
+    data=st.data(),
+    prime=st.sampled_from([PRIME_TEST_31, PRIME_TEST_97, 257, 2**61 - 1, PRIME_128]),
 )
 @settings(max_examples=300, deadline=None)
-def test_vector_encode_matches_the_per_value_encoder(codec, values):
-    # Edges of the range included: the bound itself, and the last grid
-    # values and half-steps inside it.
-    bound = codec.magnitude_bound
-    step = 1.0 / codec.scale
-    values = values + [bound, -bound, bound - step, -bound + step / 2]
-    for start in range(len(values)):
-        chunk = values[start:]
-        new = _encoded(codec.encode_vector, np.array(chunk))
-        old = _encoded(lambda v: [old_encode(codec, float(x)) for x in v], chunk)
+def test_horner_points_match_the_reduced_power_points(data, prime):
+    # Up to 29 parties, so that exact powers outgrow small primes by far.
+    parties = data.draw(st.sampled_from([1, *range(3, 12), 21, 29]))
+    degree = data.draw(st.integers(0 if parties == 1 else 1, (parties - 1) // 2))
+    params = SharingParams(parties, degree, prime)
+    summands, dim = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 4))
+    width = _point_width(params, summands)
+    top = summands * (prime - 1)
+    cell = st.one_of(st.integers(0, top), st.just(top))
+    cells = [data.draw(st.lists(cell, min_size=dim, max_size=dim)) for _ in range(degree + 1)]
+    columns = [packed(row, width) for row in cells]
+    new, old = _evaluate(columns, params), old_evaluate(columns, params)
+    if parties**degree < prime:
         assert new == old
+        return
+    # Exact powers exceed the prime: every slot holds its exact point, which
+    # the old reduced-power point equals mod p, and nothing carries out.
+    bits = 8 * width
+    for x, n, o in zip(range(1, parties + 1), new, old):
+        new_slots, old_slots = ([v >> (bits * j) & ((1 << bits) - 1) for j in range(dim)] for v in (n, o))
+        assert n >> (bits * dim) == 0
+        assert new_slots == [sum(x**k * cells[k][j] for k in range(degree + 1)) for j in range(dim)]
+        assert all((a - b) % prime == 0 for a, b in zip(new_slots, old_slots))
+
+
+@given(
+    case=codec_blocks(strays=False),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    width=st.sampled_from([None, 32]),
+)
+@settings(max_examples=150, deadline=None)
+def test_sharing_limbs_equals_sharing_their_ints(case, seed, width):
+    codec, block = case
+    params = SharingParams(5, 2, codec.prime)
+    for row in np.atleast_2d(block):
+        limb_rng, int_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        from_limbs = share(codec.encode_limbs(row), params, limb_rng, width=width)
+        from_ints = share(codec.encode_vector(row), params, int_rng, width=width)
+        assert limb_rng.bit_generator.state == int_rng.bit_generator.state
+        if width is not None:
+            assert from_limbs.tobytes() == from_ints.tobytes()
+            continue
+        assert from_limbs == from_ints
+        old_rng = np.random.default_rng(seed)
+        per_coord = [old_share(v, params, old_rng) for v in old_encode_vector(codec, row)]
+        assert from_limbs == [
+            SecretShare(x, tuple(col[x - 1].value for col in per_coord))
+            for x in range(1, params.parties + 1)
+        ]
+
+
+def test_limb_secrets_outside_the_field_are_rejected():
+    for prime in (PRIME_TEST_97, 2**61 - 1, PRIME_128):
+        params = SharingParams(3, 1, prime)
+        words = -(-(prime - 1).bit_length() // 32)
+
+        def limbs(values, words=words):
+            raw = b"".join(v.to_bytes(4 * words, "little") for v in values)
+            return np.frombuffer(raw, "<u4").astype(np.uint32).reshape(len(values), words)
+
+        ok = [prime - 1, 0, 5]
+        rng = np.random.default_rng(1)
+        assert share(limbs(ok), params, rng) == share(ok, params, np.random.default_rng(1))
+        for bad in ([prime], [0, prime + 1], [(1 << (32 * words)) - 1, 0], [5, 6]):
+            rng = np.random.default_rng(1)
+            secret = limbs(bad) if bad != [5, 6] else limbs(bad, words + 1)
+            with pytest.raises(ValueError, match="secret outside the field"):
+                share(secret, params, rng)
+            assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
+def test_an_out_of_range_value_raises_before_any_coefficient_is_drawn():
+    # The old path encoded contributor by contributor and drew the earlier
+    # contributors' coefficients first; the one-call encoder raises first.
+    codec = FixedPointCodec(16, 8)
+    session = session_of(4)
+    vectors = [np.ones(3), np.full(3, -2.0), np.array([1.0, 300.0, np.nan]), np.array([-256.0, 0, 1])]
+    rng, transcript = np.random.default_rng(4), Transcript()
+    with pytest.raises(EncodingRangeError, match=r"^value 300\.0 outside the fixed-point range$"):
+        secure_aggregate(vectors, session, codec, rng, transcript=transcript)
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+    assert (transcript.entries, transcript.messages, transcript.bytes) == ([], 0, 0)
+    old_rng, old_log = np.random.default_rng(4), Transcript()
+    with pytest.raises(EncodingRangeError, match=r"^value 300\.0 outside"):
+        old_secure_aggregate(vectors, session, codec, old_rng, transcript=old_log)
+    assert old_rng.bit_generator.state != rng.bit_generator.state and old_log.messages == 6
 
 
 # --- the bulk-draw, cached-weight, vector-share path against the old one ---
@@ -720,10 +880,13 @@ def test_packed_reconstruct_matches_the_tuple_mode(data, prime, seed):
         picked.insert(data.draw(st.integers(0, len(picked))), picked[0])
     elif isinstance(stray, int):
         picked.append(SecretShare(stray, tuple(secret)))
-    # Slots that hold a field element, a guard of at most L + 4 bits for
-    # these thresholds, and 7 bits for unreduced values.
+    # Slots that hold a field element, 7 bits for unreduced values and the
+    # guard: at most L + 4 bits for weights reduced mod p, but up to 14 bits
+    # for the exact weights of 11 parties, more than L + 4 at p = 31; the
+    # guard on all the indices bounds that of every run of them from 1.
     bits = prime.bit_length()
-    width = -(-(2 * bits + 11) // 8) + data.draw(st.integers(0, 3))
+    guard = _interpolation(tuple(range(1, params.parties + 1)), params.threshold, prime)[2]
+    width = -(-max(2 * bits + 11, bits + guard + 7) // 8) + data.draw(st.integers(0, 3))
     unreduced = [
         SecretShare(s.index, packed([v + data.draw(st.integers(0, 127)) * prime for v in s.value], width))
         for s in picked
