@@ -306,56 +306,6 @@ class PoisonOutcome:
         return float(np.median(self.fedavg_inflation))
 
 
-def _poison_arm(
-    strategy: str,
-    seed_children,
-    *,
-    agent_count: int,
-    dim: int,
-    gamma: float,
-    rounds: int,
-    subset_size: int,
-    substructure_count: int,
-    policy: PoisonPolicy | None,
-    noise_bound: float,
-    tail_rounds: int,
-) -> float:
-    """One training run; returns the tail mean of the worst-agent error."""
-    init_seed, schedule_seed, noise_seed = seed_children
-    init_rng = np.random.default_rng(init_seed)
-    noise_rng = np.random.default_rng(noise_seed)
-    optimum = np.zeros(dim)
-    tasks = QuadraticTasks.from_optima(
-        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
-    )
-    if strategy == "fedavg":
-        inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
-        schedule = None
-    else:
-        inits = np.array([init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)])
-        schedule = make_dms_schedule(
-            agent_count,
-            subset_size=subset_size,
-            substructure_count=substructure_count,
-            rng=np.random.default_rng(schedule_seed),
-        )
-    monitor = ConvergenceMonitor(optimum)
-    run_training(
-        tasks,
-        schedule,
-        inits=inits,
-        gamma=gamma,
-        strategy=strategy,
-        rounds=rounds,
-        noise=NoiseModel(noise_bound),
-        noise_rng=noise_rng,
-        broadcast_hook=policy.hook() if policy is not None else None,
-        monitor=monitor,
-    )
-    series = monitor.worst_mse
-    return float(series[-tail_rounds:].mean())
-
-
 def run_poisoning_experiment(
     seeds: Sequence[int],
     *,
@@ -374,37 +324,62 @@ def run_poisoning_experiment(
     """Error inflation of the switching strategy vs the server baseline
     under broadcast poisoning.
 
-    Clean and poisoned arms of each strategy share every random stream, so
-    an empty malicious set gives inflation exactly 1. A small gradient
-    noise keeps the clean tail error away from round-off, which makes the
-    ratio well conditioned. Malicious ids are the first ``malicious_count``
-    agents.
+    Each seed runs four arms: dms clean and poisoned, then fedavg clean and
+    poisoned. An arm's error is its worst-agent squared error averaged over
+    the last ``tail_rounds`` rows (all rows when fewer). Malicious ids are
+    the first ``malicious_count`` agents. Each seed's arms draw from
+    ``SeedSequence(seed).spawn(3)`` (init, schedule, noise) and every arm
+    rebuilds its generators from those children, so clean and poisoned arms
+    share every stream and an empty malicious set gives inflation exactly 1.
+    The identity-Hessian task set, noise model and hook are built once per
+    call. A small gradient noise keeps the clean tail error away from
+    round-off, which makes the ratio well conditioned.
     """
-    if malicious_count > agent_count:
-        raise ValueError("more malicious agents than agents")
-    policy = PoisonPolicy(frozenset(range(malicious_count)), epsilon=epsilon, mode=mode)
-    dms_ratios = []
-    fed_ratios = []
+    if not 0 <= malicious_count <= agent_count:
+        raise ValueError(f"malicious_count must be in [0, {agent_count}], got {malicious_count}")
+    if tail_rounds < 1:
+        raise ValueError(f"tail_rounds must be at least 1, got {tail_rounds}")
+    hook = PoisonPolicy(frozenset(range(malicious_count)), epsilon=epsilon, mode=mode).hook()
+    tasks = QuadraticTasks.from_optima(
+        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
+    )
+    noise = NoiseModel(noise_bound)
+
+    def tail(strategy: str, children, broadcast_hook) -> float:
+        """One arm's tail mean of the worst-agent error."""
+        init_seed, schedule_seed, noise_seed = children
+        init_rng = np.random.default_rng(init_seed)
+        if strategy == "fedavg":
+            inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
+            schedule = None
+        else:
+            inits = np.array([init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)])
+            schedule = make_dms_schedule(
+                agent_count,
+                subset_size=subset_size,
+                substructure_count=substructure_count,
+                rng=np.random.default_rng(schedule_seed),
+            )
+        monitor = ConvergenceMonitor(np.zeros(dim))
+        run_training(
+            tasks,
+            schedule,
+            inits=inits,
+            gamma=gamma,
+            strategy=strategy,
+            rounds=rounds,
+            noise=noise,
+            noise_rng=np.random.default_rng(noise_seed),
+            broadcast_hook=broadcast_hook,
+            monitor=monitor,
+        )
+        return float(monitor.worst_mse[-tail_rounds:].mean())
+
+    arms = []
     for seed in seeds:
         children = np.random.SeedSequence(seed).spawn(3)
-        common = dict(
-            agent_count=agent_count,
-            dim=dim,
-            gamma=gamma,
-            rounds=rounds,
-            subset_size=subset_size,
-            substructure_count=substructure_count,
-            noise_bound=noise_bound,
-            tail_rounds=tail_rounds,
-        )
-        dms_clean = _poison_arm("dms", children, policy=None, **common)
-        dms_bad = _poison_arm("dms", children, policy=policy, **common)
-        fed_clean = _poison_arm("fedavg", children, policy=None, **common)
-        fed_bad = _poison_arm("fedavg", children, policy=policy, **common)
-        dms_ratios.append(dms_bad / dms_clean)
-        fed_ratios.append(fed_bad / fed_clean)
+        arms += [tail(s, children, h) for s in ("dms", "fedavg") for h in (None, hook)]
+    dms_clean, dms_bad, fed_clean, fed_bad = np.reshape(arms, (-1, 4)).T
     return PoisonOutcome(
-        seeds=list(seeds),
-        dms_inflation=np.array(dms_ratios),
-        fedavg_inflation=np.array(fed_ratios),
+        seeds=list(seeds), dms_inflation=dms_bad / dms_clean, fedavg_inflation=fed_bad / fed_clean
     )

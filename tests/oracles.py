@@ -24,8 +24,9 @@ forecast evaluation from before they were stacked and train losses came
 from the learn stage (``old_forward``, ``old_forecast_mse``,
 ``direct_round_record``), the one-sample loss and gradient with the
 looped gradient-matching attack that called it (``old_loss_and_gradient``,
-``old_dlg_reconstruct``), and the json-encoding transcript writer
-(``old_write_transcript``), with their arithmetic and draw order
+``old_dlg_reconstruct``), the json-encoding transcript writer
+(``old_write_transcript``), and the poisoning study's per-arm helper
+with the loop that called it (``old_poisoning_experiment``), with their arithmetic and draw order
 unchanged, so tests can assert that the replacement gives exactly the
 same numbers.
 """
@@ -42,10 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from dmslearn.consensus import (
+    ConvergenceMonitor,
     RoundFailure,
     RoundMetrics,
     _round_metrics,
     _secure_mix,
+    run_training,
 )
 from dmslearn.data import gen_synthetic_load
 from dmslearn.experiment import seed_streams
@@ -64,8 +67,8 @@ from dmslearn.secagg import (
     Transcript,
     secure_aggregate,
 )
-from dmslearn.threats import ReconstructionResult
-from dmslearn.topology import Graph, mixing_matrix
+from dmslearn.threats import PoisonOutcome, PoisonPolicy, ReconstructionResult
+from dmslearn.topology import Graph, make_dms_schedule, mixing_matrix
 
 
 # --- the per-agent task layer the stacked task sets replaced -------------
@@ -1068,3 +1071,103 @@ def old_write_transcript(path, transcript: Transcript):
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
     return path
+
+
+# --- the poisoning study before its arms read the call's parameters -------
+# The per-arm helper rebuilt the task set, noise model and hook for every
+# arm. Copied unchanged apart from the names.
+
+
+def _old_poison_arm(
+    strategy: str,
+    seed_children,
+    *,
+    agent_count: int,
+    dim: int,
+    gamma: float,
+    rounds: int,
+    subset_size: int,
+    substructure_count: int,
+    policy: PoisonPolicy | None,
+    noise_bound: float,
+    tail_rounds: int,
+) -> float:
+    """One training run; returns the tail mean of the worst-agent error."""
+    init_seed, schedule_seed, noise_seed = seed_children
+    init_rng = np.random.default_rng(init_seed)
+    noise_rng = np.random.default_rng(noise_seed)
+    optimum = np.zeros(dim)
+    tasks = QuadraticTasks.from_optima(
+        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
+    )
+    if strategy == "fedavg":
+        inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
+        schedule = None
+    else:
+        inits = np.array([init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)])
+        schedule = make_dms_schedule(
+            agent_count,
+            subset_size=subset_size,
+            substructure_count=substructure_count,
+            rng=np.random.default_rng(schedule_seed),
+        )
+    monitor = ConvergenceMonitor(optimum)
+    run_training(
+        tasks,
+        schedule,
+        inits=inits,
+        gamma=gamma,
+        strategy=strategy,
+        rounds=rounds,
+        noise=NoiseModel(noise_bound),
+        noise_rng=noise_rng,
+        broadcast_hook=policy.hook() if policy is not None else None,
+        monitor=monitor,
+    )
+    series = monitor.worst_mse
+    return float(series[-tail_rounds:].mean())
+
+
+def old_poisoning_experiment(
+    seeds: Sequence[int],
+    *,
+    agent_count: int = 30,
+    malicious_count: int = 3,
+    epsilon: float = 0.2,
+    mode: str = "constant",
+    dim: int = 2,
+    gamma: float = 0.02,
+    rounds: int = 1000,
+    subset_size: int = 21,
+    substructure_count: int = 8,
+    noise_bound: float = 0.1,
+    tail_rounds: int = 100,
+) -> PoisonOutcome:
+    if malicious_count > agent_count:
+        raise ValueError("more malicious agents than agents")
+    policy = PoisonPolicy(frozenset(range(malicious_count)), epsilon=epsilon, mode=mode)
+    dms_ratios = []
+    fed_ratios = []
+    for seed in seeds:
+        children = np.random.SeedSequence(seed).spawn(3)
+        common = dict(
+            agent_count=agent_count,
+            dim=dim,
+            gamma=gamma,
+            rounds=rounds,
+            subset_size=subset_size,
+            substructure_count=substructure_count,
+            noise_bound=noise_bound,
+            tail_rounds=tail_rounds,
+        )
+        dms_clean = _old_poison_arm("dms", children, policy=None, **common)
+        dms_bad = _old_poison_arm("dms", children, policy=policy, **common)
+        fed_clean = _old_poison_arm("fedavg", children, policy=None, **common)
+        fed_bad = _old_poison_arm("fedavg", children, policy=policy, **common)
+        dms_ratios.append(dms_bad / dms_clean)
+        fed_ratios.append(fed_bad / fed_clean)
+    return PoisonOutcome(
+        seeds=list(seeds),
+        dms_inflation=np.array(dms_ratios),
+        fedavg_inflation=np.array(fed_ratios),
+    )

@@ -917,6 +917,21 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
         assert calls[span] > 0, span
 
 
+def test_benchmark_poison_checks_still_read_the_study(tmp_path, monkeypatch):
+    # The poison workload checks the FedAvg arms against its own simulation
+    # of the seed's streams and counts messages by wrapping
+    # threats.run_training; a study that changes its streams or calls
+    # training some other way shows here, not only there.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    outcome = run_poisoning_experiment([5], **workloads.POISON)
+    assert workloads.check_poison_seed(
+        5, float(outcome.dms_inflation[0]), float(outcome.fedavg_inflation[0])
+    ) == []
+    # (2 dms arms at 420 messages + 2 fedavg arms at 60) / 4
+    assert workloads.WORKLOADS["poison_study"].messages_per_round(5, tmp_path) == 240.0
+
+
 def test_a_failing_hypothesis_test_reports_and_the_session_goes_on(tmp_path):
     # Under this repo's warning filters, reporting a failing @given test must
     # print its falsifying example and leave the session running, not end it

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn import threats
 from dmslearn.numerics import MlpModel
 from dmslearn.secagg import FixedPointCodec, SecAggSession, SharingParams, Transcript, secure_aggregate
 from dmslearn.threats import (
@@ -13,7 +14,7 @@ from dmslearn.threats import (
     secure_leakage_probe,
 )
 
-from oracles import old_dlg_reconstruct
+from oracles import old_dlg_reconstruct, old_poisoning_experiment
 
 
 def test_poison_constant_mode():
@@ -200,3 +201,37 @@ def test_poisoning_no_malicious_is_exactly_clean():
     outcome = run_poisoning_experiment([4], malicious_count=0, rounds=120, tail_rounds=30)
     assert outcome.dms_inflation[0] == pytest.approx(1.0)
     assert outcome.fedavg_inflation[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", ["constant", "scaled"])
+@pytest.mark.parametrize("malicious_count", [0, 3])
+@pytest.mark.parametrize("rounds", [0, 40])
+@pytest.mark.parametrize("tail_rounds", [10, 50])  # 50 is past every series' end
+def test_poisoning_experiment_matches_the_per_arm_helper(mode, malicious_count, rounds, tail_rounds):
+    options = dict(
+        mode=mode,
+        malicious_count=malicious_count,
+        rounds=rounds,
+        tail_rounds=tail_rounds,
+        agent_count=8,
+        subset_size=5,
+    )
+    new = run_poisoning_experiment([0, 1], **options)
+    old = old_poisoning_experiment([0, 1], **options)
+    assert new.seeds == old.seeds == [0, 1]
+    assert np.array_equal(new.dms_inflation, old.dms_inflation)
+    assert np.array_equal(new.fedavg_inflation, old.fedavg_inflation)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"tail_rounds": 0}, {"tail_rounds": -3}, {"malicious_count": -1}],
+    ids=["no-tail", "negative-tail", "negative-malicious"],
+)
+def test_poisoning_experiment_rejects_bad_counts_before_training(options, monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(threats, "run_training", train)
+    with pytest.raises(ValueError):
+        run_poisoning_experiment([0], rounds=50, **options)
