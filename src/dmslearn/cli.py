@@ -159,6 +159,9 @@ def _cmd_attack(args) -> int:
             f"poison: median inflation dms={outcome.dms_median:.2f} "
             f"fedavg={outcome.fedavg_median:.2f} ({len(seeds)} seeds)"
         )
+        if outcome.diverged:
+            print("divergence detected", file=sys.stderr)
+            return EXIT_DIVERGED
         return EXIT_OK
 
     rows = []

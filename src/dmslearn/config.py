@@ -242,18 +242,17 @@ class ExperimentConfig:
 
 def parse_config(data: dict | None) -> ExperimentConfig:
     """Strict mapping -> config; unknown keys and bad values raise
-    :class:`ConfigError`."""
-    return _build(ExperimentConfig, data or {}, "config")
+    :class:`ConfigError`; None (an empty file) is the empty mapping."""
+    return _build(ExperimentConfig, {} if data is None else data, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a YAML config file."""
+    """Parse a YAML config file; PyYAML decodes the bytes, so a file that is
+    not UTF-8 is invalid YAML."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.safe_load(Path(path).read_bytes())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
     return parse_config(raw)

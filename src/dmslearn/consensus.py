@@ -1,13 +1,13 @@
 """Round-based training engine and the contraction-bound monitor.
 
 Every strategy runs the same round on the stacked (n, d) weights: a learn
-stage, where each agent takes ``epochs`` perturbed local gradient steps,
-and a mix stage, where the (hooked) outgoing weights are averaged and
-scaled by ``alpha``. ``dms``, ``dfc``, ``dring`` and ``centralized``
-learn then mix over the round's graph, ``ctl`` mixes then learns, and
-``fedavg`` learns then takes the server mean over all agents. Secure
-mode routes every averaging sum through the threshold-sharing sessions
-that ``party_placement`` derives from the round graph instead of
+stage of ``epochs`` perturbed gradient steps, each one ``local_step`` on
+every row at once, and a mix stage, where the (hooked) outgoing weights
+are averaged and scaled by ``alpha``. ``dms``, ``dfc``, ``dring`` and
+``centralized`` learn then mix over the round's graph, ``ctl`` mixes then
+learns, and ``fedavg`` learns then takes the server mean over all agents.
+Secure mode routes every averaging sum through the threshold-sharing
+sessions that ``party_placement`` derives from the round graph instead of
 plaintext arithmetic. ``dms_round``, ``ctl_round`` and ``fedavg_round``
 are the per-strategy entry points into that one round body.
 """
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import NoiseModel, TaskSet
+from .numerics import NoiseModel, TaskSet, local_step
 from .secagg import (
     FixedPointCodec,
     SecAggError,
@@ -271,8 +271,8 @@ def _learner(
     noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
 ) -> Learn:
-    """The learn stage: ``epochs`` perturbed gradient steps on every row of
-    the stacked weights, one ``tasks.loss_and_gradient`` call per step.
+    """The learn stage: ``epochs`` stacked ``local_step`` calls, looked up
+    through this module's global when the stage runs, on the (n, d) weights.
     Each call draws one agent-major (n, epochs, d) noise block, the stream
     of drawing agent 0's steps first, and returns the first step's losses,
     which are the losses at the weights the call started from."""
@@ -282,15 +282,10 @@ def _learner(
 
     def learn(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         draws = noise.sample((len(thetas), epochs, thetas.shape[1]), noise_rng) if noisy else None
-        first_losses = None
-        for e in range(epochs):
-            losses, grad = tasks.loss_and_gradient(thetas)
-            if e == 0:
-                first_losses = losses
-            thetas = thetas - gamma * grad
-            if noisy:
-                thetas = thetas + draws[:, e]
-        return thetas, first_losses
+        losses, thetas = local_step(tasks, thetas, gamma, draws[:, 0] if noisy else None)
+        for e in range(1, epochs):
+            thetas = local_step(tasks, thetas, gamma, draws[:, e] if noisy else None)[1]
+        return thetas, losses
 
     return learn
 

@@ -3,7 +3,8 @@
 A run's tasks are one stacked set with one learn contract:
 ``loss_and_gradient(thetas)`` maps the (n, d) weights to the n losses (or
 None) and the (n, d) gradients, so the training loops never need to know
-which family they are driving. Two families: quadratics with known
+which family they are driving, and ``local_step`` is the one gradient
+step the learn stage takes on them. Two families: quadratics with known
 curvature bounds (the analysis objects) and a small dense network on
 each agent's tabular windows (the demo workload).
 """
@@ -211,20 +212,14 @@ class NoiseModel:
 
 
 def local_step(
-    task,
-    theta: np.ndarray,
-    step_size: float,
-    *,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One perturbed gradient step, ``theta - step_size * grad + w``, for a
-    single task with ``dim`` and ``gradient(theta)``."""
-    if step_size <= 0:
+    tasks: TaskSet, thetas: np.ndarray, gamma: float, noise: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """One gradient step on every row of the stacked (n, d) weights, from
+    one ``tasks.loss_and_gradient`` call: the losses at ``thetas`` (or
+    None) and ``thetas - gamma * grad``, plus the (n, d) ``noise`` block
+    when one is given."""
+    if not gamma > 0:
         raise ValueError("step size must be positive")
-    phi = np.asarray(theta, dtype=float) - step_size * task.gradient(theta)
-    if noise is not None and noise.bound > 0.0:
-        if rng is None:
-            raise ValueError("noise sampling needs an rng")
-        phi = phi + noise.sample(task.dim, rng)
-    return phi
+    losses, grad = tasks.loss_and_gradient(thetas)
+    thetas = thetas - gamma * grad
+    return losses, thetas if noise is None else thetas + noise

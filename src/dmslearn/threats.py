@@ -291,11 +291,13 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
 
 @dataclass
 class PoisonOutcome:
-    """Inflation ratios (poisoned tail error / clean tail error) per seed."""
+    """Inflation ratios (poisoned tail error / clean tail error) per seed,
+    and whether any arm's run diverged."""
 
     seeds: list[int]
     dms_inflation: np.ndarray
     fedavg_inflation: np.ndarray
+    diverged: bool = False
 
     @property
     def dms_median(self) -> float:
@@ -333,7 +335,8 @@ def run_poisoning_experiment(
     share every stream and an empty malicious set gives inflation exactly 1.
     The identity-Hessian task set, noise model and hook are built once per
     call. A small gradient noise keeps the clean tail error away from
-    round-off, which makes the ratio well conditioned.
+    round-off, which makes the ratio well conditioned. An arm whose run
+    diverges stops early, and the outcome's ``diverged`` flags it.
     """
     if not 0 <= malicious_count <= agent_count:
         raise ValueError(f"malicious_count must be in [0, {agent_count}], got {malicious_count}")
@@ -345,8 +348,8 @@ def run_poisoning_experiment(
     )
     noise = NoiseModel(noise_bound)
 
-    def tail(strategy: str, children, broadcast_hook) -> float:
-        """One arm's tail mean of the worst-agent error."""
+    def tail(strategy: str, children, broadcast_hook) -> tuple[bool, float]:
+        """One arm's divergence flag and tail mean of the worst-agent error."""
         init_seed, schedule_seed, noise_seed = children
         init_rng = np.random.default_rng(init_seed)
         if strategy == "fedavg":
@@ -361,7 +364,7 @@ def run_poisoning_experiment(
                 rng=np.random.default_rng(schedule_seed),
             )
         monitor = ConvergenceMonitor(np.zeros(dim))
-        run_training(
+        run = run_training(
             tasks,
             schedule,
             inits=inits,
@@ -373,13 +376,14 @@ def run_poisoning_experiment(
             broadcast_hook=broadcast_hook,
             monitor=monitor,
         )
-        return float(monitor.worst_mse[-tail_rounds:].mean())
+        return run.diverged, float(monitor.worst_mse[-tail_rounds:].mean())
 
     arms = []
     for seed in seeds:
         children = np.random.SeedSequence(seed).spawn(3)
         arms += [tail(s, children, h) for s in ("dms", "fedavg") for h in (None, hook)]
-    dms_clean, dms_bad, fed_clean, fed_bad = np.reshape(arms, (-1, 4)).T
+    arms = np.reshape(arms, (-1, 4, 2))  # per seed, each arm's (diverged, tail error)
+    dms_clean, dms_bad, fed_clean, fed_bad = arms[..., 1].T
     return PoisonOutcome(
-        seeds=list(seeds), dms_inflation=dms_bad / dms_clean, fedavg_inflation=fed_bad / fed_clean
+        list(seeds), dms_bad / dms_clean, fed_bad / fed_clean, diverged=bool(arms[..., 0].any())
     )

@@ -52,7 +52,7 @@ from dmslearn.consensus import (
 )
 from dmslearn.data import gen_synthetic_load
 from dmslearn.experiment import seed_streams
-from dmslearn.numerics import NoiseModel, QuadraticTasks, local_step
+from dmslearn.numerics import NoiseModel, QuadraticTasks
 from dmslearn.secagg import (
     PRIME_128,
     ContributorError,
@@ -347,7 +347,7 @@ def old_dms_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
     graph = schedule.advance()
     phis = []
     for agent, nm in zip(agents, noise_models):
-        phi = local_step(agent.task, agent.theta, agent.gamma, noise=nm, rng=noise_rng)
+        phi = _per_agent_step(agent.task, agent.theta, agent.gamma, nm, noise_rng)[1]
         agent.phi = phi
         phis.append(phi)
     broadcast = _hooked(np.array(phis), broadcast_hook)
@@ -378,7 +378,7 @@ def old_ctl_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
     else:
         mixed = alpha * (mixing_matrix(graph) @ broadcast)
     for agent, nm, row in zip(agents, noise_models, mixed):
-        agent.theta = local_step(agent.task, row, agent.gamma, noise=nm, rng=noise_rng)
+        agent.theta = _per_agent_step(agent.task, row, agent.gamma, nm, noise_rng)[1]
         agent.phi = agent.theta
     return _graph_metrics(round_index, graph, secure, before)
 
@@ -392,7 +392,7 @@ def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=No
     for agent, nm in zip(agents, noise_models):
         theta = np.asarray(server_theta, dtype=float).copy()
         for _ in range(epochs):
-            theta = local_step(agent.task, theta, agent.gamma, noise=nm, rng=noise_rng)
+            theta = _per_agent_step(agent.task, theta, agent.gamma, nm, noise_rng)[1]
         agent.phi = theta
         uploads.append(theta)
     broadcast = _hooked(np.array(uploads), broadcast_hook)

@@ -17,7 +17,7 @@ from dmslearn.consensus import (
     run_training,
 )
 from dmslearn.experiment import build_quadratic_setup, seed_streams
-from dmslearn.numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks, local_step
+from dmslearn.numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks
 from dmslearn.secagg import ContributorError, Transcript
 from dmslearn.threats import PoisonPolicy, poison_broadcast
 from dmslearn.topology import (
@@ -32,6 +32,7 @@ from dmslearn.topology import (
 )
 
 from oracles import (
+    _per_agent_step,
     make_agents,
     old_engine_rounds,
     pairwise_max_distance,
@@ -59,7 +60,7 @@ def test_single_agent_is_gradient_descent():
     run = run_training(tasks, schedule, inits=[[5.0]], gamma=0.3, strategy="dms", rounds=10)
     theta = np.array([5.0])
     for _ in range(10):
-        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.3)
+        theta = _per_agent_step(per_agent_tasks(tasks)[0], theta, 0.3, None, None)[1]
     assert np.allclose(run.agents[0].theta, theta)
 
 
@@ -70,7 +71,7 @@ def test_centralized_label_is_single_node_descent():
     assert run.rounds_completed == 25
     theta = np.array([0.0])
     for _ in range(25):
-        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.1)
+        theta = _per_agent_step(per_agent_tasks(tasks)[0], theta, 0.1, None, None)[1]
     assert np.allclose(run.agents[0].theta, theta)
 
 
@@ -121,7 +122,7 @@ def test_fedavg_identical_to_solo_descent():
     )
     theta = np.zeros(1)
     for _ in range(12):
-        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.25)
+        theta = _per_agent_step(per_agent_tasks(tasks)[0], theta, 0.25, None, None)[1]
     for agent in run.agents:
         assert np.allclose(agent.theta, theta)
 
@@ -144,7 +145,7 @@ def test_fedavg_epochs_multiply_local_steps():
     run = run_training(tasks, None, inits=[[0.0]], gamma=0.1, strategy="fedavg", rounds=2, epochs=3)
     theta = np.zeros(1)
     for _ in range(6):
-        theta = local_step(per_agent_tasks(tasks)[0], theta, 0.1)
+        theta = _per_agent_step(per_agent_tasks(tasks)[0], theta, 0.1, None, None)[1]
     assert np.allclose(run.agents[0].theta, theta)
 
 
@@ -400,6 +401,24 @@ def test_noise_floor_within_bound():
     report = contraction_check(monitor, params, mixing, noise_free=False)
     assert report.limit_bound == pytest.approx(0.01)
     assert report.tail_within_bound
+
+
+def test_noisy_run_without_an_rng_fails_before_any_round():
+    # The learn stage is built before the first round, so a noisy run with
+    # no noise stream raises without advancing the schedule or reporting.
+    schedule, seen = complete_schedule(3), []
+    before = schedule.rng.bit_generator.state
+    with pytest.raises(ValueError, match="needs an rng"):
+        run_training(
+            quads(1.0, n=3),
+            schedule,
+            inits=np.ones((3, 1)),
+            gamma=0.1,
+            rounds=2,
+            noise=NoiseModel(0.1),
+            on_round=lambda *args: seen.append(args),
+        )
+    assert seen == [] and schedule.rng.bit_generator.state == before
 
 
 def sticky_transition(states, stay):

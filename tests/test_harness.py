@@ -427,6 +427,24 @@ def test_cli_run_bad_config(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_run_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"seed: \xc3\x28\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file is not valid YAML")
+
+
+@pytest.mark.parametrize("body", ["[]\n", "false\n", "0\n", "''\n"])
+def test_cli_run_falsy_non_mapping_config_exits_2(tmp_path, capsys, body):
+    # Only an empty file stands for the empty mapping.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(body)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "expected a mapping" in capsys.readouterr().err
+    cfg.write_text("")
+    assert load_config(cfg) == ExperimentConfig()
+
+
 def test_cli_run_divergence_exit(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(
@@ -697,6 +715,16 @@ def test_cli_attack_poison(tmp_path, capsys):
     assert float(seed_row[1]) == pytest.approx(rows[0]["dms_inflation"], abs=0.005)
 
 
+def test_cli_attack_poison_divergence_exits_4(tmp_path, capsys):
+    # Both poisoned arms diverge in their first round; the study still
+    # writes its report, and says so with the divergence exit code.
+    out = tmp_path / "attack"
+    code = main(["attack", "--epsilon", "1e7", "--seeds", "1", "--out", str(out)])
+    assert code == 4
+    assert [r["type"] for r in read_report(out / "poison.jsonl")] == ["poison", "summary"]
+    assert capsys.readouterr().err == "divergence detected\n"
+
+
 def test_cli_attack_dlg(tmp_path, capsys):
     out = tmp_path / "attack"
     assert main(["attack", "--kind", "dlg", "--seeds", "1", "--out", str(out)]) == 0
@@ -909,7 +937,10 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
         run_experiment(config, tmp_path)
     assert tracer.unrestored() == []
     _, calls = tracer.self_times()
-    for span in ("consensus.round", "topology.advance", "experiment.on_round"):
+    # One stacked step per epoch per round, found through consensus's global.
+    for span in (
+        "consensus.round", "numerics.local_step", "topology.advance", "experiment.on_round"
+    ):
         assert calls[span] == 2, span
     for span in ("data.generate", "data.kmeans", "data.window"):
         assert calls[span] == 1, span

@@ -45,34 +45,54 @@ def test_quadratic_from_optimum():
         assert task.loss(u[i]) <= task.loss(u[i] + 0.1)
 
 
+def one_quadratic(p: float) -> QuadraticTasks:
+    """One agent on the one-dimensional curvature ``p``, minimizer 0."""
+    return QuadraticTasks(np.array([[[p]]]), np.zeros((1, 1)))
+
+
 def test_descent_below_stability_bound():
     # gamma < 2 / p_max contracts the error every step; the per-step factor
     # matches the scalar recursion exactly in one dimension.
-    task = QuadraticTask(np.array([[4.0]]), np.zeros(1))
     gamma = 0.3
-    theta = np.array([10.0])
-    errs = [abs(theta[0])]
+    theta = np.array([[10.0]])
+    errs = [abs(theta[0, 0])]
     for _ in range(20):
-        theta = local_step(task, theta, gamma)
-        errs.append(abs(theta[0]))
+        losses, theta = local_step(one_quadratic(4.0), theta, gamma)
+        assert losses is None
+        errs.append(abs(theta[0, 0]))
     expected = scalar_error_recursion(gamma, 4.0, 10.0, 20)
     assert np.allclose(errs, expected)
     assert errs[-1] < errs[0]
 
 
 def test_descent_above_stability_bound_diverges():
-    task = QuadraticTask(np.array([[4.0]]), np.zeros(1))
     gamma = 0.6  # past 2/4
-    theta = np.array([1.0])
+    theta = np.array([[1.0]])
     for _ in range(30):
-        theta = local_step(task, theta, gamma)
-    assert abs(theta[0]) > 1e3
+        theta = local_step(one_quadratic(4.0), theta, gamma)[1]
+    assert abs(theta[0, 0]) > 1e3
 
 
-def test_local_step_requires_positive_step():
-    task = QuadraticTask(np.eye(1), np.zeros(1))
+@pytest.mark.parametrize("gamma", [0.0, -0.1, float("nan")])
+def test_local_step_requires_positive_step(gamma):
     with pytest.raises(ValueError):
-        local_step(task, np.zeros(1), 0.0)
+        local_step(one_quadratic(1.0), np.zeros((1, 1)), gamma)
+
+
+def test_local_step_adds_exactly_the_noise_block():
+    # One task-set call per step: the losses at the weights it was given,
+    # and the plain step plus the (n, d) block, added as given.
+    model = MlpModel(3, 4, 2)
+    rng = np.random.default_rng(2)
+    tasks = NetworkTasks(model, rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 2)))
+    thetas = np.array([model.init_params(rng) for _ in range(2)])
+    block = rng.normal(size=thetas.shape)
+    losses, plain = local_step(tasks, thetas, 0.1)
+    noisy_losses, noisy = local_step(tasks, thetas, 0.1, block)
+    expected_losses, grad = tasks.loss_and_gradient(thetas)
+    assert np.array_equal(losses, expected_losses) and np.array_equal(noisy_losses, losses)
+    assert np.array_equal(plain, thetas - 0.1 * grad)
+    assert np.array_equal(noisy, plain + block)
 
 
 def test_mlp_unpack_round_trip():
@@ -244,15 +264,3 @@ def test_noise_block_equals_per_vector_draws(n, epochs, d, cap_factor, seed):
 def test_noise_rejects_negative_bound():
     with pytest.raises(ValueError):
         NoiseModel(-0.1)
-
-
-def test_noisy_step_uses_rng():
-    task = QuadraticTask(np.eye(2), np.zeros(2))
-    noise = NoiseModel(0.5)
-    with pytest.raises(ValueError):
-        local_step(task, np.ones(2), 0.1, noise=noise)
-    a = local_step(task, np.ones(2), 0.1, noise=noise, rng=np.random.default_rng(0))
-    b = local_step(task, np.ones(2), 0.1, noise=noise, rng=np.random.default_rng(0))
-    assert np.array_equal(a, b)
-    c = local_step(task, np.ones(2), 0.1)
-    assert not np.array_equal(a, c)
