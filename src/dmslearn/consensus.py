@@ -270,18 +270,28 @@ def _learner(
     epochs: int,
     noise: NoiseModel | None,
     noise_rng: np.random.Generator | None,
+    rounds: int,
 ) -> Learn:
     """The learn stage: ``epochs`` stacked ``local_step`` calls, looked up
     through this module's global when the stage runs, on the (n, d) weights.
-    Each call draws one agent-major (n, epochs, d) noise block, the stream
-    of drawing agent 0's steps first, and returns the first step's losses,
-    which are the losses at the weights the call started from."""
+    Each call adds one agent-major (n, epochs, d) noise row, the stream of
+    drawing agent 0's steps first. Rows are drawn in blocks of
+    ``max(1, 2**16 // (n * epochs * d))`` calls, never past ``rounds``, and
+    a block is the stream of its rows in turn. A call returns the first
+    step's losses, the losses at the weights the call started from."""
     noisy = noise is not None and noise.bound > 0.0
     if noisy and noise_rng is None:
         raise ValueError("noise sampling needs an rng")
+    n, d = tasks.shape
+    block, drawn, rows = max(1, 2**16 // (n * epochs * d)), 0, iter(())
 
     def learn(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        draws = noise.sample((len(thetas), epochs, thetas.shape[1]), noise_rng) if noisy else None
+        nonlocal drawn, rows
+        draws = next(rows, None) if noisy else None
+        if noisy and draws is None:
+            b = max(1, min(rounds - drawn, block))
+            drawn, rows = drawn + b, iter(noise.sample((b, n, epochs, d), noise_rng))
+            draws = next(rows)
         losses, thetas = local_step(tasks, thetas, gamma, draws[:, 0] if noisy else None)
         for e in range(1, epochs):
             thetas = local_step(tasks, thetas, gamma, draws[:, e] if noisy else None)[1]
@@ -333,12 +343,11 @@ def _round_metrics(
     else:
         # One logical message per directed edge: each agent sends its
         # broadcast to every neighbor.
-        degrees = graph.degrees[:n].copy()
-        edge_count, messages = graph.edge_count, int(degrees.sum())
-        active = int(np.count_nonzero(degrees))
+        degrees, edge_count = graph.degrees, graph.edge_count
+        messages, active = graph.counts
     if secure is None:
         # Each plaintext message carries d float64 weights.
-        nbytes, per_agent = messages * d * 8, degrees.copy()
+        nbytes, per_agent = messages * d * 8, degrees
     else:
         # The round's own transcript entries, from ``first_entry`` on.
         entries = secure.transcript.entries[first_entry:]
@@ -396,18 +405,19 @@ def _round(
     return thetas, phis, _round_metrics(round_index, graph, broadcast, secure, first_entry, losses)
 
 
-def dms_round(thetas, learn, schedule: MarkovSchedule, **options):
+def dms_round(thetas, learn, schedule: MarkovSchedule, ahead: int = 1, **options):
     """Learn-then-mix round: local steps, then neighbor averaging over the
-    graph the schedule draws for this round. Options are as in
+    graph the schedule draws for this round, with ``ahead`` the rounds
+    left (see :meth:`MarkovSchedule.advance`). Options are as in
     :func:`_round`, and secure aborts surface as :class:`RoundFailure`."""
-    graph = schedule.advance()
+    graph = schedule.advance(ahead)
     return _round(thetas, graph, learn, learn_first=True, **options)
 
 
-def ctl_round(thetas, learn, schedule: MarkovSchedule, **options):
+def ctl_round(thetas, learn, schedule: MarkovSchedule, ahead: int = 1, **options):
     """Mix-then-learn twin: neighbor averaging of current weights first,
     then every agent takes its local steps from the mixed point."""
-    graph = schedule.advance()
+    graph = schedule.advance(ahead)
     return _round(thetas, graph, learn, learn_first=False, **options)
 
 
@@ -458,7 +468,7 @@ def run_training(
     (without one the call raises ``ValueError``). The check fires before
     the first round too, so a run that starts converged reports zero
     rounds. A divergent weight or worst error (see
-    ``_diverged``) stops the run and flags it.
+    ``_diverged``) stops the run and flags it, without overflow warnings.
 
     The rounds start from a copy of the (n, d) ``inits``, which must
     match the task set's (n, d), and step every agent with the learning
@@ -466,7 +476,8 @@ def run_training(
     gets the round's stacked (n, d) weights and learn outputs, which no
     later round edits; after a ``RoundFailure`` they are the only record
     of the last completed round. The run's agents, ``AgentState`` records
-    of the final rows, are built when the run ends.
+    of the final rows, are built when the run ends. Noise and schedule draws
+    are planned for the whole budget: an early stop leaves their rngs ahead.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -493,26 +504,30 @@ def run_training(
     worst = None if monitor is None else monitor.record(thetas)
     terminated = tolerance is not None and worst < tolerance
     diverged = False
-    learn = _learner(tasks, gamma, epochs, noise, noise_rng)
+    learn = _learner(tasks, gamma, epochs, noise, noise_rng, rounds)
     options = dict(alpha=alpha, broadcast_hook=broadcast_hook, secure=secure)
-    for k in range(0 if terminated else rounds):
-        if strategy == "fedavg":
-            thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
-        elif strategy == "ctl":
-            thetas, phis, metrics = ctl_round(thetas, learn, schedule, round_index=k, **options)
-        else:
-            thetas, phis, metrics = dms_round(thetas, learn, schedule, round_index=k, **options)
-        metrics_list.append(metrics)
-        if monitor is not None:
-            worst = monitor.record(thetas)
-        if on_round is not None:
-            on_round(k, thetas, phis, metrics)
-        if _diverged(thetas) or (worst is not None and _diverged(worst)):
-            diverged = True
-            break
-        if tolerance is not None and worst < tolerance:
-            terminated = True
-            break
+    # An overflow is a divergence, which the loop reports.
+    with np.errstate(over="ignore"):
+        for k in range(0 if terminated else rounds):
+            if strategy == "fedavg":
+                thetas, phis, metrics = fedavg_round(thetas, learn, round_index=k, **options)
+            else:
+                round_fn = ctl_round if strategy == "ctl" else dms_round
+                thetas, phis, metrics = round_fn(
+                    thetas, learn, schedule, rounds - k, round_index=k, **options
+                )
+            metrics_list.append(metrics)
+            if monitor is not None:
+                worst = monitor.record(thetas)
+            if on_round is not None:
+                on_round(k, thetas, phis, metrics)
+            # NaN fails the comparison.
+            if _diverged(thetas) or (worst is not None and not abs(worst) <= DIVERGENCE_CAP):
+                diverged = True
+                break
+            if tolerance is not None and worst < tolerance:
+                terminated = True
+                break
     last_phis = [None] * len(thetas) if phis is None else phis
     return TrainingRun(
         agents=[AgentState(theta, phi) for theta, phi in zip(thetas, last_phis)],

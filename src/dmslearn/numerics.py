@@ -186,8 +186,10 @@ class NoiseModel:
     cap_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise ValueError("noise bound must be nonnegative")
+        if not 0 <= self.bound < np.inf:
+            raise ValueError(f"noise bound must be finite and nonnegative, got {self.bound}")
+        if not self.cap_factor > 0:
+            raise ValueError(f"noise cap factor must be positive, got {self.cap_factor}")
 
     def sample(self, shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Noise of ``shape``; each vector along the last axis is one draw.

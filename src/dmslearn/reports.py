@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -23,9 +24,10 @@ __all__ = [
 
 
 def _plain(value: Any) -> Any:
-    """Coerce numpy scalars/arrays so json emits deterministic plain types."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    """Coerce numpy scalars/arrays so json emits deterministic plain types;
+    a non-finite float becomes None, so a report stays strict JSON."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -42,8 +44,8 @@ def write_report(path: str | Path, records: Iterable[dict]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         for rec in records:
-            fh.write(json.dumps(_plain(rec), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            line = json.dumps(_plain(rec), sort_keys=True, separators=(",", ":"), allow_nan=False)
+            fh.write(line + "\n")
     return path
 
 

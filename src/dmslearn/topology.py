@@ -10,6 +10,7 @@ simply keeps its own value.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -66,7 +67,14 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        degrees = np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        degrees.flags.writeable = False
+        return degrees
+
+    @cached_property
+    def counts(self) -> tuple[int, int]:
+        """(messages, active agents): directed edges, agents with a neighbor."""
+        return int(self.degrees.sum()), int(np.count_nonzero(self.degrees))
 
     @cached_property
     def mixing(self) -> np.ndarray:
@@ -131,11 +139,14 @@ def default_subset_size(agent_count: int) -> int:
 class MarkovSchedule:
     """Markov chain over a finite set of communication substructures.
 
-    The chain starts in ``state`` 0. ``advance`` samples the next state from
-    the transition row of the current state using the schedule's own
-    generator, then returns that
-    state's graph. All draws come from ``rng`` only, so two schedules built
-    with equal seeds produce identical graph sequences.
+    The chain starts in ``state`` 0. ``advance`` steps it as ``rng.choice(q,
+    p=row)`` on the state's transition row does, one uniform against the
+    row's normalized cumsum, and returns the new state's graph. Uniforms
+    come from ``rng.random`` in blocks of at most ``ahead`` (the steps the
+    caller still plans) and 2**16, so using every planned step leaves
+    ``rng`` where one ``choice`` per step would. All draws come from ``rng``
+    only, so two schedules built with equal seeds produce identical graph
+    sequences.
     """
 
     substructures: list[Graph]
@@ -157,10 +168,14 @@ class MarkovSchedule:
             raise ValueError("transition probabilities must be nonnegative")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("transition rows must sum to one")
+        cdf = np.cumsum(self.transition, axis=1)
+        self._cdf = (cdf / cdf[:, -1:]).tolist()
+        self._uniforms: list[float] = []  # drawn, unused, last first
 
-    def advance(self) -> Graph:
-        row = self.transition[self.state]
-        self.state = int(self.rng.choice(len(row), p=row))
+    def advance(self, ahead: int = 1) -> Graph:
+        if not self._uniforms:
+            self._uniforms = self.rng.random(min(max(ahead, 1), 2**16)).tolist()[::-1]
+        self.state = bisect_right(self._cdf[self.state], self._uniforms.pop())
         return self.substructures[self.state]
 
 

@@ -341,10 +341,18 @@ def _graph_metrics(round_index, graph, secure, before):
     )
 
 
+def choice_step(schedule):
+    """One chain step as ``MarkovSchedule.advance`` took it before its
+    uniforms were drawn in blocks: one ``rng.choice`` on the state's row."""
+    row = schedule.transition[schedule.state]
+    schedule.state = int(schedule.rng.choice(len(row), p=row))
+    return schedule.substructures[schedule.state]
+
+
 def old_dms_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
                   broadcast_hook=None, secure=None, strategy="dms", round_index=0):
     noise_models = _noise_list(noise, len(agents))
-    graph = schedule.advance()
+    graph = choice_step(schedule)
     phis = []
     for agent, nm in zip(agents, noise_models):
         phi = _per_agent_step(agent.task, agent.theta, agent.gamma, nm, noise_rng)[1]
@@ -367,7 +375,7 @@ def old_dms_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
 def old_ctl_round(agents, schedule, *, alpha=1.0, noise=None, noise_rng=None,
                   broadcast_hook=None, secure=None, round_index=0):
     noise_models = _noise_list(noise, len(agents))
-    graph = schedule.advance()
+    graph = choice_step(schedule)
     broadcast = _hooked(np.array([agent.theta for agent in agents]), broadcast_hook)
     before = _snapshot(secure)
     if secure is not None:
@@ -520,7 +528,7 @@ def per_agent_rounds(agents, schedule, strategy, rounds, **options):
     return [
         per_agent_round(
             agents,
-            None if strategy == "fedavg" else schedule.advance(),
+            None if strategy == "fedavg" else choice_step(schedule),
             learn_first=strategy != "ctl",
             round_index=k,
             **options,

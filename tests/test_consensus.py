@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmslearn.config import ExperimentConfig, QuadraticConfig
+from dmslearn import consensus, experiment, threats
+from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig
 from dmslearn.consensus import (
     DIVERGENCE_CAP,
     ContractionParams,
@@ -33,6 +36,7 @@ from dmslearn.topology import (
 
 from oracles import (
     _per_agent_step,
+    choice_step,
     make_agents,
     old_engine_rounds,
     pairwise_max_distance,
@@ -783,6 +787,145 @@ def test_graph_mixing_is_cached_read_only():
     assert not g.mixing.flags.writeable
 
 
+def test_graph_degrees_and_counts_are_cached_read_only():
+    g = make_topology("ring", 5)
+    assert g.degrees is g.degrees and not g.degrees.flags.writeable
+    assert g.counts == (10, 5)
+    # A plaintext round reports its graph's own array and counts.
+    schedule, twin = (
+        make_dms_schedule(7, subset_size=3, substructure_count=4, rng=np.random.default_rng(5))
+        for _ in range(2)
+    )
+    inits = np.random.default_rng(6).uniform(-1, 1, (7, 2))
+    run = run_training(quads(1.0, dim=2, n=7), schedule, inits=inits, gamma=0.1, rounds=6)
+    for m in run.metrics:
+        choice_step(twin)
+        graph = schedule.substructures[twin.state]
+        from_mixing = np.count_nonzero(mixing_matrix(graph), axis=1) - 1
+        assert m.degrees is graph.degrees and m.per_agent_messages is graph.degrees
+        assert np.array_equal(m.degrees, from_mixing)
+        assert m.messages == from_mixing.sum() and m.edge_count == from_mixing.sum() // 2
+        assert m.active_agents == np.count_nonzero(from_mixing)
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(1, 7),
+    st.integers(0, 7),
+    st.sampled_from([3.0, 0.8]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_learner_noise_blocks_equal_one_draw_per_round(
+    n, epochs, rounds_per_block, rounds, short, cap_factor, seed
+):
+    # d sets the block to about ``rounds_per_block`` rounds, so blocks of
+    # one round and blocks that do not divide the budget both occur; a
+    # run that stops ``short`` rounds early makes fewer calls.
+    d = max(1, 2**16 // (n * epochs * rounds_per_block))
+    block = max(1, 2**16 // (n * epochs * d))
+    calls = max(0, rounds - short)
+    noise = NoiseModel(0.1, cap_factor=cap_factor)
+    shapes, steps = [], []
+
+    def sample(shape, rng):
+        shapes.append(shape)
+        return noise.sample(shape, rng)
+
+    def local_step(tasks, thetas, gamma, noise=None):
+        steps.append(noise.copy())
+        return None, thetas
+
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    spy = SimpleNamespace(bound=noise.bound, sample=sample)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "local_step", local_step)
+        learn = consensus._learner(SimpleNamespace(shape=(n, d)), 0.1, epochs, spy, rng, rounds)
+        for _ in range(calls):
+            learn(np.zeros((n, d)))
+    planned = []
+    while sum(planned) < calls:
+        planned.append(min(block, rounds - sum(planned)))
+    assert shapes == [(b, n, epochs, d) for b in planned]
+    for k in range(calls):
+        row = noise.sample((n, epochs, d), twin)
+        for e in range(epochs):
+            assert np.array_equal(steps[k * epochs + e], row[:, e])
+    # The rest of the last block is drawn and unused.
+    noise.sample((sum(planned) - calls, n, epochs, d), twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("strategy", ["dms", "ctl", "fedavg"])
+def test_a_tolerance_stop_matches_the_per_round_run_and_leaves_the_rngs_ahead(strategy):
+    n, d, rounds, seed = 5, 2, 200, 11
+    tasks = quads(1.0, dim=2, n=n)
+    inits = np.random.default_rng(seed).uniform(-1, 1, (1 if strategy == "fedavg" else n, d))
+    inits = np.broadcast_to(inits, (n, d))
+    runs = []
+    for engine in ("stacked", "per_agent"):
+        schedule = None
+        if strategy != "fedavg":
+            schedule = make_dms_schedule(n, subset_size=3, substructure_count=3, rng=np.random.default_rng(seed))
+        noise_rng = np.random.default_rng(seed + 1)
+        options = dict(noise=NoiseModel(1e-3), noise_rng=noise_rng)
+        if engine == "stacked":
+            monitor = ConvergenceMonitor(np.zeros(d))
+            run = run_training(
+                tasks, schedule, inits=inits, gamma=0.5, strategy=strategy, rounds=rounds,
+                monitor=monitor, tolerance=1e-5, **options,
+            )
+            assert run.terminated_early and 0 < run.rounds_completed < rounds
+            agents, metrics = run.agents, run.metrics
+        else:
+            agents = make_agents(tasks, inits, 0.5)
+            metrics = per_agent_rounds(agents, schedule, strategy, run.rounds_completed, **options)
+        runs.append((agents, metrics, noise_rng, schedule and schedule.rng))
+    (agents, metrics, noise_rng, schedule_rng), (ref_agents, ref_metrics, ref_noise, ref_sched) = runs
+    for a, b in zip(agents, ref_agents, strict=True):
+        assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
+    for m, o in zip(metrics, ref_metrics, strict=True):
+        for name in RoundMetrics.__dataclass_fields__:
+            assert np.array_equal(getattr(m, name), getattr(o, name)), name
+    # The stacked run drew the whole budget up front: it is ahead of the
+    # per-round run by the rounds it did not run, and by no more.
+    unused = rounds - run.rounds_completed
+    assert noise_rng.bit_generator.state != ref_noise.bit_generator.state
+    ref_noise.standard_normal(unused * n * d)
+    assert noise_rng.bit_generator.state == ref_noise.bit_generator.state
+    if schedule_rng is not None:
+        assert schedule_rng.bit_generator.state != ref_sched.bit_generator.state
+        ref_sched.random(unused)
+        assert schedule_rng.bit_generator.state == ref_sched.bit_generator.state
+
+
+def test_no_caller_reads_the_run_rngs_after_the_run(monkeypatch):
+    # Early stops leave the noise and schedule rngs ahead, which is safe
+    # only while nothing draws from them once their run has returned.
+    kept = []
+
+    def spy(tasks, schedule, **kwargs):
+        run = run_training(tasks, schedule, **kwargs)
+        rngs = [kwargs.get("noise_rng"), schedule and schedule.rng]
+        kept.extend((rng, rng.bit_generator.state) for rng in rngs if rng is not None)
+        return run
+
+    monkeypatch.setattr(experiment, "run_training", spy)
+    monkeypatch.setattr(threats, "run_training", spy)
+    config = ExperimentConfig(
+        strategy="dms", agent_count=6, rounds=300, gamma=0.1, tolerance=1e-3, noise=NoiseConfig(1e-3)
+    )
+    assert experiment.run_experiment(config).run.terminated_early
+    threats.run_poisoning_experiment([0], rounds=40, tail_rounds=5, epsilon=1e9)
+    experiment.run_scaling_sweep(1)
+    # run_experiment: noise and schedule; four arms: four noise, two
+    # schedules; the sweep: twelve schedules.
+    assert len(kept) == 2 + 6 + 12
+    assert all(rng.bit_generator.state == state for rng, state in kept)
+
+
 STRATEGIES = ["dms", "ctl", "dring", "dfc", "fedavg", "centralized"]
 
 
@@ -906,7 +1049,8 @@ def _assert_engines_agree(
     seed,
 ):
     """The stacked engine against the per-agent round body: weights, every
-    round metric (the first-step losses too) and both rngs' states."""
+    round metric (the first-step losses too) and the noise, secure and
+    schedule rngs' states."""
     # "capped" puts the noise cap below the typical draw's norm, so most
     # draws take the rescaling path.
     if strategy == "centralized":
@@ -944,8 +1088,9 @@ def _assert_engines_agree(
         else:
             agents = make_agents(tasks, inits, 0.2)
             metrics = per_agent_rounds(agents, schedule, strategy, rounds, **options)
-        runs.append((agents, metrics, [r.bit_generator.state for r in rngs]))
-    (agents, metrics, states), (ref_agents, ref_metrics, ref_states) = runs
+        states = [r.bit_generator.state for r in rngs]
+        runs.append((agents, metrics, states, schedule and schedule.rng.bit_generator.state))
+    (agents, metrics, *states), (ref_agents, ref_metrics, *ref_states) = runs
     for a, b in zip(agents, ref_agents, strict=True):
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.phi, b.phi)

@@ -725,6 +725,22 @@ def test_cli_attack_poison_divergence_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == "divergence detected\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_attack_poison_overflow_writes_strict_json_without_warnings(tmp_path, capsys):
+    # The poisoned arms' squared errors overflow in their first round.
+    out = tmp_path / "attack"
+    assert main(["attack", "--epsilon", "1e300", "--seeds", "1", "--out", str(out)]) == 4
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    lines = (out / "poison.jsonl").read_text().splitlines()
+    rows = [json.loads(line, parse_constant=reject) for line in lines]
+    assert [r["type"] for r in rows] == ["poison", "summary"]
+    assert rows[0]["dms_inflation"] is None and rows[1]["fedavg_median"] is None
+    assert capsys.readouterr().err == "divergence detected\n"
+
+
 def test_cli_attack_dlg(tmp_path, capsys):
     out = tmp_path / "attack"
     assert main(["attack", "--kind", "dlg", "--seeds", "1", "--out", str(out)]) == 0

@@ -264,3 +264,14 @@ def test_noise_block_equals_per_vector_draws(n, epochs, d, cap_factor, seed):
 def test_noise_rejects_negative_bound():
     with pytest.raises(ValueError):
         NoiseModel(-0.1)
+
+
+@pytest.mark.parametrize(
+    "bound, cap_factor",
+    [(np.nan, 3.0), (np.inf, 3.0), (-np.inf, 3.0), (0.1, 0.0), (0.1, -1.0), (0.1, np.nan)],
+)
+def test_noise_rejects_a_non_finite_bound_and_a_cap_factor_that_is_not_positive(bound, cap_factor):
+    # Such a bound makes NaN or infinite noise; a negative cap factor
+    # would flip the sign of every draw over the cap.
+    with pytest.raises(ValueError):
+        NoiseModel(bound, cap_factor=cap_factor)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from dmslearn.topology import (
     stationary_distribution,
 )
 
-from oracles import mixing_by_loops, union_connectivity
+from oracles import choice_step, mixing_by_loops, union_connectivity
 
 
 def test_ring_shape():
@@ -165,3 +167,40 @@ def test_union_connectivity():
 def test_subset_size_bounds(n):
     m = default_subset_size(n)
     assert 3 <= m <= n
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(0, 40),
+    st.integers(1, 9),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_buffered_chain_equals_one_choice_per_step(q, budget, block, steps, seed):
+    # Random rows with zeros; the caller plans ``budget`` steps in blocks
+    # of ``block`` (1 and sizes that do not divide the budget included)
+    # and takes ``steps`` of them, fewer when it stops early.
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0, 1, (q, q)) * (rng.uniform(0, 1, (q, q)) < 0.6)
+    weights[np.arange(q), rng.integers(0, q, q)] += rng.uniform(0.01, 1, q)
+    transition = weights / weights.sum(axis=1, keepdims=True)
+    subs = [make_subset_graph(5, [i, (i + 1) % 5]) for i in range(q)]
+    buffered, stepped = (MarkovSchedule(subs, transition, np.random.default_rng(seed)) for _ in range(2))
+    steps = min(steps, budget)
+    for k in range(steps):
+        assert buffered.advance(min(block, budget - k)) is choice_step(stepped)
+        assert buffered.state == stepped.state
+    # The rest of the last block is drawn and unused.
+    stepped.rng.random(min(-(-steps // block) * block, budget) - steps)
+    assert buffered.rng.bit_generator.state == stepped.rng.bit_generator.state
+
+
+def test_chain_steps_against_each_rows_normalized_cumsum():
+    # The constructor accepts rows within 1e-5 of summing to one, so the
+    # cumsum is divided by its last entry, as rng.choice divides it.
+    g = make_subset_graph(3, [0, 1])
+    uniforms = SimpleNamespace(random=lambda size: np.full(size, 0.499999))
+    schedule = MarkovSchedule([g, g], np.array([[0.5, 0.500004], [0.5, 0.5]]), uniforms)
+    schedule.advance()
+    assert schedule.state == 1  # 0.499999 >= 0.5 / 1.000004
