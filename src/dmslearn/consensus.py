@@ -49,7 +49,7 @@ __all__ = [
     "run_training",
 ]
 
-# Gets a copy of the whole (n, d) broadcast once per round; returns what is sent.
+# Gets the round's own copy of the (n, d) broadcast, which it may edit; returns what is sent.
 BroadcastHook = Callable[[np.ndarray], np.ndarray]
 
 # A run whose weights or worst squared error pass this magnitude has diverged.
@@ -381,7 +381,7 @@ def _round(
     if graph is not None and graph.agent_count != n:
         raise ValueError("schedule graph does not cover the agent set")
     outgoing, losses = learn(thetas) if learn_first else (thetas, None)
-    # The hook gets a copy: an in-place edit must not reach theta or phi.
+    # The hook gets the round's one copy: an in-place edit must not reach theta or phi.
     broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
 
     first_entry = 0
@@ -471,13 +471,14 @@ def run_training(
     ``_diverged``) stops the run and flags it, without overflow warnings.
 
     The rounds start from a copy of the (n, d) ``inits``, which must
-    match the task set's (n, d), and step every agent with the learning
-    rate ``gamma``. After round k, ``on_round(k, thetas, phis, metrics)``
-    gets the round's stacked (n, d) weights and learn outputs, which no
-    later round edits; after a ``RoundFailure`` they are the only record
-    of the last completed round. The run's agents, ``AgentState`` records
-    of the final rows, are built when the run ends. Noise and schedule draws
-    are planned for the whole budget: an early stop leaves their rngs ahead.
+    match the task set's (n, d), n and d positive, and step every agent
+    with the learning rate ``gamma``. After round k, ``on_round(k, thetas,
+    phis, metrics)`` gets the round's stacked (n, d) weights and learn
+    outputs, which no later round edits; after a ``RoundFailure`` they are
+    the only record of the last completed round. The run's agents,
+    ``AgentState`` records of the final rows, are built when the run ends.
+    Noise and schedule draws are planned for the whole budget: an early
+    stop leaves their rngs ahead.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -494,6 +495,8 @@ def run_training(
     thetas = np.array(inits, dtype=float)
     if thetas.shape != tasks.shape:
         raise ValueError(f"inits of shape {thetas.shape} for a task set of shape {tasks.shape}")
+    if thetas.size == 0:
+        raise ValueError(f"a task set of shape {tasks.shape} has no agent or no weight to train")
     if strategy == "fedavg" and not np.all(thetas == thetas[0]):
         raise ValueError("fedavg agents must share the initial weights")
 

@@ -108,11 +108,8 @@ def build_quadratic_setup(
     # Summed agent by agent: np.sum's pairwise order can move the last bits.
     global_opt = np.linalg.solve(sum(tasks.hessians), -sum(tasks.lin_terms))
 
-    if config.strategy == "fedavg":
-        shared = q.far_start + init_rng.uniform(-0.5, 0.5, q.dim)
-        inits = np.repeat(shared[None], n, axis=0)
-    else:
-        inits = np.array([q.far_start + init_rng.uniform(-0.5, 0.5, q.dim) for _ in range(n)])
+    rows = 1 if config.strategy == "fedavg" else n
+    inits = np.repeat(q.far_start + init_rng.uniform(-0.5, 0.5, (rows, q.dim)), n // rows, axis=0)
     monitor = ConvergenceMonitor(global_opt)
     params = ContractionParams(
         p_lower=np.full(n, q.curv_low),

@@ -3,7 +3,8 @@ interception with gradient inference, and gradient-matching input
 reconstruction.
 
 Everything here treats the training engines as black boxes; attacks hook
-in through the broadcast seam or read intercepted weight snapshots.
+in through the broadcast seam, where poisoning shifts the round's own copy
+in place, or read intercepted weight snapshots.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "ReconstructionResult",
     "dlg_compare_topologies",
     "dlg_reconstruct",
-    "poison_broadcast",
     "run_poisoning_experiment",
     "secure_leakage_probe",
 ]
@@ -46,36 +46,27 @@ class PoisonPolicy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "malicious_ids", frozenset(self.malicious_ids))
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.mode not in ("constant", "scaled"):
             raise ValueError(f"unknown poison mode {self.mode!r}")
 
     def hook(self):
-        """Broadcast hook for the training engines: maps the whole (n, d)
-        broadcast to a copy whose malicious rows below n are replaced by
-        their :func:`poison_broadcast`."""
-        ids = sorted(self.malicious_ids)
+        """Broadcast hook for the training engines: shifts the malicious rows
+        below n of the (n, d) broadcast it is handed in place and returns
+        that array. Negative ids name no agent; a zero epsilon shifts nothing."""
+        ids = sorted(i for i in self.malicious_ids if i >= 0) if self.epsilon else []
+        eps, scaled = self.epsilon, self.mode == "scaled"
 
         def apply(broadcast: np.ndarray) -> np.ndarray:
-            out = broadcast.copy()
+            n = len(broadcast)
             for i in ids:
-                if 0 <= i < len(out):
-                    out[i] = poison_broadcast(out[i], self, i)
-            return out
+                if i < n:
+                    row = broadcast[i]
+                    row += eps * float(np.linalg.norm(row)) / np.sqrt(row.size) if scaled else eps
+            return broadcast
 
         return apply
-
-
-def poison_broadcast(weights: np.ndarray, policy: PoisonPolicy, agent_id: int) -> np.ndarray:
-    """Perturb an outgoing weight vector if the sender is malicious."""
-    w = np.asarray(weights, dtype=float)
-    if agent_id not in policy.malicious_ids or policy.epsilon == 0.0:
-        return w
-    if policy.mode == "constant":
-        return w + policy.epsilon
-    shift = policy.epsilon * float(np.linalg.norm(w)) / np.sqrt(w.size)
-    return w + shift
 
 
 @dataclass
@@ -351,18 +342,17 @@ def run_poisoning_experiment(
     def tail(strategy: str, children, broadcast_hook) -> tuple[bool, float]:
         """One arm's divergence flag and tail mean of the worst-agent error."""
         init_seed, schedule_seed, noise_seed = children
-        init_rng = np.random.default_rng(init_seed)
-        if strategy == "fedavg":
-            inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
-            schedule = None
-        else:
-            inits = np.array([init_rng.uniform(-0.5, 0.5, dim) for _ in range(agent_count)])
+        schedule = None
+        if strategy != "fedavg":
             schedule = make_dms_schedule(
                 agent_count,
                 subset_size=subset_size,
                 substructure_count=substructure_count,
                 rng=np.random.default_rng(schedule_seed),
             )
+        rows = 1 if schedule is None else agent_count  # fedavg agents share one init
+        draws = np.random.default_rng(init_seed).uniform(-0.5, 0.5, (rows, dim))
+        inits = np.repeat(draws, agent_count // rows, axis=0)
         monitor = ConvergenceMonitor(np.zeros(dim))
         run = run_training(
             tasks,

@@ -25,8 +25,10 @@ from the learn stage (``old_forward``, ``old_forecast_mse``,
 ``direct_round_record``), the one-sample loss and gradient with the
 looped gradient-matching attack that called it (``old_loss_and_gradient``,
 ``old_dlg_reconstruct``), the json-encoding transcript writer
-(``old_write_transcript``), and the poisoning study's per-arm helper
-with the loop that called it (``old_poisoning_experiment``), with their arithmetic and draw order
+(``old_write_transcript``), the poisoning study's per-arm helper
+with the loop that called it (``old_poisoning_experiment``), and the
+per-row poisoning that the in-place hook replaced
+(``old_poison_broadcast``), with their arithmetic and draw order
 unchanged, so tests can assert that the replacement gives exactly the
 same numbers.
 """
@@ -1082,6 +1084,21 @@ def old_write_transcript(path, transcript: Transcript):
 
 
 # --- the poisoning study before its arms read the call's parameters -------
+# The per-row poisoning that PoisonPolicy.hook called for each malicious
+# row. Copied unchanged apart from the name.
+
+
+def old_poison_broadcast(weights: np.ndarray, policy: PoisonPolicy, agent_id: int) -> np.ndarray:
+    """Perturb an outgoing weight vector if the sender is malicious."""
+    w = np.asarray(weights, dtype=float)
+    if agent_id not in policy.malicious_ids or policy.epsilon == 0.0:
+        return w
+    if policy.mode == "constant":
+        return w + policy.epsilon
+    shift = policy.epsilon * float(np.linalg.norm(w)) / np.sqrt(w.size)
+    return w + shift
+
+
 # The per-arm helper rebuilt the task set, noise model and hook for every
 # arm. Copied unchanged apart from the names.
 

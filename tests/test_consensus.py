@@ -22,7 +22,7 @@ from dmslearn.consensus import (
 from dmslearn.experiment import build_quadratic_setup, seed_streams
 from dmslearn.numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks
 from dmslearn.secagg import ContributorError, Transcript
-from dmslearn.threats import PoisonPolicy, poison_broadcast
+from dmslearn.threats import PoisonPolicy
 from dmslearn.topology import (
     Graph,
     MarkovSchedule,
@@ -39,6 +39,7 @@ from oracles import (
     choice_step,
     make_agents,
     old_engine_rounds,
+    old_poison_broadcast,
     pairwise_max_distance,
     per_agent_rounds,
     per_agent_tasks,
@@ -738,6 +739,18 @@ def test_run_training_rejects_inits_off_the_task_set_and_a_nonpositive_gamma():
             run_training(tasks, complete_schedule(3), inits=inits, gamma=gamma, rounds=1)
 
 
+@pytest.mark.parametrize("strategy", ["dms", "fedavg"])
+@pytest.mark.parametrize("n, d", [(3, 0), (0, 2)], ids=["no-weight", "no-agent"])
+def test_run_training_rejects_a_task_set_with_no_agent_or_no_weight(strategy, n, d):
+    # Was a bare ZeroDivisionError from the learn stage's noise block size
+    # (or, for fedavg without agents, an IndexError from the shared-init check).
+    schedule = None if strategy == "fedavg" else complete_schedule(3)
+    with pytest.raises(ValueError, match="no agent or no weight"):
+        run_training(
+            quads(1.0, dim=d, n=n), schedule, inits=np.zeros((n, d)), gamma=0.1, strategy=strategy, rounds=1
+        )
+
+
 def test_plaintext_dms_round_bytes():
     n, d = 7, 3
     schedule = make_dms_schedule(n, subset_size=4, rng=np.random.default_rng(0))
@@ -993,7 +1006,7 @@ def test_engine_matches_previous_round_functions(
     runs = []
     for engine in ("new", "old"):
         tasks, inits, schedule = _engine_case(strategy, n, d, seed, shared=strategy == "fedavg")
-        hooks = {"new": policy.hook(), "old": lambda i, w: poison_broadcast(w, policy, i)}
+        hooks = {"new": policy.hook(), "old": lambda i, w: old_poison_broadcast(w, policy, i)}
         options = dict(
             alpha=alpha,
             epochs=epochs,
@@ -1070,7 +1083,7 @@ def _assert_engines_agree(
             shared_hessian=shared_hessian,
             family=family,
         )
-        hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: poison_broadcast(w, policy, i)}
+        hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: old_poison_broadcast(w, policy, i)}
         rngs = (np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
         options = dict(
             alpha=alpha,

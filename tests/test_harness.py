@@ -963,6 +963,15 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
     for span in ("secagg.share", "secagg.reconstruct"):
         assert calls[span] > 0, span
 
+    # The traced method builds the hook; the span times the hook it
+    # returns, once per round.
+    config = parse_config({**SELFTEST_SMALL, "rounds": 3, "attack": {"malicious": 2}})
+    tracer = layertrace.Tracer()
+    with tracer.patched():
+        run_experiment(config, tmp_path / "attacked")
+    assert tracer.unrestored() == []
+    assert tracer.self_times()[1]["threats.hook"] == 3
+
 
 def test_benchmark_poison_checks_still_read_the_study(tmp_path, monkeypatch):
     # The poison workload checks the FedAvg arms against its own simulation

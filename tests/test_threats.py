@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmslearn import threats
 from dmslearn.numerics import MlpModel
@@ -9,52 +9,65 @@ from dmslearn.threats import (
     PoisonPolicy,
     dlg_compare_topologies,
     dlg_reconstruct,
-    poison_broadcast,
     run_poisoning_experiment,
     secure_leakage_probe,
 )
 
-from oracles import old_dlg_reconstruct, old_poisoning_experiment
+from oracles import old_dlg_reconstruct, old_poison_broadcast, old_poisoning_experiment
 
 
 def test_poison_constant_mode():
     policy = PoisonPolicy(frozenset({1}), epsilon=0.5, mode="constant")
-    w = np.array([1.0, -2.0])
-    assert np.array_equal(poison_broadcast(w, policy, 0), w)
-    assert np.allclose(poison_broadcast(w, policy, 1), w + 0.5)
+    w = np.array([[1.0, -2.0], [1.0, -2.0]])
+    out = policy.hook()(w.copy())
+    assert np.array_equal(out[0], w[0])
+    assert np.allclose(out[1], w[1] + 0.5)
 
 
 def test_poison_scaled_mode():
     policy = PoisonPolicy(frozenset({0}), epsilon=0.1, mode="scaled")
-    w = np.array([3.0, 4.0])  # norm 5
+    w = np.array([[3.0, 4.0]])  # norm 5
     shift = 0.1 * 5.0 / np.sqrt(2.0)
-    assert np.allclose(poison_broadcast(w, policy, 0), w + shift)
+    assert np.allclose(policy.hook()(w.copy()), w + shift)
 
 
 def test_poison_zero_epsilon_is_noop():
     policy = PoisonPolicy(frozenset({0}), epsilon=0.0)
-    w = np.array([1.0])
-    assert np.array_equal(poison_broadcast(w, policy, 0), w)
+    w = np.array([[1.0]])
+    assert np.array_equal(policy.hook()(w.copy()), w)
 
 
 def test_poison_validation():
-    with pytest.raises(ValueError):
-        PoisonPolicy(frozenset({0}), epsilon=-0.1)
+    for epsilon in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            PoisonPolicy(frozenset({0}), epsilon=epsilon)
     with pytest.raises(ValueError):
         PoisonPolicy(frozenset({0}), mode="flip")
 
 
-def test_policy_hook_matches_direct_call():
-    broadcast = np.random.default_rng(0).standard_normal((4, 3))
-    before = broadcast.copy()
-    for mode in ("constant", "scaled"):
-        # Id 7 names no agent of the 4-row broadcast and must be skipped.
-        policy = PoisonPolicy(frozenset({2, 0, 7}), epsilon=0.3, mode=mode)
-        out = policy.hook()(broadcast)
-        assert np.array_equal(broadcast, before)
-        assert out.shape == broadcast.shape
-        for agent in range(4):
-            assert np.array_equal(out[agent], poison_broadcast(broadcast[agent], policy, agent))
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.frozensets(st.integers(-3, 8), max_size=6),
+    epsilon=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    mode=st.sampled_from(["constant", "scaled"]),
+    n=st.integers(1, 6),
+    d=st.sampled_from([1, 2, 801]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Id 7 names no agent of the 4-row broadcast and must be skipped; so must -1.
+@example(ids=frozenset({2, 0, 7, -1}), epsilon=0.3, mode="constant", n=4, d=3, seed=0)
+@example(ids=frozenset({2, 0, 7, -1}), epsilon=0.3, mode="scaled", n=4, d=3, seed=0)
+def test_policy_hook_matches_direct_call(ids, epsilon, mode, n, d, seed):
+    # The hook shifts the array it is handed in place, bit for bit as the
+    # per-row poisoning it replaced does to a copy, row by row.
+    broadcast = np.random.default_rng(seed).standard_normal((n, d)) * 3.0
+    policy = PoisonPolicy(ids, epsilon=epsilon, mode=mode)
+    expected = broadcast.copy()
+    for agent in range(n):
+        expected[agent] = old_poison_broadcast(expected[agent], policy, agent)
+    out = policy.hook()(broadcast)
+    assert out is broadcast
+    assert np.array_equal(out, expected)
 
 
 def test_dlg_recovers_known_sample():
@@ -225,8 +238,14 @@ def test_poisoning_experiment_matches_the_per_arm_helper(mode, malicious_count, 
 
 @pytest.mark.parametrize(
     "options",
-    [{"tail_rounds": 0}, {"tail_rounds": -3}, {"malicious_count": -1}],
-    ids=["no-tail", "negative-tail", "negative-malicious"],
+    [
+        {"tail_rounds": 0},
+        {"tail_rounds": -3},
+        {"malicious_count": -1},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+    ],
+    ids=["no-tail", "negative-tail", "negative-malicious", "nan-epsilon", "inf-epsilon"],
 )
 def test_poisoning_experiment_rejects_bad_counts_before_training(options, monkeypatch):
     def train(*args, **kwargs):
@@ -235,3 +254,9 @@ def test_poisoning_experiment_rejects_bad_counts_before_training(options, monkey
     monkeypatch.setattr(threats, "run_training", train)
     with pytest.raises(ValueError):
         run_poisoning_experiment([0], rounds=50, **options)
+
+
+def test_poisoning_experiment_rejects_a_zero_dim():
+    # Was a bare ZeroDivisionError from the learn stage's noise block size.
+    with pytest.raises(ValueError, match="no agent or no weight"):
+        run_poisoning_experiment([0], dim=0, rounds=5)
