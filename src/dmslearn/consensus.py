@@ -227,9 +227,9 @@ def contraction_check(
     contraction = params.alpha * float((a @ lam).max())
     limit_bound = params.alpha * float((params.xi**2).max())
 
-    series = monitor.worst_mse
-    if series.size == 0:
+    if not monitor.theta_sq:  # before worst_mse, which cannot reduce an empty series
         raise ValueError("monitor holds no rounds")
+    series = monitor.worst_mse
     tail_len = max(1, int(round(0.2 * series.size)))
     tail_mean = float(series[-tail_len:].mean())
     diverged = _diverged(series)
@@ -351,9 +351,9 @@ def _round_metrics(
     else:
         # The round's own transcript entries, from ``first_entry`` on.
         entries = secure.transcript.entries[first_entry:]
-        messages, nbytes = len(entries), sum(e.payload_bytes for e in entries)
-        senders = [e.sender for e in entries if 0 <= e.sender < n]
-        per_agent = np.bincount(senders, minlength=n)
+        senders = [s for e in entries for s in e.senders]
+        messages, nbytes = len(senders), sum(len(e.senders) * e.payload_bytes for e in entries)
+        per_agent = np.bincount(senders, minlength=n)[:n]  # parties and servers hold ids past n
     return RoundMetrics(
         round_index, edge_count, active, messages, nbytes, degrees, per_agent, train_losses
     )

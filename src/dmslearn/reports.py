@@ -66,11 +66,9 @@ def write_transcript(path: str | Path, transcript: Transcript) -> Path:
     sorted keys and no spaces, formatted directly rather than through json."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    phases = {phase: json.dumps(phase) for phase in {e.phase for e in transcript.entries}}
     with path.open("a") as fh:
-        fh.writelines(
-            f'{{"from":{e.sender},"payload_bytes":{e.payload_bytes},"phase":{phases[e.phase]},'
-            f'"round":{e.round_index},"to":{e.receiver}}}\n'
-            for e in transcript.entries
-        )
+        for e in transcript.entries:
+            rest = f'"payload_bytes":{e.payload_bytes},"phase":{json.dumps(e.phase)},'
+            rest += f'"round":{e.round_index},"to":'
+            fh.writelines(f'{{"from":{s},{rest}{r}}}\n' for s, r in zip(e.senders, e.receivers))
     return path

@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -456,17 +457,20 @@ class SecAggSession:
 
 @dataclass(frozen=True)
 class TranscriptEntry:
+    """One session phase: message ``i`` goes from ``senders[i]`` to ``receivers[i]``, is
+    ``payload_bytes`` long and, when recorded, carries the ``i``-th equal slice of ``payload``."""
+
     round_index: int
     phase: str  # "share" or "reconstruct"
-    sender: int
-    receiver: int
+    senders: tuple[int, ...]
+    receivers: tuple[int, ...]
     payload: tuple[int, ...]
     payload_bytes: int
 
 
 class Transcript:
-    """Network-visible record of a secure run: every logical message with
-    its field-element payload, plus running traffic counters.
+    """Network-visible record of a secure run: one entry per session phase,
+    with the field elements its messages carry, plus running traffic counters.
 
     Set ``record_payloads=False`` to store every payload as ``()`` on long runs.
     """
@@ -478,31 +482,21 @@ class Transcript:
         self.bytes = 0
 
     def log(
-        self,
-        round_index: int,
-        phase: str,
-        sender: int,
-        receiver: int,
-        payload: Sequence[int],
-        elem_bytes: int,
+        self, round_index: int, phase: str, senders: Sequence[int], receivers: Sequence[int],
+        payload_bytes: int, payloads: Sequence[Sequence[int]] | None = None
     ) -> None:
-        self.messages += 1
-        self.bytes += len(payload) * elem_bytes
-        self.entries.append(
-            TranscriptEntry(
-                round_index,
-                phase,
-                sender,
-                receiver,
-                tuple(payload) if self.record_payloads else (),
-                len(payload) * elem_bytes,
-            )
-        )
+        """One phase: a ``payload_bytes`` message from each sender to the receiver at its
+        position; ``payloads``, each message's field elements, are read only when recorded."""
+        senders, receivers = tuple(senders), tuple(receivers)
+        self.messages += len(senders)
+        self.bytes += len(senders) * payload_bytes
+        payload = tuple(chain.from_iterable(payloads)) if self.record_payloads else ()
+        entry = TranscriptEntry(round_index, phase, senders, receivers, payload, payload_bytes)
+        self.entries.append(entry)
 
     def payload_values(self):
         """All transmitted field elements, across every recorded message."""
-        for entry in self.entries:
-            yield from entry.payload
+        return chain.from_iterable(entry.payload for entry in self.entries)
 
 
 def secure_aggregate(
@@ -560,16 +554,12 @@ def secure_aggregate(
     record = transcript is not None and transcript.record_payloads
     encoded = codec.encode_limbs([np.ravel(v) for v in vectors])
     summed = np.zeros((params.degree + 1, dim, width // 4), np.uint64)
-    for contributor, secret in zip(session.contributors, encoded):
+    sent = []  # each share message's field elements, when recorded
+    for secret in encoded:
         limbs = share(secret, params, rng, width=width)
         summed += limbs
-        if transcript is not None:  # an unrecorded payload is logged by its length alone
-            if record:
-                sent = [_unpacked(p, dim, width, prime) for p in _evaluate(_columns(limbs), params)]
-            else:
-                sent = [range(dim)] * params.parties
-            for party, payload in zip(session.parties, sent):
-                transcript.log(round_index, "share", contributor, party, payload, elem_bytes)
+        if record:
+            sent += [_unpacked(p, dim, width, prime) for p in _evaluate(_columns(limbs), params)]
     for j in range(width // 4 - 1):
         summed[..., j + 1] += summed[..., j] >> 32
     totals = _evaluate(_columns(summed), params)
@@ -577,11 +567,13 @@ def secure_aggregate(
     if corrupt_party is not None:
         totals[corrupt_party] += 1
 
-    if transcript is not None:
-        rows = [_unpacked(v, dim, width, prime) if record else range(dim) for v in totals]
-        for recipient in session.recipients:
-            for party, row in zip(session.parties, rows):
-                transcript.log(round_index, "reconstruct", party, recipient, row, elem_bytes)
+    if transcript is not None:  # each contributor to each party, then each party to each recipient
+        parties, recipients, size = session.parties, session.recipients, dim * elem_bytes
+        froms = [c for c in session.contributors for _ in parties]
+        transcript.log(round_index, "share", froms, parties * len(vectors), size, sent)
+        rows = [_unpacked(v, dim, width, prime) for v in totals] if record else []
+        tos, k = [r for r in recipients for _ in parties], len(recipients)
+        transcript.log(round_index, "reconstruct", parties * k, tos, size, rows * k)
 
     shares = [SecretShare(x, total) for x, total in enumerate(totals, start=1)]
     return codec.decode_vector(reconstruct(shares, params, width=width, dim=dim))

@@ -24,7 +24,9 @@ forecast evaluation from before they were stacked and train losses came
 from the learn stage (``old_forward``, ``old_forecast_mse``,
 ``direct_round_record``), the one-sample loss and gradient with the
 looped gradient-matching attack that called it (``old_loss_and_gradient``,
-``old_dlg_reconstruct``), the json-encoding transcript writer
+``old_dlg_reconstruct``), the per-message transcript that the per-phase
+log replaced (``OldTranscript``, which ``per_message`` expands a phase log
+into), the json-encoding transcript writer
 (``old_write_transcript``), the poisoning study's per-arm helper
 with the loop that called it (``old_poisoning_experiment``), and the
 per-row poisoning that the in-place hook replaced
@@ -67,7 +69,6 @@ from dmslearn.secagg import (
     SharingParams,
     TamperError,
     Transcript,
-    secure_aggregate,
 )
 from dmslearn.threats import PoisonOutcome, PoisonPolicy, ReconstructionResult
 from dmslearn.topology import Graph, make_dms_schedule, mixing_matrix
@@ -250,6 +251,8 @@ def pairwise_max_distance(thetas) -> float:
 
 
 # --- the previous round engine: three separate round functions ---------
+# Its secure sums run ``old_secure_aggregate`` (the same draws and sums as
+# the package's), so its metrics count an ``OldTranscript`` message by message.
 
 
 def _noise_list(noise, n):
@@ -275,7 +278,7 @@ def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
     if strategy == "dring":
         for session in sessions:
             recipient = session.recipients[0]
-            total = secure_aggregate(
+            total = old_secure_aggregate(
                 [broadcast[j] for j in session.contributors],
                 session,
                 secure.codec,
@@ -287,7 +290,7 @@ def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
     else:
         session = sessions[0]
         members = session.contributors
-        total = secure_aggregate(
+        total = old_secure_aggregate(
             [broadcast[j] for j in members],
             session,
             secure.codec,
@@ -410,7 +413,7 @@ def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=No
     if secure is not None:
         session = old_party_placement("fedavg", agent_count=n, prime=secure.codec.prime)[0]
         try:
-            total = secure_aggregate(
+            total = old_secure_aggregate(
                 [broadcast[i] for i in range(n)],
                 session,
                 secure.codec,
@@ -648,7 +651,7 @@ def old_secure_aggregate(
     codec: FixedPointCodec,
     rng: np.random.Generator,
     *,
-    transcript: Transcript | None = None,
+    transcript: OldTranscript | None = None,
     round_index: int = 0,
     corrupt_party: int | None = None,
     corrupt_delta: int = 1,
@@ -709,6 +712,76 @@ def old_secure_aggregate(
         coord_shares = [SecretShare(pos + 1, sums[pos][coord]) for pos in range(nu)]
         totals.append(old_reconstruct(coord_shares, params))
     return codec.decode_vector(totals)
+
+
+# --- the per-message transcript the per-phase log replaced ----------------
+# Copied unchanged apart from the names.
+
+
+@dataclass(frozen=True)
+class OldTranscriptEntry:
+    round_index: int
+    phase: str  # "share" or "reconstruct"
+    sender: int
+    receiver: int
+    payload: tuple[int, ...]
+    payload_bytes: int
+
+
+class OldTranscript:
+    """Network-visible record of a secure run: every logical message with
+    its field-element payload, plus running traffic counters.
+
+    Set ``record_payloads=False`` to store every payload as ``()`` on long runs.
+    """
+
+    def __init__(self, record_payloads: bool = True) -> None:
+        self.record_payloads = record_payloads
+        self.entries: list[OldTranscriptEntry] = []
+        self.messages = 0
+        self.bytes = 0
+
+    def log(
+        self,
+        round_index: int,
+        phase: str,
+        sender: int,
+        receiver: int,
+        payload: Sequence[int],
+        elem_bytes: int,
+    ) -> None:
+        self.messages += 1
+        self.bytes += len(payload) * elem_bytes
+        self.entries.append(
+            OldTranscriptEntry(
+                round_index,
+                phase,
+                sender,
+                receiver,
+                tuple(payload) if self.record_payloads else (),
+                len(payload) * elem_bytes,
+            )
+        )
+
+    def payload_values(self):
+        """All transmitted field elements, across every recorded message."""
+        for entry in self.entries:
+            yield from entry.payload
+
+
+def per_message(transcript: Transcript) -> list[OldTranscriptEntry]:
+    """A phase log's entries expanded, in order, into one entry per message,
+    each payload the message's equal slice of its phase's payload."""
+    expanded = []
+    for e in transcript.entries:
+        dim = len(e.payload) // len(e.senders) if e.senders else 0
+        assert len(e.payload) == dim * len(e.senders)
+        for i, (sender, receiver) in enumerate(zip(e.senders, e.receivers, strict=True)):
+            payload = e.payload[i * dim : (i + 1) * dim]
+            expanded.append(
+                OldTranscriptEntry(e.round_index, e.phase, sender, receiver, payload, e.payload_bytes)
+            )
+    return expanded
 
 
 # --- the int-list field draw the packed byte draw replaced ---------------
@@ -1065,7 +1138,7 @@ def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts
 # Copied unchanged apart from the name.
 
 
-def old_write_transcript(path, transcript: Transcript):
+def old_write_transcript(path, transcript: OldTranscript):
     """Append one JSON line per recorded protocol message to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -1100,7 +1173,8 @@ def old_poison_broadcast(weights: np.ndarray, policy: PoisonPolicy, agent_id: in
 
 
 # The per-arm helper rebuilt the task set, noise model and hook for every
-# arm. Copied unchanged apart from the names.
+# arm. Copied unchanged apart from the names and the hook, which poisons
+# row by row with ``old_poison_broadcast`` in place of the package's.
 
 
 def _old_poison_arm(
@@ -1146,7 +1220,9 @@ def _old_poison_arm(
         rounds=rounds,
         noise=NoiseModel(noise_bound),
         noise_rng=noise_rng,
-        broadcast_hook=policy.hook() if policy is not None else None,
+        broadcast_hook=None if policy is None else (
+            lambda rows: _hooked(rows, lambda i, w: old_poison_broadcast(w, policy, i))
+        ),
         monitor=monitor,
     )
     series = monitor.worst_mse

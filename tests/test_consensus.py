@@ -35,6 +35,7 @@ from dmslearn.topology import (
 )
 
 from oracles import (
+    OldTranscript,
     _per_agent_step,
     choice_step,
     make_agents,
@@ -287,6 +288,18 @@ def test_run_and_contraction_check_share_one_divergence_rule(rounds, diverged):
     report = contraction_check(monitor, params, np.eye(1), noise_free=True)
     assert run.diverged == report.diverged == diverged
     assert not report.stable
+
+
+def test_contraction_check_rejects_a_monitor_with_no_rounds():
+    # The message, not only the type: numpy's AxisError is a ValueError too.
+    params = ContractionParams(
+        p_lower=np.array([2.0]),
+        p_upper=np.array([2.0]),
+        xi=np.zeros(1),
+        step_sizes=np.array([1.0]),
+    )
+    with pytest.raises(ValueError, match="^monitor holds no rounds$"):
+        contraction_check(ConvergenceMonitor(np.zeros(1)), params, np.eye(1), noise_free=True)
 
 
 def test_monitor_record_returns_the_stored_rows_maximum():
@@ -1013,7 +1026,11 @@ def test_engine_matches_previous_round_functions(
             noise=NoiseModel(0.05) if noisy else None,
             noise_rng=np.random.default_rng(seed + 1),
             broadcast_hook=hooks[engine] if poisoned else None,
-            secure=SecureSetup(rng=np.random.default_rng(seed + 2), transcript=Transcript())
+            # The old engine counts its messages one by one, as it logged them.
+            secure=SecureSetup(
+                rng=np.random.default_rng(seed + 2),
+                transcript=Transcript() if engine == "new" else OldTranscript(),
+            )
             if secure
             else None,
         )

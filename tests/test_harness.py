@@ -25,10 +25,18 @@ from dmslearn.experiment import (
 from dmslearn.consensus import ConvergenceMonitor
 from dmslearn.numerics import MlpModel
 from dmslearn.reports import write_report, write_transcript
-from dmslearn.secagg import Transcript
+from dmslearn.secagg import FixedPointCodec, Transcript, party_placement, secure_aggregate
 from dmslearn.threats import run_poisoning_experiment
+from dmslearn.topology import make_topology
 
-from oracles import direct_round_record, household_splits, old_forecast_mse, old_write_transcript
+from oracles import (
+    OldTranscript,
+    direct_round_record,
+    household_splits,
+    old_forecast_mse,
+    old_secure_aggregate,
+    old_write_transcript,
+)
 
 
 def read_report(path):
@@ -200,8 +208,11 @@ def test_run_experiment_keeps_no_secure_payloads(tmp_path, monkeypatch):
     config = small_quadratic(strategy="dfc", rounds=2, secure={"enabled": True})
     result = run_experiment(config, tmp_path)
     [transcript] = made
-    assert transcript.messages == len(transcript.logged) == result.summary["total_messages"]
-    assert [e.payload for e in transcript.logged] == [()] * transcript.messages
+    # One share and one reconstruct entry per round's one session.
+    assert [e.phase for e in transcript.logged] == ["share", "reconstruct"] * config.rounds
+    assert transcript.messages == sum(len(e.senders) for e in transcript.logged)
+    assert transcript.messages == result.summary["total_messages"]
+    assert [e.payload for e in transcript.logged] == [()] * len(transcript.logged)
     assert transcript.entries == []
     lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
     assert len(lines) == transcript.messages
@@ -215,10 +226,13 @@ def test_run_experiment_keeps_one_round_of_transcript(tmp_path, monkeypatch, wri
     real = experiment.run_training
 
     def spy(tasks, schedule, *, secure, on_round, **options):
+        def held_messages():
+            return sum(len(e.senders) for e in secure.transcript.entries)
+
         def counted(k, thetas, phis, metrics):
-            held.append((len(secure.transcript.entries), metrics.messages))
+            held.append((held_messages(), metrics.messages))
             on_round(k, thetas, phis, metrics)
-            held.append((len(secure.transcript.entries), 0))
+            held.append((held_messages(), 0))
 
         return real(tasks, schedule, secure=secure, on_round=counted, **options)
 
@@ -391,20 +405,33 @@ def test_report_files_are_canonical(tmp_path):
 
 
 def test_transcript_lines_equal_the_json_encoded_ones(tmp_path):
-    transcript = Transcript(record_payloads=False)
-    for round_index, phase, sender, receiver, dim in (
-        (0, "share", 3, 3, 801),
-        (12, "share", 123, 10, 4),
-        (12, "reconstruct", 1004, 31, 0),
-        (7, "reconstruct", 10, 123456, 25),
+    # Each phase entry writes one line per message: the lines that the old
+    # writer gives for the same messages logged one by one.
+    transcript, old_log = Transcript(record_payloads=False), OldTranscript(record_payloads=False)
+    for round_index, phase, senders, receivers, dim in (
+        (0, "share", (3,), (3,), 801),
+        (12, "share", (123, 123, 7), (10, 11, 10), 4),
+        (12, "reconstruct", (1004, 1005), (31, 31), 0),
+        (7, "reconstruct", (10,), (123456,), 25),
+        (8, "share", (), (), 3),
     ):
-        transcript.log(round_index, phase, sender, receiver, range(dim), 16)
+        transcript.log(round_index, phase, senders, receivers, 16 * dim)
+        for sender, receiver in zip(senders, receivers):
+            old_log.log(round_index, phase, sender, receiver, range(dim), 16)
+    # And a server round's and a ring round's sessions, against the old path's log.
+    codec, vectors = FixedPointCodec(), np.ones((6, 2))
+    sessions = party_placement(agent_count=6) + party_placement(make_topology("ring", 6))
+    for k, session in enumerate(sessions):
+        rows = vectors[list(session.contributors)]
+        for aggregate, log in ((secure_aggregate, transcript), (old_secure_aggregate, old_log)):
+            aggregate(rows, session, codec, np.random.default_rng(k), transcript=log, round_index=k)
     for path in (tmp_path / "new.jsonl", tmp_path / "old.jsonl"):
         path.write_text("kept\n")  # both append
     write_transcript(tmp_path / "new.jsonl", transcript)
-    old_write_transcript(tmp_path / "old.jsonl", transcript)
+    old_write_transcript(tmp_path / "old.jsonl", old_log)
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
-    assert len((tmp_path / "new.jsonl").read_text().splitlines()) == 5
+    # The kept line, 7 messages, the server session's 18 + 3, and 9 + 3 in each ring session.
+    assert len((tmp_path / "new.jsonl").read_text().splitlines()) == 1 + 7 + 21 + 6 * 12
 
 
 def test_cli_run_ok(tmp_path):
@@ -950,8 +977,14 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
     config = parse_config({**SELFTEST_SMALL, "rounds": 2, "secure": {"enabled": True}})
     tracer = layertrace.Tracer()
     with tracer.patched():
-        run_experiment(config, tmp_path)
+        result = run_experiment(config, tmp_path)
     assert tracer.unrestored() == []
+    # The traffic metrics read the transcript: its byte counter per round,
+    # and the payloads its entries still hold after each round dropped them.
+    metrics = tracer.metrics()
+    assert metrics["secagg.retained_payload_elems"]["value"] == 0
+    bytes_per_round = metrics["secagg.bytes_per_round"]["value"]
+    assert bytes_per_round == result.summary["total_bytes"] / 2 == 15872.0
     _, calls = tracer.self_times()
     # One stacked step per epoch per round, found through consensus's global.
     for span in (

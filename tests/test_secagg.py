@@ -32,6 +32,7 @@ from dmslearn.secagg import (
 from dmslearn.topology import Graph, make_subset_graph, make_topology
 
 from oracles import (
+    OldTranscript,
     naive_poly_eval,
     naive_reconstruct,
     old_rand_field_element,
@@ -43,6 +44,7 @@ from oracles import (
     old_reconstruct,
     old_secure_aggregate,
     old_share,
+    per_message,
 )
 
 
@@ -283,10 +285,9 @@ def test_transcript_message_counts():
     parties = len(session.parties)
     recipients = len(session.recipients)
     assert transcript.messages == contributors * parties + parties * recipients
-    share_messages = sum(
-        1 for e in transcript.entries if e.phase == "share"
-    )
-    assert share_messages == contributors * parties
+    # One entry per phase, each listing its messages' senders.
+    assert [e.phase for e in transcript.entries] == ["share", "reconstruct"]
+    assert len(transcript.entries[0].senders) == contributors * parties
 
 
 def test_transcript_payload_hiding():
@@ -576,7 +577,7 @@ def test_an_out_of_range_value_raises_before_any_coefficient_is_drawn():
         secure_aggregate(vectors, session, codec, rng, transcript=transcript)
     assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
     assert (transcript.entries, transcript.messages, transcript.bytes) == ([], 0, 0)
-    old_rng, old_log = np.random.default_rng(4), Transcript()
+    old_rng, old_log = np.random.default_rng(4), OldTranscript()
     with pytest.raises(EncodingRangeError, match=r"^value 300\.0 outside"):
         old_secure_aggregate(vectors, session, codec, old_rng, transcript=old_log)
     assert old_rng.bit_generator.state != rng.bit_generator.state and old_log.messages == 6
@@ -748,9 +749,9 @@ def test_secure_aggregate_matches_the_old_per_coordinate_path(data, prime, seed)
         assert transcript is None or transcript.entries == []
         return
     runs = []
-    for aggregate in (secure_aggregate, old_secure_aggregate):
+    for aggregate, log in ((secure_aggregate, Transcript), (old_secure_aggregate, OldTranscript)):
         rng = np.random.default_rng(seed)
-        transcript = None if mode is None else Transcript(**mode)
+        transcript = None if mode is None else log(**mode)
         total = outcome(
             aggregate, vectors, session, codec, rng,
             transcript=transcript, round_index=2, corrupt_party=corrupt,
@@ -764,7 +765,7 @@ def test_secure_aggregate_matches_the_old_per_coordinate_path(data, prime, seed)
         assert new == old
     assert new_state == old_state
     if mode is not None:
-        assert new_log.entries == old_log.entries
+        assert per_message(new_log) == old_log.entries
         assert (new_log.messages, new_log.bytes) == (old_log.messages, old_log.bytes)
 
 
@@ -788,7 +789,7 @@ def test_recording_payloads_changes_only_the_payloads(parties, degree, contribut
     # The recorded share payloads are what share() hands out on the same draws.
     replay = np.random.default_rng(3)
     shares = [share(codec.encode_vector(v), params, replay) for v in vectors]
-    sent = [e.payload for e in full.entries if e.phase == "share"]
+    sent = [m.payload for m in per_message(full) if m.phase == "share"]
     assert sent == [s.value for per_contributor in shares for s in per_contributor]
 
 
@@ -936,15 +937,66 @@ def test_secure_aggregate_matches_the_old_path_at_benchmark_scale(parties, degre
     session = SecAggSession(SharingParams(parties, degree), ids, holders, holders[:1] + ids[:2])
     vectors = [np.random.default_rng(i).normal(scale=0.3, size=801) for i in ids]
 
-    def run(aggregate, record):
-        rng, transcript = np.random.default_rng(17), Transcript(record_payloads=record)
+    def run(aggregate, transcript):
+        rng = np.random.default_rng(17)
         total = aggregate(vectors, session, codec, rng, transcript=transcript, round_index=4)
         return total.tobytes(), rng.bit_generator.state, transcript
 
-    old_total, old_state, old_log = run(old_secure_aggregate, True)
+    old_total, old_state, old_log = run(old_secure_aggregate, OldTranscript())
     bare_entries = [dataclasses.replace(e, payload=()) for e in old_log.entries]
     for record in (True, False):
-        total, state, log = run(secure_aggregate, record)
+        total, state, log = run(secure_aggregate, Transcript(record_payloads=record))
         assert (total, state) == (old_total, old_state)
         assert (log.messages, log.bytes) == (old_log.messages, old_log.bytes)
-        assert log.entries == (old_log.entries if record else bare_entries)
+        assert len(log.entries) == 2
+        assert per_message(log) == (old_log.entries if record else bare_entries)
+
+
+@given(
+    kind=st.sampled_from(["server", "ring", "complete"]),
+    n=st.integers(min_value=3, max_value=7),
+    dim=st.integers(min_value=0, max_value=3),
+    record=st.booleans(),
+    corrupt=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_each_phase_entry_expands_to_the_old_per_message_log(kind, n, dim, record, corrupt, seed):
+    # A session logs its share phase and then its reconstruct phase, also
+    # when a corrupted party makes the reconstruction raise. Expanded
+    # message by message, the entries are the old per-message log of the
+    # same sessions: round, phase, sender, receiver, bytes and payload.
+    sessions = party_placement(None if kind == "server" else make_topology(kind, n), agent_count=n)
+    vectors = np.random.default_rng(seed).normal(size=(n, dim))
+    bad = 0 if corrupt and dim else None
+    runs = []
+    for aggregate, log in ((secure_aggregate, Transcript), (old_secure_aggregate, OldTranscript)):
+        rng, transcript = np.random.default_rng(seed + 1), log(record_payloads=record)
+        totals = [
+            outcome(aggregate, vectors[list(session.contributors)], session, FixedPointCodec(),
+                    rng, transcript=transcript, round_index=k, corrupt_party=bad)
+            for k, session in enumerate(sessions)
+        ]
+        runs.append((totals, rng.bit_generator.state, transcript))
+    (new, new_state, new_log), (old, old_state, old_log) = runs
+    if bad is None:
+        assert all(np.array_equal(a, b) for a, b in zip(new, old, strict=True))
+    else:
+        assert new == old and {total[0] for total in new} == {TamperError}
+    assert new_state == old_state
+    assert [e.phase for e in new_log.entries] == ["share", "reconstruct"] * len(sessions)
+    assert per_message(new_log) == old_log.entries
+    assert (new_log.messages, new_log.bytes) == (old_log.messages, old_log.bytes)
+
+
+def test_a_21_party_session_keeps_two_entries_for_its_882_messages():
+    # The secure dms round at the forecast model's size: 21 contributors
+    # share to 21 parties, which send their sums to 21 recipients.
+    [session] = party_placement(make_topology("complete", 21))
+    vectors = np.random.default_rng(0).normal(scale=0.3, size=(21, 801))
+    transcript = Transcript(record_payloads=False)
+    secure_aggregate(vectors, session, FixedPointCodec(), np.random.default_rng(1), transcript=transcript)
+    assert [e.phase for e in transcript.entries] == ["share", "reconstruct"]
+    assert [e.payload for e in transcript.entries] == [(), ()]
+    assert (transcript.messages, transcript.bytes) == (882, 11_303_712)
+    assert len({*transcript.entries[0].senders}) == len({*transcript.entries[1].receivers}) == 21

@@ -177,14 +177,14 @@ def test_leakage_probe_flags_planted_value():
     vec = np.array([0.25, -1.5])
     encoded = codec.encode_vector(vec)
     leaky = Transcript()
-    leaky.log(0, "share", 0, 7, [encoded[0]], 16)
+    leaky.log(0, "share", (0,), (7,), 16, [[encoded[0]]])
     assert secure_leakage_probe(leaky, [encoded]) is False
 
 
 def test_leakage_probe_rejects_a_transcript_without_payloads():
     # The private value goes on the wire, but only its length is kept.
     bare = Transcript(record_payloads=False)
-    bare.log(0, "share", 0, 7, [12345], 16)
+    bare.log(0, "share", (0,), (7,), 16, [[12345]])
     with pytest.raises(ValueError, match="no payloads"):
         secure_leakage_probe(bare, [[12345]])
 
