@@ -52,12 +52,11 @@ __all__ = [
 # Gets the round's own copy of the (n, d) broadcast, which it may edit; returns what is sent.
 BroadcastHook = Callable[[np.ndarray], np.ndarray]
 
-# A run whose weights or worst squared error pass this magnitude has diverged.
 DIVERGENCE_CAP = 1e12
 
 
 def _diverged(values) -> bool:
-    """True when any value is non-finite or its magnitude exceeds the cap."""
+    """The divergence rule: some value is non-finite or above ``DIVERGENCE_CAP``, 1e12, in size."""
     # NaN propagates through the maximum and fails the comparison.
     return not np.abs(np.asarray(values, dtype=float)).max() <= DIVERGENCE_CAP
 
@@ -120,8 +119,9 @@ class ConvergenceMonitor:
 
     def record(self, thetas: np.ndarray) -> float:
         """Store one row of per-agent squared errors; return its maximum."""
-        diff = np.asarray(thetas, dtype=float) - self.optimum
-        row = np.sum(diff * diff, axis=1)
+        diff = thetas - self.optimum
+        diff *= diff
+        row = diff.sum(axis=1)
         self.theta_sq.append(row)
         return float(row.max())
 
@@ -375,11 +375,8 @@ def _round(
     the metrics, which carry the learn stage's losses. Mix hooks the
     outgoing weights, averages them with the round graph's mixing matrix,
     the server mean when ``graph`` is None, or the secure sessions of
-    ``party_placement``, and scales by ``alpha``.
+    ``party_placement``, and scales by ``alpha``. ``run_training`` checks that ``graph`` fits.
     """
-    n = len(thetas)
-    if graph is not None and graph.agent_count != n:
-        raise ValueError("schedule graph does not cover the agent set")
     outgoing, losses = learn(thetas) if learn_first else (thetas, None)
     # The hook gets the round's one copy: an in-place edit must not reach theta or phi.
     broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
@@ -388,14 +385,15 @@ def _round(
     if secure is not None:
         first_entry = len(secure.transcript.entries)
         try:
-            mixed = alpha * _secure_mix(broadcast, graph, secure, round_index)
+            mixed = _secure_mix(broadcast, graph, secure, round_index)
         except SecAggError as exc:
             raise RoundFailure(round_index, exc) from exc
     elif graph is None:
         # Every agent holds exactly the server's mean.
-        mixed = alpha * np.repeat(broadcast.mean(axis=0)[None, :], n, axis=0)
+        mixed = np.repeat(broadcast.mean(axis=0)[None, :], len(broadcast), axis=0)
     else:
-        mixed = alpha * (graph.mixing @ broadcast)
+        mixed = graph.mixing @ broadcast
+    mixed *= alpha  # every mix above returns a fresh array
 
     if learn_first:
         thetas, phis = mixed, outgoing
@@ -467,8 +465,10 @@ def run_training(
     A tolerance needs a monitor, which supplies the reference optimum
     (without one the call raises ``ValueError``). The check fires before
     the first round too, so a run that starts converged reports zero
-    rounds. A divergent weight or worst error (see
-    ``_diverged``) stops the run and flags it, without overflow warnings.
+    rounds. After each round one ``_diverged`` test, of the worst squared error with a
+    monitor and of the weights without one, stops and flags a divergent run, without
+    overflow warnings. The error test flags every weight past the cap too when the optimum
+    lies within 1e12 - 1e6 of the origin, as every monitor's in the package does.
 
     The rounds start from a copy of the (n, d) ``inits``, which must
     match the task set's (n, d), n and d positive, and step every agent
@@ -482,11 +482,11 @@ def run_training(
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
-    decentralized = {"dms", "dfc", "dring", "ctl", "centralized"}
-    if strategy not in decentralized | {"fedavg"}:
+    if strategy not in {"dms", "dfc", "dring", "ctl", "centralized", "fedavg"}:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "fedavg" and schedule is None:
-        raise ValueError(f"{strategy} needs a topology schedule")
+    if (schedule is None) != (strategy == "fedavg"):  # fedavg mixes by the server mean
+        need = "needs a" if schedule is None else "takes no"
+        raise ValueError(f"{strategy} {need} topology schedule")
 
     if epochs < 1:
         raise ValueError("epochs must be positive")
@@ -497,6 +497,9 @@ def run_training(
         raise ValueError(f"inits of shape {thetas.shape} for a task set of shape {tasks.shape}")
     if thetas.size == 0:
         raise ValueError(f"a task set of shape {tasks.shape} has no agent or no weight to train")
+    # MarkovSchedule holds graphs of one agent count.
+    if schedule is not None and schedule.substructures[0].agent_count != len(thetas):
+        raise ValueError("schedule graph does not cover the agent set")
     if strategy == "fedavg" and not np.all(thetas == thetas[0]):
         raise ValueError("fedavg agents must share the initial weights")
 
@@ -524,8 +527,7 @@ def run_training(
                 worst = monitor.record(thetas)
             if on_round is not None:
                 on_round(k, thetas, phis, metrics)
-            # NaN fails the comparison.
-            if _diverged(thetas) or (worst is not None and not abs(worst) <= DIVERGENCE_CAP):
+            if _diverged(thetas if monitor is None else worst):
                 diverged = True
                 break
             if tolerance is not None and worst < tolerance:

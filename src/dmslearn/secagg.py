@@ -386,9 +386,6 @@ class FixedPointCodec:
     def half(self) -> int:
         return (self.prime - 1) // 2
 
-    def decode(self, v: int) -> float:
-        return float(self.decode_vector([v])[0])
-
     def encode_limbs(self, values: np.ndarray | Sequence[float]) -> np.ndarray:
         """``values`` (..., d) as a (..., d, words) ``uint32`` array of the field elements'
         little-endian 32-bit limbs, as ``share`` takes them. The rounded float is an integer, so

@@ -30,7 +30,9 @@ into), the json-encoding transcript writer
 (``old_write_transcript``), the poisoning study's per-arm helper
 with the loop that called it (``old_poisoning_experiment``), and the
 per-row poisoning that the in-place hook replaced
-(``old_poison_broadcast``), with their arithmetic and draw order
+(``old_poison_broadcast``), and the monitor row and the run loop's two
+divergence tests that the one-pass row and the one-value test replaced
+(``old_record``, ``old_run_diverged``), with their arithmetic and draw order
 unchanged, so tests can assert that the replacement gives exactly the
 same numbers.
 """
@@ -47,6 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from dmslearn.consensus import (
+    DIVERGENCE_CAP,
     ConvergenceMonitor,
     RoundFailure,
     RoundMetrics,
@@ -1132,6 +1135,26 @@ def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts
         dx = best.x - np.asarray(true_x, dtype=float)
         best.input_mse = float(np.mean(dx * dx))
     return best
+
+
+# --- the monitor row and divergence tests the one-value rule replaced ----
+# Copied unchanged apart from the names and ``self`` passed as ``monitor``.
+
+
+def old_record(monitor: ConvergenceMonitor, thetas) -> float:
+    """Store one row of per-agent squared errors on ``monitor``; return its maximum."""
+    diff = np.asarray(thetas, dtype=float) - monitor.optimum
+    row = np.sum(diff * diff, axis=1)
+    monitor.theta_sq.append(row)
+    return float(row.max())
+
+
+def old_run_diverged(thetas, worst: float | None) -> bool:
+    """The run loop's test after a round: the weights, then the worst error
+    when the run has a monitor (``worst`` None when it has none)."""
+    weights_diverged = not np.abs(np.asarray(thetas, dtype=float)).max() <= DIVERGENCE_CAP
+    # NaN fails the comparison.
+    return weights_diverged or (worst is not None and not abs(worst) <= DIVERGENCE_CAP)
 
 
 # --- the json.dumps transcript writer the direct formatter replaced -------

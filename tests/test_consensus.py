@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dmslearn import consensus, experiment, threats
 from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig
@@ -41,6 +41,8 @@ from oracles import (
     make_agents,
     old_engine_rounds,
     old_poison_broadcast,
+    old_record,
+    old_run_diverged,
     pairwise_max_distance,
     per_agent_rounds,
     per_agent_tasks,
@@ -308,6 +310,81 @@ def test_monitor_record_returns_the_stored_rows_maximum():
     assert worst == 9.0 == monitor.theta_errors[-1].max()
     assert monitor.record(np.array([[1.0, 0.0]] * 3)) == 0.0
     assert monitor.worst_mse.tolist() == [9.0, 0.0]
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e12, 1e300, -1e300])
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def record_inputs(draw):
+    """An optimum and weights as a float array, an int64 array, or a list of
+    floats or of ints. A list of ints past int64 is out: numpy holds it as
+    objects, which the old body cast to float first."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    optimum = draw(st.lists(st.floats(width=64) | SPECIAL, min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["array", "int64", "float list", "int list"]))
+    cell = INT64 if kind in ("int64", "int list") else st.floats(width=64) | SPECIAL
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    thetas = rows if kind.endswith("list") else np.array(rows, np.int64 if kind == "int64" else float)
+    return optimum, thetas
+
+
+@given(record_inputs())
+@settings(max_examples=300, deadline=None)
+def test_monitor_record_matches_the_old_body_bit_for_bit(inputs):
+    optimum, thetas = inputs
+    new, old = ConvergenceMonitor(optimum), ConvergenceMonitor(optimum)
+    with np.errstate(all="ignore"):
+        worst, old_worst = new.record(thetas), old_record(old, thetas)
+    [row], [old_row] = new.theta_sq, old.theta_sq
+    assert row.dtype == old_row.dtype == np.float64
+    assert row.tobytes() == old_row.tobytes()
+    assert np.float64(worst).tobytes() == np.float64(old_worst).tobytes()
+
+
+# Within this of the origin an optimum leaves every weight past the cap
+# more than 1e6 away, so its squared error passes the cap too.
+NEAR = DIVERGENCE_CAP - 1e6
+WEIGHT = st.floats(-2e12, 2e12) | st.sampled_from(
+    [np.nan, np.inf, -np.inf, 1e300, -1e300, np.nextafter(DIVERGENCE_CAP, np.inf), -DIVERGENCE_CAP]
+)
+
+
+@given(
+    st.lists(st.floats(-NEAR, NEAR) | st.sampled_from([NEAR, -NEAR]), min_size=1, max_size=3),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_divergence_value_flags_what_the_two_tests_did(optimum, data):
+    assume(np.linalg.norm(optimum) <= NEAR)
+    d, n = len(optimum), data.draw(st.integers(1, 4))
+    rows = st.lists(st.lists(WEIGHT, min_size=d, max_size=d), min_size=n, max_size=n)
+    thetas = np.array(data.draw(rows))
+    with np.errstate(all="ignore"):
+        worst = ConvergenceMonitor(optimum).record(thetas)
+    assert consensus._diverged(worst) == old_run_diverged(thetas, worst)
+    assert consensus._diverged(thetas) == old_run_diverged(thetas, None)
+
+
+def test_divergence_reads_the_error_alone_with_a_monitor_far_from_the_origin():
+    # An agent resting at an optimum of 2e12 has weights past the cap and
+    # no error: the two old tests flagged the run, the one error test does not.
+    far = 2 * DIVERGENCE_CAP
+    assert old_run_diverged(np.array([[far]]), 0.0)
+    runs = [
+        run_training(
+            quads(1.0, u=far),
+            make_static_schedule(Graph(1, frozenset())),
+            inits=[[far]],
+            gamma=0.5,
+            rounds=3,
+            monitor=monitor,
+        )
+        for monitor in (ConvergenceMonitor(np.array([far])), None)
+    ]
+    assert [run.diverged for run in runs] == [False, True]
+    assert [run.rounds_completed for run in runs] == [3, 1]
 
 
 def test_lr_bound_values():
@@ -762,6 +839,39 @@ def test_run_training_rejects_a_task_set_with_no_agent_or_no_weight(strategy, n,
         run_training(
             quads(1.0, dim=d, n=n), schedule, inits=np.zeros((n, d)), gamma=0.1, strategy=strategy, rounds=1
         )
+
+
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_run_training_rejects_a_schedule_for_fedavg(rounds):
+    # Every fedavg round mixes by the server mean, so a schedule would go unused.
+    with pytest.raises(ValueError, match="^fedavg takes no topology schedule$"):
+        run_training(
+            quads(1.0, n=3),
+            complete_schedule(3),
+            inits=np.zeros((3, 1)),
+            gamma=0.1,
+            strategy="fedavg",
+            rounds=rounds,
+        )
+
+
+@pytest.mark.parametrize("strategy", ["dms", "ctl"])
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_run_training_checks_the_schedule_size_before_any_round(strategy, rounds):
+    schedule = make_dms_schedule(5, subset_size=3, rng=np.random.default_rng(0))
+    before = schedule.rng.bit_generator.state
+    seen = []
+    with pytest.raises(ValueError, match="^schedule graph does not cover the agent set$"):
+        run_training(
+            quads(1.0, n=4),
+            schedule,
+            inits=np.zeros((4, 1)),
+            gamma=0.1,
+            strategy=strategy,
+            rounds=rounds,
+            on_round=lambda *args: seen.append(args),
+        )
+    assert seen == [] and schedule.rng.bit_generator.state == before
 
 
 def test_plaintext_dms_round_bytes():

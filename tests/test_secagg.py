@@ -174,14 +174,14 @@ def test_params_validation():
 def test_codec_worked_value():
     codec = FixedPointCodec()
     assert codec.encode_vector([1.5]) == [98304]
-    assert codec.decode(98304) == 1.5
+    assert codec.decode_vector([98304])[0] == 1.5
 
 
 def test_codec_negative_round_trip():
     codec = FixedPointCodec()
     [v, w] = codec.encode_vector([-2.25, 2.25])
     assert v == (PRIME_128 - w) % PRIME_128
-    assert codec.decode(v) == -2.25
+    assert codec.decode_vector([v])[0] == -2.25
 
 
 def test_codec_range_error():
@@ -206,7 +206,7 @@ def test_codec_dyadic_vector_exact():
 def test_codec_quantization_error_bounded(x):
     codec = FixedPointCodec()
     [v] = codec.encode_vector([x])
-    assert abs(codec.decode(v) - x) <= 0.5 / codec.scale
+    assert abs(codec.decode_vector([v])[0] - x) <= 0.5 / codec.scale
 
 
 def test_sum_headroom():
