@@ -210,6 +210,8 @@ class ExperimentConfig:
             raise ValueError("subset_size applies only to the dms and ctl schedules")
         if self.substructure_count < 1:
             raise ValueError("substructure_count must be positive")
+        if self.substructure_count != 8 and self.strategy not in ("dms", "ctl"):
+            raise ValueError("substructure_count applies only to the dms and ctl schedules")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.tolerance is not None and self.task != "quadratic":

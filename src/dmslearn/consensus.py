@@ -57,8 +57,9 @@ DIVERGENCE_CAP = 1e12
 
 def _diverged(values) -> bool:
     """The divergence rule: some value is non-finite or above ``DIVERGENCE_CAP``, 1e12, in size."""
-    # NaN propagates through the maximum and fails the comparison.
-    return not np.abs(np.asarray(values, dtype=float)).max() <= DIVERGENCE_CAP
+    # NaN propagates through the maximum and fails the comparison; a float skips numpy.
+    size = abs(values) if isinstance(values, float) else np.abs(np.asarray(values, float)).max()
+    return not size <= DIVERGENCE_CAP
 
 
 class RoundFailure(RuntimeError):
@@ -118,21 +119,23 @@ class ConvergenceMonitor:
         self.theta_sq: list[np.ndarray] = []
 
     def record(self, thetas: np.ndarray) -> float:
-        """Store one row of per-agent squared errors; return its maximum."""
+        """Store one row of per-agent squared errors, (r, n) for a stack of r
+        replicas; return its maximum."""
         diff = thetas - self.optimum
         diff *= diff
-        row = diff.sum(axis=1)
+        row = diff.sum(axis=-1)
         self.theta_sq.append(row)
         return float(row.max())
 
     @property
     def theta_errors(self) -> np.ndarray:
-        """(rounds+1, agents) squared errors; row 0 is the initial state."""
+        """(rounds+1, [r,] agents) squared errors; row 0 is the initial state."""
         return np.array(self.theta_sq)
 
     @property
     def worst_mse(self) -> np.ndarray:
-        return self.theta_errors.max(axis=1)
+        """(rounds+1, [r]) worst-agent errors, one column per replica of a stack."""
+        return self.theta_errors.max(axis=-1)
 
 
 def max_disagreement(thetas: np.ndarray) -> float:
@@ -335,7 +338,7 @@ def _round_metrics(
     first_entry: int,
     train_losses: np.ndarray | None = None,
 ) -> RoundMetrics:
-    n, d = broadcast.shape
+    n, d = broadcast.shape[-2:]
     if graph is None:
         # Server round: one upload and one download per agent.
         degrees = np.ones(n, dtype=np.int64)
@@ -390,7 +393,7 @@ def _round(
             raise RoundFailure(round_index, exc) from exc
     elif graph is None:
         # Every agent holds exactly the server's mean.
-        mixed = np.repeat(broadcast.mean(axis=0)[None, :], len(broadcast), axis=0)
+        mixed = np.repeat(broadcast.mean(axis=-2)[..., None, :], broadcast.shape[-2], axis=-2)
     else:
         mixed = graph.mixing @ broadcast
     mixed *= alpha  # every mix above returns a fresh array
@@ -470,15 +473,18 @@ def run_training(
     overflow warnings. The error test flags every weight past the cap too when the optimum
     lies within 1e12 - 1e6 of the origin, as every monitor's in the package does.
 
-    The rounds start from a copy of the (n, d) ``inits``, which must
-    match the task set's (n, d), n and d positive, and step every agent
-    with the learning rate ``gamma``. After round k, ``on_round(k, thetas,
-    phis, metrics)`` gets the round's stacked (n, d) weights and learn
-    outputs, which no later round edits; after a ``RoundFailure`` they are
-    the only record of the last completed round. The run's agents,
-    ``AgentState`` records of the final rows, are built when the run ends.
-    Noise and schedule draws are planned for the whole budget: an early
-    stop leaves their rngs ahead.
+    The rounds start from a copy of the (n, d) ``inits``, which must match
+    the task set's (n, d), n and d positive, and step every agent with the
+    learning rate ``gamma``. Inits of shape (r, n, d) run r replicas, each
+    as its own run would, sharing the task set, every round's graph and
+    noise, alpha and the monitor's optimum; the run stops when one diverges,
+    and a stack takes no secure mode or tolerance. After round k,
+    ``on_round(k, thetas, phis, metrics)`` gets the round's stacked (n, d)
+    weights and learn outputs, which no later round edits; after a
+    ``RoundFailure`` they are the only record of the last completed round.
+    The run's agents, ``AgentState`` records of the final rows, are built
+    when the run ends. Noise and schedule draws are planned for the whole
+    budget: an early stop leaves their rngs ahead.
     """
     if rounds < 0:
         raise ValueError("round budget must be nonnegative")
@@ -493,14 +499,16 @@ def run_training(
     if not gamma > 0:
         raise ValueError("learning rate must be positive")
     thetas = np.array(inits, dtype=float)
-    if thetas.shape != tasks.shape:
+    if thetas.shape[-2:] != tasks.shape or thetas.ndim not in (2, 3):
         raise ValueError(f"inits of shape {thetas.shape} for a task set of shape {tasks.shape}")
+    if thetas.ndim == 3 and (secure is not None or tolerance is not None):
+        raise ValueError("a stack of replicas takes no secure mode and no tolerance")
     if thetas.size == 0:
         raise ValueError(f"a task set of shape {tasks.shape} has no agent or no weight to train")
     # MarkovSchedule holds graphs of one agent count.
-    if schedule is not None and schedule.substructures[0].agent_count != len(thetas):
+    if schedule is not None and schedule.substructures[0].agent_count != thetas.shape[-2]:
         raise ValueError("schedule graph does not cover the agent set")
-    if strategy == "fedavg" and not np.all(thetas == thetas[0]):
+    if strategy == "fedavg" and not np.all(thetas == thetas[..., :1, :]):
         raise ValueError("fedavg agents must share the initial weights")
 
     phis = None
@@ -533,7 +541,8 @@ def run_training(
             if tolerance is not None and worst < tolerance:
                 terminated = True
                 break
-    last_phis = [None] * len(thetas) if phis is None else phis
+    thetas = np.swapaxes(thetas, 0, -2)  # agent-major: a stack's agents hold (r, d) rows
+    last_phis = [None] * len(thetas) if phis is None else np.swapaxes(phis, 0, -2)
     return TrainingRun(
         agents=[AgentState(theta, phi) for theta, phi in zip(thetas, last_phis)],
         metrics=metrics_list,

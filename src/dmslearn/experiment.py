@@ -434,10 +434,10 @@ def forecast_comparison(
     trains one agent, so at most one of the base's attackers lies there,
     and it runs plaintext: one agent has no peer to hide its weights from.
     Only the dms run draws subsets, so only it keeps the base's
-    ``subset_size``.
+    ``subset_size`` and ``substructure_count``; the others take the defaults.
     """
     attack = base.attack
-    fixed = {"subset_size": None}
+    fixed = {"subset_size": None, "substructure_count": 8}
     solo = {
         **fixed,
         "attack": None if attack is None else replace(attack, malicious=min(attack.malicious, 1)),

@@ -318,16 +318,19 @@ def run_poisoning_experiment(
     under broadcast poisoning.
 
     Each seed runs four arms: dms clean and poisoned, then fedavg clean and
-    poisoned. An arm's error is its worst-agent squared error averaged over
-    the last ``tail_rounds`` rows (all rows when fewer). Malicious ids are
-    the first ``malicious_count`` agents. Each seed's arms draw from
-    ``SeedSequence(seed).spawn(3)`` (init, schedule, noise) and every arm
-    rebuilds its generators from those children, so clean and poisoned arms
-    share every stream and an empty malicious set gives inflation exactly 1.
-    The identity-Hessian task set, noise model and hook are built once per
-    call. A small gradient noise keeps the clean tail error away from
-    round-off, which makes the ratio well conditioned. An arm whose run
-    diverges stops early, and the outcome's ``diverged`` flags it.
+    poisoned, each pair as one run of a stack whose hook poisons the second
+    replica; a pair whose run diverges runs again arm by arm, so each arm
+    stops where it diverges. An arm's error is its worst-agent squared error
+    averaged over the last ``tail_rounds`` rows (all rows when fewer).
+    Malicious ids are the first ``malicious_count`` agents. Each seed's arms
+    draw from ``SeedSequence(seed).spawn(3)`` (init, schedule, noise) and
+    every arm rebuilds its generators from those children, so clean and
+    poisoned arms share every stream and an empty malicious set gives
+    inflation exactly 1. The identity-Hessian task set, noise model and hook
+    are built once per call. A small gradient noise keeps the clean tail
+    error away from round-off, which makes the ratio well conditioned. An
+    arm whose run diverges stops early, and the outcome's ``diverged`` flags
+    it.
     """
     if not 0 <= malicious_count <= agent_count:
         raise ValueError(f"malicious_count must be in [0, {agent_count}], got {malicious_count}")
@@ -339,8 +342,13 @@ def run_poisoning_experiment(
     )
     noise = NoiseModel(noise_bound)
 
-    def tail(strategy: str, children, broadcast_hook) -> tuple[bool, float]:
-        """One arm's divergence flag and tail mean of the worst-agent error."""
+    def poison_last(stack: np.ndarray) -> np.ndarray:
+        hook(stack[-1])
+        return stack
+
+    def tails(strategy: str, children, arms: int, broadcast_hook=poison_last):
+        """One run of a stack of ``arms`` replicas: its divergence flag and
+        each arm's tail mean of the worst-agent error."""
         init_seed, schedule_seed, noise_seed = children
         schedule = None
         if strategy != "fedavg":
@@ -352,7 +360,7 @@ def run_poisoning_experiment(
             )
         rows = 1 if schedule is None else agent_count  # fedavg agents share one init
         draws = np.random.default_rng(init_seed).uniform(-0.5, 0.5, (rows, dim))
-        inits = np.repeat(draws, agent_count // rows, axis=0)
+        inits = np.stack([np.repeat(draws, agent_count // rows, axis=0)] * arms)
         monitor = ConvergenceMonitor(np.zeros(dim))
         run = run_training(
             tasks,
@@ -366,14 +374,18 @@ def run_poisoning_experiment(
             broadcast_hook=broadcast_hook,
             monitor=monitor,
         )
-        return run.diverged, float(monitor.worst_mse[-tail_rounds:].mean())
+        # A mean over each 1-d column sums in the order of the arm's own run.
+        series = monitor.worst_mse[-tail_rounds:]
+        return run.diverged, [float(series[:, j].mean()) for j in range(arms)]
 
-    arms = []
+    errors, diverged = [], False
     for seed in seeds:
         children = np.random.SeedSequence(seed).spawn(3)
-        arms += [tail(s, children, h) for s in ("dms", "fedavg") for h in (None, hook)]
-    arms = np.reshape(arms, (-1, 4, 2))  # per seed, each arm's (diverged, tail error)
-    dms_clean, dms_bad, fed_clean, fed_bad = arms[..., 1].T
-    return PoisonOutcome(
-        list(seeds), dms_bad / dms_clean, fed_bad / fed_clean, diverged=bool(arms[..., 0].any())
-    )
+        for strategy in ("dms", "fedavg"):
+            pair_diverged, pair = tails(strategy, children, 2)
+            if pair_diverged:  # the stack stopped at the first arm's divergence
+                pair = [tails(strategy, children, 1, h)[1][0] for h in (None, poison_last)]
+            errors.append(pair)
+            diverged |= pair_diverged
+    dms_clean, dms_bad, fed_clean, fed_bad = np.reshape(errors, (-1, 4)).T  # one row per seed
+    return PoisonOutcome(list(seeds), dms_bad / dms_clean, fed_bad / fed_clean, diverged=diverged)

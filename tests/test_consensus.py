@@ -1056,9 +1056,11 @@ def test_no_caller_reads_the_run_rngs_after_the_run(monkeypatch):
     assert experiment.run_experiment(config).run.terminated_early
     threats.run_poisoning_experiment([0], rounds=40, tail_rounds=5, epsilon=1e9)
     experiment.run_scaling_sweep(1)
-    # run_experiment: noise and schedule; four arms: four noise, two
-    # schedules; the sweep: twelve schedules.
-    assert len(kept) == 2 + 6 + 12
+    # run_experiment: noise and schedule; the study: a stacked dms pair
+    # (noise and schedule) and a stacked fedavg pair (noise), then, since
+    # both pairs diverge at this epsilon, each arm alone again: four noise
+    # and two schedules; the sweep: twelve schedules.
+    assert len(kept) == 2 + 9 + 12
     assert all(rng.bit_generator.state == state for rng, state in kept)
 
 
@@ -1281,3 +1283,117 @@ def test_stacked_engine_matches_the_per_agent_round_on_network_tasks(
     _assert_engines_agree(
         "network", strategy, 4, 3, 2, noise_kind, "scaled", secure, False, 0.9, epochs, seed
     )
+
+
+def _replica_run(family, strategy, n, d, inits, rounds, alpha, epochs, noisy, hook, seed):
+    """One run of ``inits``, (n, dim) or a stack, on the case's task set,
+    with fresh schedule and noise streams; returns the run, its monitor and
+    the (thetas, phis) that ``on_round`` saw after each round."""
+    tasks, _, schedule = _engine_case(strategy, n, d, seed, shared=False, family=family)
+    monitor = ConvergenceMonitor(np.linspace(-0.5, 0.5, tasks.shape[1]))
+    seen = []
+    run = run_training(
+        tasks,
+        schedule,
+        inits=inits,
+        gamma=0.2,
+        strategy=strategy,
+        rounds=rounds,
+        alpha=alpha,
+        epochs=epochs,
+        noise=NoiseModel(0.05) if noisy else None,
+        noise_rng=np.random.default_rng(seed + 1),
+        broadcast_hook=hook,
+        monitor=monitor,
+        on_round=lambda k, thetas, phis, metrics: seen.append((thetas, phis)),
+    )
+    return run, monitor, seen
+
+
+@given(
+    st.sampled_from(["quadratic", "network"]),
+    st.sampled_from(STRATEGIES),
+    st.integers(3, 5),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.9]),
+    st.integers(1, 2),
+    st.booleans(),
+    st.sampled_from([None, 0.3, 1e13]),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_stack_of_replicas_runs_as_the_replicas_alone(
+    family, strategy, n, d, rounds, r, alpha, epochs, noisy, epsilon, data, seed
+):
+    # A hook of epsilon 1e13 diverges its replica in round 0, which stops
+    # the stack there while the other replicas run on alone.
+    if strategy == "centralized":
+        n = 1
+    dim = _engine_case(strategy, n, d, seed, shared=False, family=family)[0].shape[1]
+    rows = 1 if strategy == "fedavg" else n  # fedavg agents share each replica's init
+    draws = np.random.default_rng(seed + 2).uniform(-1, 1, (r, rows, dim))
+    inits = np.repeat(draws, n // rows, axis=1)
+    edited = data.draw(st.integers(0, r - 1))
+    poison = None if epsilon is None else PoisonPolicy(frozenset({0}), epsilon=epsilon).hook()
+
+    def stack_hook(broadcast):
+        poison(broadcast[edited])
+        return broadcast
+
+    case = (family, strategy, n, d)
+    stack, stack_monitor, stack_seen = _replica_run(
+        *case, inits, rounds, alpha, epochs, noisy, poison and stack_hook, seed
+    )
+    alone = [
+        _replica_run(
+            *case, inits[j], rounds, alpha, epochs, noisy, poison if j == edited else None, seed
+        )
+        for j in range(r)
+    ]
+    done = stack.rounds_completed
+    assert done == min(run.rounds_completed for run, _, _ in alone)
+    assert stack.diverged == any(run.diverged and run.rounds_completed == done for run, _, _ in alone)
+    assert stack_monitor.worst_mse.shape == (done + 1, r)
+    for j, (run, monitor, seen) in enumerate(alone):
+        assert stack_monitor.worst_mse[:, j].tobytes() == monitor.worst_mse[: done + 1].tobytes()
+        own_errors = monitor.theta_errors[: done + 1]
+        assert stack_monitor.theta_errors[:, j].tobytes() == own_errors.tobytes()
+        for (thetas, phis), (own_thetas, own_phis) in zip(stack_seen, seen):
+            assert thetas[j].tobytes() == own_thetas.tobytes()
+            assert phis[j].tobytes() == own_phis.tobytes()
+        for m, own in zip(stack.metrics, run.metrics):
+            assert (m.round_index, m.edge_count, m.active_agents, m.messages, m.bytes) == (
+                own.round_index, own.edge_count, own.active_agents, own.messages, own.bytes
+            )
+            assert np.array_equal(m.degrees, own.degrees)
+            assert np.array_equal(m.per_agent_messages, own.per_agent_messages)
+            assert (m.train_losses is None) == (own.train_losses is None)
+            if m.train_losses is not None:
+                assert m.train_losses[j].tobytes() == own.train_losses.tobytes()
+        if run.rounds_completed == done:
+            assert np.array([a.theta[j] for a in stack.agents]).tobytes() == np.array(
+                [a.theta for a in run.agents]
+            ).tobytes()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(secure=SecureSetup(rng=np.random.default_rng(0))),
+        dict(tolerance=1e-3, monitor=ConvergenceMonitor(np.zeros(2))),
+    ],
+    ids=["secure", "tolerance"],
+)
+def test_a_stack_takes_no_secure_mode_and_no_tolerance(options):
+    with pytest.raises(ValueError, match="stack of replicas"):
+        run_training(
+            quads(1.0, dim=2, n=3),
+            complete_schedule(3),
+            inits=np.zeros((2, 3, 2)),
+            gamma=0.1,
+            rounds=2,
+            **options,
+        )

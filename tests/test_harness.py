@@ -866,6 +866,37 @@ def test_cli_compare_keeps_subset_size_on_the_dms_arm_only(tmp_path):
         assert echo["subset_size"] == (4 if name == "dms" else None)
 
 
+def test_cli_compare_keeps_substructure_count_on_the_dms_arm_only(tmp_path):
+    # The other arms take the default, so their outputs are those of a
+    # compare without the key, byte for byte.
+    outputs = {}
+    for name, extra in [("plain", ""), ("four", "substructure_count: 4\n")]:
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(COMPARE_YAML + extra)
+        out = tmp_path / name
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[name] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    echo = json.loads(outputs["four"]["dms/config.echo"])
+    assert echo["substructure_count"] == 4
+    for arm in ["fedavg", "dring", "dfc", "centralized"]:
+        files = sorted(f for f in outputs["plain"] if f.startswith(f"{arm}/"))
+        assert files and all(outputs["four"][f] == outputs["plain"][f] for f in files)
+
+
+@pytest.mark.parametrize("strategy", ["dring", "dfc", "fedavg", "centralized"])
+def test_cli_run_rejects_a_substructure_count_its_strategy_ignores(tmp_path, capsys, strategy):
+    # Only the dms and ctl schedules draw substructures. The rule is on the
+    # value, so the default that every config.echo writes still runs.
+    config = {"strategy": strategy, "agent_count": 6, "rounds": 2}
+    assert run_exit_code(tmp_path, {**config, "substructure_count": 2}) == 2
+    assert "substructure_count" in capsys.readouterr().err
+    cfg = tmp_path / "default.yaml"
+    cfg.write_text(yaml.safe_dump({**config, "substructure_count": 8}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "default")]) == 0
+
+
 def test_compare_traffic_orderings(tmp_path):
     # Totals from communication.csv; every arm runs the same 5 rounds, so
     # they order as the per-round counts do. At pick 6 a secure round sends
@@ -1017,7 +1048,8 @@ def test_benchmark_poison_checks_still_read_the_study(tmp_path, monkeypatch):
     assert workloads.check_poison_seed(
         5, float(outcome.dms_inflation[0]), float(outcome.fedavg_inflation[0])
     ) == []
-    # (2 dms arms at 420 messages + 2 fedavg arms at 60) / 4
+    # Each round of the stacked dms pair sends 420 messages and each of the
+    # stacked fedavg pair 60; both runs have the same rounds: (420 + 60) / 2
     assert workloads.WORKLOADS["poison_study"].messages_per_round(5, tmp_path) == 240.0
 
 

@@ -238,6 +238,22 @@ def test_poisoning_experiment_matches_the_per_arm_helper(mode, malicious_count, 
 
 @pytest.mark.parametrize(
     "options",
+    [dict(epsilon=1e9, rounds=40, tail_rounds=5), dict(gamma=2.5, rounds=100, tail_rounds=10)],
+    ids=["poisoned-arms-diverge", "every-arm-diverges"],
+)
+def test_poisoning_experiment_matches_the_per_arm_helper_when_arms_diverge(options):
+    # A stacked pair stops at its first arm's divergence; each arm's error
+    # must still be read from a run that stopped where that arm diverged.
+    options = dict(options, agent_count=8, subset_size=5)
+    new = run_poisoning_experiment([0, 1], **options)
+    old = old_poisoning_experiment([0, 1], **options)
+    assert new.diverged
+    assert np.array_equal(new.dms_inflation, old.dms_inflation)
+    assert np.array_equal(new.fedavg_inflation, old.fedavg_inflation)
+
+
+@pytest.mark.parametrize(
+    "options",
     [
         {"tail_rounds": 0},
         {"tail_rounds": -3},
