@@ -142,9 +142,13 @@ def max_disagreement(thetas: np.ndarray) -> float:
     """Largest pairwise L2 distance between agent weight vectors.
 
     Each row is compared with itself and the rows after it, so every pair
-    is measured once; the self term makes a non-finite row give NaN.
+    is measured once; the self term makes a non-finite row give NaN. Rows
+    with the same bytes give the same distances, so only one of them is
+    kept; rows whose first coordinates all differ in bits are all distinct.
     """
     t = np.asarray(thetas, dtype=float)
+    if np.unique(t[:, :1].view(np.int64)).size < len(t):
+        t = np.array(list({row.tobytes(): row for row in t}.values()))
     worst = []
     for i in range(len(t)):
         diff = t[i:] - t[i]

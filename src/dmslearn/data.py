@@ -98,25 +98,22 @@ def gen_synthetic_load(
     if households < 1 or days < 1:
         raise ValueError("need at least one household and one day")
     rng = np.random.default_rng(seed)
+    curves = [(arch, arch.daily_curve()) for arch in ARCHETYPES]
     profiles = []
     for hh in range(households):
-        arch = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
+        arch, curve = curves[int(rng.integers(len(curves)))]
         size = 1.0 + 0.15 * float(rng.uniform(-1.0, 1.0))
-        base_day = arch.daily_curve()
-        series = np.empty(days * SLOTS_PER_DAY)
-        for day in range(days):
-            curve = base_day * size
-            if day % 7 >= 5:
-                curve = curve * arch.weekend_factor
-            slots = curve.copy()
+        week = (curve * size, curve * size * arch.weekend_factor)
+        slots = np.empty((days, SLOTS_PER_DAY))
+        for day, row in enumerate(slots):
+            row[:] = week[day % 7 >= 5]
             if noise_scale > 0.0:
                 if rng.uniform() < arch.event_rate:
                     start = int(rng.integers(SLOTS_PER_DAY))
                     amp = arch.event_scale * size * float(rng.uniform(0.5, 1.5))
-                    idx = (start + np.arange(4)) % SLOTS_PER_DAY
-                    slots[idx] += amp
-                slots = slots + noise_scale * rng.standard_normal(SLOTS_PER_DAY)
-            series[day * SLOTS_PER_DAY : (day + 1) * SLOTS_PER_DAY] = np.maximum(slots, 0.0)
+                    row[(start + np.arange(4)) % SLOTS_PER_DAY] += amp
+                row += noise_scale * rng.standard_normal(SLOTS_PER_DAY)
+        series = np.maximum(slots, 0.0).reshape(-1)
         profiles.append(LoadProfile(household=hh, series=series, days=days, archetype=arch.name))
     return profiles
 

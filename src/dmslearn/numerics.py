@@ -11,6 +11,9 @@ each agent's tabular windows (the demo workload).
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +155,20 @@ class MlpModel:
         return (float(loss) if loss.ndim == 0 else loss), grad
 
 
+# Usable cores; the least ``x @ W1.T`` multiply-adds a block of agents must carry
+# to go to a worker (the handoff's measured break-even); workers start on first use.
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+SPLIT_MIN_WORK = 1 << 19
+_POOL = ThreadPoolExecutor(max(_CORES - 1, 1), thread_name_prefix="dmslearn-agents")
+
+
 @dataclass(frozen=True)
 class NetworkTasks:
     """Agent i fits ``model`` to its own inputs ``x[i]`` (samples, in_dim)
-    and targets ``y[i]`` (samples, out_dim); every agent has as many samples."""
+    and targets ``y[i]`` (samples, out_dim); every agent has as many samples.
+    The gradient runs in up to one block of agents per core, on the calling
+    thread and on ``_POOL``, each in a copy of the caller's context (numpy's
+    error state included), and gives every agent the serial call's result."""
 
     model: MlpModel
     x: np.ndarray
@@ -166,7 +179,16 @@ class NetworkTasks:
         return (len(self.x), self.model.dim)
 
     def loss_and_gradient(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.model.loss_and_gradient(thetas, self.x, self.y)
+        n, (samples, in_dim), run = len(self.x), self.x.shape[-2:], self.model.loss_and_gradient
+        work = thetas.size // self.model.dim * samples * in_dim * self.model.hidden_dim
+        k = min(_CORES, n, work // SPLIT_MIN_WORK)
+        if k < 2:
+            return run(thetas, self.x, self.y)
+        cuts = [n * j // k for j in range(k + 1)]
+        blocks = [(thetas[..., a:b, :], self.x[a:b], self.y[a:b]) for a, b in zip(cuts, cuts[1:])]
+        futures = [_POOL.submit(contextvars.copy_context().run, run, *blk) for blk in blocks[1:]]
+        losses, grads = zip(run(*blocks[0]), *(f.result() for f in futures))
+        return np.concatenate(losses, axis=-1), np.concatenate(grads, axis=-2)
 
 
 TaskSet = QuadraticTasks | NetworkTasks

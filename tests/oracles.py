@@ -19,7 +19,8 @@ per-value fixed-point encoder and decoder (``old_encode``,
 ``old_encode_vector``, ``old_decode_vector``), the point evaluation with
 reduced powers that Horner's rule replaced (``old_evaluate``), the
 per-strategy session layout (``old_party_placement``), the
-per-household windowing (``old_window_dataset``) and the per-round
+per-household windowing (``old_window_dataset``), the generator that
+rebuilt each day's curve (``old_gen_synthetic_load``), the per-round
 forecast evaluation from before they were stacked and train losses came
 from the learn stage (``old_forward``, ``old_forecast_mse``,
 ``direct_round_record``), the one-sample loss and gradient with the
@@ -57,7 +58,7 @@ from dmslearn.consensus import (
     _secure_mix,
     run_training,
 )
-from dmslearn.data import gen_synthetic_load
+from dmslearn.data import ARCHETYPES, SLOTS_PER_DAY, LoadProfile, gen_synthetic_load
 from dmslearn.experiment import seed_streams
 from dmslearn.numerics import NoiseModel, QuadraticTasks
 from dmslearn.secagg import (
@@ -959,6 +960,37 @@ class OldSplits:
     test: OldWindows
     lo: float
     hi: float
+
+
+def old_gen_synthetic_load(
+    households: int, days: int, seed: int, *, noise_scale: float = 0.05
+) -> list[LoadProfile]:
+    """The generator that built every day's curve anew from the archetype's
+    daily curve and clipped each day on its own."""
+    if households < 1 or days < 1:
+        raise ValueError("need at least one household and one day")
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for hh in range(households):
+        arch = ARCHETYPES[int(rng.integers(len(ARCHETYPES)))]
+        size = 1.0 + 0.15 * float(rng.uniform(-1.0, 1.0))
+        base_day = arch.daily_curve()
+        series = np.empty(days * SLOTS_PER_DAY)
+        for day in range(days):
+            curve = base_day * size
+            if day % 7 >= 5:
+                curve = curve * arch.weekend_factor
+            slots = curve.copy()
+            if noise_scale > 0.0:
+                if rng.uniform() < arch.event_rate:
+                    start = int(rng.integers(SLOTS_PER_DAY))
+                    amp = arch.event_scale * size * float(rng.uniform(0.5, 1.5))
+                    idx = (start + np.arange(4)) % SLOTS_PER_DAY
+                    slots[idx] += amp
+                slots = slots + noise_scale * rng.standard_normal(SLOTS_PER_DAY)
+            series[day * SLOTS_PER_DAY : (day + 1) * SLOTS_PER_DAY] = np.maximum(slots, 0.0)
+        profiles.append(LoadProfile(household=hh, series=series, days=days, archetype=arch.name))
+    return profiles
 
 
 def old_window_dataset(series: np.ndarray, lookback: int, horizon: int) -> OldSplits:

@@ -916,6 +916,30 @@ def test_max_disagreement_of_a_non_finite_row_is_nan(bad, row):
         assert np.isnan(max_disagreement(thetas[row : row + 1]))
 
 
+# Forecast rounds leave many agents on bitwise-equal rows; only one of
+# each is measured.
+@given(
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.lists(st.integers(0, 7), min_size=1, max_size=30),
+    st.sampled_from(["none", "zeros", "nan", "inf", "first"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_max_disagreement_with_repeated_rows_equals_full_tensor(distinct, d, picks, special, seed):
+    rows = np.random.default_rng(seed).standard_normal((distinct, d))
+    if special == "first":  # distinct rows that agree in the first coordinate
+        rows[:, 0] = 1.0
+    else:
+        rows[0] = {"none": rows[0], "zeros": 0.0, "nan": np.nan, "inf": np.inf}[special]
+    if special == "zeros" and distinct > 1:
+        rows[1] = -0.0  # equal to rows[0] but not the same bytes
+    thetas = rows[[p % distinct for p in picks]]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got, want = max_disagreement(thetas), pairwise_max_distance(thetas)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
 def test_graph_mixing_is_cached_read_only():
     g = make_topology("ring", 5)
     assert g.mixing is g.mixing

@@ -13,7 +13,7 @@ from dmslearn.data import (
     window_dataset,
 )
 
-from oracles import old_window_dataset
+from oracles import old_gen_synthetic_load, old_window_dataset
 
 
 def test_archetype_curves_have_48_slots():
@@ -35,6 +35,23 @@ def test_generator_is_deterministic():
         assert np.array_equal(pa.series, pb.series)
     c = gen_synthetic_load(5, 3, seed=43)
     assert any(not np.array_equal(pa.series, pc.series) for pa, pc in zip(a, c))
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 20),
+    st.sampled_from([0.0, 0.05, 0.2]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_generator_equals_the_per_day_body(households, days, noise_scale, seed):
+    new = gen_synthetic_load(households, days, seed, noise_scale=noise_scale)
+    old = old_gen_synthetic_load(households, days, seed, noise_scale=noise_scale)
+    assert [(p.household, p.days, p.archetype) for p in new] == [
+        (p.household, p.days, p.archetype) for p in old
+    ]
+    for p, q in zip(new, old):
+        assert p.series.shape == q.series.shape and p.series.tobytes() == q.series.tobytes()
 
 
 def test_noise_free_series_is_weekly_periodic():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dmslearn import experiment, secagg
+from dmslearn import experiment, numerics, secagg
 from dmslearn.cli import main
 from dmslearn.config import AttackConfig, ConfigError, ExperimentConfig, load_config, parse_config
 from dmslearn.experiment import (
@@ -933,6 +933,33 @@ def test_tolerance_is_rejected_on_the_forecast_task(tmp_path):
     out = tmp_path / "compare"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_allow_unstable_is_rejected_on_the_forecast_task(tmp_path, capsys):
+    # It lifts the quadratic task's stability bound, which a forecast run
+    # does not check, so neither the key nor the flag may pass silently.
+    with pytest.raises(ConfigError, match="allow_unstable applies only to the quadratic task"):
+        parse_config({"task": "forecast", "rounds": 3, "allow_unstable": True})
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("task: forecast\nrounds: 3\nallow_unstable: true\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    cfg.write_text("task: forecast\nrounds: 3\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"), "--allow-unstable"]) == 2
+    assert "allow_unstable applies only to the quadratic task" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("variant", ["plain", "epochs", "noise"])
+def test_forecast_reports_do_not_depend_on_the_gradient_split(tmp_path, monkeypatch, variant):
+    config = parse_config({**SMALL_FORECAST, **FORECAST_VARIANTS[variant], "strategy": "dms"})
+    reports = []
+    for k in (1, 3):
+        monkeypatch.setattr(numerics, "_CORES", k)
+        monkeypatch.setattr(numerics, "SPLIT_MIN_WORK", 1)
+        out = tmp_path / f"k{k}"
+        run_experiment(config, out)
+        reports.append([(out / name).read_bytes() for name in ("report.jsonl", "summary.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_cli_compare_divergence_exits_4(tmp_path):

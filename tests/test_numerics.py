@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn import numerics
+from dmslearn.consensus import run_training
 from dmslearn.numerics import (
     MlpModel,
     NetworkTasks,
@@ -214,6 +218,107 @@ def assert_stacked_rows_equal_the_2d_call(
         ref_loss, ref_grad = old_loss_and_gradient(model, row, x[idx], y[idx])
         assert loss == ref_loss and losses[idx] == ref_loss
         assert np.array_equal(grad, ref_grad) and np.array_equal(grads[idx], ref_grad)
+
+
+def force_split(monkeypatch, k):
+    """Split every network gradient into k blocks, whatever the host's cores
+    and the blocks' sizes, so a one-core runner takes the threaded path."""
+    monkeypatch.setattr(numerics, "_CORES", k)
+    monkeypatch.setattr(numerics, "SPLIT_MIN_WORK", 1)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Odd n, n below k, (r, n, d) stacks, out_dim 1 and 2, in_dim 1, and the
+# forecast learn stage's shape.
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "lead, samples, in_dim, hidden, horizon",
+    [
+        ((7,), 9, 3, 5, 1),
+        ((2,), 6, 4, 3, 2),
+        ((1,), 5, 2, 2, 1),
+        ((3, 5), 4, 3, 4, 2),
+        ((2, 3), 8, 1, 6, 1),
+        ((5,), 11, 1, 3, 2),
+        ((30,), 303, 48, 16, 1),
+    ],
+)
+def test_split_gradient_equals_the_serial_call(monkeypatch, k, lead, samples, in_dim, hidden, horizon):
+    rng = np.random.default_rng(k * 100 + samples)
+    assert_split_equals_the_serial_call(monkeypatch, k, lead, samples, in_dim, hidden, horizon, rng)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(1, 3), max_size=1),
+    st.integers(1, 9),
+    st.integers(1, 10),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_split_gradient_equals_the_serial_call_at_random_shapes(
+    k, replicas, n, samples, in_dim, hidden, horizon, seed
+):
+    with pytest.MonkeyPatch.context() as mp:
+        assert_split_equals_the_serial_call(
+            mp, k, (*replicas, n), samples, in_dim, hidden, horizon, np.random.default_rng(seed)
+        )
+
+
+def assert_split_equals_the_serial_call(monkeypatch, k, lead, samples, in_dim, hidden, horizon, rng):
+    model = MlpModel(in_dim, hidden, horizon)
+    n = lead[-1]
+    thetas = rng.standard_normal((*lead, model.dim))
+    x = rng.standard_normal((n, samples, in_dim))
+    y = rng.standard_normal((n, samples, horizon))
+    want_losses, want_grads = model.loss_and_gradient(thetas, x, y)
+    force_split(monkeypatch, k)
+    losses, grads = NetworkTasks(model, x, y).loss_and_gradient(thetas)
+    assert_same_bits(losses, want_losses)
+    assert_same_bits(grads, want_grads)
+
+
+def test_split_gradient_stays_serial_below_the_work_floor(monkeypatch):
+    # The blocks would carry too little work to pay for the handoff.
+    model = MlpModel(3, 4, 1)
+    tasks = NetworkTasks(model, np.ones((6, 5, 3)), np.ones((6, 5, 1)))
+    monkeypatch.setattr(numerics, "_CORES", 4)
+    monkeypatch.setattr(numerics._POOL, "submit", None)  # any handoff would fail
+    tasks.loss_and_gradient(np.zeros((6, model.dim)))
+
+
+def test_a_diverging_split_run_warns_nothing_and_flags_divergence(monkeypatch):
+    # Huge output biases overflow every worker's squared error. The run's
+    # error state ignores overflow on the calling thread, and the blocks on
+    # the workers must follow it: no warning, inf losses, one round, as the
+    # serial run.
+    rng = np.random.default_rng(4)
+    model = MlpModel(4, 6, 2)
+    tasks = NetworkTasks(model, rng.standard_normal((5, 7, 4)), rng.standard_normal((5, 7, 2)))
+    theta = model.init_params(rng)
+    model.unpack(theta)[3][:] = 1e155
+    inits = np.repeat(theta[None], 5, axis=0)
+    runs = []
+    for k in (1, 3):
+        force_split(monkeypatch, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs.append(run_training(tasks, None, inits=inits, gamma=0.05, strategy="fedavg", rounds=5))
+    serial, split = runs
+    assert serial.diverged and split.diverged
+    assert serial.rounds_completed == split.rounds_completed == 1
+    assert np.all(np.isinf(split.metrics[0].train_losses))
+    assert_same_bits(split.metrics[0].train_losses, serial.metrics[0].train_losses)
+    for a, b in zip(serial.agents, split.agents):
+        assert_same_bits(a.theta, b.theta)
+        assert_same_bits(a.phi, b.phi)
 
 
 def test_mlp_can_fit_tiny_problem():
