@@ -218,6 +218,8 @@ class ExperimentConfig:
             raise ValueError("tolerance needs the quadratic task's known optimum")
         if self.allow_unstable and self.task != "quadratic":
             raise ValueError("allow_unstable applies only to the quadratic task's stability bound")
+        if not self.secure.enabled and self.secure != SecureConfig():
+            raise ValueError("secure.fraction_bits, integer_bits and record_transcript need secure.enabled")
         if self.secure.enabled and self.agents < 3:
             raise ValueError(f"secure aggregation needs at least 3 agents; the run has {self.agents}")
         if self.attack is not None and self.attack.malicious > self.agents:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, QuadraticConfig
+from .config import ConfigError, ExperimentConfig, QuadraticConfig, SecureConfig
 from .consensus import (
     ContractionParams,
     ConvergenceMonitor,
@@ -427,21 +427,21 @@ def forecast_comparison(
     """Run the forecast task under dms, fedavg, dring, dfc and centralized
     with one seed.
 
-    All runs share the data stream, so every strategy trains and
-    evaluates on identical households and splits. Every strategy's config
-    is built before the first run, so a base that one of them rejects
-    raises :class:`ConfigError` before any training. The centralized run
-    trains one agent, so at most one of the base's attackers lies there,
-    and it runs plaintext: one agent has no peer to hide its weights from.
-    Only the dms run draws subsets, so only it keeps the base's
-    ``subset_size`` and ``substructure_count``; the others take the defaults.
+    All runs share the data stream, so every strategy trains and evaluates
+    on identical households and splits. Every strategy's config is built
+    before the first run, so a base that one of them rejects raises
+    :class:`ConfigError` before any training. The centralized run trains
+    one agent, so at most one of the base's attackers lies there, and it
+    runs plaintext with the default ``secure`` section: one agent has no
+    peer to hide its weights from. Only the dms run draws subsets, so only
+    it keeps ``subset_size`` and ``substructure_count``; the others take the defaults.
     """
     attack = base.attack
     fixed = {"subset_size": None, "substructure_count": 8}
     solo = {
         **fixed,
         "attack": None if attack is None else replace(attack, malicious=min(attack.malicious, 1)),
-        "secure": replace(base.secure, enabled=False),
+        "secure": SecureConfig(),
     }
     arms = {"dms": {}, "fedavg": fixed, "dring": fixed, "dfc": fixed, "centralized": solo}
     configs = {s: base.replace(strategy=s, task="forecast", **extra) for s, extra in arms.items()}

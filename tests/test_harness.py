@@ -885,6 +885,34 @@ def test_cli_compare_keeps_substructure_count_on_the_dms_arm_only(tmp_path):
         assert files and all(outputs["four"][f] == outputs["plain"][f] for f in files)
 
 
+def test_cli_compare_runs_every_arm_with_custom_secure_widths(tmp_path):
+    # The centralized arm takes the default secure section, so the base's
+    # widths reach only the four secure arms and trip no rule there.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "secure:\n  enabled: true\n  fraction_bits: 20\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ["dms", "fedavg", "dring", "dfc", "centralized"]:
+        secure = json.loads((out / name / "config.echo").read_text())["secure"]
+        assert (out / name / "report.jsonl").exists()
+        assert secure["fraction_bits"] == (16 if name == "centralized" else 20)
+
+
+@pytest.mark.parametrize(
+    "secure", [{"fraction_bits": 8}, {"integer_bits": 20}, {"record_transcript": False}]
+)
+def test_cli_run_rejects_secure_settings_without_secure_mode(tmp_path, capsys, secure):
+    # A plaintext run reads none of them. The rule is on the value, so the
+    # default section that every config.echo writes still runs.
+    config = {"agent_count": 6, "rounds": 2}
+    assert run_exit_code(tmp_path, {**config, "secure": secure}) == 2
+    assert "fraction_bits, integer_bits and record_transcript" in capsys.readouterr().err
+    cfg = tmp_path / "default.yaml"
+    echo = ExperimentConfig().to_dict()["secure"]
+    cfg.write_text(yaml.safe_dump({**config, "secure": echo}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "default")]) == 0
+
+
 @pytest.mark.parametrize("strategy", ["dring", "dfc", "fedavg", "centralized"])
 def test_cli_run_rejects_a_substructure_count_its_strategy_ignores(tmp_path, capsys, strategy):
     # Only the dms and ctl schedules draw substructures. The rule is on the
@@ -1062,6 +1090,22 @@ def test_benchmark_tracer_still_finds_the_traced_names(tmp_path, monkeypatch):
         run_experiment(config, tmp_path / "attacked")
     assert tracer.unrestored() == []
     assert tracer.self_times()[1]["threats.hook"] == 3
+
+
+@pytest.mark.parametrize("strategy", ["dms", "ctl", "fedavg"])
+def test_benchmark_tracer_times_every_round_kind(monkeypatch, strategy):
+    # The run loop calls the one round body through consensus's global,
+    # which the trace patches through the names it binds; every strategy's
+    # round is one span, and only a schedule is advanced.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    with tracer.patched():
+        run_experiment(small_quadratic(strategy=strategy, rounds=3))
+    assert tracer.unrestored() == []
+    _, calls = tracer.self_times()
+    assert calls["consensus.round"] == 3
+    assert calls["topology.advance"] == (0 if strategy == "fedavg" else 3)
 
 
 def test_benchmark_poison_checks_still_read_the_study(tmp_path, monkeypatch):
