@@ -57,9 +57,9 @@ def _out_dir(args, command: str) -> Path:
     return Path("out") / command
 
 
-def _load_config(args):
-    """The ``--config`` file, with the seed ``--seed`` gives, if any."""
-    config = load_config(args.config)
+def _load_config(args, **fixed):
+    """The ``--config`` file with the ``fixed`` keys, and the seed ``--seed`` gives, if any."""
+    config = load_config(args.config, **fixed)
     return config if args.seed is None else config.replace(seed=args.seed)
 
 
@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     out = _out_dir(args, "compare")
-    results = forecast_comparison(_load_config(args), out_dir=out)
+    results = forecast_comparison(_load_config(args, task="forecast"), out_dir=out)
     paths = emit_tables(results, out)
 
     print(f"{'strategy':<12} {'train':>10} {'val':>10} {'test':>10} {'messages':>12}")

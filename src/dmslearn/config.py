@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
@@ -120,6 +120,8 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.kind != "poison":
             raise ValueError(f"unknown attack kind {self.kind!r}; only poison runs in an experiment")
+        if self.mode not in ("constant", "scaled"):
+            raise ValueError(f"unknown attack mode {self.mode!r}; use constant or scaled")
         if self.epsilon < 0 or self.malicious < 0:
             raise ValueError("attack parameters must be nonnegative")
 
@@ -129,10 +131,10 @@ class QuadraticConfig:
     """Analytic task family.
 
     Per-agent Hessians are diagonal with entries spread over
-    [curv_low, curv_high]. ``bias_amp``/``bias_amp2`` put each agent's
-    optimum on a two-harmonic profile around the ring index (summing to
-    zero, so the global optimum stays at the origin), and ``far_start``
-    offsets every initial weight by a common constant.
+    [curv_low, curv_high]. ``bias_amp``/``bias_amp2`` put each agent's optimum
+    on a two-harmonic ring profile; its mean, the global optimum, is the origin
+    for n >= 3, bias_amp2 for n = 2 and bias_amp + bias_amp2 for n = 1, per
+    coordinate. ``far_start`` offsets every initial weight by a common constant.
     """
 
     dim: int = 2
@@ -164,6 +166,8 @@ class DataConfig:
             raise ValueError("data sizes must be positive")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be nonnegative")
+        if self.clusters > self.households:
+            raise ValueError(f"need clusters <= households; {self.clusters} > {self.households}")
 
 
 @dataclass(frozen=True)
@@ -180,11 +184,11 @@ class ExperimentConfig:
     substructure_count: int = 8
     tolerance: float | None = None
     allow_unstable: bool = False
-    model: ModelConfig = field(default_factory=ModelConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    secure: SecureConfig = field(default_factory=SecureConfig)
-    quadratic: QuadraticConfig = field(default_factory=QuadraticConfig)
-    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelConfig = ModelConfig()
+    noise: NoiseConfig = NoiseConfig()
+    secure: SecureConfig = SecureConfig()
+    quadratic: QuadraticConfig = QuadraticConfig()
+    data: DataConfig = DataConfig()
     attack: AttackConfig | None = None
 
     def __post_init__(self) -> None:
@@ -206,18 +210,13 @@ class ExperimentConfig:
             raise ValueError("epochs must be positive")
         if self.subset_size is not None and self.subset_size < 3:
             raise ValueError("subset_size must be at least 3")
-        if self.subset_size is not None and self.strategy not in ("dms", "ctl"):
-            raise ValueError("subset_size applies only to the dms and ctl schedules")
         if self.substructure_count < 1:
             raise ValueError("substructure_count must be positive")
-        if self.substructure_count != 8 and self.strategy not in ("dms", "ctl"):
-            raise ValueError("substructure_count applies only to the dms and ctl schedules")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.tolerance is not None and self.task != "quadratic":
-            raise ValueError("tolerance needs the quadratic task's known optimum")
-        if self.allow_unstable and self.task != "quadratic":
-            raise ValueError("allow_unstable applies only to the quadratic task's stability bound")
+        for key, default in unread_defaults(self.strategy, self.task).items():
+            if getattr(self, key) != default:
+                raise ValueError(f"{key} applies only to {READ_BY[key][2]}")
         if not self.secure.enabled and self.secure != SecureConfig():
             raise ValueError("secure.fraction_bits, integer_bits and record_transcript need secure.enabled")
         if self.secure.enabled and self.agents < 3:
@@ -246,19 +245,42 @@ class ExperimentConfig:
             raise ConfigError(f"config: {exc}") from exc
 
 
+# The keys that only some runs read: key -> (strategies, tasks, those runs).
+# A run reads the key if both list its own; any other keeps the default.
+READ_BY = {
+    "subset_size": (("dms", "ctl"), TASKS, "the dms and ctl schedules"),
+    "substructure_count": (("dms", "ctl"), TASKS, "the dms and ctl schedules"),
+    "agent_count": ({*STRATEGIES} - {"centralized"}, ("quadratic",), "multi-agent quadratic runs"),
+    "tolerance": (STRATEGIES, ("quadratic",), "the quadratic task"),
+    "allow_unstable": (STRATEGIES, ("quadratic",), "the quadratic task"),
+    "quadratic": (STRATEGIES, ("quadratic",), "the quadratic task"),
+    "model": (STRATEGIES, ("forecast",), "the forecast task"),
+    "data": (STRATEGIES, ("forecast",), "the forecast task"),
+}
+
+
+def unread_defaults(strategy: str, task: str) -> dict[str, Any]:
+    """The :data:`READ_BY` keys a ``strategy`` run on ``task`` leaves at their defaults."""
+    return {
+        key: getattr(ExperimentConfig, key)  # the field's default
+        for key, (strategies, tasks, _) in READ_BY.items()
+        if strategy not in strategies or task not in tasks
+    }
+
+
 def parse_config(data: dict | None) -> ExperimentConfig:
     """Strict mapping -> config; unknown keys and bad values raise
     :class:`ConfigError`; None (an empty file) is the empty mapping."""
     return _build(ExperimentConfig, {} if data is None else data, "config")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a YAML config file; PyYAML decodes the bytes, so a file that is
-    not UTF-8 is invalid YAML."""
+def load_config(path: str | Path, **fixed) -> ExperimentConfig:
+    """Parse a YAML config file, with the ``fixed`` keys set over the file's;
+    PyYAML decodes the bytes, so a file that is not UTF-8 is invalid YAML."""
     try:
         raw = yaml.safe_load(Path(path).read_bytes())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-    return parse_config(raw)
+    return parse_config({**(raw or {}), **fixed} if raw is None or isinstance(raw, dict) else raw)

@@ -454,7 +454,7 @@ def run_training(
     rounds. After each round one ``_diverged`` test, of the worst squared error with a
     monitor and of the weights without one, stops and flags a divergent run, without
     overflow warnings. The error test flags every weight past the cap too when the optimum
-    lies within 1e12 - 1e6 of the origin, as every monitor's in the package does.
+    lies within 1e12 - 1e6 of the origin; the package's lie within |bias_amp| + |bias_amp2|.
 
     The rounds start from a copy of the (n, d) ``inits``, which must match
     the task set's (n, d), n and d positive, and step every agent with the

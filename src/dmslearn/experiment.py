@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, QuadraticConfig, SecureConfig
+from .config import ConfigError, ExperimentConfig, QuadraticConfig, SecureConfig, unread_defaults
 from .consensus import (
     ContractionParams,
     ConvergenceMonitor,
@@ -82,7 +82,7 @@ def build_schedule(config: ExperimentConfig, rng: np.random.Generator) -> Markov
 
 
 def ring_bias_profile(agent_count: int, amp: float, amp2: float) -> np.ndarray:
-    """Per-agent optimum offsets on two ring harmonics; sums to zero."""
+    """Per-agent optimum offsets on two ring harmonics; zero-sum from 3 agents on."""
     i = np.arange(agent_count)
     return amp * np.cos(2 * np.pi * i / agent_count) + amp2 * np.cos(4 * np.pi * i / agent_count)
 
@@ -94,10 +94,10 @@ def build_quadratic_setup(
     optima, and its (n, d) inits.
 
     Every agent gets the same diagonal Hessian with entries spread over
-    [curv_low, curv_high]; offsets move each agent's optimum along a
-    zero-sum ring profile so the global optimum stays at the origin, which
-    is also what the monitor measures against. Fedavg agents start from one
-    shared init, the others from one each.
+    [curv_low, curv_high]; offsets move each agent's optimum along the ring
+    profile, whose mean is the global optimum the monitor measures against
+    (the origin from three agents on). Fedavg agents start from one shared
+    init, the others from one each.
     """
     q, n = config.quadratic, config.agents
     hessian = np.diag(np.linspace(q.curv_low, q.curv_high, q.dim))
@@ -427,23 +427,19 @@ def forecast_comparison(
     """Run the forecast task under dms, fedavg, dring, dfc and centralized
     with one seed.
 
-    All runs share the data stream, so every strategy trains and evaluates
-    on identical households and splits. Every strategy's config is built
-    before the first run, so a base that one of them rejects raises
-    :class:`ConfigError` before any training. The centralized run trains
-    one agent, so at most one of the base's attackers lies there, and it
-    runs plaintext with the default ``secure`` section: one agent has no
-    peer to hide its weights from. Only the dms run draws subsets, so only
-    it keeps ``subset_size`` and ``substructure_count``; the others take the defaults.
+    All runs share the data stream, so every strategy trains and evaluates on identical
+    households and splits. Each run but dms resets to its default every key that the dms
+    run reads and it does not (see :data:`~dmslearn.config.READ_BY`). The centralized run
+    trains one agent, so at most one of the base's attackers lies there, and it runs
+    plaintext with the default ``secure`` section: one agent has no peer to hide its
+    weights from. Every config is built before the first run, so a base that one of them
+    rejects raises :class:`ConfigError` before any training.
     """
-    attack = base.attack
-    fixed = {"subset_size": None, "substructure_count": 8}
-    solo = {
-        **fixed,
-        "attack": None if attack is None else replace(attack, malicious=min(attack.malicious, 1)),
-        "secure": SecureConfig(),
-    }
-    arms = {"dms": {}, "fedavg": fixed, "dring": fixed, "dfc": fixed, "centralized": solo}
+    strategies = ("dms", "fedavg", "dring", "dfc", "centralized")
+    dms = unread_defaults("dms", "forecast").items()
+    arms = {s: dict(unread_defaults(s, "forecast").items() - dms) for s in strategies}
+    attack = base.attack and replace(base.attack, malicious=min(base.attack.malicious, 1))
+    arms["centralized"].update(attack=attack, secure=SecureConfig())
     configs = {s: base.replace(strategy=s, task="forecast", **extra) for s, extra in arms.items()}
     results = {}
     for strategy, cfg in configs.items():

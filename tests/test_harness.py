@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -14,9 +15,19 @@ import yaml
 
 from dmslearn import experiment, numerics, secagg
 from dmslearn.cli import main
-from dmslearn.config import AttackConfig, ConfigError, ExperimentConfig, load_config, parse_config
+from dmslearn.config import (
+    STRATEGIES,
+    TASKS,
+    AttackConfig,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
 from dmslearn.experiment import (
     average_monitor,
+    build_quadratic_setup,
+    forecast_comparison,
     linear_fit,
     ring_bias_profile,
     run_experiment,
@@ -130,6 +141,20 @@ def test_ring_bias_profile_sums_to_zero():
     prof = ring_bias_profile(10, 0.3, -0.1)
     assert prof.shape == (10,)
     assert abs(prof.sum()) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "strategy, agents, optimum",
+    [("centralized", {}, 0.8), ("dms", {"agent_count": 2}, 0.3), ("dms", {"agent_count": 3}, 0.0)],
+)
+def test_the_quadratic_optimum_is_the_mean_bias_offset(strategy, agents, optimum):
+    # The ring profile sums to zero only from three agents on: one agent's
+    # offset is bias_amp + bias_amp2, and two agents' sum to 2 * bias_amp2.
+    config = parse_config(
+        {"strategy": strategy, **agents, "quadratic": {"dim": 3, "bias_amp": 0.5, "bias_amp2": 0.3}}
+    )
+    _, _, monitor, _ = build_quadratic_setup(config, np.random.default_rng(0))
+    assert monitor.optimum == pytest.approx(np.full(3, optimum), abs=1e-15)
 
 
 def test_average_monitor():
@@ -916,13 +941,150 @@ def test_cli_run_rejects_secure_settings_without_secure_mode(tmp_path, capsys, s
 @pytest.mark.parametrize("strategy", ["dring", "dfc", "fedavg", "centralized"])
 def test_cli_run_rejects_a_substructure_count_its_strategy_ignores(tmp_path, capsys, strategy):
     # Only the dms and ctl schedules draw substructures. The rule is on the
-    # value, so the default that every config.echo writes still runs.
-    config = {"strategy": strategy, "agent_count": 6, "rounds": 2}
+    # value, so the default that every config.echo writes still runs. A
+    # centralized run trains one agent and reads no agent_count.
+    config = {"strategy": strategy, "rounds": 2}
+    if strategy != "centralized":
+        config["agent_count"] = 6
     assert run_exit_code(tmp_path, {**config, "substructure_count": 2}) == 2
     assert "substructure_count" in capsys.readouterr().err
     cfg = tmp_path / "default.yaml"
     cfg.write_text(yaml.safe_dump({**config, "substructure_count": 8}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "default")]) == 0
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"task": "forecast", "agent_count": 7}, "agent_count"),
+        ({"task": "forecast", "quadratic": {"dim": 9}}, "quadratic"),
+        ({"task": "quadratic", "model": {"hidden": 64}}, "model"),
+        ({"task": "quadratic", "data": {"pick": 3}}, "data"),
+        ({"strategy": "centralized", "agent_count": 7}, "agent_count"),
+    ],
+)
+def test_cli_run_rejects_a_key_its_run_does_not_read(tmp_path, capsys, config, key):
+    assert run_exit_code(tmp_path, {"rounds": 3, **config}) == 2
+    assert f"config: {key} applies only to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["agent_count: 7\n", "quadratic: {dim: 9}\n"])
+def test_cli_compare_rejects_a_key_no_forecast_run_reads(tmp_path, capsys, extra):
+    # compare sets the task to forecast before it parses the file, so these
+    # exit 2 before any arm runs instead of passing unread.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + extra)
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config: {extra.split(':')[0]} applies only to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forecast_comparison_resets_only_the_keys_the_dms_run_reads(tmp_path):
+    # A base that sets a key no forecast run reads is rejected whole, before
+    # any run, rather than having the key reset away.
+    for extra in ({"agent_count": 7}, {"quadratic": {"dim": 9}}, {"tolerance": 1.0}):
+        with pytest.raises(ConfigError, match=f"{next(iter(extra))} applies only to"):
+            forecast_comparison(parse_config({"rounds": 1, **extra}), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_more_clusters_than_households_by_name(tmp_path, capsys):
+    config = {"task": "forecast", "rounds": 2, "data": {"households": 2, "clusters": 3}}
+    assert run_exit_code(tmp_path, config) == 2
+    assert "config.data: need clusters <= households; 3 > 2" in capsys.readouterr().err
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "  clusters: 31\n")  # COMPARE_YAML ends in its data section
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.data: need clusters <= households; 31 > 30" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_an_unknown_attack_mode():
+    # Caught at parse time, not when run_experiment builds the policy.
+    with pytest.raises(ConfigError, match="config.attack: unknown attack mode 'bogus'"):
+        parse_config({"attack": {"mode": "bogus"}})
+    assert parse_config({"attack": {"mode": "scaled"}}).attack.mode == "scaled"
+
+
+def small_run(strategy: str, task: str) -> dict:
+    """A 2-round config of ``strategy`` on ``task`` that sets only keys it reads."""
+    raw = {"strategy": strategy, "task": task, "rounds": 2}
+    if task == "forecast":
+        raw["data"] = {"households": 12, "days": 3, "clusters": 2, "pick": 5}
+        raw["model"] = {"lookback": 12, "hidden": 4}
+    elif strategy != "centralized":
+        raw["agent_count"] = 5
+    return raw
+
+
+# A value other than its default for every top-level key but strategy and
+# task, and other than small_run's. subset_size 3 is not the default subset
+# of 5 agents (4); allow_unstable is probed with a gamma over the bound.
+PROBES = {
+    "agent_count": 6,
+    "rounds": 3,
+    "seed": 1,
+    "gamma": 0.07,
+    "alpha": 0.5,
+    "epochs": 2,
+    "subset_size": 3,
+    "substructure_count": 4,
+    "tolerance": 1e9,
+    "allow_unstable": True,
+    "model": {"lookback": 12, "hidden": 5},
+    "noise": {"xi": 0.05},
+    "secure": {"enabled": True},
+    "quadratic": {"dim": 3},
+    "data": {"households": 12, "days": 3, "clusters": 2, "pick": 5, "noise_scale": 0.1},
+    "attack": {"malicious": 1},
+}
+
+
+def run_outcome(raw: dict) -> str:
+    """The run's round and summary records, or the message of the config
+    error that makes `dmslearn run` exit 2."""
+    try:
+        return repr(run_experiment(parse_config(raw)).records[1:])
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_every_key_takes_effect_or_exits_2(task):
+    # Walks every top-level key on every strategy: a value other than the
+    # default either changes the run's records or is a config error that
+    # names the key. Strategy and task show in every summary.
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {"strategy", "task", *PROBES}
+    silent = []
+    for strategy in STRATEGIES:
+        for key, value in PROBES.items():
+            base = small_run(strategy, task)
+            if key == "allow_unstable":
+                base["gamma"] = 1.5  # over the bound 2 / curv_high = 1.0
+            before, after = run_outcome(base), run_outcome({**base, key: value})
+            named = after.startswith("config") and f"{key} " in after
+            if after == before or not (after.startswith("[") or named):
+                silent.append((strategy, key, after[:80]))
+    assert silent == []
+
+
+def test_config_echo_reruns_every_strategy_task_and_secure_mode(tmp_path):
+    # ROADMAP item 3's round trip: each run's config.echo parses back to a
+    # config whose run writes the same report set, byte for byte.
+    for strategy in STRATEGIES:
+        for task in TASKS:
+            for secure in (False, True) if strategy != "centralized" else (False,):
+                raw = {**small_run(strategy, task), "secure": {"enabled": secure}}
+                first, again = tmp_path / f"{strategy}-{task}-{secure}", tmp_path / "again"
+                run_experiment(parse_config(raw), first)
+                run_experiment(parse_config(json.loads((first / "config.echo").read_text())), again)
+                names = sorted(p.name for p in first.iterdir())
+                assert names == sorted(p.name for p in again.iterdir())
+                assert ("transcript.jsonl" in names) == secure
+                for name in names:
+                    assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_compare_traffic_orderings(tmp_path):
