@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     out = _out_dir(args, "compare")
-    results = forecast_comparison(_load_config(args, task="forecast"), out_dir=out)
+    results = forecast_comparison(_load_config(args, task="forecast", strategy="dms"), out_dir=out)
     paths = emit_tables(results, out)
 
     print(f"{'strategy':<12} {'train':>10} {'val':>10} {'test':>10} {'messages':>12}")

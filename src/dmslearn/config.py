@@ -130,11 +130,11 @@ class AttackConfig:
 class QuadraticConfig:
     """Analytic task family.
 
-    Per-agent Hessians are diagonal with entries spread over
-    [curv_low, curv_high]. ``bias_amp``/``bias_amp2`` put each agent's optimum
-    on a two-harmonic ring profile; its mean, the global optimum, is the origin
-    for n >= 3, bias_amp2 for n = 2 and bias_amp + bias_amp2 for n = 1, per
-    coordinate. ``far_start`` offsets every initial weight by a common constant.
+    Every agent's per-coordinate curvature is spread evenly over
+    [curv_low, curv_high], or is curv_low alone at dim 1. ``bias_amp``/``bias_amp2``
+    put each agent's optimum on a two-harmonic ring profile; its mean, the global
+    optimum, is the origin for n >= 3, bias_amp2 for n = 2 and bias_amp + bias_amp2
+    for n = 1, per coordinate. ``far_start`` offsets every initial weight by a common constant.
     """
 
     dim: int = 2

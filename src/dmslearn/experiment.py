@@ -93,27 +93,26 @@ def build_quadratic_setup(
     """The run's task set of diagonal quadratics with optional heterogeneous
     optima, and its (n, d) inits.
 
-    Every agent gets the same diagonal Hessian with entries spread over
+    Every agent gets the same per-coordinate curvature spread over
     [curv_low, curv_high]; offsets move each agent's optimum along the ring
     profile, whose mean is the global optimum the monitor measures against
     (the origin from three agents on). Fedavg agents start from one shared
-    init, the others from one each.
+    init, the others from one each. Each agent's curvature bounds are the
+    least and greatest entries of its own row (``curv_low`` alone at dim 1).
     """
     q, n = config.quadratic, config.agents
-    hessian = np.diag(np.linspace(q.curv_low, q.curv_high, q.dim))
+    curvature = np.repeat(np.linspace(q.curv_low, q.curv_high, q.dim)[None], n, axis=0)
     offsets = ring_bias_profile(n, q.bias_amp, q.bias_amp2)
-    tasks = QuadraticTasks.from_optima(
-        np.repeat(hessian[None], n, axis=0), np.repeat(offsets[:, None], q.dim, axis=1)
-    )
+    tasks = QuadraticTasks.from_optima(curvature, np.repeat(offsets[:, None], q.dim, axis=1))
     # Summed agent by agent: np.sum's pairwise order can move the last bits.
-    global_opt = np.linalg.solve(sum(tasks.hessians), -sum(tasks.lin_terms))
+    global_opt = -sum(tasks.lin_terms) / sum(tasks.curvature)
 
     rows = 1 if config.strategy == "fedavg" else n
     inits = np.repeat(q.far_start + init_rng.uniform(-0.5, 0.5, (rows, q.dim)), n // rows, axis=0)
     monitor = ConvergenceMonitor(global_opt)
     params = ContractionParams(
-        p_lower=np.full(n, q.curv_low),
-        p_upper=np.full(n, q.curv_high),
+        p_lower=tasks.curvature.min(axis=1),
+        p_upper=tasks.curvature.max(axis=1),
         xi=np.full(n, config.noise.xi),
         step_sizes=np.full(n, config.gamma),
         alpha=config.alpha,
@@ -240,12 +239,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         monitor = None
         setup = None
         if config.task == "quadratic":
-            if config.gamma > lr_bound(config.quadratic.curv_high) and not config.allow_unstable:
+            tasks, inits, monitor, params = build_quadratic_setup(config, rngs["init"])
+            bound = lr_bound(params.p_upper.max())
+            if config.gamma > bound and not config.allow_unstable:
                 raise ConfigError(
-                    f"gamma {config.gamma} exceeds the stability bound "
-                    f"{lr_bound(config.quadratic.curv_high)}; pass --allow-unstable to run anyway"
+                    f"gamma {config.gamma} exceeds the stability bound {bound}; "
+                    "pass --allow-unstable to run anyway"
                 )
-            tasks, inits, monitor, _params = build_quadratic_setup(config, rngs["init"])
         else:
             setup = _build_forecast_setup(config, rngs)
             tasks, inits = setup.tasks, setup.inits

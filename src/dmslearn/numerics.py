@@ -30,33 +30,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticTasks:
-    """Agent i minimizes ``0.5 theta' H_i theta + b_i' theta``, with the
-    symmetric positive definite ``hessians`` (n, d, d) and ``lin_terms``
-    (n, d).
+    """Agent i minimizes ``0.5 theta' diag(c_i) theta + b_i' theta``, with
+    the positive per-coordinate ``curvature`` (n, d) and ``lin_terms`` (n, d).
 
-    Agent i's minimizer is ``-H_i^{-1} b_i``; the eigenvalues of ``H_i``
-    bound its curvature from both sides, which is what the contraction
-    analysis consumes.
+    Agent i's minimizer is ``-b_i / c_i``; the least and greatest entries
+    of ``c_i`` bound its curvature from both sides, which is what the
+    contraction analysis consumes.
     """
 
-    hessians: np.ndarray
+    curvature: np.ndarray
     lin_terms: np.ndarray
 
     @classmethod
-    def from_optima(cls, hessians: np.ndarray, optima: np.ndarray) -> "QuadraticTasks":
-        """The set whose agent i has curvature ``hessians[i]`` and minimizer ``optima[i]``."""
-        q = np.asarray(hessians, dtype=float)
-        return cls(q, np.matmul(-q, np.asarray(optima, dtype=float)[..., None])[..., 0])
+    def from_optima(cls, curvature: np.ndarray, optima: np.ndarray) -> "QuadraticTasks":
+        """The set whose agent i has curvature ``curvature[i]`` and minimizer ``optima[i]``."""
+        c = np.asarray(curvature, dtype=float)
+        return cls(c, -c * np.asarray(optima, dtype=float))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.lin_terms.shape
 
     def loss_and_gradient(self, thetas: np.ndarray) -> tuple[None, np.ndarray]:
-        """No losses, and each row's ``H_i theta_i + b_i`` from one batched
-        product, bit for bit the 2-d ``H_i @ theta_i`` (``thetas @ H.T`` is
-        not, for dense H)."""
-        return None, np.matmul(self.hessians, thetas[..., None])[..., 0] + self.lin_terms
+        """No losses, and each row's ``c_i * theta_i + b_i``; the (n, d)
+        terms broadcast over a stack of replicas (r, n, d)."""
+        return None, self.curvature * thetas + self.lin_terms
 
 
 class MlpModel:

@@ -140,7 +140,7 @@ def dlg_reconstruct(
             if residual == 0.0:
                 break
             h = 1e-4 * np.maximum(1.0, np.abs(z))
-            r = residuals(np.concatenate([z + np.diag(h), z - np.diag(h)]))
+            r = residuals(np.concatenate([z + h * np.eye(z.size), z - h * np.eye(z.size)]))
             grad = (r[: z.size] - r[z.size :]) / (2 * h)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-14:
@@ -326,7 +326,7 @@ def run_poisoning_experiment(
     draw from ``SeedSequence(seed).spawn(3)`` (init, schedule, noise) and
     every arm rebuilds its generators from those children, so clean and
     poisoned arms share every stream and an empty malicious set gives
-    inflation exactly 1. The identity-Hessian task set, noise model and hook
+    inflation exactly 1. The unit-curvature task set, noise model and hook
     are built once per call. A small gradient noise keeps the clean tail
     error away from round-off, which makes the ratio well conditioned. An
     arm whose run diverges stops early, and the outcome's ``diverged`` flags
@@ -337,9 +337,7 @@ def run_poisoning_experiment(
     if tail_rounds < 1:
         raise ValueError(f"tail_rounds must be at least 1, got {tail_rounds}")
     hook = PoisonPolicy(frozenset(range(malicious_count)), epsilon=epsilon, mode=mode).hook()
-    tasks = QuadraticTasks.from_optima(
-        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
-    )
+    tasks = QuadraticTasks.from_optima(np.ones((agent_count, dim)), np.zeros((agent_count, dim)))
     noise = NoiseModel(noise_bound)
 
     def poison_last(stack: np.ndarray) -> np.ndarray:

@@ -85,7 +85,9 @@ from dmslearn.topology import Graph, make_dms_schedule, mixing_matrix
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """``L(theta) = 0.5 theta' Q theta + b' theta`` for one agent."""
+    """``L(theta) = 0.5 theta' Q theta + b' theta`` for one agent, with the
+    dense ``Q`` that per-coordinate curvature replaced: ``np.diag`` of a
+    curvature row makes one agent of a stacked quadratic set."""
 
     hessian: np.ndarray
     lin_term: np.ndarray
@@ -133,7 +135,7 @@ class Agent:
 def per_agent_tasks(tasks) -> list:
     """The per-agent tasks of a stacked task set, row by row."""
     if isinstance(tasks, QuadraticTasks):
-        return [QuadraticTask(q, b) for q, b in zip(tasks.hessians, tasks.lin_terms)]
+        return [QuadraticTask(np.diag(c), b) for c, b in zip(tasks.curvature, tasks.lin_terms)]
     return [MlpTask(tasks.model, x, y) for x, y in zip(tasks.x, tasks.y)]
 
 
@@ -1251,9 +1253,7 @@ def _old_poison_arm(
     init_rng = np.random.default_rng(init_seed)
     noise_rng = np.random.default_rng(noise_seed)
     optimum = np.zeros(dim)
-    tasks = QuadraticTasks.from_optima(
-        np.repeat(np.eye(dim)[None], agent_count, axis=0), np.zeros((agent_count, dim))
-    )
+    tasks = QuadraticTasks.from_optima(np.ones((agent_count, dim)), np.zeros((agent_count, dim)))
     if strategy == "fedavg":
         inits = np.repeat(init_rng.uniform(-0.5, 0.5, dim)[None], agent_count, axis=0)
         schedule = None

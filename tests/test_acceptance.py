@@ -94,7 +94,7 @@ def test_criterion_01_contraction_convergence():
 
     # 1.5x the stability bound on a single 1-D agent must be caught.
     blown = run_training(
-        QuadraticTasks.from_optima(np.array([[[2.0]]]), np.zeros((1, 1))),
+        QuadraticTasks.from_optima(np.array([[2.0]]), np.zeros((1, 1))),
         make_static_schedule(Graph(1, frozenset())),
         inits=[[1.0]],
         gamma=1.5,
@@ -202,7 +202,7 @@ def test_criterion_05_tamper_detection():
 def test_criterion_06_edge_reduction():
     n, rounds = 30, 1000
     complete_edges = n * (n - 1) // 2  # 435
-    tasks = QuadraticTasks.from_optima(np.repeat(np.eye(1)[None], n, axis=0), np.zeros((n, 1)))
+    tasks = QuadraticTasks.from_optima(np.ones((n, 1)), np.zeros((n, 1)))
     schedule = build_schedule(ExperimentConfig(agent_count=n), np.random.default_rng(0))
     run = run_training(
         tasks, schedule, inits=np.ones((n, 1)), gamma=0.1, strategy="dms", rounds=rounds

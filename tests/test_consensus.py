@@ -51,11 +51,11 @@ from oracles import (
 
 
 def quads(p, u=0.0, dim=1, n=1):
-    """``n`` agents on curvature ``p * I`` with every coordinate of the
-    minimizer at ``u``; ``p`` and ``u`` are one value or one per agent."""
+    """``n`` agents on curvature ``p`` in every coordinate with every
+    coordinate of the minimizer at ``u``; ``p`` and ``u`` are one value or
+    one per agent."""
     p, u = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p, u))
-    optima = np.repeat(u[:, None], dim, axis=1)
-    return QuadraticTasks.from_optima(p[:, None, None] * np.eye(dim), optima)
+    return QuadraticTasks.from_optima(*(np.repeat(v[:, None], dim, axis=1) for v in (p, u)))
 
 
 def complete_schedule(n):
@@ -95,22 +95,21 @@ def test_identical_agents_agree_after_one_mix():
 
 
 def test_common_optimum_reached_learn_first():
-    hessians = [np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), np.diag([2.0, 2.0])]
+    curvature = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
     u = np.array([0.7, -1.3])
-    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
+    tasks = QuadraticTasks.from_optima(curvature, [u] * 3)
     run = run_training(
         tasks, complete_schedule(3), inits=np.zeros((3, 2)), gamma=0.1, strategy="dfc", rounds=400
     )
-    target = summed_quadratic_optimum(hessians, tasks.lin_terms)
+    target = summed_quadratic_optimum([np.diag(c) for c in curvature], tasks.lin_terms)
     assert np.allclose(target, u)
     for agent in run.agents:
         assert np.linalg.norm(agent.theta - target) < 1e-6
 
 
 def test_common_optimum_reached_mix_first():
-    hessians = [np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), np.diag([2.0, 2.0])]
     u = np.array([0.7, -1.3])
-    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
+    tasks = QuadraticTasks.from_optima([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]], [u] * 3)
     learn_first, mix_first = (
         run_training(
             tasks, complete_schedule(3), inits=np.zeros((3, 2)), gamma=0.1, strategy=s, rounds=400
@@ -138,8 +137,7 @@ def test_fedavg_identical_to_solo_descent():
 def test_fedavg_agents_hold_exactly_the_server_mean():
     n, d = 7, 5
     rng = np.random.default_rng(4)
-    hessians = np.repeat(np.eye(d)[None], n, axis=0)
-    tasks = QuadraticTasks.from_optima(hessians, rng.uniform(-1, 1, (n, d)))
+    tasks = QuadraticTasks.from_optima(np.ones((n, d)), rng.uniform(-1, 1, (n, d)))
     run = run_training(
         tasks, None, inits=np.full((n, d), 0.3), gamma=0.4, strategy="fedavg", rounds=1
     )
@@ -656,10 +654,9 @@ def test_broadcast_hook_edits_of_its_argument_do_not_reach_the_agents(strategy):
 
 
 def test_secure_complete_matches_plaintext():
-    hessians = [np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), np.diag([1.5, 1.5])]
     u = np.array([0.4, -0.2])
-    tasks = QuadraticTasks.from_optima(hessians, [u] * 3)
-    n = len(hessians)
+    tasks = QuadraticTasks.from_optima([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]], [u] * 3)
+    n = 3
     setup = SecureSetup(rng=np.random.default_rng(0), transcript=Transcript())
     plain, secure = (
         run_training(
@@ -1091,21 +1088,19 @@ def test_no_caller_reads_the_run_rngs_after_the_run(monkeypatch):
 STRATEGIES = ["dms", "ctl", "dring", "dfc", "fedavg", "centralized"]
 
 
-def _dense_hessian(rng, d):
-    """Symmetric positive definite, non-diagonal for d > 1, spectrum in [0.5, 2]."""
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    q = (basis * rng.uniform(0.5, 2.0, d)) @ basis.T
-    return (q + q.T) / 2
+def _curvature(rng, d):
+    """One agent's per-coordinate curvature, each entry in [0.5, 2]."""
+    return rng.uniform(0.5, 2.0, d)
 
 
-def _engine_case(strategy, n, d, seed, shared, shared_hessian=False, family="quadratic"):
+def _engine_case(strategy, n, d, seed, shared, shared_curvature=False, family="quadratic"):
     """A task set of ``family``, its (n, dim) inits and the strategy's
     schedule; a network set has d inputs, so dim is the model's."""
     rng = np.random.default_rng(seed)
     if family == "quadratic":
-        common = _dense_hessian(rng, d)
+        common = _curvature(rng, d)
         pairs = [
-            (common.copy() if shared_hessian else _dense_hessian(rng, d), rng.uniform(-1, 1, d))
+            (common.copy() if shared_curvature else _curvature(rng, d), rng.uniform(-1, 1, d))
             for _ in range(n)
         ]
         tasks = QuadraticTasks.from_optima(*map(np.array, zip(*pairs)))
@@ -1211,8 +1206,8 @@ def assert_triangle_traffic(metrics, d):
 
 
 def _assert_engines_agree(
-    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs,
-    seed,
+    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_curvature, alpha,
+    epochs, seed,
 ):
     """The stacked engine against the per-agent round body: weights, every
     round metric (the first-step losses too) and the noise, secure and
@@ -1233,7 +1228,7 @@ def _assert_engines_agree(
             d,
             seed,
             shared=strategy == "fedavg",
-            shared_hessian=shared_hessian,
+            shared_curvature=shared_curvature,
             family=family,
         )
         hooks = {"stacked": policy.hook(), "per_agent": lambda i, w: old_poison_broadcast(w, policy, i)}
@@ -1286,11 +1281,11 @@ def _assert_engines_agree(
 )
 @settings(max_examples=120, deadline=None)
 def test_stacked_engine_matches_the_per_agent_round(
-    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha, epochs,
-    seed,
+    family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_curvature, alpha,
+    epochs, seed,
 ):
     _assert_engines_agree(
-        family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_hessian, alpha,
+        family, strategy, n, d, rounds, noise_kind, poison_mode, secure, shared_curvature, alpha,
         epochs, seed,
     )
 

@@ -325,6 +325,21 @@ def test_run_experiment_unstable_gamma_rejected():
     assert run.run.diverged
 
 
+def test_run_experiment_checks_gamma_against_the_curvature_the_tasks_hold(tmp_path, capsys):
+    # At dim 1 the one curvature is curv_low (linspace's first point), so
+    # gamma 1.5 is stable there although it exceeds 2 / curv_high.
+    config = small_quadratic(gamma=1.5, rounds=60, quadratic={"dim": 1, "far_start": 1.0})
+    _, _, _, params = build_quadratic_setup(config, np.random.default_rng(0))
+    assert params.p_lower.tolist() == params.p_upper.tolist() == [1.0] * 6
+    assert params.step_size_ok
+    result = run_experiment(config)
+    assert not result.run.diverged and result.summary["final_worst_mse"] < 1e-12
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump({"rounds": 3, "gamma": 2.5, "quadratic": {"dim": 1}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds the stability bound 2.0" in capsys.readouterr().err
+
+
 def test_forecast_round_records(tmp_path):
     config = parse_config(
         {
@@ -923,6 +938,30 @@ def test_cli_compare_runs_every_arm_with_custom_secure_widths(tmp_path):
         assert secure["fraction_bits"] == (16 if name == "centralized" else 20)
 
 
+def test_cli_compare_runs_a_centralized_base_with_three_attackers(tmp_path):
+    # compare sets strategy: dms as it sets the task, so the file's strategy
+    # does not cap the base's attackers; only the centralized arm keeps one.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "strategy: centralized\nattack:\n  malicious: 3\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, count in [("dms", 3), ("fedavg", 3), ("dring", 3), ("dfc", 3), ("centralized", 1)]:
+        echo = json.loads((out / name / "config.echo").read_text())
+        assert echo["strategy"] == name and echo["attack"]["malicious"] == count
+
+
+def test_cli_compare_runs_a_fedavg_base_with_a_subset_size(tmp_path):
+    # The file's strategy does not decide which keys the base may set: the
+    # dms arm reads subset_size and the other arms reset it.
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COMPARE_YAML + "strategy: fedavg\nsubset_size: 4\n")
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ["dms", "fedavg", "dring", "dfc", "centralized"]:
+        echo = json.loads((out / name / "config.echo").read_text())
+        assert echo["subset_size"] == (4 if name == "dms" else None)
+
+
 @pytest.mark.parametrize(
     "secure", [{"fraction_bits": 8}, {"integer_bits": 20}, {"record_transcript": False}]
 )
@@ -1284,6 +1323,17 @@ def test_benchmark_poison_checks_still_read_the_study(tmp_path, monkeypatch):
     # Each round of the stacked dms pair sends 420 messages and each of the
     # stacked fedavg pair 60; both runs have the same rounds: (420 + 60) / 2
     assert workloads.WORKLOADS["poison_study"].messages_per_round(5, tmp_path) == 240.0
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's own checks read run.agents, run.metrics and the traced
+    # names; a program change that breaks one of those reads fails here.
+    selftest = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+    done = subprocess.run(
+        [sys.executable, str(selftest)], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " passed, 0 failed" in done.stdout
 
 
 def test_a_failing_hypothesis_test_reports_and_the_session_goes_on(tmp_path):

@@ -25,33 +25,50 @@ from oracles import (
 
 
 def test_quadratic_gradient_closed_form():
-    # Each row's gradient is its own H_i theta_i + b_i, bit for bit the
-    # 2-d product, and the derivative of its loss.
-    q = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 3.0]]])
+    # Each row's gradient is its own c_i * theta_i + b_i, and the
+    # derivative of its loss.
+    c = np.array([[2.0, 0.5], [1.0, 3.0]])
     b = np.array([[1.0, -1.0], [0.2, 0.4]])
     thetas = np.array([[0.3, -0.7], [-1.1, 0.6]])
-    losses, grads = QuadraticTasks(q, b).loss_and_gradient(thetas)
+    losses, grads = QuadraticTasks(c, b).loss_and_gradient(thetas)
     assert losses is None and grads.shape == (2, 2)
     for i in range(2):
-        task = QuadraticTask(q[i], b[i])
-        assert np.array_equal(grads[i], q[i] @ thetas[i] + b[i])
+        task = QuadraticTask(np.diag(c[i]), b[i])
+        assert np.array_equal(grads[i], c[i] * thetas[i] + b[i])
         assert np.allclose(grads[i], fd_gradient(task.loss, thetas[i]), atol=1e-5)
 
 
+@pytest.mark.parametrize("replicas", [None, 1, 3])
+@pytest.mark.parametrize("n, d", [(1, 1), (4, 3), (7, 6)])
+def test_quadratic_gradient_matches_the_dense_hessian_product(n, d, replicas):
+    # Per-coordinate curvature gives each agent's dense diag(c_i) @ theta + b_i
+    # bit for bit, on (n, d) weights and on each replica of an (r, n, d) stack.
+    rng = np.random.default_rng(n * 10 + d)
+    c, u = rng.uniform(0.1, 5.0, (n, d)), rng.uniform(-2, 2, (n, d))
+    tasks = QuadraticTasks.from_optima(c, u)
+    thetas = rng.uniform(-3, 3, (n, d) if replicas is None else (replicas, n, d))
+    _, grads = tasks.loss_and_gradient(thetas)
+    assert grads.shape == thetas.shape
+    oracles = [QuadraticTask(np.diag(c[i]), tasks.lin_terms[i]) for i in range(n)]
+    for stack, ref in zip(grads.reshape(-1, n, d), thetas.reshape(-1, n, d)):
+        for i, task in enumerate(oracles):
+            assert stack[i].tobytes() == task.gradient(ref[i]).tobytes()
+
+
 def test_quadratic_from_optimum():
-    q = np.array([np.diag([1.0, 4.0]), [[2.0, 0.5], [0.5, 1.0]]])
+    c = np.array([[1.0, 4.0], [2.0, 0.5]])
     u = np.array([[2.0, -3.0], [0.5, 1.5]])
-    tasks = QuadraticTasks.from_optima(q, u)
+    tasks = QuadraticTasks.from_optima(c, u)
     assert tasks.shape == (2, 2)
     assert np.allclose(tasks.loss_and_gradient(u)[1], 0.0)
     for i in range(2):
-        task = QuadraticTask(tasks.hessians[i], tasks.lin_terms[i])
+        task = QuadraticTask(np.diag(tasks.curvature[i]), tasks.lin_terms[i])
         assert task.loss(u[i]) <= task.loss(u[i] + 0.1)
 
 
 def one_quadratic(p: float) -> QuadraticTasks:
     """One agent on the one-dimensional curvature ``p``, minimizer 0."""
-    return QuadraticTasks(np.array([[[p]]]), np.zeros((1, 1)))
+    return QuadraticTasks(np.array([[p]]), np.zeros((1, 1)))
 
 
 def test_descent_below_stability_bound():
