@@ -130,11 +130,12 @@ class AttackConfig:
 class QuadraticConfig:
     """Analytic task family.
 
-    Every agent's per-coordinate curvature is spread evenly over
-    [curv_low, curv_high], or is curv_low alone at dim 1. ``bias_amp``/``bias_amp2``
-    put each agent's optimum on a two-harmonic ring profile; its mean, the global
-    optimum, is the origin for n >= 3, bias_amp2 for n = 2 and bias_amp + bias_amp2
-    for n = 1, per coordinate. ``far_start`` offsets every initial weight by a common constant.
+    Every agent's per-coordinate curvature is spread evenly over [curv_low, curv_high],
+    or is curv_low alone at dim 1, where curv_high keeps its default or equals curv_low.
+    ``bias_amp``/``bias_amp2`` put each agent's optimum on a two-harmonic ring profile; its
+    mean, the global optimum, is the origin for n >= 3, bias_amp2 for n = 2 and
+    bias_amp + bias_amp2 for n = 1, per coordinate. ``far_start`` offsets every initial
+    weight by a common constant.
     """
 
     dim: int = 2
@@ -149,6 +150,8 @@ class QuadraticConfig:
             raise ValueError("dimension must be positive")
         if not (0 < self.curv_low <= self.curv_high):
             raise ValueError("need 0 < curv_low <= curv_high")
+        if self.dim == 1 and self.curv_high not in (QuadraticConfig.curv_high, self.curv_low):
+            raise ValueError("at dim 1 only curv_low is used; curv_high must equal it or stay 2.0")
 
 
 @dataclass(frozen=True)

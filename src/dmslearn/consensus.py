@@ -15,7 +15,7 @@ calls the one round body, ``_round``, with the strategy's order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "ContractionReport",
     "ConvergenceMonitor",
     "RoundFailure",
-    "RoundMetrics",
     "SecureSetup",
     "TrainingRun",
     "complexity_counters",
@@ -78,21 +77,10 @@ class AgentState:
     phi: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Structural record of one round: graph size and traffic, and the
-    per-agent training losses at the weights the learn stage started
-    from, the losses its task set returned with the first step's
-    gradients (None for quadratic task sets, which return none)."""
-
-    round_index: int
-    edge_count: int
-    active_agents: int
-    messages: int
-    bytes: int
-    degrees: np.ndarray
-    per_agent_messages: np.ndarray
-    train_losses: np.ndarray | None = None
+# A run's traffic: one record a round of its graph size, logical messages and their bytes.
+_TRAFFIC = np.dtype(
+    (np.record, [(f, np.int64) for f in ("edge_count", "active_agents", "messages", "bytes")])
+)
 
 
 @dataclass
@@ -331,36 +319,24 @@ def _secure_mix(
     return mixed
 
 
-def _round_metrics(
-    round_index: int,
-    graph: Graph | None,
-    broadcast: np.ndarray,
-    secure: SecureSetup | None,
-    first_entry: int,
-    train_losses: np.ndarray | None = None,
-) -> RoundMetrics:
-    n, d = broadcast.shape[-2:]
-    if graph is None:
-        # Server round: one upload and one download per agent.
-        degrees = np.ones(n, dtype=np.int64)
-        edge_count, active, messages = n, n, 2 * n
+def _round_traffic(graph: Graph | None, shape, secure: SecureSetup | None, first_entry: int):
+    """One round's traffic on (n, d) weights: its (edge_count, active_agents, messages, bytes)
+    row, each agent's degree (1 on a server round) and each agent's sent messages. Secure
+    counts read the transcript from ``first_entry`` on."""
+    n, d = shape
+    if graph is None:  # a server round: one upload and one download per agent
+        degrees, edge_count, active, messages = 1, n, n, 2 * n
     else:
-        # One logical message per directed edge: each agent sends its
-        # broadcast to every neighbor.
-        degrees, edge_count = graph.degrees, graph.edge_count
-        messages, active = graph.counts
+        # One logical message per directed edge: each agent sends its broadcast to every neighbor.
+        degrees, edge_count, (messages, active) = graph.degrees, graph.edge_count, graph.counts
     if secure is None:
         # Each plaintext message carries d float64 weights.
-        nbytes, per_agent = messages * d * 8, degrees
-    else:
-        # The round's own transcript entries, from ``first_entry`` on.
-        entries = secure.transcript.entries[first_entry:]
-        senders = [s for e in entries for s in e.senders]
-        messages, nbytes = len(senders), sum(len(e.senders) * e.payload_bytes for e in entries)
-        per_agent = np.bincount(senders, minlength=n)[:n]  # parties and servers hold ids past n
-    return RoundMetrics(
-        round_index, edge_count, active, messages, nbytes, degrees, per_agent, train_losses
-    )
+        return (edge_count, active, messages, messages * d * 8), degrees, degrees
+    entries = secure.transcript.entries[first_entry:]
+    senders = [s for e in entries for s in e.senders]
+    nbytes = sum(len(e.senders) * e.payload_bytes for e in entries)
+    sent = np.bincount(senders, minlength=n)[:n]  # parties and servers hold ids past n
+    return (edge_count, active, len(senders), nbytes), degrees, sent
 
 
 def _round(
@@ -373,21 +349,19 @@ def _round(
     broadcast_hook: BroadcastHook | None,
     secure: SecureSetup | None,
     round_index: int,
-) -> tuple[np.ndarray, np.ndarray, RoundMetrics]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The one round body on stacked (n, d) weights: ``learn`` and a mix
     stage, in either order; returns the new weights, the learn output and
-    the metrics, which carry the learn stage's losses. Mix hooks the
-    outgoing weights, averages them with the round graph's mixing matrix,
-    the server mean when ``graph`` is None, or the secure sessions of
-    ``party_placement``, and scales by ``alpha``. ``run_training`` checks that ``graph`` fits.
+    the learn stage's losses. Mix hooks the outgoing weights, averages them
+    with the round graph's mixing matrix, the server mean when ``graph`` is
+    None, or the secure sessions of ``party_placement``, and scales by
+    ``alpha``. ``run_training`` checks that ``graph`` fits.
     """
     outgoing, losses = learn(thetas) if learn_first else (thetas, None)
     # The hook gets the round's one copy: an in-place edit must not reach theta or phi.
     broadcast = outgoing if broadcast_hook is None else broadcast_hook(outgoing.copy())
 
-    first_entry = 0
     if secure is not None:
-        first_entry = len(secure.transcript.entries)
         try:
             mixed = _secure_mix(broadcast, graph, secure, round_index)
         except SecAggError as exc:
@@ -404,7 +378,7 @@ def _round(
     else:
         phis, losses = learn(mixed)
         thetas = phis
-    return thetas, phis, _round_metrics(round_index, graph, broadcast, secure, first_entry, losses)
+    return thetas, phis, losses
 
 
 # The benchmark's trace binds these names and patches every module name bound to the same
@@ -414,13 +388,22 @@ dms_round = ctl_round = fedavg_round = _round
 
 @dataclass
 class TrainingRun:
-    """Everything a finished (or aborted) run leaves behind."""
+    """Everything a finished (or aborted) run leaves behind. ``metrics`` holds one row a round
+    of the int64 fields ``edge_count``, ``active_agents``, ``messages`` and ``bytes``: round k
+    reads as ``metrics[k].messages``, a column as ``metrics.messages``. Per agent, the run
+    sums its degrees (1 a server round) and its sent messages: the degree sum in plaintext,
+    one message per directed edge, and its transcript messages in secure mode."""
 
     agents: list[AgentState]
-    metrics: list[RoundMetrics]
-    rounds_completed: int
+    metrics: np.recarray
+    per_agent_degree_sum: np.ndarray
+    per_agent_messages: np.ndarray
     terminated_early: bool
     diverged: bool
+
+    @property
+    def rounds_completed(self) -> int:
+        return len(self.metrics)
 
     @property
     def rounds_to_tolerance(self) -> int | None:
@@ -443,7 +426,7 @@ def run_training(
     monitor: ConvergenceMonitor | None = None,
     tolerance: float | None = None,
     epochs: int = 1,
-    on_round: Callable[[int, np.ndarray, np.ndarray, RoundMetrics], None] | None = None,
+    on_round: Callable[[int, np.ndarray, np.ndarray, np.record, np.ndarray | None], None] | None = None,
 ) -> TrainingRun:
     """Drive a strategy for ``rounds`` rounds or until the worst-agent
     squared error drops below ``tolerance``.
@@ -462,8 +445,9 @@ def run_training(
     as its own run would, sharing the task set, every round's graph and
     noise, alpha and the monitor's optimum; the run stops when one diverges,
     and a stack takes no secure mode or tolerance. After round k,
-    ``on_round(k, thetas, phis, metrics)`` gets the round's stacked (n, d)
-    weights and learn outputs, which no later round edits; after a
+    ``on_round(k, thetas, phis, row, losses)`` gets the round's stacked (n, d)
+    weights and learn outputs, which no later round edits, its traffic row
+    and the learn stage's first-step losses (None for quadratic tasks); after a
     ``RoundFailure`` they are the only record of the last completed round.
     The run's agents, ``AgentState`` records of the final rows, are built
     when the run ends. Noise and schedule draws are planned for the whole
@@ -494,8 +478,9 @@ def run_training(
     if strategy == "fedavg" and not np.all(thetas == thetas[..., :1, :]):
         raise ValueError("fedavg agents must share the initial weights")
 
-    phis = None
-    metrics_list: list[RoundMetrics] = []
+    phis, done = None, 0
+    rows = np.zeros(rounds, _TRAFFIC)  # a row reads as rows[k].messages
+    degree_sum, sent = np.zeros((2, tasks.shape[0]), np.int64)  # plaintext: sent is degree_sum
     if tolerance is not None and monitor is None:
         raise ValueError("a tolerance needs a monitor, whose optimum it is measured against")
     worst = None if monitor is None else monitor.record(thetas)
@@ -508,14 +493,19 @@ def run_training(
         for k in range(0 if terminated else rounds):
             # The schedule plans its draws for the rounds left; fedavg mixes by the server mean.
             graph = None if schedule is None else schedule.advance(rounds - k)
-            thetas, phis, metrics = _round(
+            first_entry = 0 if secure is None else len(secure.transcript.entries)
+            thetas, phis, losses = _round(
                 thetas, graph, learn, learn_first=strategy != "ctl", round_index=k, **options
             )
-            metrics_list.append(metrics)
+            rows[k], degrees, senders = _round_traffic(graph, tasks.shape, secure, first_entry)
+            degree_sum += degrees
+            if secure is not None:
+                sent += senders
+            done = k + 1
             if monitor is not None:
                 worst = monitor.record(thetas)
             if on_round is not None:
-                on_round(k, thetas, phis, metrics)
+                on_round(k, thetas, phis, rows[k], losses)
             if _diverged(thetas if monitor is None else worst):
                 diverged = True
                 break
@@ -526,33 +516,24 @@ def run_training(
     last_phis = [None] * len(thetas) if phis is None else np.swapaxes(phis, 0, -2)
     return TrainingRun(
         agents=[AgentState(theta, phi) for theta, phi in zip(thetas, last_phis)],
-        metrics=metrics_list,
-        rounds_completed=len(metrics_list),
+        metrics=rows[:done].view(np.recarray),
+        per_agent_degree_sum=degree_sum,
+        per_agent_messages=degree_sum.copy() if secure is None else sent,
         terminated_early=terminated,
         diverged=diverged,
     )
 
 
-def complexity_counters(metrics: Sequence[RoundMetrics]) -> dict:
-    """Aggregate traffic counters for a finished run.
-
-    ``per_agent_messages`` accumulates the per-round send counts;
-    ``per_agent_degree_sum`` accumulates each round's graph degrees. In
-    plaintext mode the two must agree exactly (one message per directed
-    edge), which the test suite asserts as the closed form.
-    """
-    n = len(metrics[0].per_agent_messages) if metrics else 0
-    edges = [m.edge_count for m in metrics]
-
-    def stacked(rows) -> np.ndarray:
-        return np.array(list(rows), dtype=np.int64).reshape(len(metrics), n)
-
+def complexity_counters(run: TrainingRun) -> dict:
+    """Aggregate traffic counters for a finished run: totals and per-round edges from the
+    columns of ``run.metrics``, and its two per-agent sums, equal in plaintext mode."""
+    m = run.metrics
     return {
-        "rounds": len(metrics),
-        "total_messages": sum(m.messages for m in metrics),
-        "total_bytes": sum(m.bytes for m in metrics),
-        "mean_edges": float(np.mean(edges)) if edges else 0.0,
-        "per_round_edges": edges,
-        "per_agent_messages": stacked(m.per_agent_messages for m in metrics).sum(axis=0),
-        "per_agent_degree_sum": stacked(m.degrees[:n] for m in metrics).sum(axis=0),
+        "rounds": len(m),
+        "total_messages": int(m.messages.sum()),
+        "total_bytes": int(m.bytes.sum()),
+        "mean_edges": float(np.mean(m.edge_count)) if len(m) else 0.0,
+        "per_round_edges": m.edge_count.tolist(),
+        "per_agent_messages": run.per_agent_messages,
+        "per_agent_degree_sum": run.per_agent_degree_sum,
     }

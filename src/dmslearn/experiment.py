@@ -275,18 +275,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # last row takes the summary's.
     train_from_learn = setup is not None and config.strategy not in ("ctl", "centralized")
 
-    def on_round(k, thetas, phis, metrics):
+    def on_round(k, thetas, phis, row, losses):
         if secure is not None:
             if transcript_path is not None:
                 write_transcript(transcript_path, secure.transcript)
             secure.transcript.entries.clear()
+        edges, active, messages, nbytes = row.tolist()
         rec = {
             "type": "round",
             "round": k,
-            "edges": metrics.edge_count,
-            "active": metrics.active_agents,
-            "messages": metrics.messages,
-            "bytes": metrics.bytes,
+            "edges": edges,
+            "active": active,
+            "messages": messages,
+            "bytes": nbytes,
             "disagreement": max_disagreement(thetas),
         }
         if monitor is not None:
@@ -294,7 +295,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         if setup is not None:
             if train_from_learn:
                 if rows:
-                    rows[-1]["train_mse"] = float(np.mean(metrics.train_losses))
+                    rows[-1]["train_mse"] = float(np.mean(losses))
                 rec["train_mse"] = None
             else:
                 rec["train_mse"] = _forecast_mse(setup, "train", thetas)
@@ -319,7 +320,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         on_round=on_round,
     )
 
-    counters = complexity_counters(run.metrics)
+    counters = complexity_counters(run)
     summary = {
         "strategy": config.strategy,
         "task": config.task,

@@ -106,13 +106,17 @@ class MlpModel:
         on a stack of batches; each batch's rows equal the 2-d call's bit
         for bit.
         """
+        return self._layers(theta, x)[2]
+
+    def _layers(self, theta: np.ndarray, x: np.ndarray):
+        """The forward pass shared with the gradient: (W2, tanh hidden layer, predictions)."""
         w1, b1, w2, b2 = self.unpack(np.asarray(theta, dtype=float))
         hidden = x @ np.swapaxes(w1, -1, -2)
         hidden += b1[..., None, :]
         np.tanh(hidden, out=hidden)
         out = hidden @ np.swapaxes(w2, -1, -2)
         out += b2[..., None, :]
-        return out
+        return w2, hidden, out
 
     def loss_and_gradient(
         self, theta: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -126,14 +130,9 @@ class MlpModel:
         and a 2-d call gets a ``float`` loss. The transients are reused in
         place, so a stacked call holds no more than two hidden-size buffers.
         """
-        theta = np.asarray(theta, dtype=float)
-        w1, b1, w2, b2 = self.unpack(theta)
+        # Not self.forward: the benchmark's span on it keeps one stack, and this runs on workers.
+        w2, hidden, diff = self._layers(theta, x)
         n = x.shape[-2]
-        hidden = x @ np.swapaxes(w1, -1, -2)
-        hidden += b1[..., None, :]
-        np.tanh(hidden, out=hidden)
-        diff = hidden @ np.swapaxes(w2, -1, -2)
-        diff += b2[..., None, :]
         diff -= y
         loss = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
 

@@ -249,7 +249,7 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     )
     observed: list[np.ndarray] = []
 
-    def on_round(k, thetas, phis, metrics):
+    def on_round(k, thetas, phis, row, losses):
         observed.append(phis[victim].copy())
 
     run_training(

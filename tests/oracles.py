@@ -12,7 +12,9 @@ replaced: the per-agent task layer that the stacked task sets replaced
 ``pairwise_max_distance``, the three round functions of an
 earlier engine (``old_dms_round``, ``old_ctl_round``,
 ``old_fedavg_round``) and the per-agent round body that the stacked
-engine replaced (``per_agent_round``), the secure-sum path before
+engine replaced (``per_agent_round``), both keeping one record per round
+(``OldRoundMetrics``) as runs did before their traffic became one record
+array, the secure-sum path before
 cached reconstruction weights and vector shares (``old_share``,
 ``old_reconstruct``, ``old_secure_aggregate`` and their helpers), the
 per-value fixed-point encoder and decoder (``old_encode``,
@@ -53,8 +55,7 @@ from dmslearn.consensus import (
     DIVERGENCE_CAP,
     ConvergenceMonitor,
     RoundFailure,
-    RoundMetrics,
-    _round_metrics,
+    _round_traffic,
     _secure_mix,
     run_training,
 )
@@ -261,6 +262,32 @@ def pairwise_max_distance(thetas) -> float:
 # the package's), so its metrics count an ``OldTranscript`` message by message.
 
 
+@dataclass(frozen=True)
+class OldRoundMetrics:
+    """One round's record as a run kept it before its traffic became one
+    record array: graph size and traffic, each agent's degree and sent
+    messages, and the learn stage's first-step losses (None for quadratic
+    task sets)."""
+
+    round_index: int
+    edge_count: int
+    active_agents: int
+    messages: int
+    bytes: int
+    degrees: np.ndarray
+    per_agent_messages: np.ndarray
+    train_losses: np.ndarray | None = None
+
+
+def traffic_record(round_index, traffic, n, train_losses=None) -> OldRoundMetrics:
+    """``consensus._round_traffic``'s (row, degrees, sent) as one round's
+    record, a server round's degree of 1 spread over the n agents."""
+    row, degrees, sent = traffic
+    return OldRoundMetrics(
+        round_index, *row, np.broadcast_to(degrees, n), np.broadcast_to(sent, n), train_losses
+    )
+
+
 def _noise_list(noise, n):
     if noise is None:
         return [None] * n
@@ -312,7 +339,7 @@ def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
 def _old_metrics(round_index, n, edge_count, active, degrees, plain_messages, transcript, before):
     """Plaintext rounds counted no bytes; secure rounds count the transcript."""
     if transcript is None or before is None:
-        return RoundMetrics(
+        return OldRoundMetrics(
             round_index, edge_count, active, plain_messages, 0, degrees, degrees.astype(np.int64)
         )
     msgs0, bytes0, first_entry = before
@@ -320,7 +347,7 @@ def _old_metrics(round_index, n, edge_count, active, degrees, plain_messages, tr
     for entry in transcript.entries[first_entry:]:
         if 0 <= entry.sender < n:
             per_agent[entry.sender] += 1
-    return RoundMetrics(
+    return OldRoundMetrics(
         round_index,
         edge_count,
         active,
@@ -500,10 +527,10 @@ def _learn(agents, starts, epochs, noise, noise_rng):
 def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=None,
                     noise_rng=None, broadcast_hook=None, secure=None, round_index=0):
     """One round on a list of agents; ``broadcast_hook(i, row)`` is called
-    per row, and the metrics carry the learn stage's first-step losses.
+    per row, and the record carries the learn stage's first-step losses.
 
-    The secure mix and the metrics are the engine's own ``_secure_mix`` and
-    ``_round_metrics``; ``old_engine_rounds`` pins those against copies.
+    The secure mix and the traffic are the engine's own ``_secure_mix`` and
+    ``_round_traffic``; ``old_engine_rounds`` pins those against copies.
     """
     n = len(agents)
     losses = None
@@ -530,7 +557,8 @@ def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=No
         losses = _learn(agents, mixed, epochs, noise, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
-    return _round_metrics(round_index, graph, broadcast, secure, first_entry, losses)
+    traffic = _round_traffic(graph, broadcast.shape, secure, first_entry)
+    return traffic_record(round_index, traffic, n, losses)
 
 
 def per_agent_rounds(agents, schedule, strategy, rounds, **options):
@@ -1051,16 +1079,16 @@ def old_forecast_mse(model, thetas: np.ndarray, splits: Sequence, which: str) ->
     return float(np.mean(losses))
 
 
-def direct_round_record(k: int, metrics: RoundMetrics, thetas: np.ndarray, model, splits) -> dict:
-    """A forecast run's round record, with both errors evaluated directly
-    at the weights the round ended with."""
+def direct_round_record(k: int, row, thetas: np.ndarray, model, splits) -> dict:
+    """A forecast run's round record from the round's traffic row, with both
+    errors evaluated directly at the weights the round ended with."""
     return {
         "type": "round",
         "round": k,
-        "edges": metrics.edge_count,
-        "active": metrics.active_agents,
-        "messages": metrics.messages,
-        "bytes": metrics.bytes,
+        "edges": row.edge_count,
+        "active": row.active_agents,
+        "messages": row.messages,
+        "bytes": row.bytes,
         "disagreement": pairwise_max_distance(thetas),
         "train_mse": old_forecast_mse(model, thetas, splits, "train"),
         "val_mse": old_forecast_mse(model, thetas, splits, "val"),

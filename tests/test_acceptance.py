@@ -207,7 +207,7 @@ def test_criterion_06_edge_reduction():
     run = run_training(
         tasks, schedule, inits=np.ones((n, 1)), gamma=0.1, strategy="dms", rounds=rounds
     )
-    counters = complexity_counters(run.metrics)
+    counters = complexity_counters(run)
     assert counters["rounds"] == rounds
     assert 0.45 * complete_edges <= counters["mean_edges"] <= 0.55 * complete_edges
     assert np.array_equal(

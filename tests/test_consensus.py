@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,13 +6,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dmslearn import consensus, experiment, threats
-from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig
+from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig, SecureConfig
 from dmslearn.consensus import (
     DIVERGENCE_CAP,
     ContractionParams,
     ConvergenceMonitor,
     RoundFailure,
-    RoundMetrics,
     SecureSetup,
     complexity_counters,
     contraction_check,
@@ -19,7 +19,7 @@ from dmslearn.consensus import (
     max_disagreement,
     run_training,
 )
-from dmslearn.experiment import build_quadratic_setup, seed_streams
+from dmslearn.experiment import build_quadratic_setup, run_experiment, seed_streams
 from dmslearn.numerics import MlpModel, NetworkTasks, NoiseModel, QuadraticTasks
 from dmslearn.secagg import ContributorError, Transcript
 from dmslearn.threats import PoisonPolicy
@@ -47,6 +47,7 @@ from oracles import (
     per_agent_rounds,
     per_agent_tasks,
     summed_quadratic_optimum,
+    traffic_record,
 )
 
 
@@ -561,45 +562,66 @@ def test_sticky_markov_switching_still_converges():
         assert np.mean(np.diff(states) == 0) == pytest.approx(expected, abs=0.03)
 
 
-def test_ring_message_totals():
-    n, rounds = 30, 30
-    run = run_training(
-        quads(1.0, n=n),
-        make_static_schedule(make_topology("ring", n)),
-        inits=np.zeros((n, 1)),
-        gamma=0.1,
-        strategy="dring",
-        rounds=rounds,
-    )
-    counters = complexity_counters(run.metrics)
-    assert counters["rounds"] == rounds
-    assert counters["total_messages"] == 2 * n * rounds
-    assert counters["mean_edges"] == pytest.approx(n)
-    assert np.all(counters["per_agent_messages"] == 2 * rounds)
-    assert np.array_equal(
-        counters["per_agent_messages"], counters["per_agent_degree_sum"]
-    )
-
-
-def test_complete_graph_message_totals():
-    n = 30
-    run = run_training(
-        quads(1.0, n=n),
-        complete_schedule(n),
-        inits=np.zeros((n, 1)),
-        gamma=0.1,
-        strategy="dfc",
-        rounds=1,
-    )
-    counters = complexity_counters(run.metrics)
-    assert counters["total_messages"] == n * (n - 1)
-    assert np.all(counters["per_agent_messages"] == n - 1)
+# Per-round messages and bytes at quadratic.dim 2, plaintext and secure (None: not run), and
+# what each agent sends in a round it takes part in; at n = 6 dms and ctl use the default
+# subset size m = 4. A plaintext agent sends one message per edge, so that count is its degree.
+@pytest.mark.parametrize(
+    "strategy, n, rounds, plain, secure, sends",
+    [
+        ("dms", 6, 3, (12, 192), (32, 1024), (3, 8)),  # m(m - 1); 2m^2
+        ("ctl", 6, 3, (12, 192), (32, 1024), (3, 8)),
+        ("dfc", 6, 3, (30, 480), (72, 2304), (5, 12)),  # n(n - 1); 2n^2
+        ("dring", 6, 3, (12, 192), (72, 2304), (2, 12)),  # 2n; 12 per session, one per agent
+        ("fedavg", 6, 3, (12, 192), (21, 672), (1, 3)),  # 2n; 3n + 3
+        ("centralized", 1, 3, (0, 0), None, (0, None)),
+        ("dring", 30, 30, (60, 960), None, (2, None)),
+        ("dfc", 30, 1, (870, 13920), None, (29, None)),
+    ],
+    ids=["dms", "ctl", "dfc", "dring", "fedavg", "centralized", "ring-30", "complete-30"],
+)
+def test_per_round_traffic_closed_forms(strategy, n, rounds, plain, secure, sends):
+    for enabled, traffic, per_active in zip((False, True), (plain, secure), sends):
+        if traffic is None:
+            continue
+        messages, nbytes = traffic
+        config = ExperimentConfig(
+            strategy=strategy,
+            rounds=rounds,
+            quadratic=QuadraticConfig(dim=2),
+            secure=SecureConfig(enabled=enabled),
+            **({} if strategy == "centralized" else {"agent_count": n}),
+        )
+        run = run_experiment(config).run
+        assert run.metrics.messages.tolist() == [messages] * rounds
+        assert run.metrics.bytes.tolist() == [nbytes] * rounds
+        assert run.metrics.edge_count.tolist() == [plain[0] // 2] * rounds
+        counters = complexity_counters(run)
+        assert counters["rounds"] == rounds
+        assert counters["total_messages"] == messages * rounds
+        assert counters["total_bytes"] == nbytes * rounds
+        assert counters["mean_edges"] == pytest.approx(plain[0] / 2)
+        # An agent's degree is the same in every round it takes part in.
+        degree_sum = counters["per_agent_degree_sum"]
+        active_rounds = degree_sum // max(sends[0], 1)
+        assert np.array_equal(degree_sum, sends[0] * active_rounds)
+        assert np.array_equal(counters["per_agent_messages"], per_active * active_rounds)
+        if strategy in ("dfc", "dring", "fedavg"):
+            assert np.all(active_rounds == rounds)
 
 
 def test_counters_empty():
-    counters = complexity_counters([])
+    # A run that stops before its first round: no rows, and zero sums over its agents.
+    run = run_training(
+        quads(1.0, n=3), complete_schedule(3), inits=np.zeros((3, 1)), gamma=0.1, rounds=0
+    )
+    assert run.rounds_completed == 0 and run.metrics.shape == (0,)
+    counters = complexity_counters(run)
     assert counters["rounds"] == 0
     assert counters["total_messages"] == 0
+    assert counters["total_bytes"] == 0
+    assert counters["mean_edges"] == 0.0 and counters["per_round_edges"] == []
+    assert counters["per_agent_messages"].tolist() == [0, 0, 0]
+    assert counters["per_agent_degree_sum"].tolist() == [0, 0, 0]
 
 
 def test_broadcast_hook_shifts_the_average():
@@ -720,8 +742,7 @@ def test_secure_three_agent_ring_runs_one_triangle_session():
     for a, b in zip(ring.agents, full.agents):
         assert np.array_equal(a.theta, b.theta)
     assert ring_log.entries == full_log.entries
-    for m in ring.metrics:
-        assert_triangle_traffic(m, 2)
+    assert_triangle_traffic(ring, 2)
 
 
 def test_secure_fedavg_matches_plaintext():
@@ -794,7 +815,7 @@ def test_agents_hold_the_last_completed_round_after_a_failure():
         )
         seen[rounds] = []
 
-        def on_round(k, thetas, phis, metrics):
+        def on_round(k, thetas, phis, row, losses):
             seen[rounds].append((thetas, phis))
 
         if rounds == 2:
@@ -892,7 +913,7 @@ def test_plaintext_fedavg_round_bytes():
         quads(1.0, dim=d, n=n), None, inits=np.zeros((n, d)), gamma=0.1, strategy="fedavg", rounds=3
     )
     assert [m.bytes for m in run.metrics] == [2 * n * d * 8] * 3
-    assert complexity_counters(run.metrics)["total_bytes"] == 3 * 2 * n * d * 8
+    assert complexity_counters(run)["total_bytes"] == 3 * 2 * n * d * 8
 
 
 # Forecast runs have 30 agents; n = 1 must give 0.0.
@@ -948,21 +969,27 @@ def test_graph_degrees_and_counts_are_cached_read_only():
     g = make_topology("ring", 5)
     assert g.degrees is g.degrees and not g.degrees.flags.writeable
     assert g.counts == (10, 5)
-    # A plaintext round reports its graph's own array and counts.
+    # A plaintext round's traffic is its graph's own array and counts.
     schedule, twin = (
         make_dms_schedule(7, subset_size=3, substructure_count=4, rng=np.random.default_rng(5))
         for _ in range(2)
     )
     inits = np.random.default_rng(6).uniform(-1, 1, (7, 2))
     run = run_training(quads(1.0, dim=2, n=7), schedule, inits=inits, gamma=0.1, rounds=6)
-    for m in run.metrics:
+    degree_sum = np.zeros(7, np.int64)
+    for row in run.metrics:
         choice_step(twin)
         graph = schedule.substructures[twin.state]
         from_mixing = np.count_nonzero(mixing_matrix(graph), axis=1) - 1
-        assert m.degrees is graph.degrees and m.per_agent_messages is graph.degrees
-        assert np.array_equal(m.degrees, from_mixing)
-        assert m.messages == from_mixing.sum() and m.edge_count == from_mixing.sum() // 2
-        assert m.active_agents == np.count_nonzero(from_mixing)
+        traffic, degrees, sent = consensus._round_traffic(graph, (7, 2), None, 0)
+        assert degrees is graph.degrees and sent is graph.degrees
+        assert traffic == tuple(row.tolist())
+        assert np.array_equal(degrees, from_mixing)
+        assert row.messages == from_mixing.sum() and row.edge_count == from_mixing.sum() // 2
+        assert row.active_agents == np.count_nonzero(from_mixing)
+        degree_sum += from_mixing
+    assert np.array_equal(run.per_agent_degree_sum, degree_sum)
+    assert np.array_equal(run.per_agent_messages, degree_sum)
 
 
 @given(
@@ -1030,12 +1057,12 @@ def test_a_tolerance_stop_matches_the_per_round_run_and_leaves_the_rngs_ahead(st
         options = dict(noise=NoiseModel(1e-3), noise_rng=noise_rng)
         if engine == "stacked":
             monitor = ConvergenceMonitor(np.zeros(d))
-            run = run_training(
+            run, metrics = run_with_records(
                 tasks, schedule, inits=inits, gamma=0.5, strategy=strategy, rounds=rounds,
                 monitor=monitor, tolerance=1e-5, **options,
             )
             assert run.terminated_early and 0 < run.rounds_completed < rounds
-            agents, metrics = run.agents, run.metrics
+            agents = run.agents
         else:
             agents = make_agents(tasks, inits, 0.5)
             metrics = per_agent_rounds(agents, schedule, strategy, run.rounds_completed, **options)
@@ -1043,9 +1070,8 @@ def test_a_tolerance_stop_matches_the_per_round_run_and_leaves_the_rngs_ahead(st
     (agents, metrics, noise_rng, schedule_rng), (ref_agents, ref_metrics, ref_noise, ref_sched) = runs
     for a, b in zip(agents, ref_agents, strict=True):
         assert np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
-    for m, o in zip(metrics, ref_metrics, strict=True):
-        for name in RoundMetrics.__dataclass_fields__:
-            assert np.array_equal(getattr(m, name), getattr(o, name)), name
+    assert_same_records(metrics, ref_metrics)
+    assert_run_keeps(run, ref_metrics)
     # The stacked run drew the whole budget up front: it is ahead of the
     # per-round run by the rounds it did not run, and by no more.
     unused = rounds - run.rounds_completed
@@ -1166,10 +1192,10 @@ def test_engine_matches_previous_round_functions(
             else None,
         )
         if engine == "new":
-            run = run_training(
+            run, metrics = run_with_records(
                 tasks, schedule, inits=inits, gamma=0.2, strategy=strategy, rounds=rounds, **options
             )
-            agents, metrics = run.agents, run.metrics
+            agents = run.agents
         else:
             agents = make_agents(tasks, inits, 0.2)
             metrics = old_engine_rounds(agents, schedule, strategy, rounds, **options)
@@ -1190,19 +1216,62 @@ def test_engine_matches_previous_round_functions(
         )
         assert np.array_equal(m.degrees, o.degrees)
         if triangle:
-            assert_triangle_traffic(m, d)
             continue
         assert m.messages == o.messages
         assert np.array_equal(m.per_agent_messages, o.per_agent_messages)
         if secure:
             assert m.bytes == o.bytes
+    assert_run_keeps(run, new_metrics)
+    if triangle:
+        assert_triangle_traffic(run, d)
 
 
-def assert_triangle_traffic(metrics, d):
-    """One 3-party session: 9 share and 9 reconstruct messages of d elements."""
-    assert metrics.messages == 18
-    assert metrics.bytes == 18 * d * 16
-    assert metrics.per_agent_messages.tolist() == [6, 6, 6]
+def assert_triangle_traffic(run, d):
+    """One 3-party session a round: 9 share and 9 reconstruct messages of d
+    elements, 6 sent by each agent."""
+    rounds = run.rounds_completed
+    assert run.metrics.messages.tolist() == [18] * rounds
+    assert run.metrics.bytes.tolist() == [18 * d * 16] * rounds
+    assert run.per_agent_messages.tolist() == [6 * rounds] * 3
+
+
+def run_with_records(tasks, schedule, **options):
+    """``run_training``, and one ``OldRoundMetrics`` a round from what
+    ``_round_traffic`` returned and the learn losses ``on_round`` got."""
+    traffic, losses = [], []
+    real = consensus._round_traffic
+
+    def spy(*args):
+        traffic.append(real(*args))
+        return traffic[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "_round_traffic", spy)
+        run = run_training(tasks, schedule, on_round=lambda *args: losses.append(args[-1]), **options)
+    n = tasks.shape[0]
+    return run, [
+        traffic_record(k, t, n, loss) for k, (t, loss) in enumerate(zip(traffic, losses, strict=True))
+    ]
+
+
+def assert_same_records(records, ref_records):
+    """Two runs' per-round records, field by field and agent by agent."""
+    assert len(records) == len(ref_records)
+    for m, o in zip(records, ref_records):
+        for field in dataclasses.fields(o):
+            assert np.array_equal(getattr(m, field.name), getattr(o, field.name)), field.name
+
+
+def assert_run_keeps(run, records):
+    """Every row of ``run.metrics`` and both per-agent sums against one record a round."""
+    assert len(run.metrics) == len(records)
+    for k, (row, o) in enumerate(zip(run.metrics, records)):
+        assert o.round_index == k
+        assert row.tolist() == (o.edge_count, o.active_agents, o.messages, o.bytes)
+    n = len(run.agents)
+    for total, name in ((run.per_agent_degree_sum, "degrees"), (run.per_agent_messages, "per_agent_messages")):
+        assert total.dtype == np.int64
+        assert np.array_equal(total, sum((getattr(o, name) for o in records), np.zeros(n, np.int64)))
 
 
 def _assert_engines_agree(
@@ -1242,10 +1311,10 @@ def _assert_engines_agree(
             secure=SecureSetup(rng=rngs[1], transcript=Transcript()) if secure else None,
         )
         if engine == "stacked":
-            run = run_training(
+            run, metrics = run_with_records(
                 tasks, schedule, inits=inits, gamma=0.2, strategy=strategy, rounds=rounds, **options
             )
-            agents, metrics = run.agents, run.metrics
+            agents = run.agents
         else:
             agents = make_agents(tasks, inits, 0.2)
             metrics = per_agent_rounds(agents, schedule, strategy, rounds, **options)
@@ -1256,12 +1325,12 @@ def _assert_engines_agree(
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.phi, b.phi)
     assert len(metrics) == len(ref_metrics) == rounds
-    for m, o in zip(metrics, ref_metrics):
+    for m in metrics:
         assert (m.train_losses is None) == (family == "quadratic")
-        for name in RoundMetrics.__dataclass_fields__:
-            assert np.array_equal(getattr(m, name), getattr(o, name)), name
-        if secure and strategy == "dring" and n == 3:
-            assert_triangle_traffic(m, len(inits[0]))
+    assert_same_records(metrics, ref_metrics)
+    assert_run_keeps(run, ref_metrics)
+    if secure and strategy == "dring" and n == 3:
+        assert_triangle_traffic(run, len(inits[0]))
     assert states == ref_states
 
 
@@ -1307,7 +1376,7 @@ def test_stacked_engine_matches_the_per_agent_round_on_network_tasks(
 def _replica_run(family, strategy, n, d, inits, rounds, alpha, epochs, noisy, hook, seed):
     """One run of ``inits``, (n, dim) or a stack, on the case's task set,
     with fresh schedule and noise streams; returns the run, its monitor and
-    the (thetas, phis) that ``on_round`` saw after each round."""
+    the (thetas, phis, losses) that ``on_round`` saw after each round."""
     tasks, _, schedule = _engine_case(strategy, n, d, seed, shared=False, family=family)
     monitor = ConvergenceMonitor(np.linspace(-0.5, 0.5, tasks.shape[1]))
     seen = []
@@ -1324,7 +1393,7 @@ def _replica_run(family, strategy, n, d, inits, rounds, alpha, epochs, noisy, ho
         noise_rng=np.random.default_rng(seed + 1),
         broadcast_hook=hook,
         monitor=monitor,
-        on_round=lambda k, thetas, phis, metrics: seen.append((thetas, phis)),
+        on_round=lambda k, thetas, phis, row, losses: seen.append((thetas, phis, losses)),
     )
     return run, monitor, seen
 
@@ -1380,19 +1449,17 @@ def test_a_stack_of_replicas_runs_as_the_replicas_alone(
         assert stack_monitor.worst_mse[:, j].tobytes() == monitor.worst_mse[: done + 1].tobytes()
         own_errors = monitor.theta_errors[: done + 1]
         assert stack_monitor.theta_errors[:, j].tobytes() == own_errors.tobytes()
-        for (thetas, phis), (own_thetas, own_phis) in zip(stack_seen, seen):
+        for (thetas, phis, losses), (own_thetas, own_phis, own_losses) in zip(stack_seen, seen):
             assert thetas[j].tobytes() == own_thetas.tobytes()
             assert phis[j].tobytes() == own_phis.tobytes()
-        for m, own in zip(stack.metrics, run.metrics):
-            assert (m.round_index, m.edge_count, m.active_agents, m.messages, m.bytes) == (
-                own.round_index, own.edge_count, own.active_agents, own.messages, own.bytes
-            )
-            assert np.array_equal(m.degrees, own.degrees)
-            assert np.array_equal(m.per_agent_messages, own.per_agent_messages)
-            assert (m.train_losses is None) == (own.train_losses is None)
-            if m.train_losses is not None:
-                assert m.train_losses[j].tobytes() == own.train_losses.tobytes()
+            assert (losses is None) == (own_losses is None)
+            if losses is not None:
+                assert losses[j].tobytes() == own_losses.tobytes()
+        assert stack.metrics.tobytes() == run.metrics[:done].tobytes()
+        # The sums cover whole runs; at least one replica stopped where the stack did.
         if run.rounds_completed == done:
+            assert np.array_equal(stack.per_agent_degree_sum, run.per_agent_degree_sum)
+            assert np.array_equal(stack.per_agent_messages, run.per_agent_messages)
             assert np.array([a.theta[j] for a in stack.agents]).tobytes() == np.array(
                 [a.theta for a in run.agents]
             ).tobytes()

@@ -254,9 +254,9 @@ def test_run_experiment_keeps_one_round_of_transcript(tmp_path, monkeypatch, wri
         def held_messages():
             return sum(len(e.senders) for e in secure.transcript.entries)
 
-        def counted(k, thetas, phis, metrics):
-            held.append((held_messages(), metrics.messages))
-            on_round(k, thetas, phis, metrics)
+        def counted(k, thetas, phis, row, losses):
+            held.append((held_messages(), row.messages))
+            on_round(k, thetas, phis, row, losses)
             held.append((held_messages(), 0))
 
         return real(tasks, schedule, secure=secure, on_round=counted, **options)
@@ -340,6 +340,21 @@ def test_run_experiment_checks_gamma_against_the_curvature_the_tasks_hold(tmp_pa
     assert "exceeds the stability bound 2.0" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_a_curv_high_that_dim_1_ignores(tmp_path, capsys):
+    # At dim 1 the one curvature is curv_low, so another curv_high would take
+    # no effect. Its default, which every config.echo writes, and curv_low itself
+    # still run; the latter lets a dim-1 run take a curvature above 2.
+    config = {"rounds": 5, "agent_count": 5}
+    assert run_exit_code(tmp_path, {**config, "quadratic": {"dim": 1, "curv_high": 9.0}}) == 2
+    assert "curv_high" in capsys.readouterr().err
+    for low, high in ((1.0, 2.0), (1.5, 1.5), (3.0, 3.0)):
+        config["quadratic"] = {"dim": 1, "curv_low": low, "curv_high": high}
+        cfg = tmp_path / "ok.yaml"
+        cfg.write_text(yaml.safe_dump({**config, "gamma": 0.1}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "config.echo").read_text())["quadratic"]["curv_low"] == 3.0
+
+
 def test_forecast_round_records(tmp_path):
     config = parse_config(
         {
@@ -398,9 +413,9 @@ def test_forecast_reports_equal_the_direct_evaluation(monkeypatch, strategy, var
     real = experiment.run_training
 
     def spy(tasks, schedule, *, on_round, **options):
-        def record(k, thetas, phis, metrics):
-            on_round(k, thetas, phis, metrics)
-            seen.append((k, metrics, thetas))
+        def record(k, thetas, phis, row, losses):
+            on_round(k, thetas, phis, row, losses)
+            seen.append((k, row, thetas))
 
         return real(tasks, schedule, on_round=record, **options)
 
@@ -411,8 +426,8 @@ def test_forecast_reports_equal_the_direct_evaluation(monkeypatch, strategy, var
     model = MlpModel(config.model.lookback, config.model.hidden, config.model.horizon)
     rows = [r for r in result.records if r["type"] == "round"]
     assert len(rows) == len(seen) == config.rounds
-    for row, (k, metrics, thetas) in zip(rows, seen):
-        expected = direct_round_record(k, metrics, thetas, model, splits)
+    for row, (k, traffic, thetas) in zip(rows, seen):
+        expected = direct_round_record(k, traffic, thetas, model, splits)
         assert list(row.items()) == list(expected.items())
     final = np.array([a.theta for a in result.run.agents])
     for split in ("train", "val", "test"):
