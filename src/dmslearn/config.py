@@ -167,8 +167,8 @@ class DataConfig:
     def __post_init__(self) -> None:
         if min(self.households, self.days, self.clusters, self.pick) < 1:
             raise ValueError("data sizes must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
         if self.clusters > self.households:
             raise ValueError(f"need clusters <= households; {self.clusters} > {self.households}")
 

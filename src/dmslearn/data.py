@@ -3,8 +3,11 @@
 The generator substitutes real smart-meter data: three behavior
 archetypes, each a weekly-periodic base pattern plus seeded noise and
 occasional consumption events, so cluster structure and forecastability
-are controlled. Windowing takes every picked household's series in one
-call and returns each split stacked in household order.
+are controlled. Its stream contract is its draw order: per household
+``integers(3)``, ``uniform(-1, 1)``; then per day, with noise on,
+``random()`` (the event test), ``integers(48)`` and ``uniform(0.5, 1.5)``
+on event days, 48 standard normals. Series are built from the draws at
+once. Windowing scales each series once and stacks splits by household.
 """
 
 from __future__ import annotations
@@ -76,9 +79,6 @@ class LoadProfile:
     days: int
     archetype: str
 
-    def daily_mean(self) -> np.ndarray:
-        return self.series.reshape(self.days, SLOTS_PER_DAY).mean(axis=0)
-
 
 def gen_synthetic_load(
     households: int,
@@ -90,37 +90,46 @@ def gen_synthetic_load(
     """Seeded synthetic profiles drawn from the archetype mix.
 
     Each household draws an archetype and a size factor in [0.85, 1.15].
-    ``noise_scale`` is the per-slot Gaussian sigma; setting it to zero
-    turns off every stochastic per-slot component (noise and events both),
-    leaving each household an exactly weekly-periodic pattern. Values are
-    clipped at zero.
+    ``noise_scale`` is the per-slot Gaussian sigma, finite and nonnegative;
+    zero turns off noise and events both, leaving each household an exactly
+    weekly-periodic pattern. Values are clipped at zero. Each series is one
+    row of a single (households, days * 48) block.
     """
     if households < 1 or days < 1:
         raise ValueError("need at least one household and one day")
+    if not 0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
     rng = np.random.default_rng(seed)
-    curves = [(arch, arch.daily_curve()) for arch in ARCHETYPES]
-    profiles = []
+    kinds, sizes = np.empty(households, dtype=np.intp), np.empty(households)
+    z = np.empty((households, days, SLOTS_PER_DAY))
+    events = []  # (household, day, start slot, U[0.5, 1.5] draw)
     for hh in range(households):
-        arch, curve = curves[int(rng.integers(len(curves)))]
-        size = 1.0 + 0.15 * float(rng.uniform(-1.0, 1.0))
-        week = (curve * size, curve * size * arch.weekend_factor)
-        slots = np.empty((days, SLOTS_PER_DAY))
-        for day, row in enumerate(slots):
-            row[:] = week[day % 7 >= 5]
-            if noise_scale > 0.0:
-                if rng.uniform() < arch.event_rate:
-                    start = int(rng.integers(SLOTS_PER_DAY))
-                    amp = arch.event_scale * size * float(rng.uniform(0.5, 1.5))
-                    row[(start + np.arange(4)) % SLOTS_PER_DAY] += amp
-                row += noise_scale * rng.standard_normal(SLOTS_PER_DAY)
-        series = np.maximum(slots, 0.0).reshape(-1)
-        profiles.append(LoadProfile(household=hh, series=series, days=days, archetype=arch.name))
-    return profiles
+        kinds[hh], sizes[hh] = rng.integers(len(ARCHETYPES)), rng.uniform(-1.0, 1.0)
+        if noise_scale > 0.0:
+            rate = ARCHETYPES[kinds[hh]].event_rate
+            for day, row in enumerate(z[hh]):
+                if rng.random() < rate:
+                    events.append((hh, day, rng.integers(SLOTS_PER_DAY), rng.uniform(0.5, 1.5)))
+                rng.standard_normal(out=row)
+    sizes = 1.0 + 0.15 * sizes
+    weekend = np.array([a.weekend_factor for a in ARCHETYPES])[kinds, None]
+    factor = np.where(np.arange(days) % 7 >= 5, weekend, 1.0)  # x * 1.0 == x exactly
+    curves = np.array([a.daily_curve() for a in ARCHETYPES])[kinds] * sizes[:, None]
+    slots = curves[:, None, :] * factor[:, :, None]
+    if events:
+        h, day, start, u = (np.array(c) for c in zip(*events))
+        amp = np.array([a.event_scale for a in ARCHETYPES])[kinds[h]] * sizes[h] * u
+        slots[h[:, None], day[:, None], (start[:, None] + np.arange(4)) % SLOTS_PER_DAY] += amp[:, None]
+    if noise_scale > 0.0:
+        slots += np.multiply(noise_scale, z, out=z)
+    block = np.maximum(slots, 0.0, out=slots).reshape(households, -1)
+    return [LoadProfile(hh, block[hh], days, ARCHETYPES[k].name) for hh, k in enumerate(kinds)]
 
 
 def household_features(profiles: list[LoadProfile]) -> np.ndarray:
     """(households, 48) matrix of mean daily curves; the clustering input."""
-    return np.array([p.daily_mean() for p in profiles])
+    series = np.array([p.series for p in profiles])
+    return series.reshape(len(profiles), -1, SLOTS_PER_DAY).mean(axis=1)
 
 
 @dataclass
@@ -189,10 +198,10 @@ def window_dataset(
     Returns split name -> inputs (households, windows, lookback) and
     targets (households, windows, horizon). Of the N windows per
     household, the splits take ceil(0.7 N) / floor(0.15 N) / rest in time
-    order. Each household's inputs are min-max normalized with the range
-    of its own train inputs, and a household whose train inputs are flat
-    gets zero inputs in every split; targets stay in raw units, so
-    reported errors are in kWh.
+    order. Each household's series is min-max scaled once, before windowing,
+    with the range of its own train inputs; a household whose train inputs
+    are flat gets zero inputs in every split. Targets stay in raw units,
+    so reported errors are in kWh.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
@@ -202,22 +211,21 @@ def window_dataset(
     n_windows = series.shape[1] - lookback - horizon + 1
     if n_windows < 1:
         raise ValueError("series too short for one window")
-    x = np.lib.stride_tricks.sliding_window_view(series, lookback, axis=1)
-    y = np.lib.stride_tricks.sliding_window_view(series[:, lookback:], horizon, axis=1)
-
     n_train = math.ceil(0.7 * n_windows)
     n_val = math.floor(0.15 * n_windows)
     # The train inputs cover exactly the first n_train + lookback - 1 slots.
     train_slots = series[:, : n_train + lookback - 1]
-    lo = train_slots.min(axis=1)[:, None, None]
-    span = train_slots.max(axis=1)[:, None, None] - lo
-    flat = span[:, 0, 0] == 0
+    lo = train_slots.min(axis=1, keepdims=True)
+    span = train_slots.max(axis=1, keepdims=True) - lo
+    flat = span[:, 0] == 0
     span[flat] = 1.0
+    scaled = series - lo
+    scaled /= span
+    scaled[flat] = 0.0  # assigned, so that no input becomes -0.0
+    x = np.lib.stride_tricks.sliding_window_view(scaled, lookback, axis=1)
+    y = np.lib.stride_tricks.sliding_window_view(series[:, lookback:], horizon, axis=1)
     edges = (0, n_train, n_train + n_val, n_windows)
-    splits = {}
-    for name, a, b in zip(("train", "val", "test"), edges, edges[1:]):
-        xs = x[:, a:b] - lo
-        xs /= span
-        xs[flat] = 0.0  # assigned, so that no input becomes -0.0
-        splits[name] = (xs, y[:, a:b].copy())
-    return splits
+    return {
+        name: (x[:, a:b].copy(), y[:, a:b].copy())
+        for name, a, b in zip(("train", "val", "test"), edges, edges[1:])
+    }

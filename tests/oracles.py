@@ -1023,6 +1023,11 @@ def old_gen_synthetic_load(
     return profiles
 
 
+def old_household_features(profiles: Sequence[LoadProfile]) -> np.ndarray:
+    """Each profile's mean daily curve, one profile at a time."""
+    return np.array([p.series.reshape(p.days, SLOTS_PER_DAY).mean(axis=0) for p in profiles])
+
+
 def old_window_dataset(series: np.ndarray, lookback: int, horizon: int) -> OldSplits:
     """One household's sliding windows, stride one, split ceil(0.7 N) /
     floor(0.15 N) / rest in time order; inputs min-max normalized with the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn.config import DataConfig
 from dmslearn.data import (
     ARCHETYPES,
     SLOTS_PER_DAY,
@@ -13,7 +14,7 @@ from dmslearn.data import (
     window_dataset,
 )
 
-from oracles import old_gen_synthetic_load, old_window_dataset
+from oracles import old_gen_synthetic_load, old_household_features, old_window_dataset
 
 
 def test_archetype_curves_have_48_slots():
@@ -54,6 +55,33 @@ def test_generator_equals_the_per_day_body(households, days, noise_scale, seed):
         assert p.series.shape == q.series.shape and p.series.tobytes() == q.series.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_generator_equals_the_per_day_body_at_workload_scale(seed):
+    new = gen_synthetic_load(100, 10, seed, noise_scale=0.05)
+    old = old_gen_synthetic_load(100, 10, seed, noise_scale=0.05)
+    assert [p.archetype for p in new] == [p.archetype for p in old]
+    assert all(p.series.tobytes() == q.series.tobytes() for p, q in zip(new, old, strict=True))
+
+
+def test_profile_series_are_disjoint_contiguous_rows():
+    profiles = gen_synthetic_load(6, 3, seed=4)
+    before = [p.series.copy() for p in profiles]
+    for p in profiles:
+        assert p.series.dtype == np.float64 and p.series.shape == (3 * SLOTS_PER_DAY,)
+        assert p.series.flags.c_contiguous
+    profiles[2].series[:] = -1.0
+    for i, (p, b) in enumerate(zip(profiles, before)):
+        assert i == 2 or np.array_equal(p.series, b)
+
+
+@pytest.mark.parametrize("noise_scale", [-1.0, math.nan, math.inf])
+def test_generator_and_config_reject_a_negative_or_non_finite_noise_scale(noise_scale):
+    with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+        gen_synthetic_load(3, 2, seed=0, noise_scale=noise_scale)
+    with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+        DataConfig(noise_scale=noise_scale)
+
+
 def test_noise_free_series_is_weekly_periodic():
     profiles = gen_synthetic_load(4, 14, seed=0, noise_scale=0.0)
     for p in profiles:
@@ -85,11 +113,12 @@ def test_generator_rejects_empty():
         gen_synthetic_load(5, 0, seed=0)
 
 
-def test_household_features_shape():
-    profiles = gen_synthetic_load(7, 4, seed=5)
+@pytest.mark.parametrize("households, days, seed", [(7, 4, 5), (100, 10, 0), (3, 1, 2), (20, 29, 9)])
+def test_household_features_equal_the_per_profile_means(households, days, seed):
+    profiles = gen_synthetic_load(households, days, seed)
     feats = household_features(profiles)
-    assert feats.shape == (7, SLOTS_PER_DAY)
-    assert np.allclose(feats[0], profiles[0].series.reshape(4, -1).mean(axis=0))
+    assert feats.shape == (households, SLOTS_PER_DAY)
+    assert feats.tobytes() == old_household_features(profiles).tobytes()
 
 
 def test_kmeans_recovers_separated_blobs():
@@ -245,3 +274,17 @@ def test_stacked_windows_equal_the_per_household_windows_bit_for_bit(
             part = getattr(old, name)
             assert x[i].shape == part.features.shape and x[i].tobytes() == part.features.tobytes()
             assert y[i].shape == part.targets.shape and y[i].tobytes() == part.targets.tobytes()
+
+
+def test_windows_equal_the_per_household_windows_at_workload_scale():
+    series = np.array([p.series for p in gen_synthetic_load(30, 10, seed=3)])
+    n_train = math.ceil(0.7 * (480 - 48))
+    series[7, : n_train + 47] = 0.4  # one flat household; its later slots still move
+    splits = window_dataset(series, 48, 1)
+    for i in range(30):
+        old = old_window_dataset(series[i], 48, 1)
+        for name, (x, y) in splits.items():
+            part = getattr(old, name)
+            assert x[i].shape == part.features.shape and x[i].tobytes() == part.features.tobytes()
+            assert y[i].shape == part.targets.shape and y[i].tobytes() == part.targets.tobytes()
+    assert not np.any(splits["test"][0][7])
