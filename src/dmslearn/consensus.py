@@ -38,7 +38,6 @@ __all__ = [
     "RoundFailure",
     "SecureSetup",
     "TrainingRun",
-    "complexity_counters",
     "contraction_check",
     "lr_bound",
     "max_disagreement",
@@ -235,7 +234,7 @@ def contraction_check(
             ks = above[1:]  # drop round 0: the first step can be atypical
             if ks.size >= 4:
                 empirical_slope = float(np.polyfit(ks, log_series[ks], 1)[0])
-                slope_within = empirical_slope <= np.log(max(contraction, 1e-300)) + 0.01
+                slope_within = bool(empirical_slope <= np.log(max(contraction, 1e-300)) + 0.01)
     tail_ok = bool(tail_mean <= 1.5 * limit_bound) if not noise_free else True
 
     return ContractionReport(
@@ -319,24 +318,21 @@ def _secure_mix(
     return mixed
 
 
-def _round_traffic(graph: Graph | None, shape, secure: SecureSetup | None, first_entry: int):
-    """One round's traffic on (n, d) weights: its (edge_count, active_agents, messages, bytes)
-    row, each agent's degree (1 on a server round) and each agent's sent messages. Secure
-    counts read the transcript from ``first_entry`` on."""
+def _round_traffic(graph: Graph | None, shape, secure: SecureSetup | None, before):
+    """One round's (edge_count, active_agents, messages, bytes) row on (n, d) weights. A
+    secure round's messages and bytes are what the transcript's counters gained since
+    ``before``, their (messages, bytes) at the round's start."""
     n, d = shape
     if graph is None:  # a server round: one upload and one download per agent
-        degrees, edge_count, active, messages = 1, n, n, 2 * n
+        edge_count, active, messages = n, n, 2 * n
     else:
         # One logical message per directed edge: each agent sends its broadcast to every neighbor.
-        degrees, edge_count, (messages, active) = graph.degrees, graph.edge_count, graph.counts
+        edge_count, (messages, active) = graph.edge_count, graph.counts
     if secure is None:
         # Each plaintext message carries d float64 weights.
-        return (edge_count, active, messages, messages * d * 8), degrees, degrees
-    entries = secure.transcript.entries[first_entry:]
-    senders = [s for e in entries for s in e.senders]
-    nbytes = sum(len(e.senders) * e.payload_bytes for e in entries)
-    sent = np.bincount(senders, minlength=n)[:n]  # parties and servers hold ids past n
-    return (edge_count, active, len(senders), nbytes), degrees, sent
+        return edge_count, active, messages, messages * d * 8
+    t = secure.transcript
+    return edge_count, active, t.messages - before[0], t.bytes - before[1]
 
 
 def _round(
@@ -390,14 +386,10 @@ dms_round = ctl_round = fedavg_round = _round
 class TrainingRun:
     """Everything a finished (or aborted) run leaves behind. ``metrics`` holds one row a round
     of the int64 fields ``edge_count``, ``active_agents``, ``messages`` and ``bytes``: round k
-    reads as ``metrics[k].messages``, a column as ``metrics.messages``. Per agent, the run
-    sums its degrees (1 a server round) and its sent messages: the degree sum in plaintext,
-    one message per directed edge, and its transcript messages in secure mode."""
+    reads as ``metrics[k].messages``, a column as ``metrics.messages``."""
 
     agents: list[AgentState]
     metrics: np.recarray
-    per_agent_degree_sum: np.ndarray
-    per_agent_messages: np.ndarray
     terminated_early: bool
     diverged: bool
 
@@ -480,7 +472,6 @@ def run_training(
 
     phis, done = None, 0
     rows = np.zeros(rounds, _TRAFFIC)  # a row reads as rows[k].messages
-    degree_sum, sent = np.zeros((2, tasks.shape[0]), np.int64)  # plaintext: sent is degree_sum
     if tolerance is not None and monitor is None:
         raise ValueError("a tolerance needs a monitor, whose optimum it is measured against")
     worst = None if monitor is None else monitor.record(thetas)
@@ -493,14 +484,11 @@ def run_training(
         for k in range(0 if terminated else rounds):
             # The schedule plans its draws for the rounds left; fedavg mixes by the server mean.
             graph = None if schedule is None else schedule.advance(rounds - k)
-            first_entry = 0 if secure is None else len(secure.transcript.entries)
+            before = None if secure is None else (secure.transcript.messages, secure.transcript.bytes)
             thetas, phis, losses = _round(
                 thetas, graph, learn, learn_first=strategy != "ctl", round_index=k, **options
             )
-            rows[k], degrees, senders = _round_traffic(graph, tasks.shape, secure, first_entry)
-            degree_sum += degrees
-            if secure is not None:
-                sent += senders
+            rows[k] = _round_traffic(graph, tasks.shape, secure, before)
             done = k + 1
             if monitor is not None:
                 worst = monitor.record(thetas)
@@ -517,23 +505,7 @@ def run_training(
     return TrainingRun(
         agents=[AgentState(theta, phi) for theta, phi in zip(thetas, last_phis)],
         metrics=rows[:done].view(np.recarray),
-        per_agent_degree_sum=degree_sum,
-        per_agent_messages=degree_sum.copy() if secure is None else sent,
         terminated_early=terminated,
         diverged=diverged,
     )
 
-
-def complexity_counters(run: TrainingRun) -> dict:
-    """Aggregate traffic counters for a finished run: totals and per-round edges from the
-    columns of ``run.metrics``, and its two per-agent sums, equal in plaintext mode."""
-    m = run.metrics
-    return {
-        "rounds": len(m),
-        "total_messages": int(m.messages.sum()),
-        "total_bytes": int(m.bytes.sum()),
-        "mean_edges": float(np.mean(m.edge_count)) if len(m) else 0.0,
-        "per_round_edges": m.edge_count.tolist(),
-        "per_agent_messages": run.per_agent_messages,
-        "per_agent_degree_sum": run.per_agent_degree_sum,
-    }

@@ -20,7 +20,6 @@ from .consensus import (
     ConvergenceMonitor,
     SecureSetup,
     TrainingRun,
-    complexity_counters,
     lr_bound,
     max_disagreement,
     run_training,
@@ -320,16 +319,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         on_round=on_round,
     )
 
-    counters = complexity_counters(run)
+    m = run.metrics
     summary = {
         "strategy": config.strategy,
         "task": config.task,
         "rounds_completed": run.rounds_completed,
         "terminated_early": run.terminated_early,
         "diverged": run.diverged,
-        "total_messages": counters["total_messages"],
-        "total_bytes": counters["total_bytes"],
-        "mean_edges": counters["mean_edges"],
+        "total_messages": int(m.messages.sum()),
+        "total_bytes": int(m.bytes.sum()),
+        "mean_edges": float(m.edge_count.mean()) if len(m) else 0.0,
     }
     if monitor is not None:
         summary["final_worst_mse"] = float(monitor.worst_mse[-1])

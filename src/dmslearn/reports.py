@@ -28,8 +28,8 @@ def _plain(value: Any) -> Any:
     a non-finite float becomes None, so a report stays strict JSON."""
     if isinstance(value, (float, np.floating)):
         return float(value) if math.isfinite(value) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()  # a Python int or bool
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, dict):

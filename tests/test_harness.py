@@ -192,6 +192,9 @@ def test_run_experiment_zero_rounds(tmp_path):
     result = run_experiment(small_quadratic(rounds=0), tmp_path)
     records = read_report(result.paths["report"])
     assert [r["type"] for r in records] == ["config", "summary"]
+    summary = records[-1]
+    assert (summary["total_messages"], summary["total_bytes"]) == (0, 0)
+    assert summary["mean_edges"] == 0.0
 
 
 def test_run_experiment_secure_writes_transcript(tmp_path):
@@ -457,6 +460,11 @@ def test_report_files_are_canonical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     back = read_report(p1)
     assert back[0]["a"] == 2.5
+
+
+def test_report_writes_numpy_bools_as_json_bools(tmp_path):
+    p = write_report(tmp_path / "r.jsonl", [{"ok": np.True_, "flags": [np.False_]}])
+    assert p.read_text() == '{"flags":[false],"ok":true}\n'
 
 
 def test_transcript_lines_equal_the_json_encoded_ones(tmp_path):
