@@ -95,7 +95,7 @@ class NoiseConfig:
 
     def __post_init__(self) -> None:
         if self.xi < 0:
-            raise ValueError("noise bound must be nonnegative")
+            raise ValueError(f"xi must be nonnegative, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class AttackConfig:
         if self.mode not in ("constant", "scaled"):
             raise ValueError(f"unknown attack mode {self.mode!r}; use constant or scaled")
         if self.epsilon < 0 or self.malicious < 0:
-            raise ValueError("attack parameters must be nonnegative")
+            raise ValueError("attack epsilon and malicious must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,13 @@ class ExperimentConfig:
     attack: AttackConfig | None = None
 
     def __post_init__(self) -> None:
+        # A config built in code meets the finite-float rule that parsing applies.
+        sections = [("", self)] + [(f"{f.name}.", getattr(self, f.name)) for f in fields(self)]
+        for prefix, section in sections:
+            for f in fields(section) if dataclasses.is_dataclass(section) else ():
+                value = getattr(section, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{prefix}{f.name} must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.task not in TASKS:

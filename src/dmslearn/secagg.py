@@ -491,10 +491,6 @@ class Transcript:
         entry = TranscriptEntry(round_index, phase, senders, receivers, payload, payload_bytes)
         self.entries.append(entry)
 
-    def payload_values(self):
-        """All transmitted field elements, across every recorded message."""
-        return chain.from_iterable(entry.payload for entry in self.entries)
-
 
 def secure_aggregate(
     vectors: np.ndarray | Sequence[np.ndarray],

@@ -10,6 +10,7 @@ in place, or read intercepted weight snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -75,9 +76,6 @@ class ReconstructionResult:
 
     x: np.ndarray
     residual: float
-    residual_series: np.ndarray
-    iterations: int
-    input_mse: float | None = None
 
 
 def dlg_reconstruct(
@@ -88,9 +86,6 @@ def dlg_reconstruct(
     iters: int = 500,
     rng: np.random.Generator,
     restarts: int = 1,
-    x_init: np.ndarray | None = None,
-    y_init: np.ndarray | None = None,
-    true_x: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Reconstruct a single training sample from its observed gradient.
 
@@ -98,20 +93,21 @@ def dlg_reconstruct(
     sample and ``observed_grad`` by finite-difference descent on the dummy
     input and target (central differences of relative width 1e-4), with a
     backtracking line search of up to 40 halvings from a first step of
-    0.1, so the residual series never increases. Each iteration takes one
-    stacked call for every central difference and one for every candidate
-    step, keeping the first (largest) that improves: the iterates of one
-    call per difference and per candidate. ``model`` needs only a
-    ``loss_and_gradient(theta, x, y)`` that stacks leading batch axes.
-    With ``restarts > 1`` the attack reruns from fresh random inits and
-    keeps the best residual; ``y_init`` needs ``x_init``.
+    0.1, so the residual never increases. Each iteration takes one stacked
+    call for every central difference and one for every candidate step,
+    keeping the first (largest) that improves: the iterates of one call per
+    difference and per candidate. ``model`` needs only a
+    ``loss_and_gradient(theta, x, y)`` that stacks leading batch axes. Each
+    of the ``restarts`` attempts starts from a fresh random dummy sample,
+    and the attack keeps the best residual.
     """
-    if y_init is not None and x_init is None:
-        raise ValueError("y_init needs x_init")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     theta = np.asarray(theta, dtype=float)
     observed = np.asarray(observed_grad, dtype=float)
-    in_dim = model.in_dim
-    out_dim = model.out_dim
+    in_dim, out_dim = model.in_dim, model.out_dim
 
     def residuals(z: np.ndarray) -> np.ndarray:
         """Squared gradient mismatch at each dummy sample row of ``z`` (input, then target)."""
@@ -120,21 +116,12 @@ def dlg_reconstruct(
         return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
 
     best: ReconstructionResult | None = None
-    for attempt in range(max(1, restarts)):
-        if x_init is not None and attempt == 0:
-            x = np.asarray(x_init, dtype=float).copy()
-            y = np.asarray(y_init, dtype=float).copy() if y_init is not None else rng.uniform(-1, 1, out_dim)
-        else:
-            x = rng.uniform(0.0, 1.0, in_dim)
-            y = rng.uniform(-1.0, 1.0, out_dim)
-
-        z = np.concatenate([x, y])
+    for _ in range(restarts):
+        z = np.concatenate([rng.uniform(0.0, 1.0, in_dim), rng.uniform(-1.0, 1.0, out_dim)])
         residual = float(residuals(z[None])[0])
         if not np.isfinite(residual):
             raise ValueError("attack residual non-finite at initialization")
-        series = [residual]
         trial_step = 0.1
-        accepted = 0
 
         for _ in range(iters):
             if residual == 0.0:
@@ -142,34 +129,19 @@ def dlg_reconstruct(
             h = 1e-4 * np.maximum(1.0, np.abs(z))
             r = residuals(np.concatenate([z + h * np.eye(z.size), z - h * np.eye(z.size)]))
             grad = (r[: z.size] - r[z.size :]) / (2 * h)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-14:
+            if float(np.linalg.norm(grad)) < 1e-14:
                 break
             # The 40 trial steps, halved in turn as a one-at-a-time search halves them.
             steps = np.cumprod(np.r_[trial_step, np.full(39, 0.5)])
             cands = z - steps[:, None] * grad
             r = residuals(cands)
             k = int(np.argmax(r < residual))  # the first improving step, if any
-            improved = r[k] < residual
-            if improved:
-                z, residual, trial_step = cands[k], float(r[k]), min(steps[k] * 2.0, 1e3)
-            series.append(residual)
-            accepted += 1
-            if not improved:
+            if not r[k] < residual:
                 break
+            z, residual, trial_step = cands[k], float(r[k]), min(steps[k] * 2.0, 1e3)
 
-        result = ReconstructionResult(
-            x=z[:in_dim].copy(),
-            residual=residual,
-            residual_series=np.array(series),
-            iterations=accepted,
-        )
-        if best is None or result.residual < best.residual:
-            best = result
-
-    if true_x is not None:
-        dx = best.x - np.asarray(true_x, dtype=float)
-        best.input_mse = float(np.mean(dx * dx))
+        if best is None or residual < best.residual:
+            best = ReconstructionResult(x=z[:in_dim].copy(), residual=residual)
     return best
 
 
@@ -182,13 +154,9 @@ def secure_leakage_probe(transcript: Transcript, encoded_vectors: Sequence[Seque
     """
     if not transcript.record_payloads:
         raise ValueError("the transcript kept no payloads to probe")
-    private = set()
-    for vec in encoded_vectors:
-        private.update(int(v) for v in vec)
-    for value in transcript.payload_values():
-        if int(value) in private:
-            return False
-    return True
+    private = {int(v) for vec in encoded_vectors for v in vec}
+    payloads = chain.from_iterable(entry.payload for entry in transcript.entries)
+    return private.isdisjoint(int(value) for value in payloads)
 
 
 @dataclass
@@ -226,11 +194,11 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     victim = 0
     true_x = samples_x[victim]
 
-    def attack(theta: np.ndarray, grad: np.ndarray) -> ReconstructionResult:
-        """Every arm's attack: one victim sample, one budget, one generator."""
-        return dlg_reconstruct(
-            model, theta, grad, iters=iters, rng=attack_rng, restarts=restarts, true_x=true_x
-        )
+    def attack(theta: np.ndarray, grad: np.ndarray) -> tuple[float, float]:
+        """Every arm's attack, one budget and generator: (input MSE, residual)."""
+        rec = dlg_reconstruct(model, theta, grad, iters=iters, rng=attack_rng, restarts=restarts)
+        dx = rec.x - true_x
+        return float(np.mean(dx * dx)), rec.residual
 
     # Server arm: shared init; the gradient is inferred as the difference
     # of the two intercepted weights across one local step, over gamma.
@@ -238,7 +206,7 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     _, grads = model.loss_and_gradient(theta0, samples_x[:, None], samples_y[:, None])
     true_grad = grads[victim]
     phi = theta0 - gamma * true_grad
-    fedavg_rec = attack(theta0, (theta0 - phi) / gamma)
+    fedavg_mse, fedavg_residual = attack(theta0, (theta0 - phi) / gamma)
 
     # Switching arm: per-agent inits the attacker never sees; broadcasts
     # observed across a mixing step.
@@ -257,7 +225,8 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
     )
     dms_inferred = (observed[0] - observed[1]) / gamma
     mismatch = float(np.linalg.norm(dms_inferred - true_grad))
-    dms_rec = attack(observed[0], dms_inferred)  # observed[0]: the attacker's best weight guess
+    # observed[0]: the attacker's best weight guess
+    dms_mse, dms_residual = attack(observed[0], dms_inferred)
 
     # Aggregate arm: the attacker sees only the securely summed gradients.
     codec = FixedPointCodec()
@@ -267,14 +236,14 @@ def dlg_compare_topologies(seed: int, *, iters: int = 500, restarts: int = 3) ->
         grads, session, codec, secagg_rng, transcript=transcript, round_index=0
     )
     clean = secure_leakage_probe(transcript, [codec.encode_vector(g) for g in grads])
-    agg_rec = attack(theta0, total / agent_count)
+    agg_mse, _ = attack(theta0, total / agent_count)
 
     return LeakageReport(
-        fedavg_input_mse=fedavg_rec.input_mse,
-        dms_input_mse=dms_rec.input_mse,
-        fedavg_residual=fedavg_rec.residual,
-        dms_residual=dms_rec.residual,
-        aggregate_input_mse=agg_rec.input_mse,
+        fedavg_input_mse=fedavg_mse,
+        dms_input_mse=dms_mse,
+        fedavg_residual=fedavg_residual,
+        dms_residual=dms_residual,
+        aggregate_input_mse=agg_mse,
         transcript_clean=clean,
         inferred_mismatch=mismatch,
     )

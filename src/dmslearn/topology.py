@@ -54,27 +54,17 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(canon))
 
     @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.agent_count)]
-        for i, j in self.sorted_edges:
+        for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(nb)) for nb in adj)
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        degrees = np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
-        degrees.flags.writeable = False
-        return degrees
-
-    @cached_property
     def counts(self) -> tuple[int, int]:
         """(messages, active agents): directed edges, agents with a neighbor."""
-        return int(self.degrees.sum()), int(np.count_nonzero(self.degrees))
+        return 2 * len(self.edges), sum(1 for nb in self.neighbors if nb)
 
     @cached_property
     def mixing(self) -> np.ndarray:

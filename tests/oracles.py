@@ -75,7 +75,7 @@ from dmslearn.secagg import (
     TamperError,
     Transcript,
 )
-from dmslearn.threats import PoisonOutcome, PoisonPolicy, ReconstructionResult
+from dmslearn.threats import PoisonOutcome, PoisonPolicy
 from dmslearn.topology import Graph, make_dms_schedule, mixing_matrix
 
 
@@ -221,7 +221,7 @@ def union_connectivity(substructures: Sequence[Graph]) -> bool:
     for g in substructures:
         if g.agent_count != n:
             raise ValueError("substructures disagree on agent count")
-        for i, j in g.sorted_edges:
+        for i, j in g.edges:
             adj[i].add(j)
             adj[j].add(i)
     seen = {0}
@@ -351,8 +351,8 @@ def _graph_metrics(round_index, graph, secure, before):
     return _old_metrics(
         round_index,
         graph.edge_count,
-        len(np.flatnonzero(graph.degrees > 0)),
-        int(graph.degrees.sum()),
+        sum(1 for nb in graph.neighbors if nb),
+        sum(len(nb) for nb in graph.neighbors),
         getattr(secure, "transcript", None),
         before,
     )
@@ -773,11 +773,6 @@ class OldTranscript:
             )
         )
 
-    def payload_values(self):
-        """All transmitted field elements, across every recorded message."""
-        for entry in self.entries:
-            yield from entry.payload
-
 
 def per_message(transcript: Transcript) -> list[OldTranscriptEntry]:
     """A phase log's entries expanded, in order, into one entry per message,
@@ -915,7 +910,7 @@ def old_party_placement(
             )
         return sessions
     if strategy in ("dfc", "dms", "ctl"):
-        active = tuple(int(i) for i in np.flatnonzero(graph.degrees > 0))
+        active = tuple(i for i, nb in enumerate(graph.neighbors) if nb)
         if len(active) < 3:
             raise ContributorError("active subset smaller than 3 cannot aggregate securely")
         nu = len(active)
@@ -1105,8 +1100,20 @@ def old_loss_and_gradient(model, theta: np.ndarray, x: np.ndarray, y: np.ndarray
     return loss, np.concatenate([g1.ravel(), gb1, g2.ravel(), gb2])
 
 
+@dataclass
+class OldReconstructionResult:
+    """The attack's old result record: its best iterate with the descent
+    trace and, given the true input, the input MSE."""
+
+    x: np.ndarray
+    residual: float
+    residual_series: np.ndarray
+    iterations: int
+    input_mse: float | None = None
+
+
 def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts=1,
-                        x_init=None, y_init=None, true_x=None) -> ReconstructionResult:
+                        x_init=None, y_init=None, true_x=None) -> OldReconstructionResult:
     theta = np.asarray(theta, dtype=float)
     observed = np.asarray(observed_grad, dtype=float)
     in_dim = model.in_dim
@@ -1165,7 +1172,7 @@ def old_dlg_reconstruct(model, theta, observed_grad, *, iters=500, rng, restarts
             if not improved:
                 break
 
-        result = ReconstructionResult(
+        result = OldReconstructionResult(
             x=z[:in_dim].copy(),
             residual=residual,
             residual_series=np.array(series),

@@ -975,10 +975,27 @@ def test_graph_mixing_is_cached_read_only():
     assert not g.mixing.flags.writeable
 
 
-def test_graph_degrees_and_counts_are_cached_read_only():
-    g = make_topology("ring", 5)
-    assert g.degrees is g.degrees and not g.degrees.flags.writeable
-    assert g.counts == (10, 5)
+@pytest.mark.parametrize(
+    "graph",
+    [
+        make_topology("ring", 5),
+        make_topology("complete", 6),
+        make_subset_graph(8, (0, 2, 3, 7)),
+        Graph(4, frozenset()),
+    ],
+    ids=["ring", "complete", "subset", "empty"],
+)
+def test_graph_counts_and_neighbors_match_the_mixing_matrix(graph):
+    mix = mixing_matrix(graph)
+    degrees = np.count_nonzero(mix, axis=1) - 1
+    assert graph.neighbors == tuple(
+        tuple(int(j) for j in np.flatnonzero(row) if j != i) for i, row in enumerate(mix)
+    )
+    assert graph.counts == (degrees.sum(), np.count_nonzero(degrees))
+    assert graph.counts is graph.counts
+
+
+def test_plaintext_round_traffic_is_its_graph_counts():
     # A plaintext round's traffic is its graph's own counts.
     schedule, twin = (
         make_dms_schedule(7, subset_size=3, substructure_count=4, rng=np.random.default_rng(5))
@@ -991,7 +1008,7 @@ def test_graph_degrees_and_counts_are_cached_read_only():
         graph = schedule.substructures[twin.state]
         from_mixing = np.count_nonzero(mixing_matrix(graph), axis=1) - 1
         assert consensus._round_traffic(graph, (7, 2), None, None) == tuple(row.tolist())
-        assert np.array_equal(graph.degrees, from_mixing)
+        assert graph.counts == (from_mixing.sum(), np.count_nonzero(from_mixing))
         assert row.messages == from_mixing.sum() and row.edge_count == from_mixing.sum() // 2
         assert row.active_agents == np.count_nonzero(from_mixing)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -104,6 +105,49 @@ def test_config_bad_values_rejected():
         parse_config({"seed": -1})
     with pytest.raises(ConfigError):
         parse_config({"strategy": "centralized", "secure": {"enabled": True}})
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in Path(experiment.__file__).parent.glob("*.py") if p.stem[0] != "_")
+)
+def test_every_name_in_a_module_all_resolves(module):
+    # A deletion that leaves its name in __all__ would break `import *`.
+    mod = importlib.import_module(f"dmslearn.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def float_keys() -> list[tuple[str | None, str]]:
+    """(section, key) for every float key of the config, None for the top level."""
+    keys = []
+    for name, hint in get_type_hints(ExperimentConfig).items():
+        kinds = get_args(hint) or (hint,)
+        section = next((k for k in kinds if dataclasses.is_dataclass(k)), None)
+        if section is not None:
+            keys += [(name, k) for k, h in get_type_hints(section).items() if h is float]
+        elif float in kinds:
+            keys.append((None, name))
+    return keys
+
+
+def test_float_keys_cover_every_section():
+    keys = float_keys()
+    assert {(None, "gamma"), (None, "tolerance"), ("noise", "xi"), ("attack", "epsilon"),
+            ("quadratic", "far_start"), ("data", "noise_scale")} <= set(keys)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, key", float_keys())
+def test_config_built_in_code_rejects_a_non_finite_float(section, key, value):
+    # Parsing rejects these; a config built in code used to take nan gamma,
+    # tolerance, noise.xi and more, and echo a config.echo that no parse accepts.
+    with pytest.raises(ValueError, match=key):
+        if section is None:
+            ExperimentConfig(**{key: value})
+        else:
+            cls = type(getattr(ExperimentConfig(attack=AttackConfig()), section))
+            ExperimentConfig(**{section: cls(**{key: value})})
+    with pytest.raises(ConfigError, match=key):
+        parse_config({key: value} if section is None else {section: {key: value}})
 
 
 def test_load_config_yaml(tmp_path):

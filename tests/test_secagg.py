@@ -302,7 +302,7 @@ def test_transcript_payload_hiding():
         transcript=bare,
     )
     assert bare.messages > 0
-    assert list(bare.payload_values()) == []
+    assert all(entry.payload == () for entry in bare.entries)
 
 
 def test_placement_fedavg():
