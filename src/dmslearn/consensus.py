@@ -186,7 +186,6 @@ class ContractionParams:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    lambda_bar: np.ndarray
     contraction: float
     limit_bound: float
     step_size_ok: bool
@@ -214,8 +213,7 @@ def contraction_check(
     where the errors reach 1e-25, before arithmetic round-off.
     """
     a = np.asarray(mixing, dtype=float)
-    lam = params.lambda_bar
-    contraction = params.alpha * float((a @ lam).max())
+    contraction = params.alpha * float((a @ params.lambda_bar).max())
     limit_bound = params.alpha * float((params.xi**2).max())
 
     if not monitor.theta_sq:  # before worst_mse, which cannot reduce an empty series
@@ -238,7 +236,6 @@ def contraction_check(
     tail_ok = bool(tail_mean <= 1.5 * limit_bound) if not noise_free else True
 
     return ContractionReport(
-        lambda_bar=lam,
         contraction=contraction,
         limit_bound=limit_bound,
         step_size_ok=params.step_size_ok,
@@ -433,9 +430,10 @@ def run_training(
 
     The rounds start from a copy of the (n, d) ``inits``, which must match
     the task set's (n, d), n and d positive, and step every agent with the
-    learning rate ``gamma``. Inits of shape (r, n, d) run r replicas, each
-    as its own run would, sharing the task set, every round's graph and
-    noise, alpha and the monitor's optimum; the run stops when one diverges,
+    learning rate ``gamma``; each mix is scaled by ``alpha``, in (0, 1].
+    Inits of shape (r, n, d) run r replicas, each as its own run would,
+    sharing the task set, every round's graph and noise, alpha and the
+    monitor's optimum; the run stops when one diverges,
     and a stack takes no secure mode or tolerance. After round k,
     ``on_round(k, thetas, phis, row, losses)`` gets the round's stacked (n, d)
     weights and learn outputs, which no later round edits, its traffic row
@@ -457,6 +455,8 @@ def run_training(
         raise ValueError("epochs must be positive")
     if not gamma > 0:
         raise ValueError("learning rate must be positive")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     thetas = np.array(inits, dtype=float)
     if thetas.shape[-2:] != tasks.shape or thetas.ndim not in (2, 3):
         raise ValueError(f"inits of shape {thetas.shape} for a task set of shape {tasks.shape}")

@@ -21,14 +21,9 @@ import numpy as np
 # Largest prime below 2**128; 128-bit fields make accidental share/value
 # collisions and brute-force reconstruction equally hopeless.
 PRIME_128 = (1 << 128) - 159
-# Small primes for exhaustive and hand-checkable tests.
-PRIME_TEST_97 = 97
-PRIME_TEST_31 = 31
 
 __all__ = [
     "PRIME_128",
-    "PRIME_TEST_31",
-    "PRIME_TEST_97",
     "ContributorError",
     "EncodingRangeError",
     "FixedPointCodec",

@@ -212,7 +212,7 @@ def make_dms_schedule(
     if m < 3:
         raise ValueError("subset smaller than 3 cannot co-train")
     if m > agent_count:
-        raise ValueError("subset larger than the agent population")
+        raise ValueError(f"subset of {m} agents exceeds the {agent_count} agents")
     if substructure_count < 1:
         raise ValueError("need at least one substructure")
     for _ in range(MAX_DRAWS):

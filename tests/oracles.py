@@ -78,6 +78,10 @@ from dmslearn.secagg import (
 from dmslearn.threats import PoisonOutcome, PoisonPolicy
 from dmslearn.topology import Graph, make_dms_schedule, mixing_matrix
 
+# Small primes for exhaustive and hand-checkable field tests.
+PRIME_TEST_97 = 97
+PRIME_TEST_31 = 31
+
 
 # --- the per-agent task layer the stacked task sets replaced -------------
 # One task object per agent, bound to its learning rate by an agent

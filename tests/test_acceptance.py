@@ -30,7 +30,6 @@ from dmslearn.experiment import (
 from dmslearn.numerics import MlpModel, NoiseModel, QuadraticTasks
 from dmslearn.secagg import (
     PRIME_128,
-    PRIME_TEST_31,
     FixedPointCodec,
     SecAggSession,
     SecretShare,
@@ -44,7 +43,7 @@ from dmslearn.secagg import (
 from dmslearn.threats import dlg_compare_topologies, run_poisoning_experiment
 from dmslearn.topology import Graph, make_static_schedule, make_topology, mixing_matrix
 
-from oracles import fd_gradient
+from oracles import PRIME_TEST_31, fd_gradient
 
 
 def field_element(rng: np.random.Generator, prime: int = PRIME_128) -> int:

@@ -857,6 +857,19 @@ def test_run_training_rejects_inits_off_the_task_set_and_a_nonpositive_gamma():
             run_training(tasks, complete_schedule(3), inits=inits, gamma=gamma, rounds=1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, np.nan, np.inf])
+def test_run_training_rejects_an_alpha_outside_the_unit_interval_before_any_round(alpha):
+    # Was run as given: 0 pinned every agent at the origin, -1 flipped the
+    # sign of every mix and 1.5 grew the weights past 1e6 in 50 rounds.
+    seen = []
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+        run_training(
+            quads(1.0, u=1.0, n=4), complete_schedule(4), inits=np.zeros((4, 1)), gamma=0.1,
+            rounds=50, alpha=alpha, on_round=lambda k, *_: seen.append(k),
+        )
+    assert seen == []
+
+
 @pytest.mark.parametrize("strategy", ["dms", "fedavg"])
 @pytest.mark.parametrize("n, d", [(3, 0), (0, 2)], ids=["no-weight", "no-agent"])
 def test_run_training_rejects_a_task_set_with_no_agent_or_no_weight(strategy, n, d):

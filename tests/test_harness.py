@@ -803,6 +803,27 @@ def test_cli_run_rejects_configs_it_cannot_build(tmp_path, config):
 
 
 @pytest.mark.parametrize(
+    "config, sizes",
+    [
+        ({"agent_count": 2}, (3, 2)),
+        ({"strategy": "ctl", "agent_count": 2}, (3, 2)),
+        ({"subset_size": 31}, (31, 30)),
+        (
+            {"task": "forecast", "data": {"households": 12, "days": 3, "pick": 2},
+             "model": {"lookback": 8, "hidden": 3}},
+            (3, 2),
+        ),
+    ],
+)
+def test_a_subset_beyond_the_agents_names_both_sizes(config, sizes):
+    # Was "subset larger than the agent population", also for a subset the
+    # user never set.
+    message = "config: subset of {} agents exceeds the {} agents".format(*sizes)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_experiment(parse_config({"rounds": 2, **config}))
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cluster", "--households", "2", "--clusters", "3"],

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dmslearn.secagg import (
     PRIME_128,
-    PRIME_TEST_31,
-    PRIME_TEST_97,
     ContributorError,
     EncodingRangeError,
     FixedPointCodec,
@@ -32,6 +30,8 @@ from dmslearn.secagg import (
 from dmslearn.topology import Graph, make_subset_graph, make_topology
 
 from oracles import (
+    PRIME_TEST_31,
+    PRIME_TEST_97,
     OldTranscript,
     naive_poly_eval,
     naive_reconstruct,
