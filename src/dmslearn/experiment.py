@@ -335,7 +335,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     if setup is not None:
         thetas = np.array([a.theta for a in run.agents])
         for name in setup.splits:
-            summary[f"{name}_mse"] = _forecast_mse(setup, name, thetas)
+            kept = rows[-1].get(f"{name}_mse") if rows else None  # the final weights' row
+            summary[f"{name}_mse"] = _forecast_mse(setup, name, thetas) if kept is None else kept
         summary["households"] = setup.households
         if train_from_learn and rows:
             rows[-1]["train_mse"] = summary["train_mse"]

@@ -120,12 +120,21 @@ def _rand_field_cells(rng: np.random.Generator, prime: int, count: int) -> np.nd
     nbytes = (bits + 7) // 8
     slot = -(-nbytes // 4) * 4
     kept = np.empty((0, nbytes), np.uint8)
+    top = prime.to_bytes(nbytes, "big")
+    lead = int.from_bytes(top[:8], "big") if nbytes >= 8 else top
     while len(kept) < count:
         buf = rng.bytes(slot * (count - len(kept)))
-        cells = np.frombuffer(buf, np.uint8).reshape(-1, slot)[:, :nbytes].copy()
-        cells[:, 0] &= (1 << (bits - 8 * (nbytes - 1))) - 1
-        # Equal-width byte strings compare lexicographically, byte by unsigned byte.
-        below = cells.view(f"S{nbytes}")[:, 0] < prime.to_bytes(nbytes, "big")
+        cells = np.frombuffer(buf, np.uint8).reshape(-1, slot)[:, :nbytes]
+        if bits % 8:  # a whole top byte needs no mask and no copy
+            cells = cells.copy()
+            cells[:, 0] &= (1 << bits % 8) - 1
+        # Equal-width byte strings compare lexicographically, byte by unsigned byte, so the
+        # leading 8 bytes, as native integers, decide every row but those that tie with the prime's.
+        heads = (cells[:, :8].view(">u8").astype("u8") if nbytes >= 8 else cells.view(f"S{nbytes}"))[:, 0]
+        below = heads < lead
+        if not below.all():
+            tied = np.flatnonzero(heads == lead)
+            below[tied] = cells[tied].view(f"S{nbytes}")[:, 0] < top
         kept = cells if not len(kept) and below.all() else np.concatenate([kept, cells[below]])
     return kept
 
@@ -148,9 +157,16 @@ def _point_width(params: SharingParams, summands: int, guard: int = 0) -> int:
     return -(-bits // 32) * 4
 
 
-def _columns(limbs: np.ndarray) -> list[int]:
-    """One packed integer per degree from the low 32 bits of each ``[k, j]`` limb."""
-    return [int.from_bytes(col.astype("<u4").tobytes(), "little") for col in limbs]
+def _points(secret: np.ndarray, drawn: np.ndarray, slot: int, params: SharingParams) -> list[int]:
+    """Each party's unreduced packed point on sums of 32-bit words, ``secret``'s ``(dim, words)`` at
+    degree 0 and ``drawn``'s ``(dim, degree, words)``, most significant first, above it."""
+    dim, degree, words = drawn.shape
+    limbs = np.zeros((degree + 1, dim, slot // 4), np.uint64)
+    limbs[0, :, :words] = secret
+    limbs[1:, :, :words] = drawn.transpose(1, 0, 2)[..., ::-1]
+    for j in range(slot // 4 - 1):
+        limbs[..., j + 1] += limbs[..., j] >> 32
+    return _evaluate([int.from_bytes(col.astype("<u4").tobytes(), "little") for col in limbs], params)
 
 
 def _evaluate(columns: Sequence[int], params: SharingParams) -> list[int]:
@@ -182,12 +198,11 @@ def share(
     may also come as the ``(dim, words)`` ``uint32`` limbs that
     ``FixedPointCodec.encode_limbs`` gives, range-checked and placed as is.
 
-    With ``width``, a multiple of 4, it returns the coefficients instead, as
-    a ``(degree + 1, dim, width // 4)`` ``uint32`` array of little-endian
-    32-bit limbs: ``[k, j]`` is coordinate ``j``'s degree-``k`` coefficient
-    (the secret at ``k = 0``) in a ``width``-byte slot, which must hold,
-    without a carry, a party's whole point on the coefficients summed over
-    every contributor before it reduces that point once.
+    With ``width``, the bytes of the slots that a caller sums points in
+    (whole 32-bit limbs that hold a field element), it returns only the
+    drawn coefficients: a ``(dim, degree, words)`` view of their big-endian
+    32-bit words, most significant first, ``[j, k - 1]`` being coordinate
+    ``j``'s degree-``k`` coefficient. The caller places the secret at degree 0.
     """
     nbytes = ((params.prime - 1).bit_length() + 7) // 8
     words = -(-nbytes // 4)
@@ -211,8 +226,7 @@ def share(
         drawn = [int(c) for row in rows for c in row]
         if any(not (0 <= c < params.prime) for c in drawn):
             raise ValueError("coefficient outside the field")
-        cells = np.array([[*c.to_bytes(nbytes, "big")] for c in drawn], np.uint8)
-        cells = cells.reshape(len(drawn), nbytes)
+        cells = np.array([[*c.to_bytes(nbytes, "big")] for c in drawn], np.uint8).reshape(-1, nbytes)
     else:
         if rng is None:
             raise ValueError("random sharing needs an rng")
@@ -220,16 +234,12 @@ def share(
     slot = width or _point_width(params, 1)
     if slot % 4 or slot < 4 * words:
         raise ValueError("width must be whole 32-bit limbs that hold a field element")
-    limbs = np.zeros((degree + 1, dim, slot // 4), np.uint32)
-    limbs[0, :, :words] = secret
     if nbytes % 4:
         cells = np.pad(cells, ((0, 0), (4 * words - nbytes, 0)))
-    # Big-endian words come most significant first; reversed, they are the limbs.
-    words_be = cells.view(">u4").reshape(dim, degree, words)
-    limbs[1:, :, :words] = words_be.transpose(1, 0, 2)[..., ::-1]
+    drawn = cells.view(">u4").reshape(dim, degree, words)
     if width is not None:
-        return limbs
-    points = [_unpacked(p, dim, slot, params.prime) for p in _evaluate(_columns(limbs), params)]
+        return drawn
+    points = [_unpacked(p, dim, slot, params.prime) for p in _points(secret, drawn, slot, params)]
     return [SecretShare(x, p[0] if scalar else p) for x, p in enumerate(points, start=1)]
 
 
@@ -297,12 +307,13 @@ def reconstruct(
 
     With ``width``, each value packs ``dim`` unreduced coordinates in
     little-endian ``width``-byte slots, each below ``2**(8 * width - guard)``
-    (see ``_interpolation``); tuple values are packed so too. At indices
-    ``1 .. threshold`` the weights are exact signed integers. A lift by a
+    (see ``_interpolation``); tuple values are packed so too. A lift by a
     multiple of the prime keeps each slot of a weighted sum in ``[0, 2**(8 *
     width - 1))``, so every slot of a check's difference ``D`` is zero mod
     the prime exactly when ``D % prime == 0`` and no slot of ``D // prime``
-    has a bit at or above ``8 * width - prime.bit_length()``.
+    has a bit at or above ``8 * width - prime.bit_length()``; ``D`` is the
+    lift itself, which passes undivided, for honest unreduced totals at the
+    indices ``1 .. threshold``, where the weights are exact signed integers.
     """
     rows = _validated(shares, params, packed=width is not None)
     t, prime = params.threshold, params.prime
@@ -323,7 +334,7 @@ def reconstruct(
     high = ((1 << bits) - (1 << (bits - prime.bit_length()))) * ones
     mismatches = []
     for (index, v), guess in zip(rows[t:], predicted):
-        q, r = divmod(guess - v, prime)
+        q, r = (0, 0) if guess - v == lift else divmod(guess - v, prime)  # the lift passes
         if r or q & high:
             off = _unpacked(guess - v, dim, width, prime)
             mismatches.append((next(j for j, d in enumerate(off) if d), index))
@@ -505,12 +516,12 @@ def secure_aggregate(
     decode. Only the sum is ever reconstructed. The simulation encodes all
     ``vectors`` (rows, or equally sized arrays) in one ``encode_limbs`` call,
     so a value out of range raises before any draw. Sharing is linear, so it
-    adds the contributors' coefficient limbs (``share(..., width=)``) in one
-    ``uint64`` array, carries once into slots too wide to overflow, packs
-    each degree in one integer and evaluates that summed polynomial once per
-    party by Horner's rule: by linearity, the party's sum of received
-    points. ``reconstruct`` takes these totals packed and unreduced;
-    reduced points are built only for a transcript that records payloads.
+    adds each contributor's coefficient words (``share(..., width=)``) into
+    one ``uint64`` array as they are drawn, sets the summed secrets at degree
+    0, carries once into slots too wide to overflow, packs each degree in one
+    integer and evaluates that polynomial once per party by Horner's rule:
+    the party's sum of received points, which ``reconstruct`` takes packed
+    and unreduced. Only a transcript that records payloads gets reduced points.
     ``corrupt_party`` is a fault-injection hook for tests: it adds one to
     the first summed share of the party at that position (of a nonempty
     vector) before reconstruction, which the consistency check must catch
@@ -541,16 +552,14 @@ def secure_aggregate(
     width = _point_width(params, len(vectors), guard)
     record = transcript is not None and transcript.record_payloads
     encoded = codec.encode_limbs([np.ravel(v) for v in vectors])
-    summed = np.zeros((params.degree + 1, dim, width // 4), np.uint64)
+    drawn = np.zeros((dim, params.degree, encoded.shape[-1]), np.uint64)
     sent = []  # each share message's field elements, when recorded
     for secret in encoded:
-        limbs = share(secret, params, rng, width=width)
-        summed += limbs
+        words = share(secret, params, rng, width=width)
+        drawn += words
         if record:
-            sent += [_unpacked(p, dim, width, prime) for p in _evaluate(_columns(limbs), params)]
-    for j in range(width // 4 - 1):
-        summed[..., j + 1] += summed[..., j] >> 32
-    totals = _evaluate(_columns(summed), params)
+            sent += [_unpacked(p, dim, width, prime) for p in _points(secret, words, width, params)]
+    totals = _points(encoded.sum(axis=0, dtype=np.uint64), drawn, width, params)
 
     if corrupt_party is not None:
         totals[corrupt_party] += 1

@@ -481,6 +481,35 @@ def test_forecast_reports_equal_the_direct_evaluation(monkeypatch, strategy, var
         assert summary[f"{split}_mse"] == old_forecast_mse(model, final, splits, split)
 
 
+@pytest.mark.parametrize(
+    "strategy, rounds, expected",
+    [
+        # The last round's record already holds the final weights' val error,
+        # and for ctl and centralized their train error too.
+        ("dms", 2, ["val", "val", "train", "test"]),
+        ("ctl", 2, ["train", "val", "train", "val", "test"]),
+        ("centralized", 2, ["train", "val", "train", "val", "test"]),
+        ("dms", 0, ["train", "val", "test"]),  # no round, no record: all three
+    ],
+)
+def test_the_summary_reuses_the_last_round_errors(monkeypatch, strategy, rounds, expected):
+    calls = []
+    real = experiment._forecast_mse
+
+    def counted(setup, which, thetas):
+        calls.append(which)
+        return real(setup, which, thetas)
+
+    monkeypatch.setattr(experiment, "_forecast_mse", counted)
+    config = parse_config({**SMALL_FORECAST, "strategy": strategy, "rounds": rounds})
+    result = run_experiment(config)
+    assert calls == expected
+    rows = [r for r in result.records if r["type"] == "round"]
+    if rows:
+        assert result.summary["val_mse"] == rows[-1]["val_mse"]
+        assert result.summary["train_mse"] == rows[-1]["train_mse"]
+
+
 def test_fedavg_forecast_training_reduces_loss():
     config = parse_config(
         {

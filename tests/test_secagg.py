@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmslearn import secagg
 from dmslearn.secagg import (
     PRIME_128,
     ContributorError,
@@ -535,7 +537,16 @@ def test_sharing_limbs_equals_sharing_their_ints(case, seed, width):
         from_ints = share(codec.encode_vector(row), params, int_rng, width=width)
         assert limb_rng.bit_generator.state == int_rng.bit_generator.state
         if width is not None:
+            # Only the drawn words come back, so the secrets are compared as
+            # the limbs that a caller places beneath them.
+            limbs, ints = codec.encode_limbs(row), codec.encode_vector(row)
+            words = limbs.shape[-1]
+            assert limbs.tobytes() == b"".join(v.to_bytes(4 * words, "little") for v in ints)
+            assert from_limbs.shape == (len(ints), params.degree, words)
             assert from_limbs.tobytes() == from_ints.tobytes()
+            drawn = [int.from_bytes(c.tobytes(), "big") for c in from_limbs.reshape(-1, words)]
+            old_rng = np.random.default_rng(seed)
+            assert drawn == old_rand_field_elements(old_rng, codec.prime, len(drawn))
             continue
         assert from_limbs == from_ints
         old_rng = np.random.default_rng(seed)
@@ -647,6 +658,34 @@ def test_packed_draw_matches_the_int_list_draw(prime, count, seed):
     assert cells.shape == (count, ((prime - 1).bit_length() + 7) // 8)
     assert field_values(cells) == old_rand_field_elements(old_rng, prime, count)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+class ScriptedRng:
+    """Hands out ``bytes`` from the endless repetition of ``script``."""
+
+    def __init__(self, script):
+        self.script, self.at = script, 0
+
+    def bytes(self, length):
+        out = (self.script * (2 + length // len(self.script)))[self.at : self.at + length]
+        self.at = (self.at + length) % len(self.script)
+        return out
+
+
+@pytest.mark.parametrize("prime", [PRIME_128, 2**72 - 93, 2**64 + 13])
+def test_candidates_that_tie_on_the_leading_bytes_compare_whole(prime):
+    # Random candidates almost never share the prime's leading 8 bytes, so
+    # script them: below, at and above the prime in their tail.
+    nbytes = ((prime - 1).bit_length() + 7) // 8
+    slot, tail = -(-nbytes // 4) * 4, 8 * (nbytes - 8)
+    head = prime >> tail << tail
+    candidates = [prime - 1, prime, prime + 1, head, head + (1 << tail) - 1, 0, 1 << (8 * nbytes - 1)]
+    script = b"".join(c.to_bytes(nbytes, "big").ljust(slot, b"\xff") for c in candidates)
+    for count in (1, 4, 9):
+        new_rng, old_rng = ScriptedRng(script), ScriptedRng(script)
+        drawn = field_values(_rand_field_cells(new_rng, prime, count))
+        assert drawn == old_rand_field_elements(old_rng, prime, count)
+        assert new_rng.at == old_rng.at
 
 
 def outcome(fn, *args, **kwargs):
@@ -894,6 +933,16 @@ def test_packed_reconstruct_matches_the_tuple_mode(data, prime, seed):
     ]
     expected = outcome(reconstruct, picked, params)
     assert outcome(reconstruct, unreduced, params, width=width, dim=dim) == expected
+    # A difference equal to the lift passes undivided; the division would pass it too.
+    indices = tuple(sorted({s.index for s in picked} & set(range(1, params.parties + 1))))
+    if len(indices) >= params.threshold:
+        _, negative, guard = _interpolation(indices, params.threshold, prime)
+        bits, ones = 8 * width, packed([1] * dim, width)
+        bound = 1 << (bits - guard)
+        lift = -(-negative * bound // prime) * prime * ones
+        q, r = divmod(lift, prime)
+        assert bound >= prime and not r
+        assert not q & ((1 << bits) - (1 << (bits - prime.bit_length()))) * ones
 
 
 def test_packed_reconstruct_rejects_values_beyond_its_slots():
@@ -924,18 +973,27 @@ def test_corrupt_party_must_name_a_share_of_a_nonempty_sum():
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
-@pytest.mark.parametrize("parties, degree, contributors", [(21, 10, 21), (3, 1, 30)])
-def test_secure_aggregate_matches_the_old_path_at_benchmark_scale(parties, degree, contributors):
-    # The limb sums carry across limbs only with many summands, which the
-    # small hypothesis cases above never reach: a dms session of 21 agents
-    # and a fedavg session of 30 contributors, at the forecast model's d.
-    # The old path runs once, recorded; the unrecorded run must match it
-    # with every payload left out.
-    codec = FixedPointCodec()
+BENCHMARK_SESSIONS = pytest.mark.parametrize(
+    "parties, degree, contributors", [(21, 10, 21), (3, 1, 30)]
+)
+
+
+def benchmark_session(parties, degree, contributors):
+    """A dms session of 21 agents or a fedavg session of 30 contributors,
+    and their vectors at the forecast model's d."""
     ids = tuple(range(contributors))
     holders = ids if parties == contributors else (30, 31, 32)
     session = SecAggSession(SharingParams(parties, degree), ids, holders, holders[:1] + ids[:2])
-    vectors = [np.random.default_rng(i).normal(scale=0.3, size=801) for i in ids]
+    return session, [np.random.default_rng(i).normal(scale=0.3, size=801) for i in ids]
+
+
+@BENCHMARK_SESSIONS
+def test_secure_aggregate_matches_the_old_path_at_benchmark_scale(parties, degree, contributors):
+    # The limb sums carry across limbs only with many summands, which the
+    # small hypothesis cases above never reach. The old path runs once,
+    # recorded; the unrecorded run must match it with every payload left out.
+    codec = FixedPointCodec()
+    session, vectors = benchmark_session(parties, degree, contributors)
 
     def run(aggregate, transcript):
         rng = np.random.default_rng(17)
@@ -950,6 +1008,50 @@ def test_secure_aggregate_matches_the_old_path_at_benchmark_scale(parties, degre
         assert (log.messages, log.bytes) == (old_log.messages, old_log.bytes)
         assert len(log.entries) == 2
         assert per_message(log) == (old_log.entries if record else bare_entries)
+
+
+@BENCHMARK_SESSIONS
+def test_an_honest_session_never_divides_by_the_prime(monkeypatch, parties, degree, contributors):
+    # Honest unreduced totals sit exactly on the polynomial, so every
+    # surplus check is the lift; only a share that is off is divided, and it
+    # names the share that the parent's path named.
+    divisions = []
+
+    def counting(a, b):
+        divisions.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(secagg, "divmod", counting, raising=False)
+    session, vectors = benchmark_session(parties, degree, contributors)
+    for record in (True, False):
+        rng, transcript = np.random.default_rng(17), Transcript(record_payloads=record)
+        secure_aggregate(vectors, session, FixedPointCodec(), rng, transcript=transcript)
+    assert divisions == []
+    message = f"^share at index {parties} is off the sharing polynomial$"
+    with pytest.raises(TamperError, match=message):
+        secure_aggregate(vectors, session, FixedPointCodec(), np.random.default_rng(17),
+                         corrupt_party=parties - 1)
+    assert len(divisions) == 1
+
+
+def test_an_unrecorded_21_party_session_peaks_below_2_5_mib():
+    # The secure path runs in bounded memory: contributors' coefficients are
+    # added as they are drawn, never stacked (which read 4.47 MiB).
+    [session] = party_placement(make_topology("complete", 21))
+    vectors = np.random.default_rng(0).normal(scale=0.3, size=(21, 801))
+
+    def run():
+        transcript = Transcript(record_payloads=False)
+        secure_aggregate(vectors, session, FixedPointCodec(), np.random.default_rng(1), transcript=transcript)
+
+    run()  # the first call fills the interpolation cache
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @given(
